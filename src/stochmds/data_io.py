@@ -9,6 +9,7 @@ N x N matrix; a call counter backs the laziness guarantee.
 from __future__ import annotations
 
 import io
+import math
 import os
 import warnings
 
@@ -68,9 +69,9 @@ def parse_edge_list(source, node_count: int | None = None) -> ObservationBatch:
 
     ``source`` may be a path, a file-like object, or a string of lines.
     ``#``-prefixed lines are ignored; duplicate unordered pairs keep the last
-    occurrence with a warning. Malformed lines, self-loops, and nonpositive
-    deltas carrying positive weight are rejected with the offending line
-    number.
+    occurrence with a warning. Malformed lines, self-loops, non-finite
+    deltas, and nonpositive deltas carrying positive weight are rejected with
+    the offending line number.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -102,6 +103,8 @@ def parse_edge_list(source, node_count: int | None = None) -> ObservationBatch:
             raise ValueError(f"line {lineno}: negative node index")
         if node_count is not None and (m >= node_count or n >= node_count):
             raise ValueError(f"line {lineno}: node index beyond node count")
+        if not math.isfinite(delta):
+            raise ValueError(f"line {lineno}: non-finite delta {delta}")
         if not 0.0 <= weight <= 1.0:
             raise ValueError(f"line {lineno}: weight {weight} outside [0, 1]")
         if weight > 0 and delta <= 0:

@@ -18,7 +18,7 @@ import numpy as np
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, partition_nodes, \
-    sample_cluster_edges, _pair_from_index, _sample_local_pairs
+    _pair_from_index, _sample_local_pairs
 from .stress_core import (
     averaged_step,
     closed_form_b_average,
@@ -191,14 +191,22 @@ class _BatchEval:
         return s, (s / denom if denom > 0 else 0.0)
 
 
+def _all_finite(X: np.ndarray) -> bool:
+    """True when every entry is finite (min and max propagate NaN and inf,
+    so no N x P temporary is needed)."""
+    return X.size == 0 or bool(np.isfinite(X.min()) and np.isfinite(X.max()))
+
+
 def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
                      tol: float = 1e-6, max_iters: int = 500,
-                     threads: int = 1, config_echo: dict | None = None,
+                     config_echo: dict | None = None,
                      seed: int = 0) -> RunTrace:
     """Iterate the batch majorization update until the relative stress
     decrease drops below ``tol`` or ``max_iters`` is reached.
 
     The recorded stress sequence is non-increasing up to solver round-off.
+    A non-finite iterate stops the run with status ``diverged``; the final
+    embedding is then the last finite one.
     """
     X = np.array(init, dtype=np.float64, copy=True)
     denom = batch.total_weighted_delta_sq()
@@ -208,7 +216,11 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
     status = "max_iters"
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        X = smacof_iterate(X, batch, threads=threads)
+        Xn = smacof_iterate(X, batch)
+        if not _all_finite(Xn):
+            status = "diverged"
+            break
+        X = Xn
         cur = stress(X, batch)
         wall = (time.perf_counter() - t0) * 1e3
         records.append(_record(it, cur, cur / denom if denom else 0.0, 1.0,
@@ -221,9 +233,29 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
     return RunTrace(records, X, seed, status=status, config=config_echo)
 
 
+def _sample_slot(provider, partition, sampler: SamplerConfig,
+                 rng: np.random.Generator, noise_sigma: float, eps_w: float,
+                 clamp: bool):
+    """Yield ``(cluster, a, b, delta, w)`` per cluster, in cluster order.
+
+    ``a`` and ``b`` index into ``cluster``. Every draw comes from the slot's
+    stream in that order, so the measurements depend only on the stream and
+    never on how the caller consumes them.
+    """
+    for cluster in partition.clusters:
+        a, b = _sample_local_pairs(
+            len(cluster), rng, q=sampler.q, fraction=sampler.fraction,
+            ensure_connected=sampler.ensure_connected)
+        delta = provider.pairs(cluster[a], cluster[b])
+        if noise_sigma > 0:
+            delta = delta + noise_sigma * rng.standard_normal(len(delta))
+        w = assign_weights(delta, sampler.scheme, eps_w=eps_w, clamp=clamp)
+        yield cluster, a, b, delta, w
+
+
 def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
                 rng: np.random.Generator, noise_sigma: float,
-                step: StepConfig, mu: float, mode: str, threads: int) -> int:
+                step: StepConfig, mu: float, mode: str) -> int:
     """Sample and apply one slot cluster-by-cluster, updating Xn in place.
 
     Clusters touch disjoint rows and each update reads only the slot-start
@@ -232,20 +264,14 @@ def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
     """
     pairs = 0
     cfg = replace(step, mu=mu)
-    for cluster in partition.clusters:
-        a, b = _sample_local_pairs(
-            len(cluster), rng, q=sampler.q, fraction=sampler.fraction,
-            ensure_connected=sampler.ensure_connected)
-        delta = provider.pairs(cluster[a], cluster[b])
-        if noise_sigma > 0:
-            delta = delta + noise_sigma * rng.standard_normal(len(delta))
-        w = assign_weights(delta, sampler.scheme, eps_w=step.eps_w,
-                           clamp=(mode != "sgd"))
+    for cluster, a, b, delta, w in _sample_slot(
+            provider, partition, sampler, rng, noise_sigma, step.eps_w,
+            clamp=(mode != "sgd")):
         mini = ObservationBatch(a, b, delta, w, slot=partition.slot)
         if mode == "sgd":
             upd, _ = sgd_step(Xn[cluster], mini, mu)
         else:
-            upd = stochastic_step(Xn[cluster], mini, cfg, threads=threads)
+            upd = stochastic_step(Xn[cluster], mini, cfg)
         Xn[cluster] = upd
         pairs += len(mini)
     return pairs
@@ -254,31 +280,17 @@ def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
 def _slot_batch(provider, partition, sampler: SamplerConfig,
                 rng: np.random.Generator, t: int, noise_sigma: float,
                 eps_w: float, clamp_weights: bool = True):
-    """Sample one slot's measurements over the given partition.
-
-    All draws come from the slot's stream in cluster-index order, so the
-    batch depends only on (seed, slot) and never on worker scheduling.
-    """
+    """Sample one slot's measurements over the given partition as one batch
+    in global node ids, recording each cluster's edges on the partition."""
     ms, ns, ds, ws = [], [], [], []
-    edge_sets = []
-    for cluster in partition.clusters:
-        edges = sample_cluster_edges(
-            cluster, rng,
-            q=sampler.q, fraction=sampler.fraction,
-            ensure_connected=sampler.ensure_connected,
-        )
-        edge_sets.append(edges)
-        m, n = edges[:, 0], edges[:, 1]
-        delta = provider.pairs(m, n)
-        if noise_sigma > 0:
-            delta = delta + noise_sigma * rng.standard_normal(len(delta))
-        w = assign_weights(delta, sampler.scheme, eps_w=eps_w,
-                           clamp=clamp_weights)
-        ms.append(m)
-        ns.append(n)
+    for cluster, a, b, delta, w in _sample_slot(
+            provider, partition, sampler, rng, noise_sigma, eps_w,
+            clamp_weights):
+        ms.append(cluster[a])
+        ns.append(cluster[b])
         ds.append(delta)
         ws.append(w)
-    partition.edge_sets = edge_sets
+    partition.edge_sets = [np.column_stack(e) for e in zip(ms, ns)]
     if not ms:
         return ObservationBatch.empty(slot=t)
     return ObservationBatch(np.concatenate(ms), np.concatenate(ns),
@@ -297,7 +309,6 @@ def run_stochastic(
     mode: str = "stochastic",
     eval_pairs: int = 100_000,
     record_embeddings: bool = False,
-    threads: int = 1,
     config_echo: dict | None = None,
 ) -> RunTrace:
     """Incremental embedding loop over random clusters.
@@ -314,8 +325,9 @@ def run_stochastic(
     Sampler-driven slots process one cluster at a time: sample its pairs,
     fetch their dissimilarities, update the cluster rows, and move on.
     Working memory therefore stays at a small constant multiple of the
-    embedding regardless of the measurement budget, and distinct clusters
-    touch disjoint rows so the result is independent of worker count.
+    embedding regardless of the measurement budget. A non-finite iterate
+    stops the run with status ``diverged`` in every mode (and so does a
+    blown-up ``sgd`` iterate); the final embedding is the last finite one.
     """
     step = step or StepConfig()
     if mode not in ("stochastic", "spe", "sgd"):
@@ -350,20 +362,18 @@ def run_stochastic(
                 break
             evaluator.batch = batch
             if mode == "sgd":
-                Xn, diverged = sgd_step(X, batch, mu)
+                Xn, _ = sgd_step(X, batch, mu)
             else:
-                Xn = stochastic_step(X, batch, replace(step, mu=mu),
-                                     threads=threads)
-                diverged = False
+                Xn = stochastic_step(X, batch, replace(step, mu=mu))
             pairs = len(batch)
         else:
             slot_rng = substream(seed, "partition", t)
             partition = partition_nodes(n, sampler.p, slot_rng, slot=t)
             Xn = np.array(X, copy=True)
             pairs = _apply_slot(Xn, source, partition, sampler, slot_rng,
-                                noise_sigma, step, mu, mode, threads)
-            diverged = mode == "sgd" and not bool(np.all(np.isfinite(Xn)))
+                                noise_sigma, step, mu, mode)
 
+        diverged = not _all_finite(Xn)
         if mode == "sgd" and not diverged:
             jn = np.linalg.norm(Xn - Xn.mean(axis=0))
             diverged = jn > 1e6 * max(center0, 1.0)

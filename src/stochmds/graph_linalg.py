@@ -4,6 +4,13 @@ A measurement batch induces a weighted graph; each connected component gets
 its own Laplacian. All coordinate updates reduce to solving ``L y = rhs``
 where ``rhs`` has zero column sums, and the minimum-norm (pseudo-inverse)
 solution is the one with zero column sums as well.
+
+Every caller goes through one layer. ``group_components`` groups a batch's
+positive-weight edges by connected component into one ``ComponentStack``
+per component size, and ``ComponentStack.solve`` does the min-norm solves
+of a stack at once: one batched dense factorization up to
+``DENSE_SOLVER_MAX`` nodes, deflated conjugate gradients above. A single
+component is a stack of one.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from .observations import ObservationBatch, clamp_weights
 
 __all__ = [
     "ComponentLaplacian",
+    "ComponentStack",
+    "group_components",
     "ClusterPartition",
     "build_laplacian",
     "connected_components",
@@ -72,6 +81,11 @@ class ComponentLaplacian:
         L[self.cols, self.rows] = -self.weights
         L[np.diag_indices(self.size)] = self.degree
         return L
+
+    def as_stack(self) -> "ComponentStack":
+        """This component as a stack of one."""
+        return ComponentStack(self.node_ids[None, :], self.rows, self.cols,
+                              self.weights)
 
     def to_sparse(self) -> sp.csr_matrix:
         p = self.size
@@ -180,6 +194,115 @@ def _validate_batch_indices(batch: ObservationBatch, node_count: int):
         raise ValueError("negative weight")
 
 
+@dataclass
+class ComponentStack:
+    """Connected components of one size, stacked for a batched solve.
+
+    Row ``k`` of ``nodes`` holds component k's global node ids in ascending
+    order. Edge endpoints ``a`` and ``b`` index the flattened ``nodes``, so
+    ``a // size`` is an edge's component and ``a % size`` its local node.
+    Edges keep their measured orientation and are grouped by component.
+    """
+
+    nodes: np.ndarray    # (count, size) global node ids
+    a: np.ndarray
+    b: np.ndarray
+    weights: np.ndarray
+    delta: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return self.nodes.shape[1]
+
+    @property
+    def count(self) -> int:
+        return self.nodes.shape[0]
+
+    def _edge_slices(self) -> list:
+        bounds = np.searchsorted(self.a // self.size,
+                                 np.arange(self.count + 1)).tolist()
+        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def components(self):
+        """Yield ``(node_ids, i, j, weights, delta)`` per component, with
+        local endpoints ``i`` and ``j``."""
+        p = self.size
+        for k, e in enumerate(self._edge_slices()):
+            yield (self.nodes[k], self.a[e] - k * p, self.b[e] - k * p,
+                   self.weights[e], self.delta[e])
+
+    def solve(self, rhs: np.ndarray, dense_max: int = DENSE_SOLVER_MAX,
+              cg_tol: float = 1e-12) -> np.ndarray:
+        """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
+
+        ``rhs`` is (count, size, dim) with zero column sums; so is the result.
+        """
+        p = self.size
+        if p <= dense_max:
+            return _dense_min_norm(self, rhs)
+        y = np.empty_like(rhs)
+        for k, e in enumerate(self._edge_slices()):
+            a, b = self.a[e], self.b[e]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            lo -= k * p
+            hi -= k * p
+            lap = ComponentLaplacian(self.nodes[k], lo, hi, self.weights[e])
+            y[k] = _solve_cg(lap, rhs[k], cg_tol)
+        return y
+
+
+def group_components(batch: ObservationBatch, node_count: int,
+                     eps_w: float | None = None,
+                     singletons: bool = False) -> list:
+    """Group a batch's positive-weight edges by connected component.
+
+    Returns one ``ComponentStack`` per component size, ascending; isolated
+    nodes form a size-1 stack only with ``singletons``. Inside a stack,
+    components are ordered by smallest member, node ids ascend and edges keep
+    batch order. When ``eps_w`` is given, nonzero weights below it are
+    clamped up with a warning.
+    """
+    live = batch.nonzero()
+    w = live.weight if eps_w is None else clamp_weights(live.weight, eps_w)
+    labels, n_comp = _component_labels(live.m, live.n, node_count)
+    if n_comp == 1:  # connected: already in order
+        stack = ComponentStack(np.arange(node_count)[None, :], live.m, live.n,
+                               w, live.delta)
+        return [stack] if node_count > 1 or singletons else []
+    sizes = np.bincount(labels, minlength=n_comp)
+    # rank components by (size, label): labels ascend, so a stable sort by
+    # size gives that order
+    rank = np.empty(n_comp, dtype=np.int64)
+    rank[np.argsort(sizes, kind="stable")] = np.arange(n_comp)
+    node_rank = rank[labels]
+    nodes = np.argsort(node_rank, kind="stable")
+    order = np.argsort(node_rank[live.m], kind="stable")
+    position = np.empty(node_count, dtype=np.int64)
+    position[nodes] = np.arange(node_count)
+    a, b = position[live.m[order]], position[live.n[order]]
+    w, delta = w[order], live.delta[order]
+    node_size = sizes[labels[nodes]]  # non-decreasing
+    edge_size = node_size[a]
+    stacks = []
+    for size in np.unique(node_size).tolist():
+        if size < 2 and not singletons:
+            continue
+        n0, n1 = np.searchsorted(node_size, [size, size + 1]).tolist()
+        e0, e1 = np.searchsorted(edge_size, [size, size + 1]).tolist()
+        stacks.append(ComponentStack(nodes[n0:n1].reshape(-1, size),
+                                     a[e0:e1] - n0, b[e0:e1] - n0,
+                                     w[e0:e1], delta[e0:e1]))
+    return stacks
+
+
+def _by_smallest_member(stacks: list) -> list:
+    """Every component of ``stacks`` as ``(node_ids, i, j, weights, delta)``,
+    ordered by smallest member."""
+    comps = [c for stack in stacks for c in stack.components()]
+    comps.sort(key=lambda c: c[0][0])
+    return comps
+
+
 def build_laplacian(
     batch: ObservationBatch,
     node_count: int,
@@ -194,66 +317,38 @@ def build_laplacian(
     below it are clamped up with a warning.
     """
     _validate_batch_indices(batch, node_count)
-    live = batch.nonzero()
-    w = live.weight if eps_w is None else clamp_weights(live.weight, eps_w)
-    labels, n_comp = _component_labels(live.m, live.n, node_count)
-
-    order = np.argsort(labels, kind="stable")
-    nodes_sorted = order  # node ids grouped by label (node id == position)
-    counts = np.bincount(labels, minlength=n_comp)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-
-    # map each component to ascending node lists; relabel so that components
-    # come out sorted by smallest member
-    comp_nodes = [np.sort(nodes_sorted[bounds[k]:bounds[k + 1]]) for k in range(n_comp)]
-    comp_order = np.argsort([c[0] for c in comp_nodes])
-
-    # local index of every node inside its component
-    local = np.zeros(node_count, dtype=np.int64)
-    for c in comp_nodes:
-        local[c] = np.arange(len(c))
-
-    edge_label = labels[live.m] if len(live) else np.zeros(0, dtype=np.int64)
-    out = []
-    for k in comp_order:
-        c = comp_nodes[k]
-        if len(c) == 1 and not include_singletons:
-            continue
-        mask = edge_label == k
-        i = local[live.m[mask]]
-        j = local[live.n[mask]]
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        out.append(ComponentLaplacian(c, lo, hi, w[mask]))
-    return out
+    stacks = group_components(batch, node_count, eps_w, include_singletons)
+    return [ComponentLaplacian(nodes, np.minimum(i, j), np.maximum(i, j), w)
+            for nodes, i, j, w, _ in _by_smallest_member(stacks)]
 
 
 def connected_components(batch: ObservationBatch, node_count: int) -> ClusterPartition:
     """Partition {0..N-1} into maximal components of the positive-weight graph."""
     _validate_batch_indices(batch, node_count)
-    live = batch.nonzero()
-    labels, n_comp = _component_labels(live.m, live.n, node_count)
-    clusters, edge_sets = [], []
-    edge_label = labels[live.m] if len(live) else np.zeros(0, dtype=np.int64)
-    for k in range(n_comp):
-        clusters.append(np.flatnonzero(labels == k))
-    order = np.argsort([c[0] for c in clusters])
-    clusters = [clusters[k] for k in order]
-    for rank, k in enumerate(order):
-        mask = edge_label == k
-        edge_sets.append(np.column_stack([live.m[mask], live.n[mask]]))
-    return ClusterPartition(clusters, edge_sets, slot=batch.slot)
+    comps = _by_smallest_member(
+        group_components(batch, node_count, singletons=True))
+    return ClusterPartition(
+        [nodes for nodes, *_ in comps],
+        [np.column_stack([nodes[i], nodes[j]]) for nodes, i, j, _, _ in comps],
+        slot=batch.slot)
 
 
-def _solve_dense(lap: ComponentLaplacian, rhs: np.ndarray) -> np.ndarray:
-    p = lap.size
-    L = lap.to_dense()
+def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
+    """Batched dense min-norm solve of a stack's Laplacian systems."""
+    g, p = stack.nodes.shape
+    a, b, w = stack.a, stack.b, stack.weights
+    degree = (np.bincount(a, weights=w, minlength=g * p)
+              + np.bincount(b, weights=w, minlength=g * p)).reshape(g, p)
+    L = np.zeros((g, p, p))
+    rows = L.reshape(g * p, p)
+    i, j = (a, b) if g == 1 else (a % p, b % p)  # local endpoints
+    rows[a, j] = rows[b, i] = -w
+    L.reshape(g, p * p)[:, ::p + 1] = degree
     # shift along the all-ones direction makes L nonsingular without touching
     # the solution on the zero-column-sum subspace
-    shift = max(float(lap.degree.mean()), 1.0)
-    L += shift / p
+    L += (np.maximum(degree.sum(axis=1) / p, 1.0) / p)[:, None, None]
     y = np.linalg.solve(L, rhs)
-    y -= y.mean(axis=0)
+    y -= y.sum(axis=1, keepdims=True) / p
     return y
 
 
@@ -271,12 +366,12 @@ def _solve_cg(lap: ComponentLaplacian, rhs: np.ndarray, tol: float) -> np.ndarra
         b = rhs[:, col]
         sol, info = _cg(A, b, rtol=tol, atol=0.0, maxiter=50 * p, M=M)
         if info != 0:
-            return _solve_dense(lap, rhs)
+            return _dense_min_norm(lap.as_stack(), rhs[None])[0]
         y[:, col] = sol
     y -= y.mean(axis=0)
     resid = np.linalg.norm(L @ y - rhs)
     if resid > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
-        return _solve_dense(lap, rhs)
+        return _dense_min_norm(lap.as_stack(), rhs[None])[0]
     return y
 
 
@@ -292,8 +387,9 @@ def solve_min_norm(
 
     Requires each column of ``rhs`` to sum to zero (relative to its magnitude)
     so the system is consistent; the returned solution has zero column sums.
-    The solver choice (dense factorization vs deflated CG) is internal and
-    does not affect the output contract.
+    The component is solved as a stack of one; the solver choice (dense
+    factorization vs deflated CG) is internal and does not affect the output
+    contract.
     """
     rhs = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
     squeeze = False
@@ -316,10 +412,7 @@ def solve_min_norm(
             "edge weight below eps_w: Laplacian conditioning bound not guaranteed",
             stacklevel=2,
         )
-    if lap.size <= dense_threshold:
-        y = _solve_dense(lap, rhs)
-    else:
-        y = _solve_cg(lap, rhs, cg_tol)
+    y = lap.as_stack().solve(rhs[None], dense_threshold, cg_tol)[0]
     return y[:, 0] if squeeze else y
 
 

@@ -252,12 +252,12 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
         if timed_out:
             log.clusters_timeout += 1
         else:
+            # the star in local ids: head 0, members 1..k
             cluster = np.concatenate([[head], members])
-            batch = ObservationBatch(np.full(len(members), head), members,
-                                     meas, w)
+            star = ObservationBatch(np.zeros(len(members), dtype=np.int64),
+                                    np.arange(1, len(cluster)), meas, w)
             step = StepConfig(mu=cfg.mu, eps_x=cfg.eps_x, eps_w=cfg.eps_w)
-            updated = stochastic_step(state.estimates[cluster],
-                                      _localize(batch, cluster), step)
+            updated = stochastic_step(state.estimates[cluster], star, step)
             state.estimates[cluster] = updated
             log.clusters_completed += 1
             log.updated_nodes += len(cluster)
@@ -283,14 +283,6 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
     else:
         batch = ObservationBatch.empty()
     return state, batch, log
-
-
-def _localize(batch: ObservationBatch, cluster: np.ndarray) -> ObservationBatch:
-    """Re-index a batch over ``cluster`` node ids into local 0..len-1."""
-    lookup = {int(g): k for k, g in enumerate(cluster)}
-    m = np.array([lookup[int(v)] for v in batch.m], dtype=np.int64)
-    n = np.array([lookup[int(v)] for v in batch.n], dtype=np.int64)
-    return ObservationBatch(m, n, batch.delta, batch.weight, slot=batch.slot)
 
 
 def anchor_align(estimates: np.ndarray, anchor_idx: np.ndarray,

@@ -2,7 +2,7 @@
 
 Every randomized component draws from its own generator derived from
 (seed, context key). Streams for distinct slots and clusters are independent,
-so results do not depend on evaluation order or worker count.
+so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ import numpy as np
 
 __all__ = ["substream"]
 
-# stream name -> fixed lane id, so key layouts never collide across contexts
+# stream name -> fixed lane id, so key layouts never collide across contexts;
+# ids are never reused, so retired lanes leave gaps
 _LANES = {
     "partition": 0,
     "edges": 1,
-    "noise": 2,
     "init": 3,
     "eval": 4,
     "oracle": 5,

@@ -2,9 +2,11 @@
 
 All updates share one structure: per connected component of the measurement
 graph, solve a Laplacian system against the majorization matrix of the
-current configuration. The incremental rule blends that solution with the
-previous coordinates through the step size ``mu``; the per-component
-coordinate center is preserved exactly.
+current configuration. The batch and incremental rules both group the batch
+with ``graph_linalg.group_components`` and solve each stack of equal-size
+components in one ``ComponentStack.solve`` call. The incremental rule blends
+that solution with the previous coordinates through the step size ``mu``;
+the per-component coordinate center is preserved exactly.
 """
 
 from __future__ import annotations
@@ -12,16 +14,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .graph_linalg import (
-    ComponentLaplacian,
-    ClusterPartition,
-    DENSE_SOLVER_MAX,
-    _component_labels,
-    _solve_cg,
-    _solve_dense,
-    solve_min_norm,
-)
-from .observations import ObservationBatch, StepConfig, clamp_weights
+from .graph_linalg import (ClusterPartition, ComponentStack, _by_smallest_member,
+                           group_components)
+from .observations import ObservationBatch, StepConfig
 
 __all__ = [
     "stress",
@@ -69,68 +64,19 @@ def _regularized_coeffs(X, m, n, w, delta, eps_x):
     return coef, diff
 
 
-def _component_edge_groups(batch: ObservationBatch, node_count: int,
-                           eps_w: float | None = None):
-    """Group positive-weight observations by connected component.
-
-    Returns (nodes, i, j, w, delta) tuples with local endpoint indices and
-    ascending global node ids, only for components with at least two nodes.
-    Nodes outside every returned component have no usable measurements.
-    """
-    live = batch.nonzero()
-    if len(live) == 0:
-        return []
-    w = live.weight if eps_w is None else clamp_weights(live.weight, eps_w)
-    labels, n_comp = _component_labels(live.m, live.n, node_count)
-    if n_comp == 1:
-        return [(np.arange(node_count), live.m, live.n, w, live.delta)]
-    sizes = np.bincount(labels, minlength=n_comp)
-
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    local = np.empty(node_count, dtype=np.int64)
-    groups = []
-    edge_label = labels[live.m]
-    edge_order = np.argsort(edge_label, kind="stable")
-    edge_counts = np.bincount(edge_label, minlength=n_comp)
-    edge_bounds = np.concatenate([[0], np.cumsum(edge_counts)])
-    for k in range(n_comp):
-        if sizes[k] < 2:
-            continue
-        # stable argsort groups nodes by label in ascending id order already
-        nodes = order[bounds[k]:bounds[k + 1]]
-        local[nodes] = np.arange(len(nodes))
-        sel = edge_order[edge_bounds[k]:edge_bounds[k + 1]]
-        groups.append((nodes, local[live.m[sel]], local[live.n[sel]],
-                       w[sel], live.delta[sel]))
-    return groups
-
-
-def _laplacian_from_group(nodes, i, j, w) -> ComponentLaplacian:
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    return ComponentLaplacian(nodes, lo, hi, w)
-
-
-def _solve_component(nodes, i, j, w, rhs):
-    """Min-norm solve on one component; the rhs is zero-column-sum by
-    construction, so the public contract check is skipped."""
-    lap = _laplacian_from_group(nodes, i, j, w)
-    if lap.size <= DENSE_SOLVER_MAX:
-        return _solve_dense(lap, rhs)
-    return _solve_cg(lap, rhs, 1e-12)
-
-
-def _b_times_x(Xc, i, j, w, delta, eps_x):
-    """Rows of B^eps(Xc) @ Xc accumulated from the edge list."""
-    coef, diff = _regularized_coeffs(Xc, i, j, w, delta, eps_x)
+def _b_times_x(Xc, stack: ComponentStack, eps_x):
+    """B^eps(X_C) X_C for every component of a stack; ``Xc`` is the stack's
+    (count, size, dim) block of coordinates."""
+    flat = Xc.reshape(-1, Xc.shape[2])
+    coef, diff = _regularized_coeffs(flat, stack.a, stack.b, stack.weights,
+                                     stack.delta, eps_x)
     contrib = coef[:, None] * diff
-    p, dim = Xc.shape
-    out = np.empty_like(Xc)
-    for col in range(dim):
-        out[:, col] = (np.bincount(i, weights=contrib[:, col], minlength=p)
-                       - np.bincount(j, weights=contrib[:, col], minlength=p))
-    return out
+    out = np.empty_like(flat)
+    for col in range(flat.shape[1]):
+        out[:, col] = (
+            np.bincount(stack.a, weights=contrib[:, col], minlength=len(flat))
+            - np.bincount(stack.b, weights=contrib[:, col], minlength=len(flat)))
+    return out.reshape(Xc.shape)
 
 
 def b_epsilon_matrix(X: np.ndarray, batch: ObservationBatch, eps_x: float):
@@ -140,9 +86,9 @@ def b_epsilon_matrix(X: np.ndarray, batch: ObservationBatch, eps_x: float):
     where B is a sparse CSR matrix over local indices with exact zero row
     sums (diagonal entries negate the off-diagonal row sums).
     """
-    node_count = X.shape[0]
     out = []
-    for nodes, i, j, w, delta in _component_edge_groups(batch, node_count):
+    comps = _by_smallest_member(group_components(batch, X.shape[0]))
+    for nodes, i, j, w, delta in comps:
         Xc = X[nodes]
         coef, _ = _regularized_coeffs(Xc, i, j, w, delta, eps_x)
         p = len(nodes)
@@ -156,8 +102,7 @@ def b_epsilon_matrix(X: np.ndarray, batch: ObservationBatch, eps_x: float):
     return out
 
 
-def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
-                   threads: int = 1) -> np.ndarray:
+def smacof_iterate(X: np.ndarray, batch: ObservationBatch) -> np.ndarray:
     """One majorization iterate per component: X' = pinv(L) B(X) X.
 
     Components are recentered at the origin (the minimum-norm solution);
@@ -165,31 +110,10 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
     increases.
     """
     Xn = np.array(X, dtype=np.float64, copy=True)
-    groups = _component_edge_groups(batch, X.shape[0])
-
-    def solve_one(group):
-        nodes, i, j, w, delta = group
-        Xc = Xn[nodes]
-        rhs = _b_times_x(Xc, i, j, w, delta, eps_x=0.0)
-        return nodes, _solve_component(nodes, i, j, w, rhs)
-
-    for nodes, y in _map_groups(solve_one, groups, threads):
-        Xn[nodes] = y
+    for stack in group_components(batch, X.shape[0]):
+        rhs = _b_times_x(Xn[stack.nodes], stack, eps_x=0.0)
+        Xn[stack.nodes] = stack.solve(rhs)
     return Xn
-
-
-def _map_groups(fn, groups, threads):
-    """Apply fn to disjoint component groups, optionally on a thread pool.
-
-    Results are collected and applied in group order, so the outcome is
-    bit-identical for any worker count.
-    """
-    if threads <= 1 or len(groups) <= 1:
-        return [fn(g) for g in groups]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, groups))
 
 
 def stochastic_step(
@@ -197,7 +121,6 @@ def stochastic_step(
     batch: ObservationBatch,
     cfg: StepConfig,
     partition: ClusterPartition | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """One incremental update of the embedding from a measurement batch.
 
@@ -224,58 +147,12 @@ def stochastic_step(
     Xn = np.array(X, dtype=np.float64, copy=True)
     if mu == 0.0:
         return Xn
-    groups = _component_edge_groups(batch, node_count, eps_w=cfg.eps_w)
-
-    # components of equal size go through one stacked dense solve; the rest
-    # take the generic per-component path
-    by_size = {}
-    for g in groups:
-        by_size.setdefault(len(g[0]), []).append(g)
-
-    leftovers = []
-    for size, gs in sorted(by_size.items()):
-        if len(gs) > 1 and size <= DENSE_SOLVER_MAX:
-            _stacked_step(Xn, gs, size, mu, cfg.eps_x)
-        else:
-            leftovers.extend(gs)
-
-    def step_one(group):
-        nodes, i, j, w, delta = group
-        Xc = Xn[nodes]
-        rhs = _b_times_x(Xc, i, j, w, delta, cfg.eps_x)
-        y = _solve_component(nodes, i, j, w, rhs)
-        center = Xc.mean(axis=0)
-        return nodes, (1.0 - mu) * Xc + mu * center + mu * y
-
-    for nodes, val in _map_groups(step_one, leftovers, threads):
-        Xn[nodes] = val
+    for stack in group_components(batch, node_count, cfg.eps_w):
+        Xc = Xn[stack.nodes]
+        y = stack.solve(_b_times_x(Xc, stack, cfg.eps_x))
+        Xn[stack.nodes] = ((1.0 - mu) * Xc
+                           + mu * Xc.mean(axis=1, keepdims=True) + mu * y)
     return Xn
-
-
-def _stacked_step(Xn, groups, size, mu, eps_x):
-    """Apply the incremental update to same-size components in one batched
-    dense solve. Per-component arithmetic matches the generic path."""
-    g = len(groups)
-    dim = Xn.shape[1]
-    L = np.zeros((g, size, size))
-    rhs = np.empty((g, size, dim))
-    Xcs = np.empty((g, size, dim))
-    for k, (nodes, i, j, w, delta) in enumerate(groups):
-        Xc = Xn[nodes]
-        Xcs[k] = Xc
-        rhs[k] = _b_times_x(Xc, i, j, w, delta, eps_x)
-        L[k, i, j] = -w
-        L[k, j, i] = -w
-        deg = (np.bincount(i, weights=w, minlength=size)
-               + np.bincount(j, weights=w, minlength=size))
-        idx = np.arange(size)
-        L[k, idx, idx] = deg
-        L[k] += max(float(deg.mean()), 1.0) / size
-    y = np.linalg.solve(L, rhs)
-    y -= y.mean(axis=1, keepdims=True)
-    out = (1.0 - mu) * Xcs + mu * Xcs.mean(axis=1, keepdims=True) + mu * y
-    for k, (nodes, *_rest) in enumerate(groups):
-        Xn[nodes] = out[k]
 
 
 def spe_step(xi: np.ndarray, xj: np.ndarray, delta: float, mu: float):

@@ -8,7 +8,9 @@ import pytest
 from stochmds.cli import (
     EMBED_DEFAULTS,
     EXIT_CONFIG,
+    EXIT_INPUT,
     EXIT_OK,
+    EXIT_RUNTIME,
     ConfigError,
     load_config,
     main,
@@ -84,6 +86,26 @@ class TestSubcommands:
     def test_embed_mu_range_error(self, edge_file):
         code = main(["embed", "--input", edge_file, "--mu", "1.5"])
         assert code == EXIT_CONFIG
+
+    def test_nonfinite_delta_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.tsv"
+        path.write_text("0\t1\t1.0\n1\t2\tnan\n0\t2\t1.5\n")
+        out = tmp_path / "emb.csv"
+        code = main(["embed", "--mode", "batch", "--input", str(path),
+                     "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverged_run_is_execution_failure(self, tmp_path, capsys):
+        path = tmp_path / "huge.tsv"
+        iu, ju = np.triu_indices(6, k=1)
+        path.write_text("".join(f"{i}\t{j}\t1e308\n" for i, j in zip(iu, ju)))
+        with np.errstate(all="ignore"):
+            code = main(["embed", "--mode", "batch", "--input", str(path),
+                         "--iters", "5", "--init-scale", "1"])
+        assert code == EXIT_RUNTIME
+        assert "status=diverged" in capsys.readouterr().out
 
     def test_missing_input_is_config_error(self):
         assert main(["embed", "--mode", "batch"]) == EXIT_CONFIG

@@ -50,6 +50,13 @@ class TestParseEdgeList:
         batch = parse_edge_list("0\t1\t-2.0\t0.0\n")
         assert batch.weight[0] == 0.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_nonfinite_delta_rejected_with_line_number(self, value):
+        with pytest.raises(ValueError, match="line 2: non-finite delta"):
+            parse_edge_list(f"0\t1\t1.0\n1\t2\t{value}\t0.5\n")
+        with pytest.raises(ValueError, match="line 1"):
+            parse_edge_list(f"0\t1\t{value}\t0.0\n")
+
     def test_duplicate_pair_last_wins(self):
         with pytest.warns(UserWarning):
             batch = parse_edge_list("0\t1\t1.0\n1\t0\t3.0\n")

@@ -95,6 +95,19 @@ class TestRunBatchSmacof:
         s = trace.stresses()
         assert np.all(np.diff(s) <= 1e-10 * (1 + s[:-1]))
 
+    def test_nonfinite_iterate_stops_diverged(self):
+        """Dissimilarities near the float range overflow B(X) X; the run
+        stops at once and keeps the last finite embedding."""
+        init = random_init(8, 2, np.random.default_rng(0), 1.0)
+        iu, ju = np.triu_indices(8, k=1)
+        batch = ObservationBatch(iu, ju, np.full(len(iu), 1e308),
+                                 np.ones(len(iu)))
+        with np.errstate(all="ignore"):
+            trace = run_batch_smacof(batch, init, max_iters=5)
+        assert trace.status == "diverged"
+        assert len(trace.records) == 1
+        np.testing.assert_array_equal(trace.final, init)
+
     def test_exact_recovery_small(self):
         rng = np.random.default_rng(3)
         coords = rng.random((40, 2)) * 10
@@ -124,20 +137,25 @@ class TestRunStochastic:
         s = trace.stresses()
         assert s[-1] < 0.1 * s[0]
 
-    def test_threads_bit_identical(self):
-        provider, _ = planar_provider(24, seed=5)
-        init = random_init(24, 2, np.random.default_rng(2), 10.0)
-        sampler = SamplerConfig(p=6, fraction=0.6, seed=7)
-        kw = dict(schedule=MuSchedule.constant(0.2), sampler=sampler,
-                  slots=40, record_embeddings=True)
-        a = run_stochastic(provider, init, kw["schedule"], sampler, 40,
-                           record_embeddings=True, threads=1)
-        b = run_stochastic(provider, init, kw["schedule"], sampler, 40,
-                           record_embeddings=True, threads=8)
-        np.testing.assert_array_equal(a.embeddings, b.embeddings)
-        for ra, rb in zip(a.records, b.records):
-            for key in ("t", "stress", "stress_norm", "mu", "pairs"):
-                assert ra[key] == rb[key]
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_nonfinite_iterate_stops_diverged(self, streaming):
+        n = 8
+        deltas = np.full((n, n), 1e308)
+        np.fill_diagonal(deltas, 0.0)
+        init = random_init(n, 2, np.random.default_rng(1), 1.0)
+        if streaming:
+            iu, ju = np.triu_indices(n, k=1)
+            batch = ObservationBatch(iu, ju, deltas[iu, ju], np.ones(len(iu)))
+            source, sampler = iter([batch] * 3), None
+        else:
+            source = MatrixProvider(deltas)
+            sampler = SamplerConfig(p=4, fraction=1.0, seed=0)
+        with np.errstate(all="ignore"):
+            trace = run_stochastic(source, init, MuSchedule.constant(0.5),
+                                   sampler, 3, eval_pairs=0)
+        assert trace.status == "diverged"
+        assert len(trace.records) == 1
+        assert np.all(np.isfinite(trace.final))
 
     def test_stream_source_and_truncation(self):
         rng = np.random.default_rng(3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochmds import (
     ObservationBatch,
@@ -16,7 +18,7 @@ from stochmds import (
     stress,
     upsilon,
 )
-from stochmds.graph_linalg import ClusterPartition
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, ClusterPartition
 
 
 def full_batch(X, weights=None, deltas=None):
@@ -225,15 +227,127 @@ class TestStochasticStep:
                 want[base:base + 4] = want_full[base:base + 4]
             np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_threads_bit_identical(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((12, 2))
-        b = ObservationBatch.from_entries(
-            [(0, 1, 1.0, 1.0), (2, 3, 1.0, 1.0), (4, 5, 0.5, 1.0),
-             (6, 7, 0.8, 0.9), (8, 9, 1.3, 1.0), (10, 11, 2.0, 1.0)])
-        a = stochastic_step(X, b, StepConfig(mu=0.4), threads=1)
-        c = stochastic_step(X, b, StepConfig(mu=0.4), threads=8)
-        np.testing.assert_array_equal(a, c)
+
+def _component_instance(rng, sizes, isolated, zero_edges):
+    """Random batch over connected components of the given sizes plus
+    isolated nodes and zero-weight edges, with shuffled node ids, edge order
+    and orientation. Returns (node count, components, batch)."""
+    n = sum(sizes) + isolated
+    ids = rng.permutation(n)
+    comps, entries, start = [], [], 0
+    for size in sizes:
+        nodes = ids[start:start + size]
+        start += size
+        comps.append(np.sort(nodes))
+        pairs = {(int(rng.integers(0, v)), v) for v in range(1, size)}
+        iu, ju = np.triu_indices(size, k=1)
+        extra = rng.random(len(iu)) < 0.3
+        pairs |= set(zip(iu[extra].tolist(), ju[extra].tolist()))
+        for u, v in pairs:
+            a, b = (nodes[u], nodes[v]) if rng.random() < 0.5 \
+                else (nodes[v], nodes[u])
+            entries.append((a, b, rng.random() + 0.2, rng.uniform(0.05, 1.0)))
+    seen = {(min(a, b), max(a, b)) for a, b, _, _ in entries}
+    while zero_edges:
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        if (min(a, b), max(a, b)) not in seen:
+            seen.add((min(a, b), max(a, b)))
+            entries.append((a, b, rng.random() + 0.2, 0.0))
+            zero_edges -= 1
+    entries = [entries[k] for k in rng.permutation(len(entries))]
+    return n, comps, ObservationBatch.from_entries(entries)
+
+
+def _reference_solution(X, comps, batch, eps_x):
+    """pinv(L_C) B^eps(X_C) X_C per component from dense matrices."""
+    out = {}
+    live = batch.nonzero()
+    for nodes in comps:
+        p = len(nodes)
+        local = {int(v): k for k, v in enumerate(nodes)}
+        L = np.zeros((p, p))
+        B = np.zeros((p, p))
+        Xc = X[nodes]
+        for m, n, d, w in zip(live.m, live.n, live.delta, live.weight):
+            if int(m) not in local:
+                continue
+            i, j = local[int(m)], local[int(n)]
+            dist2 = float(np.sum((Xc[i] - Xc[j]) ** 2))
+            L[i, j] = L[j, i] = -w
+            B[i, j] = B[j, i] = -w * d / np.sqrt(dist2 + eps_x)
+        np.fill_diagonal(L, -L.sum(axis=1))
+        np.fill_diagonal(B, -B.sum(axis=1))
+        out[tuple(nodes)] = np.linalg.pinv(L) @ B @ Xc
+    return out
+
+
+@st.composite
+def component_batches(draw):
+    """Sizes with a repeated size, a one-off size and random extras, plus
+    isolated nodes and zero-weight edges."""
+    repeated = draw(st.integers(2, 6))
+    one_off = draw(st.integers(7, 12))
+    extra = draw(st.lists(st.integers(2, 9), max_size=4))
+    sizes = [repeated, repeated, one_off] + extra
+    order = draw(st.permutations(range(len(sizes))))
+    return ([sizes[k] for k in order], draw(st.integers(1, 4)),
+            draw(st.integers(1, 5)), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestComponentLayerReference:
+    """Grouping and the batched min-norm solve against dense pinv
+    references, per component."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(component_batches(), st.floats(0.05, 1.0))
+    def test_stochastic_step_matches_reference(self, case, mu):
+        sizes, isolated, zero_edges, seed = case
+        rng = np.random.default_rng(seed)
+        n, comps, batch = _component_instance(rng, sizes, isolated, zero_edges)
+        X = rng.standard_normal((n, 2)) * 3
+        cfg = StepConfig(mu=mu, eps_x=1e-8)
+        got = stochastic_step(X, batch, cfg)
+        want = X.copy()
+        for nodes, sol in _reference_solution(X, comps, batch, 1e-8).items():
+            Xc = X[list(nodes)]
+            want[list(nodes)] = ((1 - mu) * Xc + mu * Xc.mean(axis=0)
+                                 + mu * sol)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(component_batches())
+    def test_smacof_iterate_matches_reference(self, case):
+        sizes, isolated, zero_edges, seed = case
+        rng = np.random.default_rng(seed)
+        n, comps, batch = _component_instance(rng, sizes, isolated, zero_edges)
+        X = rng.standard_normal((n, 2)) * 3
+        got = smacof_iterate(X, batch)
+        want = X.copy()
+        for nodes, sol in _reference_solution(X, comps, batch, 0.0).items():
+            want[list(nodes)] = sol
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_component_above_dense_limit_takes_cg(self):
+        rng = np.random.default_rng(25)
+        sizes = [DENSE_SOLVER_MAX + 8, 3, 3, 5]
+        n, comps, batch = _component_instance(rng, sizes, 2, 4)
+        X = rng.standard_normal((n, 2)) * 3
+        want_smacof = X.copy()
+        want_step = X.copy()
+        mu = 0.4
+        for nodes, sol in _reference_solution(X, comps, batch, 1e-8).items():
+            Xc = X[list(nodes)]
+            want_step[list(nodes)] = ((1 - mu) * Xc + mu * Xc.mean(axis=0)
+                                      + mu * sol)
+        for nodes, sol in _reference_solution(X, comps, batch, 0.0).items():
+            want_smacof[list(nodes)] = sol
+        np.testing.assert_allclose(
+            stochastic_step(X, batch, StepConfig(mu=mu, eps_x=1e-8)),
+            want_step, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(smacof_iterate(X, batch), want_smacof,
+                                   rtol=1e-9, atol=1e-9)
 
 
 class TestSpeStep:
