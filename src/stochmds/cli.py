@@ -281,24 +281,24 @@ def cmd_embed(args) -> int:
             cfg["slots"], step=step, noise_sigma=cfg["noise_sigma"],
             mode=cfg["mode"], eval_pairs=cfg["eval_pairs"],
             record_embeddings=cfg["record_embeddings"], config_echo=cfg)
-
-    _write_outputs(trace, cfg)
-    print(f"embed: status={trace.status} slots={len(trace.records) - 1} "
-          f"final_stress={trace.records[-1]['stress']:.6g}")
-    if trace.status == "diverged":
-        print("error: the run diverged (non-finite or unbounded iterate)",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _finish("embed", trace, cfg)
 
 
-def _write_outputs(trace, cfg):
+def _finish(command: str, trace, cfg) -> int:
+    """Write a run's outputs and report it; exit 5 if it diverged."""
     if cfg.get("out"):
         write_embedding(trace.final, cfg["out"])
     if cfg.get("trace"):
         trace.write_jsonl(cfg["trace"])
     if cfg.get("embeddings_out") and trace.embeddings is not None:
         np.save(cfg["embeddings_out"], trace.embeddings)
+    print(f"{command}: status={trace.status} slots={len(trace.records) - 1} "
+          f"final_stress={trace.records[-1]['stress']:.6g}")
+    if trace.status == "diverged":
+        print("error: the run diverged (non-finite or unbounded iterate)",
+              file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def cmd_localize(args) -> int:
@@ -363,10 +363,7 @@ def cmd_oracle(args) -> int:
             mode="empirical", averaging_samples=cfg["samples"], step=step,
             noise_sigma=cfg["noise_sigma"], eval_pairs=cfg["eval_pairs"],
             record_embeddings=cfg["record_embeddings"], config_echo=cfg)
-    _write_outputs(trace, cfg)
-    print(f"oracle: slots={cfg['slots']} "
-          f"final_stress={trace.records[-1]['stress']:.6g}")
-    return EXIT_OK
+    return _finish("oracle", trace, cfg)
 
 
 def cmd_stats(args) -> int:

@@ -244,8 +244,7 @@ def _sample_slot(provider, partition, sampler: SamplerConfig,
     """
     for cluster in partition.clusters:
         a, b = _sample_local_pairs(
-            len(cluster), rng, q=sampler.q, fraction=sampler.fraction,
-            ensure_connected=sampler.ensure_connected)
+            len(cluster), rng, q=sampler.q, fraction=sampler.fraction)
         delta = provider.pairs(cluster[a], cluster[b])
         if noise_sigma > 0:
             delta = delta + noise_sigma * rng.standard_normal(len(delta))
@@ -279,13 +278,12 @@ def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
 
 def _slot_batch(provider, partition, sampler: SamplerConfig,
                 rng: np.random.Generator, t: int, noise_sigma: float,
-                eps_w: float, clamp_weights: bool = True):
+                eps_w: float):
     """Sample one slot's measurements over the given partition as one batch
     in global node ids, recording each cluster's edges on the partition."""
     ms, ns, ds, ws = [], [], [], []
     for cluster, a, b, delta, w in _sample_slot(
-            provider, partition, sampler, rng, noise_sigma, eps_w,
-            clamp_weights):
+            provider, partition, sampler, rng, noise_sigma, eps_w, True):
         ms.append(cluster[a])
         ns.append(cluster[b])
         ds.append(delta)
@@ -419,9 +417,11 @@ def run_averaged_oracle(
     ``expected_deltas`` (an N x N matrix of mean dissimilarities) and a
     cluster size that divides N, and applies the i.i.d.-weight expected
     update matrix directly; its recorded mean stress is non-increasing.
+    Non-finite ``expected_deltas`` raise ``ValueError``.
 
     The caller supplies an origin-centered ``init``; the recursion preserves
-    the center.
+    the center. A non-finite iterate stops the run with status ``diverged``
+    and keeps the last finite embedding.
     """
     step = step or StepConfig()
     if mode not in ("empirical", "closed_form"):
@@ -432,6 +432,8 @@ def run_averaged_oracle(
     if mode == "closed_form":
         if expected_deltas is None:
             raise ValueError("closed_form mode requires expected_deltas")
+        if not np.all(np.isfinite(expected_deltas)):
+            raise ValueError("expected_deltas must be finite for every pair")
         p = cluster_size if cluster_size is not None else (
             sampler.p if sampler is not None else None)
         if p is None:
@@ -457,12 +459,13 @@ def run_averaged_oracle(
     s0, sn0 = evaluator.stress(X)
     records = [_record(0, s0, sn0, 0.0, 0.0, 0)]
     embeds = [X.copy()] if record_embeddings else None
+    status = "ok"
 
     for t in range(1, slots + 1):
         t0 = time.perf_counter()
         if mode == "closed_form":
             B = closed_form_b_average(X, expected_deltas, step.eps_x, p)
-            X = averaged_step(X, B, mu, ups)
+            Xn = averaged_step(X, B, mu, ups)
             pairs = 0
         else:
             cfg = replace(step, mu=mu)
@@ -475,7 +478,11 @@ def run_averaged_oracle(
                                     noise_sigma, step.eps_w)
                 acc += stochastic_step(X, batch, cfg, partition)
                 pairs += len(batch)
-            X = acc / averaging_samples
+            Xn = acc / averaging_samples
+        if not _all_finite(Xn):
+            status = "diverged"
+            break
+        X = Xn
         s, sn = evaluator.stress(X)
         wall = (time.perf_counter() - t0) * 1e3
         records.append(_record(t, s, sn, mu, wall, pairs))
@@ -483,7 +490,7 @@ def run_averaged_oracle(
             embeds.append(X.copy())
 
     return RunTrace(records, X, seed if seed is not None else 0,
-                    config=config_echo,
+                    status=status, config=config_echo,
                     embeddings=np.array(embeds) if embeds is not None else None)
 
 

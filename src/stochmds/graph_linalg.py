@@ -10,7 +10,8 @@ positive-weight edges by connected component into one ``ComponentStack``
 per component size, and ``ComponentStack.solve`` does the min-norm solves
 of a stack at once: one batched dense factorization up to
 ``DENSE_SOLVER_MAX`` nodes, deflated conjugate gradients above. A single
-component is a stack of one.
+component is a stack of one. ``_laplacian_entries`` alone decides how
+measurements become Laplacian entries; a pair measured twice counts twice.
 """
 
 from __future__ import annotations
@@ -41,15 +42,18 @@ __all__ = [
 # components at most this large use the dense factorization path; larger ones
 # fall back to deflated conjugate gradients on the sparse Laplacian
 DENSE_SOLVER_MAX = 512
+_RHS_TOL = 1e-9   # relative column-sum slack of a min-norm right-hand side
+_CG_TOL = 1e-12   # relative residual that CG iterates to
 
 
 @dataclass
 class ComponentLaplacian:
-    """Laplacian of one connected component of the measurement graph.
+    """Laplacian of one connected component: a view of a stack of one.
 
-    Edges are stored once per unordered pair (``rows[k] < cols[k]`` in local
-    indices); the diagonal is implied as the weighted degree, so row sums of
-    the full matrix are exactly zero by construction.
+    Edges are stored with ``rows[k] < cols[k]`` in local indices, so a
+    repeated measurement counts once per measurement. The diagonal is implied
+    as the weighted degree, so row sums of the full matrix are exactly zero by
+    construction.
     """
 
     node_ids: np.ndarray  # global node indices, ascending
@@ -60,11 +64,7 @@ class ComponentLaplacian:
 
     def __post_init__(self):
         if self.degree is None:
-            p = len(self.node_ids)
-            self.degree = (
-                np.bincount(self.rows, weights=self.weights, minlength=p)
-                + np.bincount(self.cols, weights=self.weights, minlength=p)
-            )
+            self.degree = _laplacian_entries(self.as_stack())[3][0]
 
     @property
     def size(self) -> int:
@@ -72,27 +72,16 @@ class ComponentLaplacian:
 
     @property
     def nnz(self) -> int:
-        """Number of stored off-diagonal entries (one per unordered pair)."""
+        """Number of stored off-diagonal entries (one per measurement)."""
         return len(self.weights)
 
     def to_dense(self) -> np.ndarray:
-        L = np.zeros((self.size, self.size))
-        L[self.rows, self.cols] = -self.weights
-        L[self.cols, self.rows] = -self.weights
-        L[np.diag_indices(self.size)] = self.degree
-        return L
+        return _sparse(self.as_stack())[0].toarray()
 
     def as_stack(self) -> "ComponentStack":
         """This component as a stack of one."""
         return ComponentStack(self.node_ids[None, :], self.rows, self.cols,
                               self.weights)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        p = self.size
-        i = np.concatenate([self.rows, self.cols, np.arange(p)])
-        j = np.concatenate([self.cols, self.rows, np.arange(p)])
-        v = np.concatenate([-self.weights, -self.weights, self.degree])
-        return sp.csr_matrix((v, (i, j)), shape=(p, p))
 
     def check(self) -> "ComponentLaplacian":
         """Validate the structural invariants (used by tests)."""
@@ -218,37 +207,70 @@ class ComponentStack:
     def count(self) -> int:
         return self.nodes.shape[0]
 
-    def _edge_slices(self) -> list:
-        bounds = np.searchsorted(self.a // self.size,
-                                 np.arange(self.count + 1)).tolist()
-        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    @property
+    def nnz(self) -> int:
+        """Number of measurements (each stores two off-diagonal entries)."""
+        return len(self.weights)
 
-    def components(self):
-        """Yield ``(node_ids, i, j, weights, delta)`` per component, with
-        local endpoints ``i`` and ``j``."""
+    def split(self):
+        """Yield each component as a stack of one, in order; a stack that
+        holds one component yields itself."""
+        if self.count == 1:
+            yield self
+            return
         p = self.size
-        for k, e in enumerate(self._edge_slices()):
-            yield (self.nodes[k], self.a[e] - k * p, self.b[e] - k * p,
-                   self.weights[e], self.delta[e])
+        bounds = np.searchsorted(self.a // p,
+                                 np.arange(self.count + 1)).tolist()
+        for k in range(self.count):
+            e = slice(bounds[k], bounds[k + 1])
+            yield ComponentStack(
+                self.nodes[k:k + 1], self.a[e] - k * p, self.b[e] - k * p,
+                self.weights[e], None if self.delta is None else self.delta[e])
 
-    def solve(self, rhs: np.ndarray, dense_max: int = DENSE_SOLVER_MAX,
-              cg_tol: float = 1e-12) -> np.ndarray:
+    def solve(self, rhs: np.ndarray,
+              dense_max: int = DENSE_SOLVER_MAX) -> np.ndarray:
         """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
 
         ``rhs`` is (count, size, dim) with zero column sums; so is the result.
         """
-        p = self.size
-        if p <= dense_max:
+        if self.size <= dense_max:
             return _dense_min_norm(self, rhs)
         y = np.empty_like(rhs)
-        for k, e in enumerate(self._edge_slices()):
-            a, b = self.a[e], self.b[e]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            lo -= k * p
-            hi -= k * p
-            lap = ComponentLaplacian(self.nodes[k], lo, hi, self.weights[e])
-            y[k] = _solve_cg(lap, rhs[k], cg_tol)
+        for k, single in enumerate(self.split()):
+            y[k] = _solve_cg(single, rhs[k], _CG_TOL)
         return y
+
+
+def _laplacian_entries(stack: ComponentStack, weights=None):
+    """The one place that decides how a stack's measurements become
+    Laplacian entries: each adds its own weight ``w`` (from ``weights`` when
+    given), ``-w`` at (a, b) and (b, a) and ``w`` to both degrees.
+
+    Returns ``(rows, cols, off, degree, shift)``: measurement k adds
+    ``off[k]`` at ``(rows[h][k], cols[h][k])`` for h = 0, 1 (flattened rows,
+    local columns); ``degree`` is (count, size); adding ``shift[k]`` to every
+    entry makes L_k nonsingular without changing it on zero-sum vectors.
+    """
+    g, p = stack.nodes.shape
+    a, b = stack.a, stack.b
+    w = stack.weights if weights is None else weights
+    degree = (np.bincount(a, weights=w, minlength=g * p)
+              + np.bincount(b, weights=w, minlength=g * p)).reshape(g, p)
+    i, j = (a, b) if g == 1 else (a % p, b % p)
+    shift = np.maximum(degree.sum(axis=1) / p, 1.0) / p
+    return (a, b), (j, i), -w, degree, shift
+
+
+def _sparse(stack: ComponentStack, weights=None):
+    """CSR Laplacian of a stack of one (edge weights from ``weights`` when
+    given), its degrees and its shift."""
+    rows, cols, off, degree, shift = _laplacian_entries(stack, weights)
+    diag = np.arange(stack.size)
+    L = sp.csr_matrix(
+        (np.concatenate([off, off, degree[0]]),
+         (np.concatenate([*rows, diag]), np.concatenate([*cols, diag]))),
+        shape=(stack.size, stack.size))
+    return L, degree[0], float(shift[0])
 
 
 def group_components(batch: ObservationBatch, node_count: int,
@@ -296,30 +318,24 @@ def group_components(batch: ObservationBatch, node_count: int,
 
 
 def _by_smallest_member(stacks: list) -> list:
-    """Every component of ``stacks`` as ``(node_ids, i, j, weights, delta)``,
-    ordered by smallest member."""
-    comps = [c for stack in stacks for c in stack.components()]
-    comps.sort(key=lambda c: c[0][0])
+    """Every component of ``stacks`` as a stack of one, ordered by smallest
+    member."""
+    comps = [c for stack in stacks for c in stack.split()]
+    comps.sort(key=lambda c: c.nodes[0, 0])
     return comps
 
 
-def build_laplacian(
-    batch: ObservationBatch,
-    node_count: int,
-    eps_w: float | None = None,
-    include_singletons: bool = True,
-) -> list:
+def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     """Build one ``ComponentLaplacian`` per connected component.
 
     Components are ordered by their smallest member. Isolated nodes appear as
-    singleton components with empty edge sets (skipped by all solvers) unless
-    ``include_singletons`` is False. When ``eps_w`` is given, nonzero weights
-    below it are clamped up with a warning.
+    singleton components with empty edge sets (skipped by all solvers).
     """
     _validate_batch_indices(batch, node_count)
-    stacks = group_components(batch, node_count, eps_w, include_singletons)
-    return [ComponentLaplacian(nodes, np.minimum(i, j), np.maximum(i, j), w)
-            for nodes, i, j, w, _ in _by_smallest_member(stacks)]
+    stacks = group_components(batch, node_count, singletons=True)
+    return [ComponentLaplacian(c.nodes[0], np.minimum(c.a, c.b),
+                               np.maximum(c.a, c.b), c.weights)
+            for c in _by_smallest_member(stacks)]
 
 
 def connected_components(batch: ObservationBatch, node_count: int) -> ClusterPartition:
@@ -328,59 +344,55 @@ def connected_components(batch: ObservationBatch, node_count: int) -> ClusterPar
     comps = _by_smallest_member(
         group_components(batch, node_count, singletons=True))
     return ClusterPartition(
-        [nodes for nodes, *_ in comps],
-        [np.column_stack([nodes[i], nodes[j]]) for nodes, i, j, _, _ in comps],
+        [c.nodes[0] for c in comps],
+        [np.column_stack([c.nodes[0][c.a], c.nodes[0][c.b]]) for c in comps],
         slot=batch.slot)
 
 
 def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
     """Batched dense min-norm solve of a stack's Laplacian systems."""
     g, p = stack.nodes.shape
-    a, b, w = stack.a, stack.b, stack.weights
-    degree = (np.bincount(a, weights=w, minlength=g * p)
-              + np.bincount(b, weights=w, minlength=g * p)).reshape(g, p)
-    L = np.zeros((g, p, p))
-    rows = L.reshape(g * p, p)
-    i, j = (a, b) if g == 1 else (a % p, b % p)  # local endpoints
-    rows[a, j] = rows[b, i] = -w
-    L.reshape(g, p * p)[:, ::p + 1] = degree
-    # shift along the all-ones direction makes L nonsingular without touching
-    # the solution on the zero-column-sum subspace
-    L += (np.maximum(degree.sum(axis=1) / p, 1.0) / p)[:, None, None]
+    rows, cols, off, degree, shift = _laplacian_entries(stack)
+    L = np.repeat(shift, p * p)  # every entry starts at its shift
+    # one half at a time, so no temporary exceeds one value per measurement
+    for r, c in zip(rows, cols):
+        flat = r * p
+        flat += c
+        np.add.at(L, flat, off)
+    L = L.reshape(g, p, p)
+    L.reshape(g, p * p)[:, ::p + 1] += degree
     y = np.linalg.solve(L, rhs)
     y -= y.sum(axis=1, keepdims=True) / p
     return y
 
 
-def _solve_cg(lap: ComponentLaplacian, rhs: np.ndarray, tol: float) -> np.ndarray:
-    p = lap.size
-    L = lap.to_sparse()
-    shift = max(float(lap.degree.mean()), 1.0) / p
-    # L + shift*11^T is SPD and agrees with L on the zero-column-sum subspace
+def _solve_cg(stack: ComponentStack, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Deflated CG min-norm solve for a stack of one; ``rhs`` is
+    (size, dim). Falls back to the dense solve if CG does not converge."""
+    p = stack.size
+    L, degree, shift = _sparse(stack)
     A = sp.linalg.LinearOperator(
         (p, p), matvec=lambda v: L @ v + shift * v.sum(), dtype=np.float64
     )
-    M = sp.diags(1.0 / (lap.degree + shift))
+    M = sp.diags(1.0 / (degree + shift))
     y = np.empty_like(rhs)
     for col in range(rhs.shape[1]):
         b = rhs[:, col]
         sol, info = _cg(A, b, rtol=tol, atol=0.0, maxiter=50 * p, M=M)
         if info != 0:
-            return _dense_min_norm(lap.as_stack(), rhs[None])[0]
+            return _dense_min_norm(stack, rhs[None])[0]
         y[:, col] = sol
     y -= y.mean(axis=0)
     resid = np.linalg.norm(L @ y - rhs)
     if resid > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
-        return _dense_min_norm(lap.as_stack(), rhs[None])[0]
+        return _dense_min_norm(stack, rhs[None])[0]
     return y
 
 
 def solve_min_norm(
     lap: ComponentLaplacian,
     rhs: np.ndarray,
-    rhs_tol: float = 1e-9,
     dense_threshold: int = DENSE_SOLVER_MAX,
-    cg_tol: float = 1e-12,
     eps_w: float | None = None,
 ) -> np.ndarray:
     """Minimum-norm solution of ``L y = rhs`` for a connected component.
@@ -401,7 +413,7 @@ def solve_min_norm(
 
     col_sums = rhs.sum(axis=0)
     scale = np.abs(rhs).sum(axis=0)
-    bad = np.abs(col_sums) > rhs_tol * np.maximum(scale, 1e-300)
+    bad = np.abs(col_sums) > _RHS_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
         raise ValueError(
             "rhs not in the range space of L (column sums "
@@ -412,7 +424,7 @@ def solve_min_norm(
             "edge weight below eps_w: Laplacian conditioning bound not guaranteed",
             stacklevel=2,
         )
-    y = lap.as_stack().solve(rhs[None], dense_threshold, cg_tol)[0]
+    y = lap.as_stack().solve(rhs[None], dense_threshold)[0]
     return y[:, 0] if squeeze else y
 
 

@@ -127,8 +127,8 @@ class StepConfig:
             raise ValueError(f"eps_w must lie in (0, 1], got {self.eps_w}")
 
 
-def clamp_weights(weight: np.ndarray, eps_w: float, warn: bool = True) -> np.ndarray:
-    """Clamp nonzero weights below ``eps_w`` up to ``eps_w``.
+def clamp_weights(weight: np.ndarray, eps_w: float) -> np.ndarray:
+    """Clamp nonzero weights below ``eps_w`` up to ``eps_w``, with a warning.
 
     Keeps every solved Laplacian system inside the conditioning bound tied to
     the minimum admissible weight. Zero weights stay zero.
@@ -136,11 +136,10 @@ def clamp_weights(weight: np.ndarray, eps_w: float, warn: bool = True) -> np.nda
     small = (weight > 0) & (weight < eps_w)
     if not small.any():
         return weight
-    if warn:
-        warnings.warn(
-            f"{int(small.sum())} weight(s) below eps_w={eps_w} clamped up",
-            stacklevel=2,
-        )
+    warnings.warn(
+        f"{int(small.sum())} weight(s) below eps_w={eps_w} clamped up",
+        stacklevel=2,
+    )
     out = weight.copy()
     out[small] = eps_w
     return out

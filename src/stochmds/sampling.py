@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_linalg import ClusterPartition
+from .graph_linalg import ClusterPartition, _component_labels
 
 __all__ = [
     "SamplerConfig",
@@ -39,7 +39,6 @@ class SamplerConfig:
     fraction: float | None = None
     scheme: str = "unity"
     seed: int = 0
-    ensure_connected: bool = False
 
     def __post_init__(self):
         if self.p < 2:
@@ -74,6 +73,9 @@ def partition_nodes(node_count: int, p: int,
     return ClusterPartition(clusters, [np.zeros((0, 2), dtype=np.int64)
                                        for _ in clusters], slot=slot)
 
+
+# draws tried before a connecting edge set is given up on
+_MAX_RESAMPLE = 50
 
 # pair tables for small cluster sizes, built once per size
 _PAIR_TABLE_MAX = 200_000
@@ -115,7 +117,6 @@ def _sample_local_pairs(
     q: int | None = None,
     fraction: float | None = None,
     ensure_connected: bool = False,
-    max_resample: int = 50,
 ):
     """Uniform random subset of pairs over ``size`` items, local indices."""
     if size < 2:
@@ -129,10 +130,10 @@ def _sample_local_pairs(
         warnings.warn(f"requested q={q} clamped to {total} available pairs",
                       stacklevel=2)
         q = total
-    for _ in range(max_resample):
+    for _ in range(_MAX_RESAMPLE):
         k = rng.permutation(total)[:q]
         a, b = _pair_from_index(k, size)
-        if not ensure_connected or _connects(a, b, size):
+        if not ensure_connected or _component_labels(a, b, size)[1] == 1:
             return a, b
     warnings.warn("could not draw a connecting edge set; returning last draw",
                   stacklevel=2)
@@ -145,38 +146,19 @@ def sample_cluster_edges(
     q: int | None = None,
     fraction: float | None = None,
     ensure_connected: bool = False,
-    max_resample: int = 50,
 ) -> np.ndarray:
     """Uniform random subset of intra-cluster pairs, as a (k, 2) array.
 
     Requests beyond the number of available pairs are clamped with a warning.
-    With ``ensure_connected`` the draw is repeated until the selected edges
-    connect the cluster (callers that leave it off split disconnected
-    clusters into their induced components instead).
+    With ``ensure_connected`` the draw is repeated, up to 50 times, until the
+    selected edges connect the cluster; after that the last draw is returned
+    with a warning. Callers that leave it off split disconnected clusters
+    into their induced components instead.
     """
     cluster = np.asarray(cluster)
     a, b = _sample_local_pairs(len(cluster), rng, q=q, fraction=fraction,
-                               ensure_connected=ensure_connected,
-                               max_resample=max_resample)
+                               ensure_connected=ensure_connected)
     return np.column_stack([cluster[a], cluster[b]])
-
-
-def _connects(a, b, s) -> bool:
-    parent = list(range(s))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for i, j in zip(a.tolist(), b.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            merged += 1
-    return merged == s - 1
 
 
 def assign_weights(delta: np.ndarray, scheme: str = "unity",

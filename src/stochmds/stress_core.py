@@ -12,10 +12,9 @@ the per-component coordinate center is preserved exactly.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph_linalg import (ClusterPartition, ComponentStack, _by_smallest_member,
-                           group_components)
+                           _sparse, group_components)
 from .observations import ObservationBatch, StepConfig
 
 __all__ = [
@@ -84,21 +83,16 @@ def b_epsilon_matrix(X: np.ndarray, batch: ObservationBatch, eps_x: float):
 
     Returns a list of (node_ids, B) pairs, one per component with >= 2 nodes,
     where B is a sparse CSR matrix over local indices with exact zero row
-    sums (diagonal entries negate the off-diagonal row sums).
+    sums (diagonal entries negate the off-diagonal row sums). B is the
+    Laplacian of the edge coefficients, so a repeated measurement counts
+    once per measurement.
     """
     out = []
-    comps = _by_smallest_member(group_components(batch, X.shape[0]))
-    for nodes, i, j, w, delta in comps:
-        Xc = X[nodes]
-        coef, _ = _regularized_coeffs(Xc, i, j, w, delta, eps_x)
-        p = len(nodes)
-        diag = np.zeros(p)
-        np.add.at(diag, i, coef)
-        np.add.at(diag, j, coef)
-        rows = np.concatenate([i, j, np.arange(p)])
-        cols = np.concatenate([j, i, np.arange(p)])
-        vals = np.concatenate([-coef, -coef, diag])
-        out.append((nodes, sp.csr_matrix((vals, (rows, cols)), shape=(p, p))))
+    for c in _by_smallest_member(group_components(batch, X.shape[0])):
+        nodes = c.nodes[0]
+        coef, _ = _regularized_coeffs(X[nodes], c.a, c.b, c.weights, c.delta,
+                                      eps_x)
+        out.append((nodes, _sparse(c, coef)[0]))
     return out
 
 

@@ -46,6 +46,8 @@ from stochmds.localization import (
 )
 from stochmds.rng import substream
 
+pytestmark = pytest.mark.acceptance
+
 
 def criterion(label):
     """Print one PASS/FAIL line per criterion around the wrapped test."""

@@ -140,6 +140,29 @@ class TestSubcommands:
         assert all(b <= a + 1e-9 * (1 + a)
                    for a, b in zip(stresses, stresses[1:]))
 
+    def test_oracle_sparse_edge_list_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "sparse.tsv"
+        path.write_text("0\t1\t1.0\n1\t2\t1.0\n2\t3\t1.0\n3\t0\t1.0\n")
+        out = tmp_path / "emb.csv"
+        code = main(["oracle", "--mode", "closed_form", "--input", str(path),
+                     "--p", "2", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_diverged_run_is_execution_failure(self, tmp_path, capsys):
+        path = tmp_path / "huge.tsv"
+        iu, ju = np.triu_indices(6, k=1)
+        path.write_text("".join(f"{i}\t{j}\t1e308\n" for i, j in zip(iu, ju)))
+        config = tmp_path / "oracle.json"
+        config.write_text(json.dumps({"init_scale": 1.0}))
+        with np.errstate(all="ignore"):
+            code = main(["oracle", "--mode", "closed_form", "--input",
+                         str(path), "--p", "3", "--slots", "5",
+                         "--config", str(config)])
+        assert code == EXIT_RUNTIME
+        assert "status=diverged" in capsys.readouterr().out
+
     def test_stats_window(self, edge_file, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         main(["embed", "--mode", "stochastic", "--input", edge_file,

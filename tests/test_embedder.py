@@ -266,6 +266,29 @@ class TestRunAveragedOracle:
         s = trace.stresses()
         assert np.all(np.diff(s) <= 1e-10 * (1 + s[:-1]))
 
+    def test_closed_form_rejects_nonfinite_deltas(self):
+        """Absent pairs of a sparse input are NaN in the expected deltas."""
+        E = np.ones((4, 4))
+        np.fill_diagonal(E, 0.0)
+        E[0, 3] = E[3, 0] = np.nan
+        init = random_init(4, 2, np.random.default_rng(0), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            run_averaged_oracle(None, init, 0.3, 5, mode="closed_form",
+                                expected_deltas=E, cluster_size=2)
+
+    def test_nonfinite_iterate_stops_diverged(self):
+        """Dissimilarities near the float range overflow the expected update;
+        the run stops at once and keeps the last finite embedding."""
+        E = np.full((6, 6), 1e308)
+        np.fill_diagonal(E, 0.0)
+        init = random_init(6, 2, np.random.default_rng(0), 1.0)
+        with np.errstate(all="ignore"):
+            trace = run_averaged_oracle(None, init, 0.3, 5, mode="closed_form",
+                                        expected_deltas=E, cluster_size=3)
+        assert trace.status == "diverged"
+        assert len(trace.records) == 1
+        np.testing.assert_array_equal(trace.final, init)
+
     def test_closed_form_full_graph_matches_relaxed_batch(self):
         rng = np.random.default_rng(8)
         n, mu = 10, 0.25

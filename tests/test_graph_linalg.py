@@ -64,6 +64,13 @@ class TestBuildLaplacian:
             np.testing.assert_array_equal(lap.degree, expected)
             assert np.max(np.abs(lap.to_dense().sum(axis=1))) < 1e-12
 
+    def test_repeated_pair_counts_once_per_measurement(self):
+        lap = build_laplacian(
+            batch([(0, 1, 1.0, 0.5), (1, 0, 1.0, 1.0), (1, 2, 1.0, 1.0)]), 3)[0]
+        lap.check()
+        expected = np.array([[1.5, -1.5, 0.], [-1.5, 2.5, -1.], [0., -1., 1.]])
+        np.testing.assert_array_equal(lap.to_dense(), expected)
+
     def test_rejects_bad_indices_and_weights(self):
         with pytest.raises(ValueError):
             build_laplacian(batch([(0, 5, 1.0, 1.0)]), 3)

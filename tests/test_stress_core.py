@@ -203,6 +203,23 @@ class TestStochasticStep:
         with pytest.raises(ValueError):
             stochastic_step(X, b, StepConfig(mu=0.5), part)
 
+    def test_self_loop_measurement_changes_nothing(self):
+        """A measurement of a node against itself adds a constant to the
+        stress, so it must not move the update on either solve route."""
+        rng = np.random.default_rng(26)
+        p = DENSE_SOLVER_MAX + 4
+        X = rng.standard_normal((p, 2))
+        entries = [(v, v + 1, 1.0, 1.0) for v in range(p - 1)]
+        loop = entries + [(2, 2, 1.0, 1.0)]
+        for size in (5, p):
+            b = ObservationBatch.from_entries(
+                [e for e in entries if e[1] < size])
+            bl = ObservationBatch.from_entries(
+                [e for e in loop if e[1] < size])
+            cfg = StepConfig(mu=0.5)
+            np.testing.assert_allclose(stochastic_step(X, bl, cfg),
+                                       stochastic_step(X, b, cfg), atol=1e-9)
+
     def test_stacked_solve_matches_per_component_path(self):
         """Equal-size components run through one batched solve; the result
         must match the generic single-component route."""
@@ -230,8 +247,9 @@ class TestStochasticStep:
 
 def _component_instance(rng, sizes, isolated, zero_edges):
     """Random batch over connected components of the given sizes plus
-    isolated nodes and zero-weight edges, with shuffled node ids, edge order
-    and orientation. Returns (node count, components, batch)."""
+    isolated nodes, zero-weight edges and a few pairs measured twice, with
+    shuffled node ids, edge order and orientation. Returns (node count,
+    components, batch)."""
     n = sum(sizes) + isolated
     ids = rng.permutation(n)
     comps, entries, start = [], [], 0
@@ -247,6 +265,9 @@ def _component_instance(rng, sizes, isolated, zero_edges):
             a, b = (nodes[u], nodes[v]) if rng.random() < 0.5 \
                 else (nodes[v], nodes[u])
             entries.append((a, b, rng.random() + 0.2, rng.uniform(0.05, 1.0)))
+    for k in rng.choice(len(entries), size=min(3, len(entries)), replace=False):
+        a, b = entries[k][:2] if rng.random() < 0.5 else entries[k][1::-1]
+        entries.append((a, b, rng.random() + 0.2, rng.uniform(0.05, 1.0)))
     seen = {(min(a, b), max(a, b)) for a, b, _, _ in entries}
     while zero_edges:
         a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
@@ -259,7 +280,8 @@ def _component_instance(rng, sizes, isolated, zero_edges):
 
 
 def _reference_solution(X, comps, batch, eps_x):
-    """pinv(L_C) B^eps(X_C) X_C per component from dense matrices."""
+    """pinv(L_C) B^eps(X_C) X_C per component from dense matrices, with
+    every measurement adding its own entry."""
     out = {}
     live = batch.nonzero()
     for nodes in comps:
@@ -273,8 +295,11 @@ def _reference_solution(X, comps, batch, eps_x):
                 continue
             i, j = local[int(m)], local[int(n)]
             dist2 = float(np.sum((Xc[i] - Xc[j]) ** 2))
-            L[i, j] = L[j, i] = -w
-            B[i, j] = B[j, i] = -w * d / np.sqrt(dist2 + eps_x)
+            coef = w * d / np.sqrt(dist2 + eps_x)
+            L[i, j] -= w
+            L[j, i] -= w
+            B[i, j] -= coef
+            B[j, i] -= coef
         np.fill_diagonal(L, -L.sum(axis=1))
         np.fill_diagonal(B, -B.sum(axis=1))
         out[tuple(nodes)] = np.linalg.pinv(L) @ B @ Xc
