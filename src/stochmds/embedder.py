@@ -18,7 +18,7 @@ import numpy as np
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, partition_nodes, \
-    _pair_from_index, _sample_local_pairs
+    _pair_from_index, _pair_request, _sample_local_pairs
 from .stress_core import (
     averaged_step,
     closed_form_b_average,
@@ -27,6 +27,7 @@ from .stress_core import (
     stochastic_step,
     stress,
     upsilon,
+    _damped_update,
 )
 
 __all__ = [
@@ -91,14 +92,6 @@ class MuSchedule:
         if self.kind == "reciprocal":
             return min(1.0, self.value / (1.0 + t))
         raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "piecewise":
-            return {"kind": "piecewise", "breakpoints": list(self.breakpoints),
-                    "values": list(self.values)}
-        return {"kind": "reciprocal", "c": self.value}
 
 
 @dataclass
@@ -233,46 +226,81 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
     return RunTrace(records, X, seed, status=status, config=config_echo)
 
 
-def _sample_slot(provider, partition, sampler: SamplerConfig,
-                 rng: np.random.Generator, noise_sigma: float, eps_w: float,
-                 clamp: bool):
-    """Yield ``(cluster, a, b, delta, w)`` per cluster, in cluster order.
+# a chunk of the slot kernel is a run of consecutive clusters (at least one)
+# whose cost, nodes plus twice the pairs they measure (a pair takes about
+# twice a node's working memory), stays within N // _CHUNK_DIVISOR, so a
+# chunk's memory is a fixed share of the embedding at any sampling density
+_CHUNK_DIVISOR = 24
 
-    ``a`` and ``b`` index into ``cluster``. Every draw comes from the slot's
-    stream in that order, so the measurements depend only on the stream and
-    never on how the caller consumes them.
+
+def _chunks(clusters: list, sampler: SamplerConfig, limit: int):
+    """Split ``clusters`` into runs of consecutive clusters whose nodes plus
+    twice their pairs stay within ``limit``; a larger cluster forms a run of
+    its own."""
+    start = total = 0
+    for k, cluster in enumerate(clusters):
+        size = len(cluster)
+        pairs = min(_pair_request(size, sampler.q, sampler.fraction),
+                    size * (size - 1) // 2)
+        cost = size + 2 * pairs
+        if k > start and total + cost > limit:
+            yield clusters[start:k]
+            start, total = k, 0
+        total += cost
+    yield clusters[start:]
+
+
+def _sample_chunk(provider, clusters: list, sampler: SamplerConfig,
+                  rng: np.random.Generator, noise_sigma: float, eps_w: float,
+                  clamp: bool):
+    """Sample the measurements of consecutive clusters as one batch.
+
+    Returns ``(nodes, batch)``: ``nodes`` concatenates the clusters and the
+    batch's ids index it. The draws come from the slot's stream in cluster
+    order (the pairs, then the noise), so the measurements depend only on
+    the stream and never on how the clusters are chunked.
     """
-    for cluster in partition.clusters:
+    ms, ns, noise = [], [], []
+    offset = 0
+    for cluster in clusters:
         a, b = _sample_local_pairs(
             len(cluster), rng, q=sampler.q, fraction=sampler.fraction)
-        delta = provider.pairs(cluster[a], cluster[b])
+        ms.append(a + offset)
+        ns.append(b + offset)
         if noise_sigma > 0:
-            delta = delta + noise_sigma * rng.standard_normal(len(delta))
-        w = assign_weights(delta, sampler.scheme, eps_w=eps_w, clamp=clamp)
-        yield cluster, a, b, delta, w
+            noise.append(rng.standard_normal(len(a)))
+        offset += len(cluster)
+    nodes = np.concatenate(clusters)
+    m, n = np.concatenate(ms), np.concatenate(ns)
+    delta = provider.pairs(nodes[m], nodes[n])
+    if noise_sigma > 0:
+        delta = delta + noise_sigma * np.concatenate(noise)
+    w = assign_weights(delta, sampler.scheme, eps_w=eps_w, clamp=clamp)
+    return nodes, ObservationBatch(m, n, delta, w)
 
 
 def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
                 rng: np.random.Generator, noise_sigma: float,
                 step: StepConfig, mu: float, mode: str) -> int:
-    """Sample and apply one slot cluster-by-cluster, updating Xn in place.
+    """Sample and apply one slot chunk by chunk, updating Xn in place.
 
-    Clusters touch disjoint rows and each update reads only the slot-start
-    values of its own rows, so the result equals the simultaneous whole-slot
-    update while holding only one cluster's measurements at a time.
+    Chunks are cut by ``_chunks`` with the bound N // ``_CHUNK_DIVISOR``.
+    Each chunk is sampled, fetched, grouped and solved in one pass. Clusters touch disjoint rows and each update reads only the
+    slot-start values of its own rows, so the result equals the per-cluster
+    update while holding only one chunk's measurements at a time.
     """
     pairs = 0
     cfg = replace(step, mu=mu)
-    for cluster, a, b, delta, w in _sample_slot(
-            provider, partition, sampler, rng, noise_sigma, step.eps_w,
-            clamp=(mode != "sgd")):
-        mini = ObservationBatch(a, b, delta, w, slot=partition.slot)
+    for clusters in _chunks(partition.clusters, sampler,
+                            len(Xn) // _CHUNK_DIVISOR):
+        nodes, batch = _sample_chunk(provider, clusters, sampler, rng,
+                                     noise_sigma, step.eps_w,
+                                     clamp=(mode != "sgd"))
         if mode == "sgd":
-            upd, _ = sgd_step(Xn[cluster], mini, mu)
+            Xn[nodes], _ = sgd_step(Xn[nodes], batch, mu)
         else:
-            upd = stochastic_step(Xn[cluster], mini, cfg)
-        Xn[cluster] = upd
-        pairs += len(mini)
+            _damped_update(Xn, batch, cfg, nodes)
+        pairs += len(batch)
     return pairs
 
 
@@ -280,19 +308,12 @@ def _slot_batch(provider, partition, sampler: SamplerConfig,
                 rng: np.random.Generator, t: int, noise_sigma: float,
                 eps_w: float):
     """Sample one slot's measurements over the given partition as one batch
-    in global node ids, recording each cluster's edges on the partition."""
-    ms, ns, ds, ws = [], [], [], []
-    for cluster, a, b, delta, w in _sample_slot(
-            provider, partition, sampler, rng, noise_sigma, eps_w, True):
-        ms.append(cluster[a])
-        ns.append(cluster[b])
-        ds.append(delta)
-        ws.append(w)
-    partition.edge_sets = [np.column_stack(e) for e in zip(ms, ns)]
-    if not ms:
-        return ObservationBatch.empty(slot=t)
-    return ObservationBatch(np.concatenate(ms), np.concatenate(ns),
-                            np.concatenate(ds), np.concatenate(ws), slot=t)
+    in global node ids: the slot kernel's sampler with the whole slot as one
+    chunk."""
+    nodes, local = _sample_chunk(provider, partition.clusters, sampler, rng,
+                                 noise_sigma, eps_w, True)
+    return ObservationBatch(nodes[local.m], nodes[local.n], local.delta,
+                            local.weight, slot=t)
 
 
 def run_stochastic(
@@ -320,12 +341,17 @@ def run_stochastic(
     baseline). The first record (t = 0) holds the evaluation of the initial
     configuration.
 
-    Sampler-driven slots process one cluster at a time: sample its pairs,
-    fetch their dissimilarities, update the cluster rows, and move on.
-    Working memory therefore stays at a small constant multiple of the
-    embedding regardless of the measurement budget. A non-finite iterate
-    stops the run with status ``diverged`` in every mode (and so does a
-    blown-up ``sgd`` iterate); the final embedding is the last finite one.
+    Sampler-driven slots process one chunk at a time: a run of consecutive
+    clusters whose nodes plus twice their measured pairs stay within a fixed
+    fraction of N (``_CHUNK_DIVISOR``), or one larger cluster. Each chunk's
+    pairs are drawn, fetched, grouped into components and solved in one
+    pass before the next chunk is sampled, so working memory stays a small
+    multiple of the embedding at any sampling density: the slot holds one
+    chunk's measurements, not all of them. Streamed batches are checked with
+    ``ObservationBatch.validate`` and a bad one raises ``ValueError``. A
+    non-finite iterate stops the run with status ``diverged`` in every mode
+    (and so does a blown-up ``sgd`` iterate); the final embedding is the
+    last finite one.
     """
     step = step or StepConfig()
     if mode not in ("stochastic", "spe", "sgd"):
@@ -354,7 +380,7 @@ def run_stochastic(
         mu = schedule.mu_at(t - 1)
         if streaming:
             try:
-                batch = next(stream)
+                batch = next(stream).validate(n)
             except StopIteration:
                 status = "truncated"
                 break

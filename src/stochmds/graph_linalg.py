@@ -103,28 +103,10 @@ class ComponentLaplacian:
 
 @dataclass
 class ClusterPartition:
-    """Disjoint node subsets with per-cluster selected edge sets."""
+    """Disjoint node subsets."""
 
     clusters: list  # list of int arrays
-    edge_sets: list  # list of (k, 2) int arrays, global indices
     slot: int = 0
-
-    def validate(self, node_count: int | None = None) -> "ClusterPartition":
-        seen = np.concatenate([np.asarray(c) for c in self.clusters]) \
-            if self.clusters else np.zeros(0, dtype=np.int64)
-        if np.unique(seen).size != seen.size:
-            raise ValueError("clusters must be pairwise disjoint")
-        if node_count is not None and seen.size and (
-            seen.min() < 0 or seen.max() >= node_count
-        ):
-            raise ValueError("cluster node index out of range")
-        for c, edges in zip(self.clusters, self.edge_sets):
-            members = set(np.asarray(c).tolist())
-            e = np.asarray(edges).reshape(-1, 2)
-            for a, b in e.tolist():
-                if a not in members or b not in members:
-                    raise ValueError("edge endpoint outside its cluster")
-        return self
 
     def membership(self, node_count: int) -> np.ndarray:
         """Cluster index per node; -1 for nodes outside every cluster."""
@@ -343,10 +325,7 @@ def connected_components(batch: ObservationBatch, node_count: int) -> ClusterPar
     _validate_batch_indices(batch, node_count)
     comps = _by_smallest_member(
         group_components(batch, node_count, singletons=True))
-    return ClusterPartition(
-        [c.nodes[0] for c in comps],
-        [np.column_stack([c.nodes[0][c.a], c.nodes[0][c.b]]) for c in comps],
-        slot=batch.slot)
+    return ClusterPartition([c.nodes[0] for c in comps], slot=batch.slot)
 
 
 def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:

@@ -63,7 +63,8 @@ class ObservationBatch:
         """Check the batch invariants, raising ``ValueError`` on violation.
 
         Intended for data arriving from outside the engine; internally
-        generated batches are correct by construction.
+        generated batches are correct by construction. A pair measured more
+        than once is valid: each measurement counts on its own.
         """
         if not (len(self.m) == len(self.n) == len(self.delta) == len(self.weight)):
             raise ValueError("observation arrays must have equal length")
@@ -77,17 +78,12 @@ class ObservationBatch:
                 or self.n.max() >= node_count
             ):
                 raise ValueError("node index out of range")
-        if np.any(self.weight < 0) or np.any(self.weight > 1):
+        if not np.all((self.weight >= 0) & (self.weight <= 1)):
             raise ValueError("weights must lie in [0, 1]")
-        live = self.weight > 0
-        if np.any(self.delta[live] <= 0):
-            raise ValueError("delta must be positive wherever weight > 0")
-        if len(self) > 1:
-            lo = np.minimum(self.m, self.n)
-            hi = np.maximum(self.m, self.n)
-            key = lo * (max(int(hi.max()), 1) + 1) + hi
-            if np.unique(key).size != key.size:
-                raise ValueError("duplicate unordered pair in batch")
+        live = self.delta[self.weight > 0]
+        if not np.all(np.isfinite(live) & (live > 0)):
+            raise ValueError(
+                "delta must be finite and positive wherever weight > 0")
         return self
 
     def nonzero(self) -> "ObservationBatch":

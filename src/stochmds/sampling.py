@@ -70,8 +70,7 @@ def partition_nodes(node_count: int, p: int,
     clusters = [perm[k * p:(k + 1) * p] for k in range(full)]
     if rem >= 2:
         clusters.append(perm[full * p:])
-    return ClusterPartition(clusters, [np.zeros((0, 2), dtype=np.int64)
-                                       for _ in clusters], slot=slot)
+    return ClusterPartition(clusters, slot=slot)
 
 
 # draws tried before a connecting edge set is given up on
@@ -111,6 +110,17 @@ def _pair_from_index(k: np.ndarray, s: int):
     return a, b
 
 
+def _pair_request(size: int, q: int | None = None,
+                  fraction: float | None = None) -> int:
+    """Pairs requested from ``size`` items, before clamping to the
+    size*(size-1)/2 available."""
+    if q is not None:
+        return q
+    if fraction is None:
+        raise ValueError("one of q or fraction is required")
+    return max(1, round(fraction * (size * (size - 1) // 2)))
+
+
 def _sample_local_pairs(
     size: int,
     rng: np.random.Generator,
@@ -122,10 +132,7 @@ def _sample_local_pairs(
     if size < 2:
         raise ValueError("cluster must have at least 2 nodes")
     total = size * (size - 1) // 2
-    if q is None:
-        if fraction is None:
-            raise ValueError("one of q or fraction is required")
-        q = max(1, round(fraction * total))
+    q = _pair_request(size, q, fraction)
     if q > total:
         warnings.warn(f"requested q={q} clamped to {total} available pairs",
                       stacklevel=2)

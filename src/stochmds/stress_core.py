@@ -128,25 +128,37 @@ def stochastic_step(
     is validated against the batch when given (every positive-weight edge
     must stay inside one cluster) but does not change the result.
     """
-    node_count = X.shape[0]
     if partition is not None:
-        member = partition.membership(node_count)
+        member = partition.membership(X.shape[0])
         live = batch.nonzero()
         if len(live) and (
             np.any(member[live.m] < 0) or np.any(member[live.m] != member[live.n])
         ):
             raise ValueError("positive-weight edge crosses cluster boundaries")
 
-    mu = cfg.mu
     Xn = np.array(X, dtype=np.float64, copy=True)
-    if mu == 0.0:
-        return Xn
-    for stack in group_components(batch, node_count, cfg.eps_w):
-        Xc = Xn[stack.nodes]
-        y = stack.solve(_b_times_x(Xc, stack, cfg.eps_x))
-        Xn[stack.nodes] = ((1.0 - mu) * Xc
-                           + mu * Xc.mean(axis=1, keepdims=True) + mu * y)
+    _damped_update(Xn, batch, cfg)
     return Xn
+
+
+def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
+                   nodes: np.ndarray | None = None) -> None:
+    """Apply the incremental update in place to the rows ``batch`` touches.
+
+    Batch ids index ``nodes`` (rows of ``Xn``) when given and rows of ``Xn``
+    otherwise. Each component reads its rows before writing them, and
+    components are disjoint, so every row is updated from its current value.
+    """
+    mu = cfg.mu
+    if mu == 0.0:
+        return
+    count = Xn.shape[0] if nodes is None else len(nodes)
+    for stack in group_components(batch, count, cfg.eps_w):
+        rows = stack.nodes if nodes is None else nodes[stack.nodes]
+        Xc = Xn[rows]
+        y = stack.solve(_b_times_x(Xc, stack, cfg.eps_x))
+        Xn[rows] = ((1.0 - mu) * Xc
+                    + mu * Xc.mean(axis=1, keepdims=True) + mu * y)
 
 
 def spe_step(xi: np.ndarray, xj: np.ndarray, delta: float, mu: float):

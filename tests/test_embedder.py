@@ -1,7 +1,11 @@
 """Run drivers, schedules, traces, and steady-state metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmds import (
     MuSchedule,
@@ -13,14 +17,16 @@ from stochmds import (
     run_averaged_oracle,
     run_batch_smacof,
     run_stochastic,
+    sgd_step,
     steady_state_stats,
     stochastic_step,
     stress,
 )
 from stochmds.data_io import FeatureProvider, MatrixProvider
-from stochmds.embedder import _slot_batch, estimate_scale
+from stochmds.embedder import _CHUNK_DIVISOR, _chunks, _slot_batch, estimate_scale
 from stochmds.rng import substream
-from stochmds.sampling import partition_nodes
+from stochmds.sampling import _sample_local_pairs, assign_weights, \
+    partition_nodes
 
 
 def planar_provider(n, seed=0, side=10.0):
@@ -167,6 +173,32 @@ class TestRunStochastic:
         assert trace.status == "truncated"
         assert trace.slot_index().tolist() == [0, 1, 2, 3]
 
+    def test_streamed_self_loop_rejected(self):
+        batch = ObservationBatch([0, 1], [1, 1], [1.0, 2.0], [1.0, 1.0])
+        init = random_init(3, 2, np.random.default_rng(0), 1.0)
+        with pytest.raises(ValueError, match="self-loop"):
+            run_stochastic(iter([batch]), init, MuSchedule.constant(0.5),
+                           None, slots=1)
+
+    @pytest.mark.parametrize("delta, weight",
+                             [(np.nan, 1.0), (np.inf, 0.5), (1.0, np.nan)])
+    def test_streamed_nonfinite_value_rejected(self, delta, weight):
+        batch = ObservationBatch([0, 1], [1, 2], [1.0, delta], [1.0, weight])
+        init = random_init(3, 2, np.random.default_rng(0), 1.0)
+        with pytest.raises(ValueError, match="finite|weights"):
+            run_stochastic(iter([batch]), init, MuSchedule.constant(0.5),
+                           None, slots=1)
+
+    def test_streamed_repeated_pair_runs(self):
+        """A pair measured twice is valid: each measurement counts."""
+        batch = ObservationBatch([0, 1, 1], [1, 0, 2], [1.0, 1.5, 2.0],
+                                 [1.0, 0.5, 1.0])
+        init = random_init(3, 2, np.random.default_rng(0), 1.0)
+        trace = run_stochastic(iter([batch] * 2), init,
+                               MuSchedule.constant(0.5), None, slots=2)
+        assert trace.status == "ok"
+        assert len(trace.records) == 3
+
     def test_spe_mode_requires_pair_clusters(self):
         provider, _ = planar_provider(10)
         init = random_init(10, 2, np.random.default_rng(4), 1.0)
@@ -230,6 +262,87 @@ class TestRunStochastic:
         assert trace.records[0]["pairs"] == 0
         lookups_for_eval = 50
         assert provider.lookups >= lookups_for_eval
+
+
+def _per_cluster_slot(X, provider, partition, sampler, rng, noise_sigma,
+                      cfg, mode):
+    """Reference for the slot kernel: one mini-batch and one update per
+    cluster, drawn from the slot's stream in cluster order."""
+    Xn = X.copy()
+    for cluster in partition.clusters:
+        a, b = _sample_local_pairs(len(cluster), rng, q=sampler.q,
+                                   fraction=sampler.fraction)
+        delta = provider.pairs(cluster[a], cluster[b])
+        if noise_sigma > 0:
+            delta = delta + noise_sigma * rng.standard_normal(len(delta))
+        w = assign_weights(delta, sampler.scheme, eps_w=cfg.eps_w,
+                           clamp=(mode != "sgd"))
+        mini = ObservationBatch(a, b, delta, w)
+        if mode == "sgd":
+            Xn[cluster], _ = sgd_step(Xn[cluster], mini, cfg.mu)
+        else:
+            Xn[cluster] = stochastic_step(Xn[cluster], mini, cfg)
+    return Xn
+
+
+class TestSlotKernel:
+    @pytest.mark.parametrize("mode", ["stochastic", "sgd", "spe"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("several", [False, True],
+                             ids=["one_per_chunk", "several_per_chunk"])
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_matches_per_cluster_loop(self, mode, noise_sigma, several,
+                                      data):
+        """The chunked kernel reproduces the per-cluster loop exactly. A
+        cluster costs between p + 2 and p^2 (nodes plus twice its pairs)
+        against a chunk bound of N // d, so below d p nodes every chunk
+        holds one cluster, and from 2 d p^2 on every chunk but the last
+        holds several."""
+        p = 2 if mode == "spe" else data.draw(st.integers(2, 9))
+        d = _CHUNK_DIVISOR
+        full = data.draw(st.integers(2 * d * p, 2 * d * p + 4 * p) if several
+                         else st.integers(1, d - 1))
+        n = full * p + data.draw(st.integers(0, p - 1))  # remainder cluster
+        if data.draw(st.booleans()):
+            q, fraction = data.draw(st.integers(1, p * (p - 1) // 2)), None
+        else:
+            q, fraction = None, data.draw(st.floats(0.05, 1.0))
+        sampler = SamplerConfig(
+            p=p, q=q, fraction=fraction,
+            scheme=data.draw(st.sampled_from(["unity", "sammon"])),
+            seed=data.draw(st.integers(0, 2**16)))
+        mu = data.draw(st.sampled_from([0.05, 0.5]))
+        provider, _ = planar_provider(n, seed=sampler.seed)
+        init = random_init(n, 2, np.random.default_rng(sampler.seed), 10.0)
+        slots = 2
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # q clamped on a remainder
+            trace = run_stochastic(provider, init, MuSchedule.constant(mu),
+                                   sampler, slots, noise_sigma=noise_sigma,
+                                   mode=mode, eval_pairs=0,
+                                   record_embeddings=True)
+            X = init
+            for t in range(1, len(trace.embeddings)):
+                rng = substream(sampler.seed, "partition", t)
+                part = partition_nodes(n, p, rng, slot=t)
+                X = _per_cluster_slot(X, provider, part, sampler, rng,
+                                      noise_sigma, StepConfig(mu=mu), mode)
+                assert np.array_equal(trace.embeddings[t], X)
+        assert len(trace.embeddings) == slots + 1 or trace.status == "diverged"
+
+
+    @pytest.mark.parametrize("kw", [{"q": 1}, {"q": 30}, {"fraction": 1.0}])
+    def test_chunk_bound_counts_pairs(self, kw):
+        """Each chunk's nodes plus twice its pairs stay within the bound, so
+        a denser sampler gets chunks of fewer clusters."""
+        sampler = SamplerConfig(p=10, **kw)
+        clusters = [np.arange(k, k + 10) for k in range(0, 2400, 10)]
+        limit = 2400 // _CHUNK_DIVISOR
+        cost = 10 + 2 * min(sampler.q or 45, 45)
+        chunks = list(_chunks(clusters, sampler, limit))
+        assert sum(len(c) for c in chunks) == len(clusters)
+        assert all(len(c) == max(1, limit // cost) for c in chunks[:-1])
 
 
 class TestRunAveragedOracle:

@@ -198,8 +198,7 @@ class TestStochasticStep:
         rng = np.random.default_rng(14)
         X = rng.standard_normal((4, 2))
         b = ObservationBatch.from_entries([(0, 2, 1.0, 1.0)])
-        part = ClusterPartition([np.array([0, 1]), np.array([2, 3])],
-                                [np.zeros((0, 2), dtype=np.int64)] * 2)
+        part = ClusterPartition([np.array([0, 1]), np.array([2, 3])])
         with pytest.raises(ValueError):
             stochastic_step(X, b, StepConfig(mu=0.5), part)
 
