@@ -181,7 +181,7 @@ def _load_provider(cfg: dict):
     if path is None:
         raise ConfigError("an input file is required")
     if kind == "edges":
-        batch = data_io.parse_edge_list(path)
+        batch = data_io.parse_edge_list(path, node_count=cfg["n"])
         n = cfg["n"] or (int(max(batch.m.max(), batch.n.max())) + 1 if len(batch) else 0)
         return data_io.EdgeListProvider(batch, n), batch, n
     if kind == "matrix":
@@ -380,8 +380,10 @@ def cmd_stats(args) -> int:
     with open(args.trace_file) as fh:
         for line in fh:
             rec = json.loads(line)
-            if "t" in rec:
+            if "t" in rec and "stress" in rec:
                 records.append(rec)
+    if not records:
+        raise ValueError(f"{args.trace_file} has no stress records")
     if args.window:
         lo, hi = (int(v) for v in args.window.split(":"))
     else:
@@ -503,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--p", type=int)
     pe.add_argument("--q", type=int)
     pe.add_argument("--fraction", type=float)
-    pe.add_argument("--scheme", choices=["unity", "sammon", "provided"])
+    pe.add_argument("--scheme", choices=["unity", "sammon"])
     pe.add_argument("--slots", type=int)
     pe.add_argument("--iters", type=int)
     pe.add_argument("--tol", type=float)

@@ -8,7 +8,6 @@ N x N matrix; a call counter backs the laziness guarantee.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import warnings
@@ -61,6 +60,21 @@ def cosine_dissimilarity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# text sources
+
+
+def _read_lines(source) -> list:
+    """The lines of ``source``: a file-like object, a string of text (one
+    that holds a newline or a tab), or else a path."""
+    if hasattr(source, "read"):
+        return source.read().splitlines()
+    if isinstance(source, str) and ("\n" in source or "\t" in source):
+        return source.splitlines()
+    with open(source) as fh:
+        return fh.read().splitlines()
+
+
+# ---------------------------------------------------------------------------
 # edge lists
 
 
@@ -73,17 +87,9 @@ def parse_edge_list(source, node_count: int | None = None) -> ObservationBatch:
     deltas, and nonpositive deltas carrying positive weight are rejected with
     the offending line number.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str) and ("\n" in source or "\t" in source):
-        lines = source.splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-
     seen: dict = {}
     dupes = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,6 +156,9 @@ class EdgeListProvider(_CountingProvider):
         self.node_count = int(node_count)
         lo = np.minimum(batch.m, batch.n)
         hi = np.maximum(batch.m, batch.n)
+        if len(batch) and (lo.min() < 0 or hi.max() >= self.node_count):
+            raise ValueError(
+                f"edge list node ids must lie in [0, {self.node_count})")
         self._table = dict(zip((lo * self.node_count + hi).tolist(),
                                batch.delta.tolist()))
 
@@ -246,16 +255,9 @@ def load_fingerprints(source):
     inconsistent lengths are rejected. Returns (ids, bits) with ``bits`` a
     boolean (N, L) array, most-significant bit first.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str) and "\n" in source:
-        lines = source.splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
     ids, rows = [], []
     digits = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -283,15 +285,8 @@ def load_fingerprints(source):
 
 def load_vectors(source):
     """Read ``id<TAB>v0<TAB>v1...`` rows into (ids, (N, D) float array)."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str) and "\n" in source:
-        lines = source.splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
     ids, rows = [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -333,14 +328,7 @@ def write_embedding(X: np.ndarray, sink, ids=None) -> None:
 
 def read_embedding(source):
     """Inverse of ``write_embedding``: returns (ids, X)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    lines = text.splitlines()
+    lines = _read_lines(source)
     if not lines or not lines[0].startswith("id"):
         raise ValueError("missing embedding header")
     ids, rows = [], []

@@ -285,9 +285,10 @@ def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
     """Sample and apply one slot chunk by chunk, updating Xn in place.
 
     Chunks are cut by ``_chunks`` with the bound N // ``_CHUNK_DIVISOR``.
-    Each chunk is sampled, fetched, grouped and solved in one pass. Clusters touch disjoint rows and each update reads only the
-    slot-start values of its own rows, so the result equals the per-cluster
-    update while holding only one chunk's measurements at a time.
+    Each chunk is sampled, fetched, grouped and solved in one pass.
+    Clusters touch disjoint rows and each update reads only the slot-start
+    values of its own rows, so the result equals the per-cluster update
+    while holding only one chunk's measurements at a time.
     """
     pairs = 0
     cfg = replace(step, mu=mu)
@@ -302,18 +303,6 @@ def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
             _damped_update(Xn, batch, cfg, nodes)
         pairs += len(batch)
     return pairs
-
-
-def _slot_batch(provider, partition, sampler: SamplerConfig,
-                rng: np.random.Generator, t: int, noise_sigma: float,
-                eps_w: float):
-    """Sample one slot's measurements over the given partition as one batch
-    in global node ids: the slot kernel's sampler with the whole slot as one
-    chunk."""
-    nodes, local = _sample_chunk(provider, partition.clusters, sampler, rng,
-                                 noise_sigma, eps_w, True)
-    return ObservationBatch(nodes[local.m], nodes[local.n], local.delta,
-                            local.weight, slot=t)
 
 
 def run_stochastic(
@@ -392,7 +381,7 @@ def run_stochastic(
             pairs = len(batch)
         else:
             slot_rng = substream(seed, "partition", t)
-            partition = partition_nodes(n, sampler.p, slot_rng, slot=t)
+            partition = partition_nodes(n, sampler.p, slot_rng)
             Xn = np.array(X, copy=True)
             pairs = _apply_slot(Xn, source, partition, sampler, slot_rng,
                                 noise_sigma, step, mu, mode)
@@ -438,11 +427,12 @@ def run_averaged_oracle(
 
     ``empirical`` mode estimates the expected one-step map at the current
     configuration by averaging the incremental update over
-    ``averaging_samples`` fresh measurement draws (sampled exactly like
-    ``run_stochastic`` would). ``closed_form`` mode requires
-    ``expected_deltas`` (an N x N matrix of mean dissimilarities) and a
-    cluster size that divides N, and applies the i.i.d.-weight expected
-    update matrix directly; its recorded mean stress is non-increasing.
+    ``averaging_samples`` fresh measurement draws, each sampled and applied
+    by the slot kernel of ``run_stochastic`` with the whole partition as one
+    chunk. ``closed_form`` mode requires ``expected_deltas`` (an N x N
+    matrix of mean dissimilarities) and a cluster size that divides N, and
+    applies the i.i.d.-weight expected update matrix directly; its recorded
+    mean stress is non-increasing.
     Non-finite ``expected_deltas`` raise ``ValueError``.
 
     The caller supplies an origin-centered ``init``; the recursion preserves
@@ -499,10 +489,13 @@ def run_averaged_oracle(
             pairs = 0
             for s_ix in range(averaging_samples):
                 draw_rng = substream(seed, "oracle", t, s_ix)
-                partition = partition_nodes(n, sampler.p, draw_rng, slot=t)
-                batch = _slot_batch(source, partition, sampler, draw_rng, t,
-                                    noise_sigma, step.eps_w)
-                acc += stochastic_step(X, batch, cfg, partition)
+                partition = partition_nodes(n, sampler.p, draw_rng)
+                nodes, batch = _sample_chunk(source, partition.clusters,
+                                             sampler, draw_rng, noise_sigma,
+                                             step.eps_w, clamp=True)
+                Xs = X.copy()
+                _damped_update(Xs, batch, cfg, nodes)
+                acc += Xs
                 pairs += len(batch)
             Xn = acc / averaging_samples
         if not _all_finite(Xn):

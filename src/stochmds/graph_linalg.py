@@ -106,7 +106,6 @@ class ClusterPartition:
     """Disjoint node subsets."""
 
     clusters: list  # list of int arrays
-    slot: int = 0
 
     def membership(self, node_count: int) -> np.ndarray:
         """Cluster index per node; -1 for nodes outside every cluster."""
@@ -325,7 +324,7 @@ def connected_components(batch: ObservationBatch, node_count: int) -> ClusterPar
     _validate_batch_indices(batch, node_count)
     comps = _by_smallest_member(
         group_components(batch, node_count, singletons=True))
-    return ClusterPartition([c.nodes[0] for c in comps], slot=batch.slot)
+    return ClusterPartition([c.nodes[0] for c in comps])
 
 
 def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ class ObservationBatch:
     n: np.ndarray
     delta: np.ndarray
     weight: np.ndarray
-    slot: int = 0
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.int64)
@@ -41,23 +40,23 @@ class ObservationBatch:
         return self.m.shape[0]
 
     @classmethod
-    def from_entries(cls, entries, slot: int = 0) -> "ObservationBatch":
+    def from_entries(cls, entries) -> "ObservationBatch":
         """Build a batch from an iterable of (m, n, delta[, weight]) tuples."""
         rows = [tuple(e) for e in entries]
         if not rows:
-            return cls.empty(slot=slot)
+            return cls.empty()
         m = np.array([r[0] for r in rows])
         n = np.array([r[1] for r in rows])
         delta = np.array([r[2] for r in rows], dtype=np.float64)
         weight = np.array(
             [r[3] if len(r) > 3 else 1.0 for r in rows], dtype=np.float64
         )
-        return cls(m, n, delta, weight, slot=slot)
+        return cls(m, n, delta, weight)
 
     @classmethod
-    def empty(cls, slot: int = 0) -> "ObservationBatch":
+    def empty(cls) -> "ObservationBatch":
         z = np.zeros(0)
-        return cls(z.astype(np.int64), z.astype(np.int64), z, z, slot=slot)
+        return cls(z.astype(np.int64), z.astype(np.int64), z, z)
 
     def validate(self, node_count: int | None = None) -> "ObservationBatch":
         """Check the batch invariants, raising ``ValueError`` on violation.
@@ -92,8 +91,7 @@ class ObservationBatch:
         if keep.all():
             return self
         return ObservationBatch(
-            self.m[keep], self.n[keep], self.delta[keep], self.weight[keep], self.slot
-        )
+            self.m[keep], self.n[keep], self.delta[keep], self.weight[keep])
 
     def total_weighted_delta_sq(self) -> float:
         """Sum of w * delta^2, the normalization constant for stress."""

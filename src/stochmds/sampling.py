@@ -23,7 +23,7 @@ __all__ = [
     "calibrate_p_q",
 ]
 
-WEIGHT_SCHEMES = ("unity", "sammon", "provided")
+WEIGHT_SCHEMES = ("unity", "sammon")
 
 
 @dataclass
@@ -54,7 +54,7 @@ class SamplerConfig:
 
 
 def partition_nodes(node_count: int, p: int,
-                    rng: np.random.Generator, slot: int = 0) -> ClusterPartition:
+                    rng: np.random.Generator) -> ClusterPartition:
     """Partition nodes into random disjoint clusters of size p.
 
     A remainder of size >= 2 forms a final smaller cluster; a remainder of
@@ -70,7 +70,7 @@ def partition_nodes(node_count: int, p: int,
     clusters = [perm[k * p:(k + 1) * p] for k in range(full)]
     if rem >= 2:
         clusters.append(perm[full * p:])
-    return ClusterPartition(clusters, slot=slot)
+    return ClusterPartition(clusters)
 
 
 # draws tried before a connecting edge set is given up on
@@ -170,13 +170,12 @@ def sample_cluster_edges(
 
 def assign_weights(delta: np.ndarray, scheme: str = "unity",
                    eps_w: float = 1e-3,
-                   provided: np.ndarray | None = None,
                    clamp: bool = True) -> np.ndarray:
     """Weights for measured dissimilarities.
 
-    unity: w = 1; sammon: w = 1/delta clamped to [eps_w, 1]; provided:
-    pass-through. Invalid measurements (delta <= 0, e.g. negative noisy
-    ranges, or missing values) get weight 0 under every scheme.
+    unity: w = 1; sammon: w = 1/delta clamped to [eps_w, 1]. Invalid
+    measurements (delta <= 0, e.g. negative noisy ranges, or missing values)
+    get weight 0 under every scheme.
     ``clamp=False`` leaves sammon weights unbounded; the plain-gradient
     baseline uses this since its characteristic divergence stems from
     unbounded inverse-distance weights.
@@ -191,10 +190,6 @@ def assign_weights(delta: np.ndarray, scheme: str = "unity",
         if clamp:
             w = np.clip(w, eps_w, 1.0, out=w)
         w[~valid] = 0.0
-    elif scheme == "provided":
-        if provided is None:
-            raise ValueError("scheme 'provided' requires a weight array")
-        w = np.where(valid, np.asarray(provided, dtype=np.float64), 0.0)
     else:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     return w

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_linalg import (ClusterPartition, ComponentStack, _by_smallest_member,
-                           _sparse, group_components)
+from .graph_linalg import (ComponentStack, _by_smallest_member, _sparse,
+                           group_components)
 from .observations import ObservationBatch, StepConfig
 
 __all__ = [
@@ -110,12 +110,8 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch) -> np.ndarray:
     return Xn
 
 
-def stochastic_step(
-    X: np.ndarray,
-    batch: ObservationBatch,
-    cfg: StepConfig,
-    partition: ClusterPartition | None = None,
-) -> np.ndarray:
+def stochastic_step(X: np.ndarray, batch: ObservationBatch,
+                    cfg: StepConfig) -> np.ndarray:
     """One incremental update of the embedding from a measurement batch.
 
     Per connected component C of the positive-weight graph:
@@ -124,18 +120,8 @@ def stochastic_step(
 
     with J_C the centering projector on C, so the coordinate center of each
     component is preserved. Nodes outside every component are unchanged;
-    clusters whose measurements all have zero weight are skipped. ``partition``
-    is validated against the batch when given (every positive-weight edge
-    must stay inside one cluster) but does not change the result.
+    clusters whose measurements all have zero weight are skipped.
     """
-    if partition is not None:
-        member = partition.membership(X.shape[0])
-        live = batch.nonzero()
-        if len(live) and (
-            np.any(member[live.m] < 0) or np.any(member[live.m] != member[live.n])
-        ):
-            raise ValueError("positive-weight edge crosses cluster boundaries")
-
     Xn = np.array(X, dtype=np.float64, copy=True)
     _damped_update(Xn, batch, cfg)
     return Xn

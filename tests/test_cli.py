@@ -1,6 +1,8 @@
 """Command-line surface: config handling, subcommands, reproducibility."""
 
+import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from stochmds.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     ConfigError,
+    build_parser,
     load_config,
     main,
 )
@@ -107,6 +110,25 @@ class TestSubcommands:
         assert code == EXIT_RUNTIME
         assert "status=diverged" in capsys.readouterr().out
 
+    def test_node_count_below_edge_ids_is_input_error(self, tmp_path,
+                                                      capsys):
+        """--n 3 cannot hold the pair (0, 5); it must not alias (1, 2)."""
+        path = tmp_path / "edges.tsv"
+        path.write_text("1\t2\t1.0\n0\t5\t9.0\n")
+        code = main(["embed", "--input", str(path), "--n", "3", "--p", "3",
+                     "--slots", "2"])
+        assert code == EXIT_INPUT
+        assert "line 2" in capsys.readouterr().err
+
+    def test_provided_scheme_rejected(self, edge_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--input", edge_file, "--scheme", "provided"])
+        assert exc.value.code == 2
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"scheme": "provided"}))
+        assert main(["embed", "--input", edge_file, "--slots", "2",
+                     "--config", str(config)]) == EXIT_CONFIG
+
     def test_missing_input_is_config_error(self):
         assert main(["embed", "--mode", "batch"]) == EXIT_CONFIG
 
@@ -175,6 +197,20 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["eta_min"] <= out["eta_mean"] <= out["eta_max"]
 
+    @pytest.mark.parametrize("kind", ["localize", "header_only"])
+    def test_stats_without_stress_records_is_input_error(self, kind,
+                                                         tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        if kind == "localize":
+            main(["localize", "--n", "12", "--rounds", "3",
+                  "--trace", str(trace)])
+        else:
+            trace.write_text(json.dumps({"config": {}, "seed": 0}) + "\n")
+        capsys.readouterr()
+        code = main(["stats", "--trace-file", str(trace)])
+        assert code == EXIT_INPUT
+        assert "no stress records" in capsys.readouterr().err
+
     def test_stats_hovering(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 4, 2))
@@ -195,6 +231,62 @@ class TestSubcommands:
         rows = json.loads(out.read_text())
         assert len(rows) == 2
         assert rows[1]["n"] == 800
+
+
+def _choice_cases():
+    """(command, flag, value) for every choice argparse offers on the
+    flags that select a mode, a weight scheme, an input kind or a metric."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    wanted = {"embed": ("--mode", "--scheme", "--input-kind", "--metric"),
+              "oracle": ("--mode",)}
+    cases = []
+    for command, flags in wanted.items():
+        for action in sub.choices[command]._actions:
+            flag = next((f for f in action.option_strings if f in flags),
+                        None)
+            if flag is not None:
+                cases += [(command, flag, value) for value in action.choices]
+    return cases
+
+
+def _tiny_input(kind, tmp_path):
+    """Six planar points as an input file of the given kind."""
+    coords = np.random.default_rng(3).random((6, 2)) + 0.5
+    iu, ju = np.triu_indices(6, k=1)
+    dist = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
+    coords = coords.tolist()
+    path = tmp_path / f"input.{kind}"
+    if kind == "edges":
+        path.write_text("".join(f"{i}\t{j}\t{float(dist[i, j])!r}\n"
+                                for i, j in zip(iu, ju)))
+    elif kind == "matrix":
+        path = tmp_path / "input.npy"
+        np.save(path, dist)
+    elif kind in ("vectors", "coords"):
+        path.write_text("".join(f"n{i}\t{x!r}\t{y!r}\n"
+                                for i, (x, y) in enumerate(coords)))
+    else:
+        path.write_text("".join(f"n{i}\t{h}\n" for i, h in
+                                enumerate(["0f", "f0", "3c", "c3", "55",
+                                           "aa"])))
+    return str(path)
+
+
+class TestChoicesSmoke:
+    @pytest.mark.parametrize("command, flag, value", _choice_cases(),
+                             ids=lambda v: str(v).lstrip("-"))
+    def test_every_choice_runs(self, command, flag, value, tmp_path, capsys):
+        kind = {"--input-kind": value, "--metric": "vectors"}.get(flag,
+                                                                  "edges")
+        argv = [command, flag, value, "--input", _tiny_input(kind, tmp_path),
+                "--input-kind", kind, "--p", "2", "--slots", "2",
+                "--seed", "1"]
+        argv += (["--iters", "5"] if command == "embed"
+                 else ["--samples", "2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == EXIT_OK, capsys.readouterr().err
 
 
 def _normalize(lines):

@@ -133,6 +133,13 @@ class TestProviders:
         np.testing.assert_array_equal(out[[0, 2]], [2.0, 2.0])
         assert np.isnan(out[1])  # absent pair
 
+    def test_edge_list_provider_rejects_ids_beyond_node_count(self):
+        """Pair keys are lo * node_count + hi, so an id at or beyond the node
+        count would alias another pair: (0, 5) at n = 3 lands on (1, 2)."""
+        batch = parse_edge_list("1\t2\t1.0\n0\t5\t9.0\n")
+        with pytest.raises(ValueError, match="node ids"):
+            EdgeListProvider(batch, 3)
+
     def test_feature_provider_euclidean(self):
         feats = np.array([[0.0, 0.0], [3.0, 4.0]])
         prov = FeatureProvider(feats)
@@ -221,3 +228,11 @@ class TestEmbeddingIO:
         ids, X = load_vectors("n0\t1.0\t2.0\nn1\t3.0\t4.0\n")
         assert ids == ["n0", "n1"]
         np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestTextSources:
+    def test_one_line_string_is_text(self):
+        """A string holding a tab is text, not a path, for every reader."""
+        assert len(parse_edge_list("0\t1\t2.0")) == 1
+        assert load_vectors("a\t1.0\t2.0")[0] == ["a"]
+        assert load_fingerprints("a\tff")[0] == ["a"]

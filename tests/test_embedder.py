@@ -1,5 +1,6 @@
 """Run drivers, schedules, traces, and steady-state metrics."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from stochmds import (
     stress,
 )
 from stochmds.data_io import FeatureProvider, MatrixProvider
-from stochmds.embedder import _CHUNK_DIVISOR, _chunks, _slot_batch, estimate_scale
+from stochmds.embedder import _CHUNK_DIVISOR, _chunks, estimate_scale
 from stochmds.rng import substream
 from stochmds.sampling import _sample_local_pairs, assign_weights, \
     partition_nodes
@@ -325,7 +326,7 @@ class TestSlotKernel:
             X = init
             for t in range(1, len(trace.embeddings)):
                 rng = substream(sampler.seed, "partition", t)
-                part = partition_nodes(n, p, rng, slot=t)
+                part = partition_nodes(n, p, rng)
                 X = _per_cluster_slot(X, provider, part, sampler, rng,
                                       noise_sigma, StepConfig(mu=mu), mode)
                 assert np.array_equal(trace.embeddings[t], X)
@@ -348,23 +349,31 @@ class TestSlotKernel:
 class TestRunAveragedOracle:
     def test_single_sample_equals_one_stochastic_path(self):
         """averaging_samples=1 degenerates to a stochastic run driven by the
-        oracle's own draw stream; replicate the draws and compare exactly."""
-        provider, _ = planar_provider(12, seed=8)
-        init = random_init(12, 2, np.random.default_rng(6), 10.0)
-        sampler = SamplerConfig(p=4, fraction=1.0, seed=21)
-        mu = 0.3
-        trace = run_averaged_oracle(provider, init, mu, 5, sampler,
-                                    mode="empirical", averaging_samples=1,
-                                    record_embeddings=True)
-        X = init.copy()
+        oracle's own draw stream: replay the draws through the per-cluster
+        reference and compare exactly, with and without noise, for q and
+        fraction samplers, and with and without a remainder cluster."""
+        p, mu, slots = 4, 0.3, 5
         cfg = StepConfig(mu=mu)
-        for t in range(1, 6):
-            draw_rng = substream(21, "oracle", t, 0)
-            part = partition_nodes(12, 4, draw_rng, slot=t)
-            batch = _slot_batch(provider, part, sampler, draw_rng, t, 0.0,
-                                cfg.eps_w)
-            X = stochastic_step(X, batch, cfg, part)
-            np.testing.assert_array_equal(trace.embeddings[t], X)
+        for noise_sigma, kw, n in itertools.product(
+                (0.0, 0.3), ({"q": 3}, {"fraction": 1.0}), (12, 14)):
+            provider, _ = planar_provider(n, seed=8)
+            init = random_init(n, 2, np.random.default_rng(6), 10.0)
+            sampler = SamplerConfig(p=p, seed=21, **kw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # q clamped on a remainder
+                trace = run_averaged_oracle(
+                    provider, init, mu, slots, sampler, mode="empirical",
+                    averaging_samples=1, noise_sigma=noise_sigma,
+                    record_embeddings=True)
+                X = init
+                for t in range(1, slots + 1):
+                    draw_rng = substream(21, "oracle", t, 0)
+                    part = partition_nodes(n, p, draw_rng)
+                    X = _per_cluster_slot(X, provider, part, sampler,
+                                          draw_rng, noise_sigma, cfg,
+                                          "stochastic")
+                    assert np.array_equal(trace.embeddings[t], X), \
+                        (noise_sigma, kw, n, t)
 
     def test_closed_form_mean_stress_non_increasing(self):
         rng = np.random.default_rng(7)

@@ -148,11 +148,6 @@ class TestAssignWeights:
         w = assign_weights(np.array([-0.1, 1.0]), "unity")
         np.testing.assert_array_equal(w, [0.0, 1.0])
 
-    def test_provided_passthrough(self):
-        w = assign_weights(np.array([1.0, 2.0, -1.0]), "provided",
-                           provided=np.array([0.3, 0.7, 0.9]))
-        np.testing.assert_array_equal(w, [0.3, 0.7, 0.0])
-
 
 class TestCalibratePQ:
     def test_sparse_rule(self):

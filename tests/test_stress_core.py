@@ -18,7 +18,7 @@ from stochmds import (
     stress,
     upsilon,
 )
-from stochmds.graph_linalg import DENSE_SOLVER_MAX, ClusterPartition
+from stochmds.graph_linalg import DENSE_SOLVER_MAX
 
 
 def full_batch(X, weights=None, deltas=None):
@@ -193,14 +193,6 @@ class TestStochasticStep:
         b = full_batch(X, weights=np.zeros(6))
         out = stochastic_step(X, b, StepConfig(mu=0.5))
         np.testing.assert_array_equal(out, X)
-
-    def test_partition_consistency_enforced(self):
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((4, 2))
-        b = ObservationBatch.from_entries([(0, 2, 1.0, 1.0)])
-        part = ClusterPartition([np.array([0, 1]), np.array([2, 3])])
-        with pytest.raises(ValueError):
-            stochastic_step(X, b, StepConfig(mu=0.5), part)
 
     def test_self_loop_measurement_changes_nothing(self):
         """A measurement of a node against itself adds a constant to the
