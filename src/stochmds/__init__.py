@@ -9,19 +9,13 @@ same update, and streaming data providers for larger-than-memory datasets.
 
 from .observations import ObservationBatch, StepConfig
 from .graph_linalg import (
-    ClusterPartition,
     ComponentLaplacian,
     algebraic_connectivity,
     build_laplacian,
-    connected_components,
-    project_centering,
-    solve_min_norm,
 )
 from .stress_core import (
     averaged_step,
-    b_epsilon_matrix,
     closed_form_b_average,
-    normalized_stress,
     sgd_step,
     smacof_iterate,
     spe_step,
@@ -32,9 +26,7 @@ from .stress_core import (
 from .sampling import (
     SamplerConfig,
     assign_weights,
-    calibrate_p_q,
     partition_nodes,
-    sample_cluster_edges,
 )
 from .embedder import (
     MuSchedule,

@@ -144,6 +144,16 @@ _RANGES = {
     "noise_sigma": (0.0, float("inf")),
     "timeout_prob": (0.0, 1.0),
     "tol": (0.0, float("inf")),
+    "dim": (1, float("inf")),
+    "samples": (1, float("inf")),
+    "eval_pairs": (0, float("inf")),
+    "slots": (0, float("inf")),
+    "iters": (0, float("inf")),
+    # a localize run reports its last round, so it needs one
+    "rounds": (1, float("inf")),
+    "mean_cluster_size": (1, float("inf")),
+    "max_members": (1, float("inf")),
+    "min_neighbors": (0, float("inf")),
 }
 
 

@@ -279,7 +279,7 @@ def _sample_chunk(provider, clusters: list, sampler: SamplerConfig,
     return nodes, ObservationBatch(m, n, delta, w)
 
 
-def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
+def _apply_slot(Xn, provider, clusters: list, sampler: SamplerConfig,
                 rng: np.random.Generator, noise_sigma: float,
                 step: StepConfig, mu: float, mode: str) -> int:
     """Sample and apply one slot chunk by chunk, updating Xn in place.
@@ -292,9 +292,8 @@ def _apply_slot(Xn, provider, partition, sampler: SamplerConfig,
     """
     pairs = 0
     cfg = replace(step, mu=mu)
-    for clusters in _chunks(partition.clusters, sampler,
-                            len(Xn) // _CHUNK_DIVISOR):
-        nodes, batch = _sample_chunk(provider, clusters, sampler, rng,
+    for chunk in _chunks(clusters, sampler, len(Xn) // _CHUNK_DIVISOR):
+        nodes, batch = _sample_chunk(provider, chunk, sampler, rng,
                                      noise_sigma, step.eps_w,
                                      clamp=(mode != "sgd"))
         if mode == "sgd":
@@ -381,9 +380,9 @@ def run_stochastic(
             pairs = len(batch)
         else:
             slot_rng = substream(seed, "partition", t)
-            partition = partition_nodes(n, sampler.p, slot_rng)
+            clusters = partition_nodes(n, sampler.p, slot_rng)
             Xn = np.array(X, copy=True)
-            pairs = _apply_slot(Xn, source, partition, sampler, slot_rng,
+            pairs = _apply_slot(Xn, source, clusters, sampler, slot_rng,
                                 noise_sigma, step, mu, mode)
 
         diverged = not _all_finite(Xn)
@@ -433,7 +432,8 @@ def run_averaged_oracle(
     matrix of mean dissimilarities) and a cluster size that divides N, and
     applies the i.i.d.-weight expected update matrix directly; its recorded
     mean stress is non-increasing.
-    Non-finite ``expected_deltas`` raise ``ValueError``.
+    Non-finite ``expected_deltas`` and, in ``empirical`` mode,
+    ``averaging_samples`` < 1 raise ``ValueError``.
 
     The caller supplies an origin-centered ``init``; the recursion preserves
     the center. A non-finite iterate stops the run with status ``diverged``
@@ -468,6 +468,9 @@ def run_averaged_oracle(
     else:
         if sampler is None:
             raise ValueError("empirical mode requires a sampler")
+        if averaging_samples < 1:
+            raise ValueError(
+                f"averaging_samples must be >= 1, got {averaging_samples}")
         if seed is None:
             seed = sampler.seed
         evaluator = _EvalSet(source, seed, eval_pairs)
@@ -489,9 +492,9 @@ def run_averaged_oracle(
             pairs = 0
             for s_ix in range(averaging_samples):
                 draw_rng = substream(seed, "oracle", t, s_ix)
-                partition = partition_nodes(n, sampler.p, draw_rng)
-                nodes, batch = _sample_chunk(source, partition.clusters,
-                                             sampler, draw_rng, noise_sigma,
+                clusters = partition_nodes(n, sampler.p, draw_rng)
+                nodes, batch = _sample_chunk(source, clusters, sampler,
+                                             draw_rng, noise_sigma,
                                              step.eps_w, clamp=True)
                 Xs = X.copy()
                 _damped_update(Xs, batch, cfg, nodes)

@@ -16,7 +16,6 @@ measurements become Laplacian entries; a pair measured twice counts twice.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +29,7 @@ __all__ = [
     "ComponentLaplacian",
     "ComponentStack",
     "group_components",
-    "ClusterPartition",
     "build_laplacian",
-    "connected_components",
-    "solve_min_norm",
-    "project_centering",
     "algebraic_connectivity",
     "DENSE_SOLVER_MAX",
 ]
@@ -42,7 +37,6 @@ __all__ = [
 # components at most this large use the dense factorization path; larger ones
 # fall back to deflated conjugate gradients on the sparse Laplacian
 DENSE_SOLVER_MAX = 512
-_RHS_TOL = 1e-9   # relative column-sum slack of a min-norm right-hand side
 _CG_TOL = 1e-12   # relative residual that CG iterates to
 
 
@@ -99,20 +93,6 @@ class ComponentLaplacian:
             if sums.max() > 1e-12 * max(float(self.degree.max()), 1.0):
                 raise ValueError("row sums must vanish")
         return self
-
-
-@dataclass
-class ClusterPartition:
-    """Disjoint node subsets."""
-
-    clusters: list  # list of int arrays
-
-    def membership(self, node_count: int) -> np.ndarray:
-        """Cluster index per node; -1 for nodes outside every cluster."""
-        out = np.full(node_count, -1, dtype=np.int64)
-        for j, c in enumerate(self.clusters):
-            out[np.asarray(c)] = j
-        return out
 
 
 def _component_labels(m, n, node_count):
@@ -208,24 +188,23 @@ class ComponentStack:
                 self.nodes[k:k + 1], self.a[e] - k * p, self.b[e] - k * p,
                 self.weights[e], None if self.delta is None else self.delta[e])
 
-    def solve(self, rhs: np.ndarray,
-              dense_max: int = DENSE_SOLVER_MAX) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
 
         ``rhs`` is (count, size, dim) with zero column sums; so is the result.
         """
-        if self.size <= dense_max:
+        if self.size <= DENSE_SOLVER_MAX:
             return _dense_min_norm(self, rhs)
         y = np.empty_like(rhs)
         for k, single in enumerate(self.split()):
-            y[k] = _solve_cg(single, rhs[k], _CG_TOL)
+            y[k] = _solve_cg(single, rhs[k])
         return y
 
 
-def _laplacian_entries(stack: ComponentStack, weights=None):
+def _laplacian_entries(stack: ComponentStack):
     """The one place that decides how a stack's measurements become
-    Laplacian entries: each adds its own weight ``w`` (from ``weights`` when
-    given), ``-w`` at (a, b) and (b, a) and ``w`` to both degrees.
+    Laplacian entries: each adds its own weight ``w``, ``-w`` at (a, b) and
+    (b, a) and ``w`` to both degrees.
 
     Returns ``(rows, cols, off, degree, shift)``: measurement k adds
     ``off[k]`` at ``(rows[h][k], cols[h][k])`` for h = 0, 1 (flattened rows,
@@ -233,8 +212,7 @@ def _laplacian_entries(stack: ComponentStack, weights=None):
     entry makes L_k nonsingular without changing it on zero-sum vectors.
     """
     g, p = stack.nodes.shape
-    a, b = stack.a, stack.b
-    w = stack.weights if weights is None else weights
+    a, b, w = stack.a, stack.b, stack.weights
     degree = (np.bincount(a, weights=w, minlength=g * p)
               + np.bincount(b, weights=w, minlength=g * p)).reshape(g, p)
     i, j = (a, b) if g == 1 else (a % p, b % p)
@@ -242,10 +220,9 @@ def _laplacian_entries(stack: ComponentStack, weights=None):
     return (a, b), (j, i), -w, degree, shift
 
 
-def _sparse(stack: ComponentStack, weights=None):
-    """CSR Laplacian of a stack of one (edge weights from ``weights`` when
-    given), its degrees and its shift."""
-    rows, cols, off, degree, shift = _laplacian_entries(stack, weights)
+def _sparse(stack: ComponentStack):
+    """CSR Laplacian of a stack of one, its degrees and its shift."""
+    rows, cols, off, degree, shift = _laplacian_entries(stack)
     diag = np.arange(stack.size)
     L = sp.csr_matrix(
         (np.concatenate([off, off, degree[0]]),
@@ -298,14 +275,6 @@ def group_components(batch: ObservationBatch, node_count: int,
     return stacks
 
 
-def _by_smallest_member(stacks: list) -> list:
-    """Every component of ``stacks`` as a stack of one, ordered by smallest
-    member."""
-    comps = [c for stack in stacks for c in stack.split()]
-    comps.sort(key=lambda c: c.nodes[0, 0])
-    return comps
-
-
 def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     """Build one ``ComponentLaplacian`` per connected component.
 
@@ -313,18 +282,13 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     singleton components with empty edge sets (skipped by all solvers).
     """
     _validate_batch_indices(batch, node_count)
-    stacks = group_components(batch, node_count, singletons=True)
+    comps = [c for stack in group_components(batch, node_count,
+                                             singletons=True)
+             for c in stack.split()]
+    comps.sort(key=lambda c: c.nodes[0, 0])
     return [ComponentLaplacian(c.nodes[0], np.minimum(c.a, c.b),
                                np.maximum(c.a, c.b), c.weights)
-            for c in _by_smallest_member(stacks)]
-
-
-def connected_components(batch: ObservationBatch, node_count: int) -> ClusterPartition:
-    """Partition {0..N-1} into maximal components of the positive-weight graph."""
-    _validate_batch_indices(batch, node_count)
-    comps = _by_smallest_member(
-        group_components(batch, node_count, singletons=True))
-    return ClusterPartition([c.nodes[0] for c in comps])
+            for c in comps]
 
 
 def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
@@ -344,7 +308,7 @@ def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _solve_cg(stack: ComponentStack, rhs: np.ndarray, tol: float) -> np.ndarray:
+def _solve_cg(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
     """Deflated CG min-norm solve for a stack of one; ``rhs`` is
     (size, dim). Falls back to the dense solve if CG does not converge."""
     p = stack.size
@@ -356,7 +320,7 @@ def _solve_cg(stack: ComponentStack, rhs: np.ndarray, tol: float) -> np.ndarray:
     y = np.empty_like(rhs)
     for col in range(rhs.shape[1]):
         b = rhs[:, col]
-        sol, info = _cg(A, b, rtol=tol, atol=0.0, maxiter=50 * p, M=M)
+        sol, info = _cg(A, b, rtol=_CG_TOL, atol=0.0, maxiter=50 * p, M=M)
         if info != 0:
             return _dense_min_norm(stack, rhs[None])[0]
         y[:, col] = sol
@@ -365,53 +329,6 @@ def _solve_cg(stack: ComponentStack, rhs: np.ndarray, tol: float) -> np.ndarray:
     if resid > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
         return _dense_min_norm(stack, rhs[None])[0]
     return y
-
-
-def solve_min_norm(
-    lap: ComponentLaplacian,
-    rhs: np.ndarray,
-    dense_threshold: int = DENSE_SOLVER_MAX,
-    eps_w: float | None = None,
-) -> np.ndarray:
-    """Minimum-norm solution of ``L y = rhs`` for a connected component.
-
-    Requires each column of ``rhs`` to sum to zero (relative to its magnitude)
-    so the system is consistent; the returned solution has zero column sums.
-    The component is solved as a stack of one; the solver choice (dense
-    factorization vs deflated CG) is internal and does not affect the output
-    contract.
-    """
-    rhs = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
-    squeeze = False
-    if rhs.shape[0] == 1 and lap.size != 1:
-        rhs = rhs.T
-        squeeze = True
-    if rhs.shape[0] != lap.size:
-        raise ValueError("rhs row count does not match component size")
-
-    col_sums = rhs.sum(axis=0)
-    scale = np.abs(rhs).sum(axis=0)
-    bad = np.abs(col_sums) > _RHS_TOL * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        raise ValueError(
-            "rhs not in the range space of L (column sums "
-            f"{col_sums[bad]} exceed tolerance)"
-        )
-    if eps_w is not None and lap.nnz and float(lap.weights.min()) < eps_w:
-        warnings.warn(
-            "edge weight below eps_w: Laplacian conditioning bound not guaranteed",
-            stacklevel=2,
-        )
-    y = lap.as_stack().solve(rhs[None], dense_threshold)[0]
-    return y[:, 0] if squeeze else y
-
-
-def project_centering(lap: ComponentLaplacian, X: np.ndarray) -> np.ndarray:
-    """Apply the component's centering projector: remove per-column means."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != lap.size:
-        raise ValueError("row count does not match component size")
-    return X - X.mean(axis=0)
 
 
 def algebraic_connectivity(lap: ComponentLaplacian) -> float:

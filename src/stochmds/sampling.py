@@ -2,8 +2,7 @@
 
 Each time slot partitions the nodes into random disjoint clusters of size p
 and selects a subset of intra-cluster pairs whose dissimilarities get
-measured. Batch-size calibration rules translate a measurement budget per
-slot into (p, q).
+measured.
 """
 
 from __future__ import annotations
@@ -13,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_linalg import ClusterPartition, _component_labels
-
 __all__ = [
     "SamplerConfig",
     "partition_nodes",
-    "sample_cluster_edges",
     "assign_weights",
-    "calibrate_p_q",
 ]
 
 WEIGHT_SCHEMES = ("unity", "sammon")
@@ -54,8 +49,9 @@ class SamplerConfig:
 
 
 def partition_nodes(node_count: int, p: int,
-                    rng: np.random.Generator) -> ClusterPartition:
-    """Partition nodes into random disjoint clusters of size p.
+                    rng: np.random.Generator) -> list:
+    """Partition nodes into random disjoint clusters of size p, returned as
+    a list of node-id arrays.
 
     A remainder of size >= 2 forms a final smaller cluster; a remainder of
     one node idles for the slot.
@@ -70,11 +66,7 @@ def partition_nodes(node_count: int, p: int,
     clusters = [perm[k * p:(k + 1) * p] for k in range(full)]
     if rem >= 2:
         clusters.append(perm[full * p:])
-    return ClusterPartition(clusters)
-
-
-# draws tried before a connecting edge set is given up on
-_MAX_RESAMPLE = 50
+    return clusters
 
 # pair tables for small cluster sizes, built once per size
 _PAIR_TABLE_MAX = 200_000
@@ -126,9 +118,10 @@ def _sample_local_pairs(
     rng: np.random.Generator,
     q: int | None = None,
     fraction: float | None = None,
-    ensure_connected: bool = False,
 ):
-    """Uniform random subset of pairs over ``size`` items, local indices."""
+    """Uniform random subset of pairs over ``size`` items, as local index
+    arrays ``(a, b)`` with ``a < b``. Requests beyond the number of available
+    pairs are clamped with a warning."""
     if size < 2:
         raise ValueError("cluster must have at least 2 nodes")
     total = size * (size - 1) // 2
@@ -137,35 +130,8 @@ def _sample_local_pairs(
         warnings.warn(f"requested q={q} clamped to {total} available pairs",
                       stacklevel=2)
         q = total
-    for _ in range(_MAX_RESAMPLE):
-        k = rng.permutation(total)[:q]
-        a, b = _pair_from_index(k, size)
-        if not ensure_connected or _component_labels(a, b, size)[1] == 1:
-            return a, b
-    warnings.warn("could not draw a connecting edge set; returning last draw",
-                  stacklevel=2)
-    return a, b
-
-
-def sample_cluster_edges(
-    cluster: np.ndarray,
-    rng: np.random.Generator,
-    q: int | None = None,
-    fraction: float | None = None,
-    ensure_connected: bool = False,
-) -> np.ndarray:
-    """Uniform random subset of intra-cluster pairs, as a (k, 2) array.
-
-    Requests beyond the number of available pairs are clamped with a warning.
-    With ``ensure_connected`` the draw is repeated, up to 50 times, until the
-    selected edges connect the cluster; after that the last draw is returned
-    with a warning. Callers that leave it off split disconnected clusters
-    into their induced components instead.
-    """
-    cluster = np.asarray(cluster)
-    a, b = _sample_local_pairs(len(cluster), rng, q=q, fraction=fraction,
-                               ensure_connected=ensure_connected)
-    return np.column_stack([cluster[a], cluster[b]])
+    k = rng.permutation(total)[:q]
+    return _pair_from_index(k, size)
 
 
 def assign_weights(delta: np.ndarray, scheme: str = "unity",
@@ -193,43 +159,3 @@ def assign_weights(delta: np.ndarray, scheme: str = "unity",
     else:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     return w
-
-
-def calibrate_p_q(node_count: int, target_per_slot: float,
-                  sparse_mode: bool = False, beta: float = 3.0):
-    """Choose (p, q) for a measurement budget of ``target_per_slot`` per slot.
-
-    Sparse mode keeps each cluster's Laplacian sparse: p ~ r^beta and
-    q ~ r^(beta+1) with r = target/N. Dense mode selects all intra-cluster
-    pairs: p ~ r, q = p(p-1)/2. Infeasible targets are clamped to the nearest
-    feasible choice with a warning.
-    """
-    if target_per_slot < node_count:
-        raise ValueError("target measurements per slot must be at least N")
-    r = target_per_slot / node_count
-    if sparse_mode:
-        p = round(r**beta)
-        q = round(r ** (beta + 1))
-    else:
-        p = round(r)
-        q = None  # all pairs, fixed after p is clamped
-
-    clamped = False
-    if p < 2:
-        p, clamped = 2, True
-    if p > node_count:
-        p, clamped = node_count, True
-    total = p * (p - 1) // 2
-    if q is None:
-        q = total
-    if q < 1:
-        q, clamped = 1, True
-    if q > total:
-        q, clamped = total, True
-    if clamped:
-        warnings.warn(
-            f"target {target_per_slot} infeasible for N={node_count}; "
-            f"using nearest feasible p={p}, q={q}",
-            stacklevel=2,
-        )
-    return p, q

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_linalg import (ComponentStack, _by_smallest_member, _sparse,
-                           group_components)
+from .graph_linalg import ComponentStack, group_components
 from .observations import ObservationBatch, StepConfig
 
 __all__ = [
     "stress",
-    "normalized_stress",
-    "b_epsilon_matrix",
     "smacof_iterate",
     "stochastic_step",
     "spe_step",
@@ -37,14 +34,6 @@ def stress(X: np.ndarray, batch: ObservationBatch) -> float:
         return 0.0
     d = np.linalg.norm(X[batch.m] - X[batch.n], axis=1)
     return float(np.sum(batch.weight * (batch.delta - d) ** 2))
-
-
-def normalized_stress(X: np.ndarray, batch: ObservationBatch) -> float:
-    """Stress divided by sum of w * delta^2 (0 when the batch carries nothing)."""
-    denom = batch.total_weighted_delta_sq()
-    if denom == 0.0:
-        return 0.0
-    return stress(X, batch) / denom
 
 
 def _regularized_coeffs(X, m, n, w, delta, eps_x):
@@ -76,24 +65,6 @@ def _b_times_x(Xc, stack: ComponentStack, eps_x):
             np.bincount(stack.a, weights=contrib[:, col], minlength=len(flat))
             - np.bincount(stack.b, weights=contrib[:, col], minlength=len(flat)))
     return out.reshape(Xc.shape)
-
-
-def b_epsilon_matrix(X: np.ndarray, batch: ObservationBatch, eps_x: float):
-    """Regularized majorization matrix per connected component.
-
-    Returns a list of (node_ids, B) pairs, one per component with >= 2 nodes,
-    where B is a sparse CSR matrix over local indices with exact zero row
-    sums (diagonal entries negate the off-diagonal row sums). B is the
-    Laplacian of the edge coefficients, so a repeated measurement counts
-    once per measurement.
-    """
-    out = []
-    for c in _by_smallest_member(group_components(batch, X.shape[0])):
-        nodes = c.nodes[0]
-        coef, _ = _regularized_coeffs(X[nodes], c.a, c.b, c.weights, c.delta,
-                                      eps_x)
-        out.append((nodes, _sparse(c, coef)[0]))
-    return out
 
 
 def smacof_iterate(X: np.ndarray, batch: ObservationBatch) -> np.ndarray:

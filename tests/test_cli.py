@@ -129,6 +129,38 @@ class TestSubcommands:
         assert main(["embed", "--input", edge_file, "--slots", "2",
                      "--config", str(config)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--samples", "-1"],
+        ["oracle", "--samples", "0"],
+        ["embed", "--dim", "0"],
+        ["embed", "--eval-pairs", "-1"],
+        ["embed", "--slots", "-1"],
+        ["embed", "--mode", "batch", "--iters", "-1"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_out_of_range_count_is_config_error(self, argv, edge_file,
+                                                tmp_path, capsys):
+        out = tmp_path / "emb.csv"
+        code = main(argv + ["--input", edge_file, "--p", "5", "--q", "4",
+                            "--out", str(out)])
+        assert code == EXIT_CONFIG
+        field = argv[-2][2:].replace("-", "_")
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean_cluster_size", 0), ("max_members", -1), ("max_members", 0),
+        ("min_neighbors", -1), ("rounds", 0)])
+    def test_bad_protocol_setting_is_config_error(self, key, value,
+                                                  tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n": 20, "rounds": 3, key: value}))
+        trace = tmp_path / "t.jsonl"
+        code = main(["localize", "--config", str(config),
+                     "--trace", str(trace)])
+        assert code == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_missing_input_is_config_error(self):
         assert main(["embed", "--mode", "batch"]) == EXIT_CONFIG
 

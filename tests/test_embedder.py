@@ -265,12 +265,12 @@ class TestRunStochastic:
         assert provider.lookups >= lookups_for_eval
 
 
-def _per_cluster_slot(X, provider, partition, sampler, rng, noise_sigma,
+def _per_cluster_slot(X, provider, clusters, sampler, rng, noise_sigma,
                       cfg, mode):
     """Reference for the slot kernel: one mini-batch and one update per
     cluster, drawn from the slot's stream in cluster order."""
     Xn = X.copy()
-    for cluster in partition.clusters:
+    for cluster in clusters:
         a, b = _sample_local_pairs(len(cluster), rng, q=sampler.q,
                                    fraction=sampler.fraction)
         delta = provider.pairs(cluster[a], cluster[b])
@@ -374,6 +374,15 @@ class TestRunAveragedOracle:
                                           "stochastic")
                     assert np.array_equal(trace.embeddings[t], X), \
                         (noise_sigma, kw, n, t)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_averaging_samples_rejected(self, samples):
+        provider, _ = planar_provider(8)
+        init = random_init(8, 2, np.random.default_rng(0), 10.0)
+        with pytest.raises(ValueError, match="averaging_samples"):
+            run_averaged_oracle(provider, init, 0.1, 2,
+                                SamplerConfig(p=4, q=3),
+                                averaging_samples=samples)
 
     def test_closed_form_mean_stress_non_increasing(self):
         rng = np.random.default_rng(7)

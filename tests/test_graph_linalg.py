@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from stochmds import (
-    ObservationBatch,
-    algebraic_connectivity,
-    build_laplacian,
-    connected_components,
-    project_centering,
-    solve_min_norm,
-)
-from stochmds.graph_linalg import ComponentLaplacian
+from stochmds import ObservationBatch, algebraic_connectivity, \
+    build_laplacian
+from stochmds.graph_linalg import ComponentLaplacian, _dense_min_norm, \
+    _solve_cg, group_components
 
 
 def batch(entries):
     return ObservationBatch.from_entries(entries)
+
+
+def min_norm(lap, rhs):
+    """Min-norm solve of one component, as every update does it."""
+    return lap.as_stack().solve(rhs[None])[0]
 
 
 def random_connected_graph(rng, p, w_lo, w_hi=1.0):
@@ -86,34 +86,35 @@ class TestBuildLaplacian:
 
 
 class TestConnectedComponents:
+    @staticmethod
+    def components(b, n):
+        return [lap.node_ids.tolist() for lap in build_laplacian(b, n)]
+
     def test_path_graph(self):
-        part = connected_components(batch([(0, 1, 1, 1), (1, 2, 1, 1)]), 3)
-        assert len(part.clusters) == 1
-        np.testing.assert_array_equal(part.clusters[0], [0, 1, 2])
+        comps = self.components(batch([(0, 1, 1, 1), (1, 2, 1, 1)]), 3)
+        assert comps == [[0, 1, 2]]
 
     def test_two_edges(self):
-        part = connected_components(batch([(0, 1, 1, 1), (2, 3, 1, 1)]), 4)
-        assert [c.tolist() for c in part.clusters] == [[0, 1], [2, 3]]
+        comps = self.components(batch([(0, 1, 1, 1), (2, 3, 1, 1)]), 4)
+        assert comps == [[0, 1], [2, 3]]
 
     def test_empty(self):
-        part = connected_components(ObservationBatch.empty(), 2)
-        assert [c.tolist() for c in part.clusters] == [[0], [1]]
+        assert self.components(ObservationBatch.empty(), 2) == [[0], [1]]
 
     def test_ordering_by_smallest_member(self):
-        part = connected_components(batch([(4, 5, 1, 1), (0, 2, 1, 1)]), 6)
-        firsts = [c[0] for c in part.clusters]
-        assert firsts == sorted(firsts)
+        comps = self.components(batch([(4, 5, 1, 1), (0, 2, 1, 1)]), 6)
+        assert comps == [[0, 2], [1], [3], [4, 5]]
 
 
 class TestSolveMinNorm:
     def test_two_node_system(self):
         lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]
-        y = solve_min_norm(lap, np.array([[1.0], [-1.0]]))
+        y = min_norm(lap, np.array([[1.0], [-1.0]]))
         np.testing.assert_allclose(y, [[0.5], [-0.5]], atol=1e-12)
 
     def test_zero_rhs(self):
         lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]
-        y = solve_min_norm(lap, np.zeros((2, 3)))
+        y = min_norm(lap, np.zeros((2, 3)))
         np.testing.assert_array_equal(y, np.zeros((2, 3)))
 
     def test_matches_dense_pinv(self):
@@ -124,7 +125,7 @@ class TestSolveMinNorm:
             rhs = rng.standard_normal((p, 2))
             rhs -= rhs.mean(axis=0)
             want = np.linalg.pinv(lap.to_dense()) @ rhs
-            got = solve_min_norm(lap, rhs)
+            got = min_norm(lap, rhs)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_residual_and_centering_contract(self):
@@ -134,7 +135,7 @@ class TestSolveMinNorm:
             lap = build_laplacian(random_connected_graph(rng, p, 0.01), p)[0]
             rhs = rng.standard_normal((p, 3))
             rhs -= rhs.mean(axis=0)
-            y = solve_min_norm(lap, rhs)
+            y = min_norm(lap, rhs)
             resid = np.linalg.norm(lap.to_dense() @ y - rhs)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
             assert np.abs(y.sum(axis=0)).max() <= 1e-9 * np.abs(y).sum()
@@ -142,44 +143,23 @@ class TestSolveMinNorm:
     def test_cg_path_matches_dense(self):
         rng = np.random.default_rng(9)
         p = 60
-        lap = build_laplacian(random_connected_graph(rng, p, 0.1), p)[0]
+        stack = build_laplacian(random_connected_graph(rng, p, 0.1),
+                                p)[0].as_stack()
         rhs = rng.standard_normal((p, 2))
         rhs -= rhs.mean(axis=0)
-        dense = solve_min_norm(lap, rhs)
-        iterative = solve_min_norm(lap, rhs, dense_threshold=4)
+        dense = _dense_min_norm(stack, rhs[None])[0]
+        iterative = _solve_cg(stack, rhs)
         np.testing.assert_allclose(iterative, dense, atol=1e-8)
 
-    def test_inconsistent_rhs_rejected(self):
-        lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]
-        with pytest.raises(ValueError):
-            solve_min_norm(lap, np.array([[1.0], [1.0]]))
-
     def test_low_weight_warning(self):
-        lap = build_laplacian(batch([(0, 1, 1.0, 1e-6)]), 2)[0]
-        rhs = np.array([[1.0], [-1.0]])
-        with pytest.warns(UserWarning):
-            solve_min_norm(lap, rhs, eps_w=1e-3)
-
-
-class TestProjectCentering:
-    def test_mean_removal(self):
-        lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]
-        out = project_centering(lap, np.array([[1.0, 1.0], [3.0, 3.0]]))
-        np.testing.assert_array_equal(out, [[-1.0, -1.0], [1.0, 1.0]])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        lap = build_laplacian(random_connected_graph(rng, 6, 0.2), 6)[0]
-        X = rng.standard_normal((6, 2))
-        once = project_centering(lap, X)
-        twice = project_centering(lap, once)
-        np.testing.assert_allclose(twice, once, atol=1e-12)
-
-    def test_constant_vector_annihilated(self):
-        lap = build_laplacian(
-            batch([(0, 1, 1, 1), (1, 2, 1, 1)]), 3)[0]
-        out = project_centering(lap, np.ones((3, 1)))
-        np.testing.assert_allclose(out, np.zeros((3, 1)), atol=1e-15)
+        """A weight below eps_w is clamped up, with a warning, before the
+        solve, so the solved system keeps its conditioning bound."""
+        low = batch([(0, 1, 1.0, 1e-6)])
+        with pytest.warns(UserWarning, match="below eps_w"):
+            [stack] = group_components(low, 2, eps_w=1e-3)
+        np.testing.assert_array_equal(stack.weights, [1e-3])
+        y = stack.solve(np.array([[[1.0], [-1.0]]]))[0]
+        np.testing.assert_allclose(y, [[500.0], [-500.0]], rtol=1e-12)
 
 
 class TestAlgebraicConnectivity:

@@ -9,7 +9,6 @@ from stochmds import (
     ObservationBatch,
     StepConfig,
     averaged_step,
-    b_epsilon_matrix,
     closed_form_b_average,
     sgd_step,
     smacof_iterate,
@@ -18,7 +17,8 @@ from stochmds import (
     stress,
     upsilon,
 )
-from stochmds.graph_linalg import DENSE_SOLVER_MAX
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, group_components
+from stochmds.stress_core import _b_times_x, _regularized_coeffs
 
 
 def full_batch(X, weights=None, deltas=None):
@@ -73,29 +73,48 @@ class TestStress:
         assert stress(X @ R, b) == pytest.approx(stress(X, b), rel=1e-10)
 
 
+def b_epsilon_dense(X, stack, eps_x):
+    """Dense B^eps(X_C) of a stack of one: the Laplacian of the regularized
+    edge coefficients, with exact zero row sums."""
+    nodes = stack.nodes[0]
+    coef, _ = _regularized_coeffs(X[nodes], stack.a, stack.b, stack.weights,
+                                  stack.delta, eps_x)
+    B = np.zeros((len(nodes), len(nodes)))
+    np.add.at(B, (stack.a, stack.b), -coef)
+    np.add.at(B, (stack.b, stack.a), -coef)
+    B[np.diag_indices_from(B)] = -B.sum(axis=1)
+    return B
+
+
 class TestBEpsilonMatrix:
     def test_hand_value(self):
         X = np.array([[0.0, 0.0], [3.0, 0.0]])
         b = ObservationBatch.from_entries([(0, 1, 2.0, 1.0)])
-        [(nodes, B)] = b_epsilon_matrix(X, b, eps_x=0.0)
+        coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
+        np.testing.assert_allclose(coef, [2 / 3], rtol=1e-15)
+        [stack] = group_components(b, 2)
         np.testing.assert_allclose(
-            B.toarray(), [[2 / 3, -2 / 3], [-2 / 3, 2 / 3]], atol=1e-15)
+            _b_times_x(X[stack.nodes], stack, 0.0)[0],
+            np.array([[2 / 3, -2 / 3], [-2 / 3, 2 / 3]]) @ X, atol=1e-15)
 
     def test_coincident_points_guarded(self):
         X = np.zeros((2, 2))
         b = ObservationBatch.from_entries([(0, 1, 1.0, 1.0)])
-        [(_, B)] = b_epsilon_matrix(X, b, eps_x=1e-8)
-        np.testing.assert_allclose(np.abs(B.toarray()).max(), 1e4, rtol=1e-12)
+        coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 1e-8)
+        np.testing.assert_allclose(coef, [1e4], rtol=1e-12)
         # the eps_x = 0 guard zeroes the coincident entry entirely
-        [(_, B0)] = b_epsilon_matrix(X, b, eps_x=0.0)
-        assert np.abs(B0.toarray()).max() == 0.0
+        coef0, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
+        assert coef0.tolist() == [0.0]
 
     def test_zero_weight_entry_absent(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         b = ObservationBatch.from_entries([(0, 1, 1.0, 1.0), (1, 2, 1.0, 0.0)])
-        comps = b_epsilon_matrix(X, b, eps_x=0.0)
-        assert len(comps) == 1  # zero-weight pair forms no component
-        np.testing.assert_array_equal(comps[0][0], [0, 1])
+        stacks = group_components(b, 3)
+        # the zero-weight pair forms no component and enters no B X
+        assert [s.nodes.tolist() for s in stacks] == [[[0, 1]]]
+        np.testing.assert_array_equal(stacks[0].weights, [1.0])
+        np.testing.assert_allclose(_b_times_x(X[stacks[0].nodes], stacks[0],
+                                              0.0)[0], [[-1, 0], [1, 0]])
 
     def test_boundedness_and_zero_row_sums(self):
         rng = np.random.default_rng(4)
@@ -103,11 +122,14 @@ class TestBEpsilonMatrix:
         for _ in range(50):
             X, b = random_instance(rng, n=8)
             bound = (b.weight * b.delta / np.sqrt(eps_x)).max()
-            for _, B in b_epsilon_matrix(X, b, eps_x):
-                dense = B.toarray()
+            for stack in group_components(b, len(X)):
+                dense = b_epsilon_dense(X, stack, eps_x)
                 assert np.abs(dense).max() <= bound + 1e-12
                 assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * max(
                     np.abs(dense).max(), 1.0)
+                Xc = X[stack.nodes]
+                np.testing.assert_allclose(_b_times_x(Xc, stack, eps_x)[0],
+                                           dense @ Xc[0], atol=1e-12)
 
 
 class TestSmacofIterate:
