@@ -9,7 +9,6 @@ same update, and streaming data providers for larger-than-memory datasets.
 
 from .observations import ObservationBatch, StepConfig
 from .graph_linalg import (
-    ComponentLaplacian,
     algebraic_connectivity,
     build_laplacian,
 )

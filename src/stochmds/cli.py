@@ -1,7 +1,8 @@
 """Command-line surface: embed, localize, oracle, stats, bench.
 
 Configuration comes from an optional JSON file plus flag overrides (flags
-win). Unknown config keys are rejected. Every randomized behavior derives
+win). Unknown config keys are rejected, and every value is checked for the
+type its flag has and for its range. Every randomized behavior derives
 from the single --seed, and the effective config is echoed into the trace
 header so runs can be reproduced bit-for-bit. ``--threads`` (config key
 ``threads``) is accepted for config compatibility and has no effect.
@@ -157,8 +158,34 @@ _RANGES = {
 }
 
 
+# config-file values must have the types argparse gives the flags
+_COUNTS = {"n", "dim", "seed", "threads", "p", "q", "slots", "iters",
+           "samples", "eval_pairs", "anchors", "rounds", "align_every",
+           "competitor_every", "min_neighbors", "max_members"}
+_REALS = {"mu", "eps_x", "eps_w", "fraction", "tol", "noise_sigma",
+          "init_scale", "alpha", "sigma_v", "timeout_prob",
+          "mean_cluster_size"}
+
+# batch mode materializes all N(N-1)/2 pairs and the closed-form oracle an
+# N x N matrix plus N x N x P temporaries per slot: memory grows as N^2
+MATERIALIZE_MAX_NODES = 3000
+
+
+def _check_type(key: str, val, default) -> None:
+    if val is None:
+        if default is not None:
+            raise ConfigError(f"config field '{key}' must not be null")
+    elif key in _COUNTS and (isinstance(val, bool)
+                             or not isinstance(val, int)):
+        raise ConfigError(f"config field '{key}'={val!r} must be an integer")
+    elif key in _REALS and (isinstance(val, bool)
+                            or not isinstance(val, (int, float))):
+        raise ConfigError(f"config field '{key}'={val!r} must be a number")
+
+
 def load_config(defaults: dict, path: str | None, overrides: dict) -> dict:
-    """Merge defaults, config file, and flag overrides (strict keys)."""
+    """Merge defaults, config file, and flag overrides (strict keys), then
+    check each value's type and range."""
     cfg = dict(defaults)
     if path:
         try:
@@ -177,9 +204,11 @@ def load_config(defaults: dict, path: str | None, overrides: dict) -> dict:
             if key not in defaults:
                 raise ConfigError(f"unknown config key: {key}")
             cfg[key] = val
+    for key, val in cfg.items():
+        _check_type(key, val, defaults[key])
     for key, (lo, hi) in _RANGES.items():
         if key in cfg and cfg[key] is not None:
-            v = float(cfg[key])
+            v = cfg[key]
             if not lo <= v <= hi:
                 raise ConfigError(f"config field '{key}'={v} outside [{lo}, {hi}]")
     return cfg
@@ -212,12 +241,16 @@ def _load_provider(cfg: dict):
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
+def _check_materializable(what: str, n: int) -> None:
+    if n > MATERIALIZE_MAX_NODES:
+        raise ConfigError(
+            f"{what} materializes all pairs; use a sampled mode for "
+            f"N={n} > {MATERIALIZE_MAX_NODES}")
+
+
 def _full_batch(provider, n: int):
     """Materialize all pairs from a provider (small-N batch mode only)."""
-    if n > 3000:
-        raise ConfigError(
-            "batch mode materializes all pairs; use mode=stochastic for "
-            f"N={n} > 3000")
+    _check_materializable("batch mode", n)
     iu, ju = np.triu_indices(n, k=1)
     delta = provider.pairs(iu, ju)
     keep = np.isfinite(delta) & (delta > 0)
@@ -353,6 +386,8 @@ def cmd_oracle(args) -> int:
     if cfg["mode"] not in ("empirical", "closed_form"):
         raise ConfigError(f"unknown oracle mode {cfg['mode']!r}")
     provider, batch, n = _load_provider(cfg)
+    if cfg["mode"] == "closed_form":
+        _check_materializable("the closed-form oracle", n)
     init = _init_embedding(cfg, provider, batch, n)
     step = StepConfig(mu=cfg["mu"], eps_x=cfg["eps_x"], eps_w=cfg["eps_w"])
     if cfg["mode"] == "closed_form":

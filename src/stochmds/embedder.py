@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data_io import MatrixProvider
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, partition_nodes, \
@@ -128,12 +129,17 @@ def random_init(node_count: int, dim: int, rng: np.random.Generator,
     return X - X.mean(axis=0)
 
 
-def estimate_scale(provider, seed: int, samples: int = 512) -> float:
-    """Largest dissimilarity over a random pair sample, used to size inits."""
+# pairs sampled by estimate_scale
+_SCALE_SAMPLES = 512
+
+
+def estimate_scale(provider, seed: int) -> float:
+    """Largest dissimilarity over a random sample of ``_SCALE_SAMPLES``
+    pairs, used to size inits."""
     n = provider.node_count
     total = n * (n - 1) // 2
     rng = substream(seed, "init")
-    k = rng.choice(total, size=min(samples, total), replace=False)
+    k = rng.choice(total, size=min(_SCALE_SAMPLES, total), replace=False)
     a, b = _pair_from_index(np.sort(k), n)
     d = provider.pairs(a, b)
     d = d[np.isfinite(d)]
@@ -455,16 +461,9 @@ def run_averaged_oracle(
         if p is None:
             raise ValueError("closed_form mode requires a cluster size")
         ups = upsilon(n, p)
-
-        class _MeanProvider:
-            node_count = n
-
-            @staticmethod
-            def pairs(m, nn):
-                return expected_deltas[m, nn]
-
         eval_seed = seed if seed is not None else 0
-        evaluator = _EvalSet(_MeanProvider, eval_seed, eval_pairs)
+        evaluator = _EvalSet(MatrixProvider(expected_deltas), eval_seed,
+                             eval_pairs)
     else:
         if sampler is None:
             raise ValueError("empirical mode requires a sampler")

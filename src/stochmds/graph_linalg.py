@@ -10,13 +10,16 @@ positive-weight edges by connected component into one ``ComponentStack``
 per component size, and ``ComponentStack.solve`` does the min-norm solves
 of a stack at once: one batched dense factorization up to
 ``DENSE_SOLVER_MAX`` nodes, deflated conjugate gradients above. A single
-component is a stack of one. ``_laplacian_entries`` alone decides how
-measurements become Laplacian entries; a pair measured twice counts twice.
+component is a stack of one: ``build_laplacian`` returns one per connected
+component and ``algebraic_connectivity`` takes one. ``_laplacian_entries``
+alone decides how measurements become Laplacian entries (a pair measured
+twice counts twice); the batched dense kernel and ``_sparse``, the CSR form
+behind CG and ``algebraic_connectivity``, both read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +29,6 @@ from scipy.sparse.linalg import cg as _cg
 from .observations import ObservationBatch, clamp_weights
 
 __all__ = [
-    "ComponentLaplacian",
     "ComponentStack",
     "group_components",
     "build_laplacian",
@@ -38,61 +40,6 @@ __all__ = [
 # fall back to deflated conjugate gradients on the sparse Laplacian
 DENSE_SOLVER_MAX = 512
 _CG_TOL = 1e-12   # relative residual that CG iterates to
-
-
-@dataclass
-class ComponentLaplacian:
-    """Laplacian of one connected component: a view of a stack of one.
-
-    Edges are stored with ``rows[k] < cols[k]`` in local indices, so a
-    repeated measurement counts once per measurement. The diagonal is implied
-    as the weighted degree, so row sums of the full matrix are exactly zero by
-    construction.
-    """
-
-    node_ids: np.ndarray  # global node indices, ascending
-    rows: np.ndarray      # local edge endpoints, rows[k] < cols[k]
-    cols: np.ndarray
-    weights: np.ndarray   # strictly positive edge weights
-    degree: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.degree is None:
-            self.degree = _laplacian_entries(self.as_stack())[3][0]
-
-    @property
-    def size(self) -> int:
-        return len(self.node_ids)
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored off-diagonal entries (one per measurement)."""
-        return len(self.weights)
-
-    def to_dense(self) -> np.ndarray:
-        return _sparse(self.as_stack())[0].toarray()
-
-    def as_stack(self) -> "ComponentStack":
-        """This component as a stack of one."""
-        return ComponentStack(self.node_ids[None, :], self.rows, self.cols,
-                              self.weights)
-
-    def check(self) -> "ComponentLaplacian":
-        """Validate the structural invariants (used by tests)."""
-        if np.any(self.weights <= 0):
-            raise ValueError("stored weights must be strictly positive")
-        if np.any(self.rows >= self.cols):
-            raise ValueError("edges must be stored with rows < cols")
-        # the diagonal is by definition the negated off-diagonal row sum
-        d = (np.bincount(self.rows, weights=self.weights, minlength=self.size)
-             + np.bincount(self.cols, weights=self.weights, minlength=self.size))
-        if not np.array_equal(d, self.degree):
-            raise ValueError("degree must equal the off-diagonal row sums")
-        if self.size:
-            sums = np.abs(self.to_dense().sum(axis=1))
-            if sums.max() > 1e-12 * max(float(self.degree.max()), 1.0):
-                raise ValueError("row sums must vanish")
-        return self
 
 
 def _component_labels(m, n, node_count):
@@ -158,7 +105,7 @@ class ComponentStack:
     a: np.ndarray
     b: np.ndarray
     weights: np.ndarray
-    delta: np.ndarray | None = None
+    delta: np.ndarray
 
     @property
     def size(self) -> int:
@@ -186,7 +133,7 @@ class ComponentStack:
             e = slice(bounds[k], bounds[k + 1])
             yield ComponentStack(
                 self.nodes[k:k + 1], self.a[e] - k * p, self.b[e] - k * p,
-                self.weights[e], None if self.delta is None else self.delta[e])
+                self.weights[e], self.delta[e])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
@@ -276,7 +223,7 @@ def group_components(batch: ObservationBatch, node_count: int,
 
 
 def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
-    """Build one ``ComponentLaplacian`` per connected component.
+    """One ``ComponentStack`` of one component per connected component.
 
     Components are ordered by their smallest member. Isolated nodes appear as
     singleton components with empty edge sets (skipped by all solvers).
@@ -286,9 +233,7 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
                                              singletons=True)
              for c in stack.split()]
     comps.sort(key=lambda c: c.nodes[0, 0])
-    return [ComponentLaplacian(c.nodes[0], np.minimum(c.a, c.b),
-                               np.maximum(c.a, c.b), c.weights)
-            for c in comps]
+    return comps
 
 
 def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
@@ -331,10 +276,10 @@ def _solve_cg(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def algebraic_connectivity(lap: ComponentLaplacian) -> float:
+def algebraic_connectivity(stack: ComponentStack) -> float:
     """Second-smallest Laplacian eigenvalue (reciprocal of the pseudo-inverse
-    spectral norm) of a connected component."""
-    if lap.size < 2:
+    spectral norm) of a connected component, given as a stack of one."""
+    if stack.size < 2:
         raise ValueError("algebraic connectivity is undefined for singletons")
-    vals = np.linalg.eigvalsh(lap.to_dense())
+    vals = np.linalg.eigvalsh(_sparse(stack)[0].toarray())
     return float(vals[1])

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# iteration cap of each batch competitor re-solve
+_COMPETITOR_ITERS = 200
+
+
 @dataclass
 class MobilityConfig:
     """Gauss-Markov velocity recursion v' = alpha v + sqrt(1-alpha^2) n."""
@@ -72,7 +76,6 @@ class ProtocolConfig:
     max_members: int = 10
     noise_sigma: float = 0.1
     timeout_prob: float = 0.0
-    scheme: str = "unity"
     eps_x: float = 1e-8
     eps_w: float = 1e-3
 
@@ -151,11 +154,10 @@ def init_velocities(state: MobileNetworkState, sigma_v: float,
     state.velocities = sigma_v * rng.standard_normal((state.node_count, 2))
 
 
-def perturb_estimates(state: MobileNetworkState, rng: np.random.Generator,
-                      variance: float | None = None) -> None:
+def perturb_estimates(state: MobileNetworkState,
+                      rng: np.random.Generator) -> None:
     """Initial estimates: truth plus Gaussian error of variance N/100."""
-    if variance is None:
-        variance = state.node_count / 100.0
+    variance = state.node_count / 100.0
     state.estimates = state.positions + math.sqrt(variance) * \
         rng.standard_normal((state.node_count, 2))
 
@@ -245,7 +247,7 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
         true_d = dist[members]
         meas = true_d + cfg.noise_sigma * rng.standard_normal(len(members)) \
             if cfg.noise_sigma > 0 else true_d.copy()
-        w = assign_weights(meas, cfg.scheme, eps_w=cfg.eps_w)
+        w = assign_weights(meas, "unity")
 
         timed_out = cfg.timeout_prob > 0 and rng.random() < cfg.timeout_prob
         log.results += 1  # result broadcast is transmitted either way
@@ -338,7 +340,6 @@ def run_localization(
     anchor_count: int = 5,
     align_every: int = 10,
     competitor_every: int | None = None,
-    competitor_iters: int = 200,
     record_positions: bool = False,
     config_echo: dict | None = None,
 ):
@@ -348,7 +349,8 @@ def run_localization(
     ``align_every`` rounds) re-align estimates onto the anchors, snapping
     anchor estimates to their true positions. With ``competitor_every`` set,
     a complexity-normalized batch competitor re-solves the full in-range
-    measurement graph every k-th round from a warm start and is aligned on
+    measurement graph every k-th round from a warm start (at most
+    ``_COMPETITOR_ITERS`` majorization iterations) and is aligned on
     the same cadence; its per-round error is reported alongside.
 
     Returns a dict with per-round metric records, final state, and (when
@@ -376,7 +378,7 @@ def run_localization(
             full = measure_distances(state, protocol.noise_sigma,
                                      substream(seed, "measure", t))
             trace = run_batch_smacof(full, competitor, tol=1e-8,
-                                     max_iters=competitor_iters)
+                                     max_iters=_COMPETITOR_ITERS)
             competitor = trace.final
 
         if align_every and t % align_every == 0 and len(state.anchors) >= 3:

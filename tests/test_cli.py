@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stochmds import cli
 from stochmds.cli import (
     EMBED_DEFAULTS,
     EXIT_CONFIG,
@@ -160,6 +161,52 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
         assert not trace.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("localize", "max_members", 2.5), ("localize", "anchors", 2.5),
+        ("localize", "align_every", 2.5),
+        ("localize", "competitor_every", 2.5),
+        *[(command, key, value) for command in ("embed", "oracle")
+          for key, value in (("dim", 2.5), ("p", 2.5), ("n", 20.5),
+                             ("slots", 2.5), ("slots", True),
+                             ("eps_x", "1e-8"), ("mu", [0.1]), ("mu", None),
+                             ("mu", "abc"))],
+        ("oracle", "samples", 2.5),
+    ], ids=lambda v: json.dumps(v).strip('"'))
+    def test_mistyped_config_value_is_config_error(self, command, key, value,
+                                                   edge_file, tmp_path,
+                                                   capsys):
+        """Config values get the types argparse gives the flags: counts are
+        integers, reals are numbers, and only a key that defaults to none
+        may be null."""
+        settings = {"localize": {"n": 20, "rounds": 3},
+                    "embed": {"p": 5, "slots": 2},
+                    "oracle": {"p": 5, "slots": 2, "samples": 2}}[command]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**settings, key: value}))
+        trace = tmp_path / "t.jsonl"
+        argv = [command, "--config", str(config), "--trace", str(trace)]
+        if command != "localize":
+            argv += ["--input", edge_file]
+        assert main(argv) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("command, mode", [("embed", "batch"),
+                                               ("oracle", "closed_form")])
+    def test_all_pairs_modes_share_the_size_limit(self, command, mode,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        """Batch mode and the closed-form oracle hold all pairs at once;
+        above one shared node limit both refuse to start."""
+        monkeypatch.setattr(cli, "MATERIALIZE_MAX_NODES", 5)
+        out = tmp_path / "emb.csv"
+        code = main([command, "--mode", mode, "--input-kind", "vectors",
+                     "--input", _tiny_input("vectors", tmp_path),
+                     "--p", "2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "N=6 > 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_config_error(self):
         assert main(["embed", "--mode", "batch"]) == EXIT_CONFIG

@@ -1,21 +1,31 @@
-"""Laplacian construction, component detection, and min-norm solves."""
+"""Laplacian construction, component detection, and min-norm solves.
+
+``build_laplacian`` returns one ``ComponentStack`` of one component per
+connected component; the tests read node ids from ``nodes[0]``, degrees from
+``_laplacian_entries`` and dense matrices from ``_sparse``, the assembly the
+CG solve and ``algebraic_connectivity`` run on."""
 
 import numpy as np
 import pytest
 
 from stochmds import ObservationBatch, algebraic_connectivity, \
     build_laplacian
-from stochmds.graph_linalg import ComponentLaplacian, _dense_min_norm, \
-    _solve_cg, group_components
+from stochmds.graph_linalg import _dense_min_norm, _laplacian_entries, \
+    _solve_cg, _sparse, group_components
 
 
 def batch(entries):
     return ObservationBatch.from_entries(entries)
 
 
-def min_norm(lap, rhs):
+def dense(stack):
+    """A stack of one's Laplacian as an array."""
+    return _sparse(stack)[0].toarray()
+
+
+def min_norm(stack, rhs):
     """Min-norm solve of one component, as every update does it."""
-    return lap.as_stack().solve(rhs[None])[0]
+    return stack.solve(rhs[None])[0]
 
 
 def random_connected_graph(rng, p, w_lo, w_hi=1.0):
@@ -38,18 +48,23 @@ class TestBuildLaplacian:
         laps = build_laplacian(batch([(0, 1, 1.0, 1.0), (1, 2, 1.0, 2.0)]), 3)
         assert len(laps) == 1
         expected = np.array([[1., -1., 0.], [-1., 3., -2.], [0., -2., 2.]])
-        np.testing.assert_array_equal(laps[0].to_dense(), expected)
+        np.testing.assert_array_equal(dense(laps[0]), expected)
 
     def test_empty_graph_gives_singletons(self):
         laps = build_laplacian(ObservationBatch.empty(), 2)
         assert len(laps) == 2
-        assert all(l.size == 1 and l.nnz == 0 for l in laps)
+        assert all(l.count == 1 and l.size == 1 and l.nnz == 0
+                   for l in laps)
 
     def test_two_components(self):
         laps = build_laplacian(batch([(0, 1, 1.0, 1.0), (2, 3, 1.0, 1.0)]), 4)
         assert len(laps) == 2
-        np.testing.assert_array_equal(laps[0].node_ids, [0, 1])
-        np.testing.assert_array_equal(laps[1].node_ids, [2, 3])
+        assert [l.count for l in laps] == [1, 1]
+        np.testing.assert_array_equal(laps[0].nodes[0], [0, 1])
+        np.testing.assert_array_equal(laps[1].nodes[0], [2, 3])
+        # split() carries each component's own measurements
+        np.testing.assert_array_equal(laps[1].a, [0])
+        np.testing.assert_array_equal(laps[1].b, [1])
 
     def test_zero_row_sums(self):
         """Diagonal equals the negated off-diagonal row sum by definition."""
@@ -57,19 +72,26 @@ class TestBuildLaplacian:
         for _ in range(20):
             p = int(rng.integers(2, 12))
             lap = build_laplacian(random_connected_graph(rng, p, 0.1), p)[0]
-            lap.check()
+            assert np.all(lap.weights > 0) and np.all(lap.a != lap.b)
+            degree = _laplacian_entries(lap)[3][0]
             expected = (
-                np.bincount(lap.rows, weights=lap.weights, minlength=p)
-                + np.bincount(lap.cols, weights=lap.weights, minlength=p))
-            np.testing.assert_array_equal(lap.degree, expected)
-            assert np.max(np.abs(lap.to_dense().sum(axis=1))) < 1e-12
+                np.bincount(lap.a, weights=lap.weights, minlength=p)
+                + np.bincount(lap.b, weights=lap.weights, minlength=p))
+            np.testing.assert_array_equal(degree, expected)
+            L = dense(lap)
+            np.testing.assert_array_equal(np.diag(L), degree)
+            assert np.max(np.abs(L.sum(axis=1))) < 1e-12
 
     def test_repeated_pair_counts_once_per_measurement(self):
         lap = build_laplacian(
             batch([(0, 1, 1.0, 0.5), (1, 0, 1.0, 1.0), (1, 2, 1.0, 1.0)]), 3)[0]
-        lap.check()
+        assert lap.nnz == 3
+        np.testing.assert_array_equal(_laplacian_entries(lap)[3][0],
+                                      [1.5, 2.5, 1.0])
         expected = np.array([[1.5, -1.5, 0.], [-1.5, 2.5, -1.], [0., -1., 1.]])
-        np.testing.assert_array_equal(lap.to_dense(), expected)
+        L = dense(lap)
+        np.testing.assert_array_equal(L, expected)
+        np.testing.assert_array_equal(L.sum(axis=1), np.zeros(3))
 
     def test_rejects_bad_indices_and_weights(self):
         with pytest.raises(ValueError):
@@ -88,7 +110,7 @@ class TestBuildLaplacian:
 class TestConnectedComponents:
     @staticmethod
     def components(b, n):
-        return [lap.node_ids.tolist() for lap in build_laplacian(b, n)]
+        return [lap.nodes[0].tolist() for lap in build_laplacian(b, n)]
 
     def test_path_graph(self):
         comps = self.components(batch([(0, 1, 1, 1), (1, 2, 1, 1)]), 3)
@@ -124,7 +146,7 @@ class TestSolveMinNorm:
             lap = build_laplacian(random_connected_graph(rng, p, 0.05), p)[0]
             rhs = rng.standard_normal((p, 2))
             rhs -= rhs.mean(axis=0)
-            want = np.linalg.pinv(lap.to_dense()) @ rhs
+            want = np.linalg.pinv(dense(lap)) @ rhs
             got = min_norm(lap, rhs)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -136,20 +158,19 @@ class TestSolveMinNorm:
             rhs = rng.standard_normal((p, 3))
             rhs -= rhs.mean(axis=0)
             y = min_norm(lap, rhs)
-            resid = np.linalg.norm(lap.to_dense() @ y - rhs)
+            resid = np.linalg.norm(dense(lap) @ y - rhs)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
             assert np.abs(y.sum(axis=0)).max() <= 1e-9 * np.abs(y).sum()
 
     def test_cg_path_matches_dense(self):
         rng = np.random.default_rng(9)
         p = 60
-        stack = build_laplacian(random_connected_graph(rng, p, 0.1),
-                                p)[0].as_stack()
+        stack = build_laplacian(random_connected_graph(rng, p, 0.1), p)[0]
         rhs = rng.standard_normal((p, 2))
         rhs -= rhs.mean(axis=0)
-        dense = _dense_min_norm(stack, rhs[None])[0]
+        direct = _dense_min_norm(stack, rhs[None])[0]
         iterative = _solve_cg(stack, rhs)
-        np.testing.assert_allclose(iterative, dense, atol=1e-8)
+        np.testing.assert_allclose(iterative, direct, atol=1e-8)
 
     def test_low_weight_warning(self):
         """A weight below eps_w is clamped up, with a warning, before the
@@ -173,9 +194,9 @@ class TestAlgebraicConnectivity:
         assert algebraic_connectivity(lap) == pytest.approx(3.0, abs=1e-10)
 
     def test_singleton_rejected(self):
-        lap = ComponentLaplacian(np.array([0]), np.zeros(0, dtype=int),
-                                 np.zeros(0, dtype=int), np.zeros(0))
-        with pytest.raises(ValueError):
+        [lap] = build_laplacian(ObservationBatch.empty(), 1)
+        assert lap.size == 1
+        with pytest.raises(ValueError, match="singletons"):
             algebraic_connectivity(lap)
 
     def test_connectivity_lower_bound(self):
