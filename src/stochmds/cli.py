@@ -1,11 +1,13 @@
 """Command-line surface: embed, localize, oracle, stats, bench.
 
 Configuration comes from an optional JSON file plus flag overrides (flags
-win). Unknown config keys are rejected, and every value is checked for the
-type its flag has and for its range. Every randomized behavior derives
-from the single --seed, and the effective config is echoed into the trace
-header so runs can be reproduced bit-for-bit. ``--threads`` (config key
-``threads``) is accepted for config compatibility and has no effect.
+win). ``CONFIG_KEYS`` gives every config key its type and its range or
+allowed strings: the typed flags are built from it, unknown keys are
+rejected, and every merged value is checked against it. Every randomized
+behavior derives from the single --seed, and the effective config is echoed
+into the trace header so runs can be reproduced bit-for-bit. ``--threads``
+(config key ``threads``) is accepted for config compatibility and has no
+effect.
 
 Exit codes: 0 success, 2 usage, 3 config validation, 4 input/data error,
 5 execution failure.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -47,8 +50,65 @@ class ConfigError(Exception):
     pass
 
 
-EMBED_DEFAULTS = {
-    "mode": "stochastic",
+EMBED_MODES = ("batch", "stochastic", "spe", "sgd")
+ORACLE_MODES = ("empirical", "closed_form")
+
+_INF = float("inf")
+
+# Every config key once: its type, then either its inclusive range or its
+# allowed strings (None leaves the value open). Reals must also be finite.
+# The typed flags are built from the same entries.
+CONFIG_KEYS = {
+    "mode": (str, None),  # allowed modes depend on the command
+    "input": (str, None),
+    "input_kind": (str, ("edges", "matrix", "vectors", "coords",
+                         "fingerprints")),
+    "metric": (str, ("euclidean", "cosine")),
+    "scheme": (str, ("unity", "sammon")),
+    "out": (str, None),
+    "trace": (str, None),
+    "snapshots": (str, None),
+    "embeddings_out": (str, None),
+    "record_embeddings": (bool, None),
+    "schedule": (dict, None),
+    "sizes": (list, None),  # node counts
+    "n": (int, None),
+    "seed": (int, None),
+    "threads": (int, None),
+    "p": (int, None),
+    "q": (int, None),
+    "anchors": (int, (0, _INF)),
+    "dim": (int, (1, _INF)),
+    "samples": (int, (1, _INF)),
+    "eval_pairs": (int, (0, _INF)),
+    "slots": (int, (0, _INF)),
+    "iters": (int, (0, _INF)),
+    # a localize run reports its last round, so it needs one
+    "rounds": (int, (1, _INF)),
+    "max_members": (int, (1, _INF)),
+    "min_neighbors": (int, (0, _INF)),
+    # cadences in rounds; 0 turns them off
+    "align_every": (int, (0, _INF)),
+    "competitor_every": (int, (0, _INF)),
+    "mu": (float, (0.0, 1.0)),
+    "eps_x": (float, (0.0, _INF)),
+    "eps_w": (float, (1e-300, 1.0)),
+    "fraction": (float, (1e-300, 1.0)),
+    "tol": (float, (0.0, _INF)),
+    "noise_sigma": (float, (0.0, _INF)),
+    "init_scale": (float, (1e-300, _INF)),
+    "alpha": (float, (0.0, 1.0)),
+    "sigma_v": (float, (0.0, _INF)),
+    "timeout_prob": (float, (0.0, 1.0)),
+    "mean_cluster_size": (float, (1.0, _INF)),
+}
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false", dict: "an object",
+               list: "a list of integers"}
+
+# keys and defaults that embed and oracle share
+_SAMPLED_DEFAULTS = {
     "input": None,
     "input_kind": "edges",
     "metric": "euclidean",
@@ -57,16 +117,12 @@ EMBED_DEFAULTS = {
     "seed": 0,
     "threads": 1,
     "mu": 0.1,
-    "schedule": None,
     "eps_x": 1e-8,
     "eps_w": 1e-3,
     "p": 10,
     "q": None,
     "fraction": None,
     "scheme": "unity",
-    "slots": 1000,
-    "iters": 500,
-    "tol": 1e-6,
     "noise_sigma": 0.0,
     "eval_pairs": 100_000,
     "init_scale": None,
@@ -75,6 +131,12 @@ EMBED_DEFAULTS = {
     "record_embeddings": False,
     "embeddings_out": None,
 }
+
+EMBED_DEFAULTS = {**_SAMPLED_DEFAULTS, "mode": "stochastic", "schedule": None,
+                  "slots": 1000, "iters": 500, "tol": 1e-6}
+
+ORACLE_DEFAULTS = {**_SAMPLED_DEFAULTS, "mode": "empirical", "slots": 100,
+                   "samples": 100}
 
 LOCALIZE_DEFAULTS = {
     "n": 50,
@@ -98,32 +160,6 @@ LOCALIZE_DEFAULTS = {
     "snapshots": None,
 }
 
-ORACLE_DEFAULTS = {
-    "input": None,
-    "input_kind": "edges",
-    "metric": "euclidean",
-    "n": None,
-    "dim": 2,
-    "seed": 0,
-    "mode": "empirical",
-    "mu": 0.1,
-    "slots": 100,
-    "samples": 100,
-    "p": 10,
-    "q": None,
-    "fraction": None,
-    "scheme": "unity",
-    "eps_x": 1e-8,
-    "eps_w": 1e-3,
-    "noise_sigma": 0.0,
-    "eval_pairs": 100_000,
-    "init_scale": None,
-    "out": None,
-    "trace": None,
-    "record_embeddings": False,
-    "embeddings_out": None,
-}
-
 BENCH_DEFAULTS = {
     "sizes": [10_000, 20_000, 40_000],
     "p": 100,
@@ -135,57 +171,48 @@ BENCH_DEFAULTS = {
     "out": None,
 }
 
-_RANGES = {
-    "mu": (0.0, 1.0),
-    "eps_x": (0.0, float("inf")),
-    "eps_w": (1e-300, 1.0),
-    "fraction": (1e-300, 1.0),
-    "alpha": (0.0, 1.0),
-    "sigma_v": (0.0, float("inf")),
-    "noise_sigma": (0.0, float("inf")),
-    "timeout_prob": (0.0, 1.0),
-    "tol": (0.0, float("inf")),
-    "dim": (1, float("inf")),
-    "samples": (1, float("inf")),
-    "eval_pairs": (0, float("inf")),
-    "slots": (0, float("inf")),
-    "iters": (0, float("inf")),
-    # a localize run reports its last round, so it needs one
-    "rounds": (1, float("inf")),
-    "mean_cluster_size": (1, float("inf")),
-    "max_members": (1, float("inf")),
-    "min_neighbors": (0, float("inf")),
-}
-
-
-# config-file values must have the types argparse gives the flags
-_COUNTS = {"n", "dim", "seed", "threads", "p", "q", "slots", "iters",
-           "samples", "eval_pairs", "anchors", "rounds", "align_every",
-           "competitor_every", "min_neighbors", "max_members"}
-_REALS = {"mu", "eps_x", "eps_w", "fraction", "tol", "noise_sigma",
-          "init_scale", "alpha", "sigma_v", "timeout_prob",
-          "mean_cluster_size"}
-
 # batch mode materializes all N(N-1)/2 pairs and the closed-form oracle an
 # N x N matrix plus N x N x P temporaries per slot: memory grows as N^2
 MATERIALIZE_MAX_NODES = 3000
 
 
-def _check_type(key: str, val, default) -> None:
+def _has_type(val, kind) -> bool:
+    if kind is list:
+        return isinstance(val, list) and all(_has_type(v, int) for v in val)
+    if isinstance(val, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(val, int) or (isinstance(val, float)
+                                        and math.isfinite(val))
+    return isinstance(val, kind)
+
+
+def _check_value(key: str, val, nullable: bool) -> None:
+    """Reject a value whose type, range or string ``CONFIG_KEYS`` does not
+    allow for ``key``."""
     if val is None:
-        if default is not None:
+        if not nullable:
             raise ConfigError(f"config field '{key}' must not be null")
-    elif key in _COUNTS and (isinstance(val, bool)
-                             or not isinstance(val, int)):
-        raise ConfigError(f"config field '{key}'={val!r} must be an integer")
-    elif key in _REALS and (isinstance(val, bool)
-                            or not isinstance(val, (int, float))):
-        raise ConfigError(f"config field '{key}'={val!r} must be a number")
+        return
+    kind, limits = CONFIG_KEYS[key]
+    if not _has_type(val, kind):
+        raise ConfigError(
+            f"config field '{key}'={val!r} must be {_TYPE_NAMES[kind]}")
+    if limits is None:
+        return
+    if kind is str:
+        if val not in limits:
+            raise ConfigError(f"config field '{key}'={val!r} must be one of "
+                              f"{', '.join(limits)}")
+        return
+    lo, hi = limits
+    if not lo <= val <= hi:
+        raise ConfigError(f"config field '{key}'={val} outside [{lo}, {hi}]")
 
 
 def load_config(defaults: dict, path: str | None, overrides: dict) -> dict:
     """Merge defaults, config file, and flag overrides (strict keys), then
-    check each value's type and range."""
+    check every value against ``CONFIG_KEYS``."""
     cfg = dict(defaults)
     if path:
         try:
@@ -205,12 +232,7 @@ def load_config(defaults: dict, path: str | None, overrides: dict) -> dict:
                 raise ConfigError(f"unknown config key: {key}")
             cfg[key] = val
     for key, val in cfg.items():
-        _check_type(key, val, defaults[key])
-    for key, (lo, hi) in _RANGES.items():
-        if key in cfg and cfg[key] is not None:
-            v = cfg[key]
-            if not lo <= v <= hi:
-                raise ConfigError(f"config field '{key}'={v} outside [{lo}, {hi}]")
+        _check_value(key, val, nullable=defaults[key] is None)
     return cfg
 
 
@@ -234,11 +256,9 @@ def _load_provider(cfg: dict):
         _, feats = data_io.load_vectors(path)
         prov = data_io.FeatureProvider(feats, metric="euclidean")
         return prov, None, prov.node_count
-    if kind == "fingerprints":
-        _, bits = data_io.load_fingerprints(path)
-        prov = data_io.FingerprintProvider(bits)
-        return prov, None, prov.node_count
-    raise ConfigError(f"unknown input kind {kind!r}")
+    _, bits = data_io.load_fingerprints(path)  # fingerprints
+    prov = data_io.FingerprintProvider(bits)
+    return prov, None, prov.node_count
 
 
 def _check_materializable(what: str, n: int) -> None:
@@ -303,7 +323,7 @@ def _init_embedding(cfg, provider, batch, n):
 
 def cmd_embed(args) -> int:
     cfg = load_config(EMBED_DEFAULTS, args.config, _overrides(args, EMBED_DEFAULTS))
-    if cfg["mode"] not in ("batch", "stochastic", "spe", "sgd"):
+    if cfg["mode"] not in EMBED_MODES:
         raise ConfigError(f"unknown embed mode {cfg['mode']!r}")
     provider, batch, n = _load_provider(cfg)
     if n < 2:
@@ -337,11 +357,13 @@ def _finish(command: str, trace, cfg) -> int:
         np.save(cfg["embeddings_out"], trace.embeddings)
     print(f"{command}: status={trace.status} slots={len(trace.records) - 1} "
           f"final_stress={trace.records[-1]['stress']:.6g}")
-    if trace.status == "diverged":
-        print("error: the run diverged (non-finite or unbounded iterate)",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _diverged() if trace.status == "diverged" else EXIT_OK
+
+
+def _diverged() -> int:
+    print("error: the run diverged (non-finite or unbounded iterate)",
+          file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 def cmd_localize(args) -> int:
@@ -377,13 +399,13 @@ def cmd_localize(args) -> int:
                              ",".join(repr(v) for v in row) + "\n")
     last = result["records"][-1]
     print(f"localize: rounds={cfg['rounds']} final_e_loc={last['e_loc']:.6g}")
-    return EXIT_OK
+    return EXIT_OK if np.isfinite(last["e_loc"]) else _diverged()
 
 
 def cmd_oracle(args) -> int:
     cfg = load_config(ORACLE_DEFAULTS, args.config,
                       _overrides(args, ORACLE_DEFAULTS))
-    if cfg["mode"] not in ("empirical", "closed_form"):
+    if cfg["mode"] not in ORACLE_MODES:
         raise ConfigError(f"unknown oracle mode {cfg['mode']!r}")
     provider, batch, n = _load_provider(cfg)
     if cfg["mode"] == "closed_form":
@@ -441,10 +463,7 @@ def cmd_stats(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_config(BENCH_DEFAULTS, args.config, _overrides(args, BENCH_DEFAULTS))
-    sizes = cfg["sizes"]
-    if isinstance(sizes, str):
-        sizes = [int(s) for s in sizes.split(",")]
-    rows = bench_scaling(sizes, cfg["p"], cfg["q"], cfg["slots"],
+    rows = bench_scaling(cfg["sizes"], cfg["p"], cfg["q"], cfg["slots"],
                          cfg["dim"], cfg["seed"], cfg["threads"])
     print(f"{'N':>10} {'p':>6} {'q':>6} {'ms/slot':>12} {'factor':>8} "
           f"{'peak_MiB':>10}")
@@ -514,12 +533,35 @@ def bench_scaling(sizes, p, q, slots, dim, seed, threads=1):
 
 
 def _overrides(args, defaults: dict) -> dict:
-    out = {}
-    for key in defaults:
-        flag = key.replace("-", "_")
-        if hasattr(args, flag):
-            out[key] = getattr(args, flag)
-    return out
+    return {key: getattr(args, key) for key in defaults if hasattr(args, key)}
+
+
+def _node_counts(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+_FLAG_HELP = {"threads": "accepted for config compatibility; no effect",
+              "sizes": "comma-separated node counts"}
+
+
+def _add_flags(sp, keys, modes=()) -> None:
+    """``--config`` plus one flag per config key, typed by ``CONFIG_KEYS``;
+    ``--mode`` takes the command's ``modes``."""
+    sp.add_argument("--config", help="JSON config file")
+    for key in ("seed", "threads", *keys):
+        kind, limits = CONFIG_KEYS[key]
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            sp.add_argument(flag, action="store_const", const=True)
+        elif kind is str:
+            sp.add_argument(flag, choices=modes if key == "mode" else limits)
+        else:
+            sp.add_argument(flag, type=_node_counts if kind is list else kind,
+                            help=_FLAG_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,79 +570,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Incremental stress-minimization embedding engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int,
-                        help="accepted for config compatibility; no effect")
-
     pe = sub.add_parser("embed", help="embed a dissimilarity dataset")
-    common(pe)
-    pe.add_argument("--mode", choices=["batch", "stochastic", "spe", "sgd"])
-    pe.add_argument("--input")
-    pe.add_argument("--input-kind", dest="input_kind",
-                    choices=["edges", "matrix", "vectors", "coords",
-                             "fingerprints"])
-    pe.add_argument("--metric", choices=["euclidean", "cosine"])
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--dim", type=int)
-    pe.add_argument("--mu", type=float)
-    pe.add_argument("--eps-x", dest="eps_x", type=float)
-    pe.add_argument("--eps-w", dest="eps_w", type=float)
-    pe.add_argument("--p", type=int)
-    pe.add_argument("--q", type=int)
-    pe.add_argument("--fraction", type=float)
-    pe.add_argument("--scheme", choices=["unity", "sammon"])
-    pe.add_argument("--slots", type=int)
-    pe.add_argument("--iters", type=int)
-    pe.add_argument("--tol", type=float)
-    pe.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    pe.add_argument("--eval-pairs", dest="eval_pairs", type=int)
-    pe.add_argument("--init-scale", dest="init_scale", type=float)
-    pe.add_argument("--out")
-    pe.add_argument("--trace")
-    pe.add_argument("--record-embeddings", dest="record_embeddings",
-                    action="store_const", const=True)
-    pe.add_argument("--embeddings-out", dest="embeddings_out")
+    _add_flags(pe, ("mode", "input", "input_kind", "metric", "n", "dim", "mu",
+                    "eps_x", "eps_w", "p", "q", "fraction", "scheme", "slots",
+                    "iters", "tol", "noise_sigma", "eval_pairs", "init_scale",
+                    "out", "trace", "record_embeddings", "embeddings_out"),
+               EMBED_MODES)
     pe.set_defaults(func=cmd_embed)
 
     pl = sub.add_parser("localize", help="mobile-network localization simulator")
-    common(pl)
-    pl.add_argument("--n", type=int)
-    pl.add_argument("--anchors", type=int)
-    pl.add_argument("--alpha", type=float)
-    pl.add_argument("--sigma-v", dest="sigma_v", type=float)
-    pl.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    pl.add_argument("--mu", type=float)
-    pl.add_argument("--rounds", type=int)
-    pl.add_argument("--align-every", dest="align_every", type=int)
-    pl.add_argument("--timeout-prob", dest="timeout_prob", type=float)
-    pl.add_argument("--competitor-every", dest="competitor_every", type=int)
-    pl.add_argument("--trace")
-    pl.add_argument("--snapshots")
+    _add_flags(pl, ("n", "anchors", "alpha", "sigma_v", "noise_sigma", "mu",
+                    "rounds", "align_every", "timeout_prob",
+                    "competitor_every", "trace", "snapshots"))
     pl.set_defaults(func=cmd_localize)
 
     po = sub.add_parser("oracle", help="averaged companion recursion")
-    common(po)
-    po.add_argument("--mode", choices=["empirical", "closed_form"])
-    po.add_argument("--input")
-    po.add_argument("--input-kind", dest="input_kind",
-                    choices=["edges", "matrix", "vectors", "coords",
-                             "fingerprints"])
-    po.add_argument("--n", type=int)
-    po.add_argument("--dim", type=int)
-    po.add_argument("--mu", type=float)
-    po.add_argument("--slots", type=int)
-    po.add_argument("--samples", type=int)
-    po.add_argument("--p", type=int)
-    po.add_argument("--q", type=int)
-    po.add_argument("--fraction", type=float)
-    po.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    po.add_argument("--out")
-    po.add_argument("--trace")
-    po.add_argument("--record-embeddings", dest="record_embeddings",
-                    action="store_const", const=True)
-    po.add_argument("--embeddings-out", dest="embeddings_out")
+    _add_flags(po, ("mode", "input", "input_kind", "n", "dim", "mu", "slots",
+                    "samples", "p", "q", "fraction", "noise_sigma", "out",
+                    "trace", "record_embeddings", "embeddings_out"),
+               ORACLE_MODES)
     po.set_defaults(func=cmd_oracle)
 
     ps = sub.add_parser("stats", help="steady-state and deviation metrics")
@@ -613,12 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_stats)
 
     pb = sub.add_parser("bench", help="per-slot scaling sweep")
-    common(pb)
-    pb.add_argument("--sizes", help="comma-separated node counts")
-    pb.add_argument("--p", type=int)
-    pb.add_argument("--q", type=int)
-    pb.add_argument("--slots", type=int)
-    pb.add_argument("--out")
+    _add_flags(pb, ("sizes", "p", "q", "slots", "out"))
     pb.set_defaults(func=cmd_bench)
 
     return parser

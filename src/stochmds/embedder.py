@@ -303,7 +303,7 @@ def _apply_slot(Xn, provider, clusters: list, sampler: SamplerConfig,
                                      noise_sigma, step.eps_w,
                                      clamp=(mode != "sgd"))
         if mode == "sgd":
-            Xn[nodes], _ = sgd_step(Xn[nodes], batch, mu)
+            Xn[nodes] = sgd_step(Xn[nodes], batch, mu)
         else:
             _damped_update(Xn, batch, cfg, nodes)
         pairs += len(batch)
@@ -380,7 +380,7 @@ def run_stochastic(
                 break
             evaluator.batch = batch
             if mode == "sgd":
-                Xn, _ = sgd_step(X, batch, mu)
+                Xn = sgd_step(X, batch, mu)
             else:
                 Xn = stochastic_step(X, batch, replace(step, mu=mu))
             pairs = len(batch)

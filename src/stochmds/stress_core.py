@@ -140,24 +140,24 @@ def spe_step(xi: np.ndarray, xj: np.ndarray, delta: float, mu: float):
     return xi + shift, xj - shift
 
 
-def sgd_step(X: np.ndarray, batch: ObservationBatch, mu: float):
+def sgd_step(X: np.ndarray, batch: ObservationBatch,
+             mu: float) -> np.ndarray:
     """Plain stochastic-gradient step X + mu * (B(X) X - L X).
 
-    Comparison baseline only; divergence is expected behavior under noise.
-    Returns (X', diverged) where ``diverged`` flags non-finite output.
+    Comparison baseline only; divergence is expected behavior under noise,
+    and the output may be non-finite.
     """
     live = batch.nonzero()
     Xn = np.array(X, dtype=np.float64, copy=True)
     if len(live) == 0:
-        return Xn, False
+        return Xn
     coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
                                      live.delta, eps_x=0.0)
     # rows of (B - L) X: sum over edges of (w*delta/d - w) * (x_m - x_n)
     contrib = (coef - live.weight)[:, None] * diff
     np.add.at(Xn, live.m, mu * contrib)
     np.add.at(Xn, live.n, -mu * contrib)
-    diverged = not bool(np.all(np.isfinite(Xn)))
-    return Xn, diverged
+    return Xn
 
 
 def upsilon(N: int, p: int) -> float:

@@ -137,6 +137,12 @@ class TestSubcommands:
         ["embed", "--eval-pairs", "-1"],
         ["embed", "--slots", "-1"],
         ["embed", "--mode", "batch", "--iters", "-1"],
+        ["embed", "--init-scale", "nan"],
+        ["embed", "--init-scale", "inf"],
+        ["embed", "--init-scale", "0"],
+        ["embed", "--eps-x", "inf"],
+        ["embed", "--noise-sigma", "inf"],
+        ["embed", "--mode", "batch", "--tol", "inf"],
     ], ids=lambda argv: "_".join(argv).replace("--", ""))
     def test_out_of_range_count_is_config_error(self, argv, edge_file,
                                                 tmp_path, capsys):
@@ -150,7 +156,9 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("key, value", [
         ("mean_cluster_size", 0), ("max_members", -1), ("max_members", 0),
-        ("min_neighbors", -1), ("rounds", 0)])
+        ("min_neighbors", -1), ("rounds", 0), ("anchors", -1),
+        ("align_every", -1), ("competitor_every", -2),
+        ("sigma_v", float("inf")), ("noise_sigma", float("inf"))])
     def test_bad_protocol_setting_is_config_error(self, key, value,
                                                   tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -172,22 +180,37 @@ class TestSubcommands:
                              ("eps_x", "1e-8"), ("mu", [0.1]), ("mu", None),
                              ("mu", "abc"))],
         ("oracle", "samples", 2.5),
+        ("embed", "record_embeddings", "no"), ("embed", "input", 5),
+        ("embed", "out", True), ("embed", "trace", ["t.jsonl"]),
+        ("localize", "snapshots", 0),
+        ("embed", "metric", "manhattan"),  # on an edge list
+        ("oracle", "metric", "manhattan"),  # on vectors
+        ("embed", "scheme", "bogus"),  # in batch mode
+        ("bench", "sizes", [1.5]), ("bench", "sizes", 5),
     ], ids=lambda v: json.dumps(v).strip('"'))
     def test_mistyped_config_value_is_config_error(self, command, key, value,
-                                                   edge_file, tmp_path,
-                                                   capsys):
+                                                   tmp_path, capsys):
         """Config values get the types argparse gives the flags: counts are
-        integers, reals are numbers, and only a key that defaults to none
-        may be null."""
+        integers, reals are numbers, strings are strings and one of the
+        allowed values where the flag has choices, and only a key that
+        defaults to none may be null."""
         settings = {"localize": {"n": 20, "rounds": 3},
                     "embed": {"p": 5, "slots": 2},
-                    "oracle": {"p": 5, "slots": 2, "samples": 2}}[command]
+                    "oracle": {"p": 5, "slots": 2, "samples": 2},
+                    "bench": {"p": 4, "q": 2, "slots": 1}}[command]
         config = tmp_path / "c.json"
         config.write_text(json.dumps({**settings, key: value}))
         trace = tmp_path / "t.jsonl"
-        argv = [command, "--config", str(config), "--trace", str(trace)]
-        if command != "localize":
-            argv += ["--input", edge_file]
+        argv = [command, "--config", str(config)]
+        if key != "trace":
+            argv += ["--out" if command == "bench" else "--trace", str(trace)]
+        if command in ("embed", "oracle") and key != "input":
+            kind = "vectors" if key == "metric" and command == "oracle" \
+                else "edges"
+            argv += ["--input", _tiny_input(kind, tmp_path),
+                     "--input-kind", kind]
+        if key == "scheme":
+            argv += ["--mode", "batch"]
         assert main(argv) == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
         assert not trace.exists()
@@ -207,6 +230,23 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert "N=6 > 5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_localize_nonfinite_result_is_execution_failure(self, tmp_path,
+                                                            capsys):
+        """Like a diverged embedding: the outputs are written, then the run
+        exits 5."""
+        trace = tmp_path / "t.jsonl"
+        snaps = tmp_path / "s.csv"
+        with np.errstate(all="ignore"):
+            code = main(["localize", "--n", "20", "--rounds", "3",
+                         "--sigma-v", "1e200", "--trace", str(trace),
+                         "--snapshots", str(snaps)])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "final_e_loc=inf" in captured.out
+        assert "diverged" in captured.err
+        assert len(trace.read_text().splitlines()) == 4  # header + 3 rounds
+        assert snaps.exists()
 
     def test_missing_input_is_config_error(self):
         assert main(["embed", "--mode", "batch"]) == EXIT_CONFIG
@@ -311,17 +351,37 @@ class TestSubcommands:
         assert len(rows) == 2
         assert rows[1]["n"] == 800
 
+    def test_bench_malformed_sizes_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "400,8x0"])
+        assert exc.value.code == 2
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_flags_set_keys_of_the_config_table():
+    """Every flag of a subcommand sets a key of that command's defaults, and
+    every defaults key has an entry in the config table."""
+    defaults = {"embed": cli.EMBED_DEFAULTS, "oracle": cli.ORACLE_DEFAULTS,
+                "localize": cli.LOCALIZE_DEFAULTS,
+                "bench": cli.BENCH_DEFAULTS}
+    for command, keys in defaults.items():
+        dests = {action.dest for action in _subcommands()[command]._actions}
+        assert dests - {"help", "config"} <= set(keys), command
+        assert set(keys) <= set(cli.CONFIG_KEYS), command
+
 
 def _choice_cases():
     """(command, flag, value) for every choice argparse offers on the
     flags that select a mode, a weight scheme, an input kind or a metric."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     wanted = {"embed": ("--mode", "--scheme", "--input-kind", "--metric"),
               "oracle": ("--mode",)}
     cases = []
     for command, flags in wanted.items():
-        for action in sub.choices[command]._actions:
+        for action in _subcommands()[command]._actions:
             flag = next((f for f in action.option_strings if f in flags),
                         None)
             if flag is not None:

@@ -280,7 +280,7 @@ def _per_cluster_slot(X, provider, clusters, sampler, rng, noise_sigma,
                            clamp=(mode != "sgd"))
         mini = ObservationBatch(a, b, delta, w)
         if mode == "sgd":
-            Xn[cluster], _ = sgd_step(Xn[cluster], mini, cfg.mu)
+            Xn[cluster] = sgd_step(Xn[cluster], mini, cfg.mu)
         else:
             Xn[cluster] = stochastic_step(Xn[cluster], mini, cfg)
     return Xn
