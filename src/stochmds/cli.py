@@ -34,6 +34,7 @@ from .embedder import (
     run_batch_smacof,
     run_stochastic,
     steady_state_stats,
+    _usable_pairs,
 )
 from .localization import MobilityConfig, ProtocolConfig, run_localization
 from .observations import StepConfig
@@ -69,14 +70,13 @@ CONFIG_KEYS = {
     "trace": (str, None),
     "snapshots": (str, None),
     "embeddings_out": (str, None),
-    "record_embeddings": (bool, None),
     "schedule": (dict, None),
     "sizes": (list, None),  # node counts
-    "n": (int, None),
+    "n": (int, (2, _INF)),
     "seed": (int, None),
-    "threads": (int, None),
-    "p": (int, None),
-    "q": (int, None),
+    "threads": (int, (1, _INF)),
+    "p": (int, (2, _INF)),
+    "q": (int, (1, _INF)),
     "anchors": (int, (0, _INF)),
     "dim": (int, (1, _INF)),
     "samples": (int, (1, _INF)),
@@ -104,8 +104,7 @@ CONFIG_KEYS = {
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               bool: "true or false", dict: "an object",
-               list: "a list of integers"}
+               dict: "an object", list: "a list of integers"}
 
 # keys and defaults that embed and oracle share
 _SAMPLED_DEFAULTS = {
@@ -128,7 +127,6 @@ _SAMPLED_DEFAULTS = {
     "init_scale": None,
     "out": None,
     "trace": None,
-    "record_embeddings": False,
     "embeddings_out": None,
 }
 
@@ -180,7 +178,7 @@ def _has_type(val, kind) -> bool:
     if kind is list:
         return isinstance(val, list) and all(_has_type(v, int) for v in val)
     if isinstance(val, bool):
-        return kind is bool
+        return False
     if kind is float:
         return isinstance(val, int) or (isinstance(val, float)
                                         and math.isfinite(val))
@@ -268,18 +266,6 @@ def _check_materializable(what: str, n: int) -> None:
             f"N={n} > {MATERIALIZE_MAX_NODES}")
 
 
-def _full_batch(provider, n: int):
-    """Materialize all pairs from a provider (small-N batch mode only)."""
-    _check_materializable("batch mode", n)
-    iu, ju = np.triu_indices(n, k=1)
-    delta = provider.pairs(iu, ju)
-    keep = np.isfinite(delta) & (delta > 0)
-    from .observations import ObservationBatch
-
-    return ObservationBatch(iu[keep], ju[keep], delta[keep],
-                            np.ones(int(keep.sum())))
-
-
 def _sampler_from_config(cfg: dict) -> SamplerConfig:
     q = cfg["q"]
     fraction = cfg["fraction"] if q is None else None
@@ -309,15 +295,10 @@ def _schedule_from_config(cfg: dict) -> MuSchedule:
     raise ConfigError(f"unknown schedule kind {spec.get('kind')!r}")
 
 
-def _init_embedding(cfg, provider, batch, n):
+def _init_embedding(cfg, provider, n):
     scale = cfg["init_scale"]
     if scale is None:
-        if provider is not None:
-            scale = estimate_scale(provider, cfg["seed"])
-        elif batch is not None and len(batch):
-            scale = float(batch.delta.max())
-        else:
-            scale = 1.0
+        scale = estimate_scale(provider, cfg["seed"])
     return random_init(n, cfg["dim"], substream(cfg["seed"], "init"), scale)
 
 
@@ -325,15 +306,22 @@ def cmd_embed(args) -> int:
     cfg = load_config(EMBED_DEFAULTS, args.config, _overrides(args, EMBED_DEFAULTS))
     if cfg["mode"] not in EMBED_MODES:
         raise ConfigError(f"unknown embed mode {cfg['mode']!r}")
+    if cfg["mode"] == "spe" and cfg["p"] != 2:
+        raise ConfigError(f"config field 'p'={cfg['p']} must be 2 in spe mode")
+    if cfg["mode"] == "batch" and cfg["embeddings_out"]:
+        raise ConfigError("config field 'embeddings_out' needs a sampled "
+                          "mode: batch mode records no embedding sequence")
     provider, batch, n = _load_provider(cfg)
     if n < 2:
         raise ConfigError("need at least 2 nodes")
-    init = _init_embedding(cfg, provider, batch, n)
+    init = _init_embedding(cfg, provider, n)
     step = StepConfig(mu=cfg["mu"], eps_x=cfg["eps_x"], eps_w=cfg["eps_w"])
 
     if cfg["mode"] == "batch":
         if batch is None:
-            batch = _full_batch(provider, n)
+            _check_materializable("batch mode", n)
+            batch = _usable_pairs(provider, n * (n - 1) // 2, cfg["seed"],
+                                  "eval")
         trace = run_batch_smacof(batch, init, tol=cfg["tol"],
                                  max_iters=cfg["iters"], config_echo=cfg,
                                  seed=cfg["seed"])
@@ -343,7 +331,7 @@ def cmd_embed(args) -> int:
             provider, init, _schedule_from_config(cfg), sampler,
             cfg["slots"], step=step, noise_sigma=cfg["noise_sigma"],
             mode=cfg["mode"], eval_pairs=cfg["eval_pairs"],
-            record_embeddings=cfg["record_embeddings"], config_echo=cfg)
+            record_embeddings=bool(cfg["embeddings_out"]), config_echo=cfg)
     return _finish("embed", trace, cfg)
 
 
@@ -353,7 +341,7 @@ def _finish(command: str, trace, cfg) -> int:
         write_embedding(trace.final, cfg["out"])
     if cfg.get("trace"):
         trace.write_jsonl(cfg["trace"])
-    if cfg.get("embeddings_out") and trace.embeddings is not None:
+    if cfg.get("embeddings_out"):
         np.save(cfg["embeddings_out"], trace.embeddings)
     print(f"{command}: status={trace.status} slots={len(trace.records) - 1} "
           f"final_stress={trace.records[-1]['stress']:.6g}")
@@ -410,7 +398,7 @@ def cmd_oracle(args) -> int:
     provider, batch, n = _load_provider(cfg)
     if cfg["mode"] == "closed_form":
         _check_materializable("the closed-form oracle", n)
-    init = _init_embedding(cfg, provider, batch, n)
+    init = _init_embedding(cfg, provider, n)
     step = StepConfig(mu=cfg["mu"], eps_x=cfg["eps_x"], eps_w=cfg["eps_w"])
     if cfg["mode"] == "closed_form":
         iu, ju = np.triu_indices(n, k=1)
@@ -422,14 +410,14 @@ def cmd_oracle(args) -> int:
             provider, init, cfg["mu"], cfg["slots"], mode="closed_form",
             expected_deltas=deltas, cluster_size=cfg["p"], step=step,
             eval_pairs=cfg["eval_pairs"], seed=cfg["seed"],
-            record_embeddings=cfg["record_embeddings"], config_echo=cfg)
+            record_embeddings=bool(cfg["embeddings_out"]), config_echo=cfg)
     else:
         sampler = _sampler_from_config(cfg)
         trace = run_averaged_oracle(
             provider, init, cfg["mu"], cfg["slots"], sampler,
             mode="empirical", averaging_samples=cfg["samples"], step=step,
             noise_sigma=cfg["noise_sigma"], eval_pairs=cfg["eval_pairs"],
-            record_embeddings=cfg["record_embeddings"], config_echo=cfg)
+            record_embeddings=bool(cfg["embeddings_out"]), config_echo=cfg)
     return _finish("oracle", trace, cfg)
 
 
@@ -451,10 +439,7 @@ def cmd_stats(args) -> int:
                 records.append(rec)
     if not records:
         raise ValueError(f"{args.trace_file} has no stress records")
-    if args.window:
-        lo, hi = (int(v) for v in args.window.split(":"))
-    else:
-        lo, hi = records[0]["t"], records[-1]["t"]
+    lo, hi = args.window or (records[0]["t"], records[-1]["t"])
     eta_min, eta_mean, eta_max = steady_state_stats(records, (lo, hi))
     print(json.dumps({"eta_min": eta_min, "eta_mean": eta_mean,
                       "eta_max": eta_max, "window": [lo, hi]}))
@@ -544,6 +529,22 @@ def _node_counts(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _slot_window(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an inclusive slot range lo:hi, got {text!r}") from None
+    return lo, hi
+
+
+def _horizon(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 _FLAG_HELP = {"threads": "accepted for config compatibility; no effect",
               "sizes": "comma-separated node counts"}
 
@@ -555,9 +556,7 @@ def _add_flags(sp, keys, modes=()) -> None:
     for key in ("seed", "threads", *keys):
         kind, limits = CONFIG_KEYS[key]
         flag = "--" + key.replace("_", "-")
-        if kind is bool:
-            sp.add_argument(flag, action="store_const", const=True)
-        elif kind is str:
+        if kind is str:
             sp.add_argument(flag, choices=modes if key == "mode" else limits)
         else:
             sp.add_argument(flag, type=_node_counts if kind is list else kind,
@@ -574,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(pe, ("mode", "input", "input_kind", "metric", "n", "dim", "mu",
                     "eps_x", "eps_w", "p", "q", "fraction", "scheme", "slots",
                     "iters", "tol", "noise_sigma", "eval_pairs", "init_scale",
-                    "out", "trace", "record_embeddings", "embeddings_out"),
+                    "out", "trace", "embeddings_out"),
                EMBED_MODES)
     pe.set_defaults(func=cmd_embed)
 
@@ -587,17 +586,18 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle", help="averaged companion recursion")
     _add_flags(po, ("mode", "input", "input_kind", "n", "dim", "mu", "slots",
                     "samples", "p", "q", "fraction", "noise_sigma", "out",
-                    "trace", "record_embeddings", "embeddings_out"),
+                    "trace", "embeddings_out"),
                ORACLE_MODES)
     po.set_defaults(func=cmd_oracle)
 
     ps = sub.add_parser("stats", help="steady-state and deviation metrics")
     ps.add_argument("--trace-file", dest="trace_file")
-    ps.add_argument("--window", help="inclusive slot range lo:hi")
+    ps.add_argument("--window", type=_slot_window,
+                    help="inclusive slot range lo:hi")
     ps.add_argument("--hovering", nargs=2,
                     metavar=("A.npy", "B.npy"),
                     help="two recorded embedding sequences")
-    ps.add_argument("--horizon", type=int)
+    ps.add_argument("--horizon", type=_horizon)
     ps.set_defaults(func=cmd_stats)
 
     pb = sub.add_parser("bench", help="per-slot scaling sweep")

@@ -149,7 +149,9 @@ class _CountingProvider:
 
 
 class EdgeListProvider(_CountingProvider):
-    """Lookup over a fixed set of measured pairs; absent pairs give NaN."""
+    """Lookup over a fixed set of measured pairs; absent pairs give NaN.
+    ``keys`` holds them once, sorted, as ``lo * N + hi`` beside ``delta``;
+    a pair listed twice keeps its last delta."""
 
     def __init__(self, batch: ObservationBatch, node_count: int):
         super().__init__()
@@ -159,18 +161,23 @@ class EdgeListProvider(_CountingProvider):
         if len(batch) and (lo.min() < 0 or hi.max() >= self.node_count):
             raise ValueError(
                 f"edge list node ids must lie in [0, {self.node_count})")
-        self._table = dict(zip((lo * self.node_count + hi).tolist(),
-                               batch.delta.tolist()))
+        # np.unique keeps each key's first index, so search the reversed list
+        self.keys, last = np.unique((lo * self.node_count + hi)[::-1],
+                                    return_index=True)
+        self.delta = batch.delta[::-1][last]
 
     def pairs(self, m, n):
         m = np.asarray(m, dtype=np.int64)
         n = np.asarray(n, dtype=np.int64)
         self._count(len(m))
-        lo = np.minimum(m, n)
-        hi = np.maximum(m, n)
-        keys = (lo * self.node_count + hi).tolist()
-        table = self._table
-        return np.array([table.get(k, np.nan) for k in keys])
+        wanted = np.minimum(m, n) * self.node_count + np.maximum(m, n)
+        out = np.full(len(wanted), np.nan)
+        if len(self.keys):
+            pos = np.minimum(np.searchsorted(self.keys, wanted),
+                             len(self.keys) - 1)
+            hit = self.keys[pos] == wanted
+            out[hit] = self.delta[pos[hit]]
+        return out
 
 
 class MatrixProvider(_CountingProvider):

@@ -1,10 +1,13 @@
 """Run drivers: batch majorization, the incremental slot loop, the averaged
 companion recursion, step-size schedules, and steady-state metrics.
 
-A run produces a ``RunTrace``: one record per slot with stress evaluated on a
-fixed subsample of pairs (full stress is quadratic in N and is never computed
-per slot for large runs), plus the final embedding and optionally the whole
-embedding sequence.
+A run produces a ``RunTrace``: one record per slot with its stress, plus the
+final embedding and optionally the whole embedding sequence. ``_EvalSet``
+evaluates ``stress_core.stress`` on one batch: a sampled run's fixed sample of
+usable pairs (all of them up to ``eval_pairs``, else a uniform draw, so full
+stress, quadratic in N, is never computed per slot for large runs; an edge
+list offers only its own edges), a streamed slot's own batch, or the batch
+of a batch-mode run.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, partition_nodes, \
     _pair_from_index, _pair_request, _sample_local_pairs
+# private name: only _EvalSet.stress evaluates, so wrapping it times each once
 from .stress_core import (
     averaged_step,
     closed_form_b_average,
     sgd_step,
     smacof_iterate,
     stochastic_step,
-    stress,
+    stress as _stress,
     upsilon,
     _damped_update,
 )
@@ -133,17 +137,33 @@ def random_init(node_count: int, dim: int, rng: np.random.Generator,
 _SCALE_SAMPLES = 512
 
 
-def estimate_scale(provider, seed: int) -> float:
-    """Largest dissimilarity over a random sample of ``_SCALE_SAMPLES``
-    pairs, used to size inits."""
+def _usable_pairs(provider, cap: int, seed: int,
+                  lane: str) -> ObservationBatch:
+    """Unit-weight batch of a provider's usable pairs (finite, positive
+    delta): every candidate pair when there are at most ``cap``, else a
+    uniform draw of ``cap`` without replacement from substream (seed, lane).
+    The candidates are an edge list's own pairs (``keys``), else all pairs.
+    """
     n = provider.node_count
-    total = n * (n - 1) // 2
-    rng = substream(seed, "init")
-    k = rng.choice(total, size=min(_SCALE_SAMPLES, total), replace=False)
-    a, b = _pair_from_index(np.sort(k), n)
-    d = provider.pairs(a, b)
-    d = d[np.isfinite(d)]
-    return float(d.max()) if d.size else 1.0
+    keys = getattr(provider, "keys", None)
+    total = n * (n - 1) // 2 if keys is None else len(keys)
+    if total <= cap:
+        a, b = np.triu_indices(n, k=1) if keys is None else np.divmod(keys, n)
+    else:
+        k = np.sort(substream(seed, lane).choice(total, cap, replace=False))
+        a, b = _pair_from_index(k, n) if keys is None else \
+            np.divmod(keys[k], n)
+    delta = provider.pairs(a, b)
+    keep = np.isfinite(delta) & (delta > 0)
+    return ObservationBatch(a[keep], b[keep], delta[keep],
+                            np.ones(int(keep.sum())))
+
+
+def estimate_scale(provider, seed: int) -> float:
+    """Largest dissimilarity over ``_SCALE_SAMPLES`` of the provider's
+    usable pairs, used to size inits (1.0 when it has none)."""
+    delta = _usable_pairs(provider, _SCALE_SAMPLES, seed, "init").delta
+    return float(delta.max()) if len(delta) else 1.0
 
 
 def _record(t, s, s_norm, mu, wall_ms, pairs):
@@ -152,42 +172,19 @@ def _record(t, s, s_norm, mu, wall_ms, pairs):
 
 
 class _EvalSet:
-    """Fixed pair subsample on which per-slot stress is evaluated."""
+    """The batch on which stress is evaluated: a run's fixed pair sample,
+    a streamed slot's own batch or the batch of a batch-mode run."""
 
-    def __init__(self, provider, seed: int, max_pairs: int):
-        n = provider.node_count
-        total = n * (n - 1) // 2
-        if total <= max_pairs:
-            iu, ju = np.triu_indices(n, k=1)
-        else:
-            rng = substream(seed, "eval")
-            k = rng.choice(total, size=max_pairs, replace=False)
-            iu, ju = _pair_from_index(np.sort(k), n)
-        delta = provider.pairs(iu, ju)
-        keep = np.isfinite(delta) & (delta > 0)
-        self.iu, self.ju, self.delta = iu[keep], ju[keep], delta[keep]
-        self.denom = float(np.sum(self.delta**2))
+    def __init__(self, batch: ObservationBatch):
+        self.batch = batch
+        self.denom = batch.total_weighted_delta_sq()
 
     def __len__(self):
-        return len(self.delta)
+        return len(self.batch)
 
     def stress(self, X: np.ndarray):
-        diff = X[self.iu] - X[self.ju]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        s = float(np.sum((self.delta - d) ** 2))
+        s = _stress(X, self.batch)
         return s, (s / self.denom if self.denom > 0 else 0.0)
-
-
-class _BatchEval:
-    """Stream-mode fallback: evaluate stress on the slot's own batch."""
-
-    def __init__(self):
-        self.batch = ObservationBatch.empty()
-
-    def stress(self, X):
-        s = stress(X, self.batch)
-        denom = self.batch.total_weighted_delta_sq()
-        return s, (s / denom if denom > 0 else 0.0)
 
 
 def _all_finite(X: np.ndarray) -> bool:
@@ -208,10 +205,9 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
     embedding is then the last finite one.
     """
     X = np.array(init, dtype=np.float64, copy=True)
-    denom = batch.total_weighted_delta_sq()
-    prev = stress(X, batch)
-    records = [_record(0, prev, prev / denom if denom else 0.0, 1.0, 0.0,
-                       len(batch))]
+    evaluator = _EvalSet(batch)
+    prev, prev_norm = evaluator.stress(X)
+    records = [_record(0, prev, prev_norm, 1.0, 0.0, len(batch))]
     status = "max_iters"
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
@@ -220,13 +216,11 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
             status = "diverged"
             break
         X = Xn
-        cur = stress(X, batch)
+        cur, cur_norm = evaluator.stress(X)
         wall = (time.perf_counter() - t0) * 1e3
-        records.append(_record(it, cur, cur / denom if denom else 0.0, 1.0,
-                               wall, len(batch)))
+        records.append(_record(it, cur, cur_norm, 1.0, wall, len(batch)))
         if (prev - cur) < tol * max(prev, 1e-300):
             status = "converged"
-            prev = cur
             break
         prev = cur
     return RunTrace(records, X, seed, status=status, config=config_echo)
@@ -354,12 +348,12 @@ def run_stochastic(
     if streaming:
         stream = iter(source)
         seed = 0
-        evaluator = _BatchEval()
+        evaluator = _EvalSet(ObservationBatch.empty())
     else:
         if mode == "spe" and sampler.p != 2:
             raise ValueError("mode 'spe' requires cluster size p = 2")
         seed = sampler.seed
-        evaluator = _EvalSet(source, seed, eval_pairs)
+        evaluator = _EvalSet(_usable_pairs(source, eval_pairs, seed, "eval"))
 
     X = np.array(init, dtype=np.float64, copy=True)
     n = X.shape[0]
@@ -378,7 +372,7 @@ def run_stochastic(
             except StopIteration:
                 status = "truncated"
                 break
-            evaluator.batch = batch
+            evaluator = _EvalSet(batch)
             if mode == "sgd":
                 Xn = sgd_step(X, batch, mu)
             else:
@@ -433,11 +427,11 @@ def run_averaged_oracle(
     ``empirical`` mode estimates the expected one-step map at the current
     configuration by averaging the incremental update over
     ``averaging_samples`` fresh measurement draws, each sampled and applied
-    by the slot kernel of ``run_stochastic`` with the whole partition as one
-    chunk. ``closed_form`` mode requires ``expected_deltas`` (an N x N
-    matrix of mean dissimilarities) and a cluster size that divides N, and
-    applies the i.i.d.-weight expected update matrix directly; its recorded
-    mean stress is non-increasing.
+    chunk by chunk by the slot kernel of ``run_stochastic``. ``closed_form``
+    mode requires ``expected_deltas`` (an N x N matrix of mean
+    dissimilarities) and a cluster size that divides N, and applies the
+    i.i.d.-weight expected update matrix directly; its recorded mean stress
+    is non-increasing.
     Non-finite ``expected_deltas`` and, in ``empirical`` mode,
     ``averaging_samples`` < 1 raise ``ValueError``.
 
@@ -461,19 +455,20 @@ def run_averaged_oracle(
         if p is None:
             raise ValueError("closed_form mode requires a cluster size")
         ups = upsilon(n, p)
-        eval_seed = seed if seed is not None else 0
-        evaluator = _EvalSet(MatrixProvider(expected_deltas), eval_seed,
-                             eval_pairs)
+        provider = MatrixProvider(expected_deltas)
+        if seed is None:
+            seed = 0
     else:
         if sampler is None:
             raise ValueError("empirical mode requires a sampler")
         if averaging_samples < 1:
             raise ValueError(
                 f"averaging_samples must be >= 1, got {averaging_samples}")
+        provider = source
         if seed is None:
             seed = sampler.seed
-        evaluator = _EvalSet(source, seed, eval_pairs)
 
+    evaluator = _EvalSet(_usable_pairs(provider, eval_pairs, seed, "eval"))
     s0, sn0 = evaluator.stress(X)
     records = [_record(0, s0, sn0, 0.0, 0.0, 0)]
     embeds = [X.copy()] if record_embeddings else None
@@ -486,19 +481,15 @@ def run_averaged_oracle(
             Xn = averaged_step(X, B, mu, ups)
             pairs = 0
         else:
-            cfg = replace(step, mu=mu)
             acc = np.zeros_like(X)
             pairs = 0
             for s_ix in range(averaging_samples):
                 draw_rng = substream(seed, "oracle", t, s_ix)
                 clusters = partition_nodes(n, sampler.p, draw_rng)
-                nodes, batch = _sample_chunk(source, clusters, sampler,
-                                             draw_rng, noise_sigma,
-                                             step.eps_w, clamp=True)
                 Xs = X.copy()
-                _damped_update(Xs, batch, cfg, nodes)
+                pairs += _apply_slot(Xs, source, clusters, sampler, draw_rng,
+                                     noise_sigma, step, mu, "stochastic")
                 acc += Xs
-                pairs += len(batch)
             Xn = acc / averaging_samples
         if not _all_finite(Xn):
             status = "diverged"
@@ -510,8 +501,7 @@ def run_averaged_oracle(
         if record_embeddings:
             embeds.append(X.copy())
 
-    return RunTrace(records, X, seed if seed is not None else 0,
-                    status=status, config=config_echo,
+    return RunTrace(records, X, seed, status=status, config=config_echo,
                     embeddings=np.array(embeds) if embeds is not None else None)
 
 

@@ -30,9 +30,8 @@ __all__ = [
 
 def stress(X: np.ndarray, batch: ObservationBatch) -> float:
     """Weighted stress: sum of w * (delta - ||x_m - x_n||)^2."""
-    if len(batch) == 0:
-        return 0.0
-    d = np.linalg.norm(X[batch.m] - X[batch.n], axis=1)
+    diff = X[batch.m] - X[batch.n]
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return float(np.sum(batch.weight * (batch.delta - d) ** 2))
 
 

@@ -143,6 +143,8 @@ class TestSubcommands:
         ["embed", "--eps-x", "inf"],
         ["embed", "--noise-sigma", "inf"],
         ["embed", "--mode", "batch", "--tol", "inf"],
+        ["embed", "--n", "1"],
+        ["embed", "--threads", "0"],
     ], ids=lambda argv: "_".join(argv).replace("--", ""))
     def test_out_of_range_count_is_config_error(self, argv, edge_file,
                                                 tmp_path, capsys):
@@ -342,6 +344,95 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["hovering_deviation"] == 0.0
 
+    @pytest.mark.parametrize("window", ["5", "a:b", "1:2:3", ""])
+    def test_stats_malformed_window_is_usage_error(self, window, tmp_path,
+                                                   capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("".join(json.dumps({"t": t, "stress": 1.0}) + "\n"
+                                 for t in range(4)))
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--trace-file", str(trace), "--window", window])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-1", "x"])
+    def test_stats_horizon_below_one_is_usage_error(self, horizon, tmp_path,
+                                                    capsys):
+        a = np.zeros((4, 3, 2))
+        np.save(tmp_path / "a.npy", a)
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--hovering", str(tmp_path / "a.npy"),
+                  str(tmp_path / "a.npy"), "--horizon", horizon])
+        assert exc.value.code == 2
+        assert "--horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["localize", "--rounds", "2", "--n", "1"],
+        ["oracle", "--mode", "closed_form", "--p", "1"],
+        ["bench", "--sizes", "40", "--slots", "1", "--p", "1"],
+        ["bench", "--sizes", "40", "--slots", "1", "--q", "0"],
+        ["embed", "--p", "1"],
+        ["embed", "--q", "0"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_count_below_its_range_is_config_error(self, argv, tmp_path,
+                                                   capsys):
+        """Counts outside ``test_out_of_range_count_is_config_error``'s
+        reach: other commands, and the p and q it sets itself."""
+        key = argv[-2][2:]
+        out = tmp_path / "out"
+        if argv[0] in ("embed", "oracle"):
+            argv = argv + ["--input", _tiny_input("edges", tmp_path)]
+        code = main(argv + ["--out" if argv[0] != "localize" else "--trace",
+                            str(out)])
+        assert code == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spe_mode_needs_clusters_of_two(self, edge_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "emb.csv"
+        code = main(["embed", "--mode", "spe", "--p", "5", "--input",
+                     edge_file, "--slots", "2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "'p'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["embed", "oracle"])
+    def test_embeddings_out_alone_records_the_sequence(self, command,
+                                                       edge_file, tmp_path,
+                                                       capsys):
+        """Naming the output is what records the sequence that
+        ``stats --hovering`` reads; two runs with one seed hover at 0."""
+        paths = [tmp_path / "a.npy", tmp_path / "b.npy"]
+        extra = ["--samples", "2"] if command == "oracle" else []
+        for path in paths:
+            code = main([command, "--input", edge_file, "--p", "5",
+                         "--slots", "4", "--seed", "2",
+                         "--embeddings-out", str(path), *extra])
+            assert code == EXIT_OK
+            assert np.load(path).shape == (5, 15, 2)
+        capsys.readouterr()
+        code = main(["stats", "--hovering", *map(str, paths)])
+        assert code == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"hovering_deviation": 0.0, "horizon": 4}
+
+    def test_record_embeddings_flag_is_gone(self, edge_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--input", edge_file, "--record-embeddings"])
+        assert exc.value.code == 2
+
+    def test_batch_mode_rejects_embeddings_out(self, edge_file, tmp_path,
+                                               capsys):
+        """Batch mode records no embedding sequence, so naming a file for
+        one fails instead of writing nothing."""
+        path = tmp_path / "e.npy"
+        code = main(["embed", "--mode", "batch", "--input", edge_file,
+                     "--embeddings-out", str(path)])
+        assert code == EXIT_CONFIG
+        assert "'embeddings_out'" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_bench_small(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         code = main(["bench", "--sizes", "400,800", "--p", "20", "--q", "10",
@@ -372,6 +463,15 @@ def test_flags_set_keys_of_the_config_table():
         dests = {action.dest for action in _subcommands()[command]._actions}
         assert dests - {"help", "config"} <= set(keys), command
         assert set(keys) <= set(cli.CONFIG_KEYS), command
+
+
+def test_every_count_has_a_range():
+    """An integer key other than the seed is a count and gets bounds, so a
+    new count cannot be added without them."""
+    for key, (kind, limits) in cli.CONFIG_KEYS.items():
+        if kind is int and key != "seed":
+            assert limits is not None and len(limits) == 2, key
+            assert all(isinstance(v, (int, float)) for v in limits), key
 
 
 def _choice_cases():

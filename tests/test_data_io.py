@@ -20,6 +20,7 @@ from stochmds.data_io import (
     tanimoto_dissimilarity,
     write_embedding,
 )
+from stochmds.observations import ObservationBatch
 
 
 class TestParseEdgeList:
@@ -132,6 +133,32 @@ class TestProviders:
         out = prov.pairs(np.array([1, 0, 0]), np.array([0, 2, 1]))
         np.testing.assert_array_equal(out[[0, 2]], [2.0, 2.0])
         assert np.isnan(out[1])  # absent pair
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_list_provider_matches_dict_lookup(self, seed):
+        """The sorted-key lookup gives what a dict over the same edges gives:
+        the last delta of a repeated pair in either orientation, and NaN for
+        an absent pair."""
+        rng = np.random.default_rng(seed)
+        n, count = 25, 120
+        m = rng.integers(0, n, count)
+        o = (m + rng.integers(1, n, count)) % n
+        delta = rng.random(count) + 0.1
+        table = {}
+        for a, b, d in zip(m.tolist(), o.tolist(), delta.tolist()):
+            table[(min(a, b), max(a, b))] = d
+        prov = EdgeListProvider(ObservationBatch(m, o, delta,
+                                                 np.ones(count)), n)
+        qm, qn = rng.integers(0, n, 600), rng.integers(0, n, 600)
+        want = [table.get((min(a, b), max(a, b)), np.nan)
+                for a, b in zip(qm.tolist(), qn.tolist())]
+        assert any(np.isnan(want)) and not all(np.isnan(want))
+        np.testing.assert_array_equal(prov.pairs(qm, qn), want)
+        assert prov.lookups == 600
+
+    def test_empty_edge_list_provider_gives_nan(self):
+        prov = EdgeListProvider(ObservationBatch.empty(), 4)
+        assert np.isnan(prov.pairs([0, 1], [1, 3])).all()
 
     def test_edge_list_provider_rejects_ids_beyond_node_count(self):
         """Pair keys are lo * node_count + hi, so an id at or beyond the node

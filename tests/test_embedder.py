@@ -23,8 +23,10 @@ from stochmds import (
     stochastic_step,
     stress,
 )
-from stochmds.data_io import FeatureProvider, MatrixProvider
-from stochmds.embedder import _CHUNK_DIVISOR, _chunks, estimate_scale
+from stochmds.data_io import EdgeListProvider, FeatureProvider, \
+    MatrixProvider
+from stochmds.embedder import _CHUNK_DIVISOR, _chunks, _usable_pairs, \
+    estimate_scale
 from stochmds.rng import substream
 from stochmds.sampling import _sample_local_pairs, assign_weights, \
     partition_nodes
@@ -494,3 +496,105 @@ class TestInitHelpers:
     def test_estimate_scale(self):
         provider = MatrixProvider(np.array([[0.0, 3.0], [3.0, 0.0]]))
         assert estimate_scale(provider, 0) == 3.0
+
+
+@st.composite
+def pair_providers(draw):
+    """A provider of one of three kinds with the plain reference of its
+    candidate pairs (in key order) and their deltas."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["features", "matrix", "edges"]))
+    if kind == "features":
+        coords = rng.random((n, 2))
+        coords[rng.integers(n)] = coords[0]  # maybe a zero distance
+        iu, ju = np.triu_indices(n, k=1)
+        return (FeatureProvider(coords), list(zip(iu, ju)),
+                np.linalg.norm(coords[iu] - coords[ju], axis=1))
+    if kind == "matrix":
+        mat = rng.random((n, n)) + 0.5
+        mat[rng.random((n, n)) < 0.2] = np.nan
+        mat[rng.random((n, n)) < 0.2] = 0.0
+        mat = np.triu(mat, 1) + np.triu(mat, 1).T
+        iu, ju = np.triu_indices(n, k=1)
+        return MatrixProvider(mat), list(zip(iu, ju)), mat[iu, ju]
+    count = draw(st.integers(0, 3 * n))
+    m = rng.integers(0, n, count)
+    o = (m + rng.integers(1, n, count)) % n  # never a self-loop
+    delta = rng.random(count) + 0.1
+    delta[rng.random(count) < 0.1] = 0.0  # unusable, as a weight-0 line
+    table = {}
+    for a, b, d in zip(m.tolist(), o.tolist(), delta.tolist()):
+        table[(min(a, b), max(a, b))] = d  # a repeated pair: last one wins
+    keys = sorted(table)
+    return (EdgeListProvider(ObservationBatch(m, o, delta, np.ones(count)), n),
+            keys, np.array([table[k] for k in keys]))
+
+
+class TestUsablePairs:
+    @settings(max_examples=60, deadline=None)
+    @given(pair_providers(), st.integers(0, 80), st.integers(0, 2**16))
+    def test_matches_plain_reference(self, case, cap, seed):
+        """Every candidate pair up to the cap, else the decoded uniform draw,
+        keeping the finite, positive deltas with unit weight."""
+        provider, candidates, deltas = case
+        take = np.arange(len(candidates))
+        if len(candidates) > cap:
+            take = np.sort(substream(seed, "eval").choice(
+                len(candidates), size=cap, replace=False))
+        pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)[take]
+        d = np.asarray(deltas, dtype=np.float64)[take]
+        keep = np.isfinite(d) & (d > 0)
+        batch = _usable_pairs(provider, cap, seed, "eval")
+        np.testing.assert_array_equal(batch.m, pairs[keep, 0])
+        np.testing.assert_array_equal(batch.n, pairs[keep, 1])
+        np.testing.assert_array_equal(batch.delta, d[keep])
+        np.testing.assert_array_equal(batch.weight, np.ones(keep.sum()))
+
+    @staticmethod
+    def _knn_list(n=200, k=4, seed=0):
+        """A k-NN edge list as a provider, with its unique edges in key
+        order as a unit-weight batch."""
+        coords = np.random.default_rng(seed).random((n, 2)) * 10
+        dist = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
+        m = np.repeat(np.arange(n), k)
+        o = np.argsort(dist, axis=1)[:, 1:k + 1].ravel()
+        provider = EdgeListProvider(
+            ObservationBatch(m, o, dist[m, o], np.ones(len(m))), n)
+        lo, hi = np.array(sorted({(min(a, b), max(a, b)) for a, b in
+                                  zip(m.tolist(), o.tolist())})).T
+        return provider, ObservationBatch(lo, hi, dist[lo, hi],
+                                          np.ones(len(lo)))
+
+    def test_sparse_edge_list_evaluates_its_own_edges(self):
+        """A k-NN list measures a few hundred of its 19,900 pairs; the
+        evaluation sample holds every one of them, not the few that a draw
+        over all pairs would hit."""
+        provider, edges = self._knn_list()
+        init = random_init(200, 2, np.random.default_rng(1), 10.0)
+        trace = run_stochastic(provider, init, MuSchedule.constant(0.1),
+                               SamplerConfig(p=10, fraction=1.0, seed=3), 0,
+                               eval_pairs=len(edges) + 1)
+        assert trace.records[0]["stress"] == stress(init, edges)
+
+    def test_sparse_edge_list_start_scale_is_its_longest_edge(self):
+        provider, edges = self._knn_list()
+        assert len(edges) <= 512
+        for seed in range(3):
+            assert estimate_scale(provider, seed) == edges.delta.max()
+
+    def test_complete_edge_list_draws_as_all_pairs(self):
+        """On a complete list the draw over its edges is the draw over all
+        pairs, so a complete list and a matrix give the same sample."""
+        n = 40
+        mat = np.random.default_rng(4).random((n, n)) + 0.1
+        mat = np.triu(mat, 1) + np.triu(mat, 1).T
+        iu, ju = np.triu_indices(n, k=1)
+        edges = EdgeListProvider(
+            ObservationBatch(ju, iu, mat[iu, ju], np.ones(len(iu))), n)
+        for cap in (100, 779, 780, 1000):
+            a = _usable_pairs(edges, cap, 5, "eval")
+            b = _usable_pairs(MatrixProvider(mat), cap, 5, "eval")
+            np.testing.assert_array_equal(a.m, b.m)
+            np.testing.assert_array_equal(a.n, b.n)
+            np.testing.assert_array_equal(a.delta, b.delta)
