@@ -44,7 +44,6 @@ from .localization import (
     ProtocolConfig,
     anchor_align,
     deploy_network,
-    localization_error,
     measure_distances,
     protocol_round,
     run_localization,

@@ -5,9 +5,8 @@ win). ``CONFIG_KEYS`` gives every config key its type and its range or
 allowed strings: the typed flags are built from it, unknown keys are
 rejected, and every merged value is checked against it. Every randomized
 behavior derives from the single --seed, and the effective config is echoed
-into the trace header so runs can be reproduced bit-for-bit. ``--threads``
-(config key ``threads``) is accepted for config compatibility and has no
-effect.
+into the trace header so runs can be reproduced bit-for-bit. SPE, the
+paper's p = 2 case, is ``embed --mode stochastic --p 2``.
 
 Exit codes: 0 success, 2 usage, 3 config validation, 4 input/data error,
 5 execution failure.
@@ -51,7 +50,7 @@ class ConfigError(Exception):
     pass
 
 
-EMBED_MODES = ("batch", "stochastic", "spe", "sgd")
+EMBED_MODES = ("batch", "stochastic", "sgd")
 ORACLE_MODES = ("empirical", "closed_form")
 
 _INF = float("inf")
@@ -62,8 +61,7 @@ _INF = float("inf")
 CONFIG_KEYS = {
     "mode": (str, None),  # allowed modes depend on the command
     "input": (str, None),
-    "input_kind": (str, ("edges", "matrix", "vectors", "coords",
-                         "fingerprints")),
+    "input_kind": (str, ("edges", "matrix", "vectors", "fingerprints")),
     "metric": (str, ("euclidean", "cosine")),
     "scheme": (str, ("unity", "sammon")),
     "out": (str, None),
@@ -74,7 +72,6 @@ CONFIG_KEYS = {
     "sizes": (list, None),  # node counts
     "n": (int, (2, _INF)),
     "seed": (int, None),
-    "threads": (int, (1, _INF)),
     "p": (int, (2, _INF)),
     "q": (int, (1, _INF)),
     "anchors": (int, (0, _INF)),
@@ -114,7 +111,6 @@ _SAMPLED_DEFAULTS = {
     "n": None,
     "dim": 2,
     "seed": 0,
-    "threads": 1,
     "mu": 0.1,
     "eps_x": 1e-8,
     "eps_w": 1e-3,
@@ -145,14 +141,12 @@ LOCALIZE_DEFAULTS = {
     "mu": 0.5,
     "rounds": 700,
     "seed": 0,
-    "threads": 1,
     "align_every": 10,
     "mean_cluster_size": 11,
     "min_neighbors": 5,
     "max_members": 10,
     "timeout_prob": 0.0,
     "eps_x": 1e-8,
-    "eps_w": 1e-3,
     "competitor_every": None,
     "trace": None,
     "snapshots": None,
@@ -165,7 +159,6 @@ BENCH_DEFAULTS = {
     "slots": 3,
     "dim": 2,
     "seed": 0,
-    "threads": 1,
     "out": None,
 }
 
@@ -250,10 +243,6 @@ def _load_provider(cfg: dict):
         _, feats = data_io.load_vectors(path)
         prov = data_io.FeatureProvider(feats, metric=cfg["metric"])
         return prov, None, prov.node_count
-    if kind == "coords":
-        _, feats = data_io.load_vectors(path)
-        prov = data_io.FeatureProvider(feats, metric="euclidean")
-        return prov, None, prov.node_count
     _, bits = data_io.load_fingerprints(path)  # fingerprints
     prov = data_io.FingerprintProvider(bits)
     return prov, None, prov.node_count
@@ -267,8 +256,7 @@ def _check_materializable(what: str, n: int) -> None:
 
 
 def _sampler_from_config(cfg: dict) -> SamplerConfig:
-    q = cfg["q"]
-    fraction = cfg["fraction"] if q is None else None
+    q, fraction = cfg["q"], cfg["fraction"]
     if q is None and fraction is None:
         fraction = 1.0  # documented default: all intra-cluster pairs
     try:
@@ -281,7 +269,10 @@ def _sampler_from_config(cfg: dict) -> SamplerConfig:
 def _schedule_from_config(cfg: dict) -> MuSchedule:
     spec = cfg.get("schedule")
     if spec is None:
-        return MuSchedule.constant(cfg["mu"])
+        try:
+            return MuSchedule.constant(cfg["mu"])
+        except ValueError as exc:
+            raise ConfigError(f"config field 'mu': {exc}") from None
     try:
         kind = spec["kind"]
         if kind == "constant":
@@ -306,8 +297,6 @@ def cmd_embed(args) -> int:
     cfg = load_config(EMBED_DEFAULTS, args.config, _overrides(args, EMBED_DEFAULTS))
     if cfg["mode"] not in EMBED_MODES:
         raise ConfigError(f"unknown embed mode {cfg['mode']!r}")
-    if cfg["mode"] == "spe" and cfg["p"] != 2:
-        raise ConfigError(f"config field 'p'={cfg['p']} must be 2 in spe mode")
     if cfg["mode"] == "batch" and cfg["embeddings_out"]:
         raise ConfigError("config field 'embeddings_out' needs a sampled "
                           "mode: batch mode records no embedding sequence")
@@ -362,7 +351,7 @@ def cmd_localize(args) -> int:
         mu=cfg["mu"], mean_cluster_size=cfg["mean_cluster_size"],
         min_neighbors=cfg["min_neighbors"], max_members=cfg["max_members"],
         noise_sigma=cfg["noise_sigma"], timeout_prob=cfg["timeout_prob"],
-        eps_x=cfg["eps_x"], eps_w=cfg["eps_w"])
+        eps_x=cfg["eps_x"])
     result = run_localization(
         cfg["n"], cfg["rounds"], cfg["seed"], mobility, protocol,
         anchor_count=cfg["anchors"], align_every=cfg["align_every"],
@@ -449,7 +438,7 @@ def cmd_stats(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_config(BENCH_DEFAULTS, args.config, _overrides(args, BENCH_DEFAULTS))
     rows = bench_scaling(cfg["sizes"], cfg["p"], cfg["q"], cfg["slots"],
-                         cfg["dim"], cfg["seed"], cfg["threads"])
+                         cfg["dim"], cfg["seed"])
     print(f"{'N':>10} {'p':>6} {'q':>6} {'ms/slot':>12} {'factor':>8} "
           f"{'peak_MiB':>10}")
     for row in rows:
@@ -462,14 +451,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def bench_scaling(sizes, p, q, slots, dim, seed, threads=1):
+def bench_scaling(sizes, p, q, slots, dim, seed):
     """Per-slot wall time and peak working memory across problem sizes.
 
     Uses an on-demand synthetic provider (planar points, Euclidean
     dissimilarities) so no N x N structure ever exists. Each size gets one
     untimed warm-up slot, then ``ms_per_slot`` is the fastest of three timed
-    runs of ``slots`` slots. ``threads`` is accepted for config compatibility
-    and has no effect: the library runs single-threaded.
+    runs of ``slots`` slots.
     """
     import tracemalloc
 
@@ -545,15 +533,14 @@ def _horizon(text: str) -> int:
     return int(text)
 
 
-_FLAG_HELP = {"threads": "accepted for config compatibility; no effect",
-              "sizes": "comma-separated node counts"}
+_FLAG_HELP = {"sizes": "comma-separated node counts"}
 
 
 def _add_flags(sp, keys, modes=()) -> None:
     """``--config`` plus one flag per config key, typed by ``CONFIG_KEYS``;
     ``--mode`` takes the command's ``modes``."""
     sp.add_argument("--config", help="JSON config file")
-    for key in ("seed", "threads", *keys):
+    for key in ("seed", *keys):
         kind, limits = CONFIG_KEYS[key]
         flag = "--" + key.replace("_", "-")
         if kind is str:

@@ -18,8 +18,6 @@ from .observations import ObservationBatch
 
 __all__ = [
     "parse_edge_list",
-    "tanimoto_dissimilarity",
-    "cosine_dissimilarity",
     "write_embedding",
     "read_embedding",
     "load_fingerprints",
@@ -30,33 +28,6 @@ __all__ = [
     "FingerprintProvider",
     "open_dense_matrix",
 ]
-
-
-# ---------------------------------------------------------------------------
-# dissimilarity functions
-
-
-def tanimoto_dissimilarity(h: np.ndarray, g: np.ndarray) -> float:
-    """1 - |h AND g| / |h OR g| for binary fingerprints of equal length."""
-    h = np.asarray(h).astype(bool)
-    g = np.asarray(g).astype(bool)
-    if h.shape != g.shape:
-        raise ValueError("fingerprints must have equal length")
-    union = np.count_nonzero(h | g)
-    if union == 0:
-        raise ValueError("tanimoto dissimilarity undefined for two empty fingerprints")
-    return 1.0 - np.count_nonzero(h & g) / union
-
-
-def cosine_dissimilarity(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), clamped to [0, 2]. Zero vectors are rejected."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine dissimilarity undefined for zero vectors")
-    return float(np.clip(1.0 - np.dot(u, v) / (nu * nv), 0.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,9 @@ def run_stochastic(
     ``sampler``; clean values, with optional measurement noise added per
     slot) or an iterable of pre-built ``ObservationBatch`` objects, in which
     case the sampler is unused and stress is evaluated on each slot's own
-    batch. ``mode`` selects the update rule: ``stochastic`` (default),
-    ``spe`` (requires p = 2 clusters) or ``sgd`` (the divergence-prone
-    baseline). The first record (t = 0) holds the evaluation of the initial
+    batch. ``mode`` selects the update rule: ``stochastic`` (default; with
+    p = 2 clusters it is SPE) or ``sgd`` (the divergence-prone baseline).
+    The first record (t = 0) holds the evaluation of the initial
     configuration.
 
     Sampler-driven slots process one chunk at a time: a run of consecutive
@@ -342,7 +342,7 @@ def run_stochastic(
     last finite one.
     """
     step = step or StepConfig()
-    if mode not in ("stochastic", "spe", "sgd"):
+    if mode not in ("stochastic", "sgd"):
         raise ValueError(f"unknown mode {mode!r}")
     streaming = sampler is None
     if streaming:
@@ -350,8 +350,6 @@ def run_stochastic(
         seed = 0
         evaluator = _EvalSet(ObservationBatch.empty())
     else:
-        if mode == "spe" and sampler.p != 2:
-            raise ValueError("mode 'spe' requires cluster size p = 2")
         seed = sampler.seed
         evaluator = _EvalSet(_usable_pairs(source, eval_pairs, seed, "eval"))
 

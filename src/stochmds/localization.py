@@ -36,7 +36,6 @@ __all__ = [
     "measure_distances",
     "protocol_round",
     "anchor_align",
-    "localization_error",
     "run_localization",
 ]
 
@@ -67,7 +66,9 @@ class ProtocolConfig:
     1 / mean_cluster_size per round; overlapping claims are resolved in
     ascending node-index order. Heads with fewer than ``min_neighbors``
     available in-range neighbors abort; otherwise they lock the
-    ``max_members`` nearest and run one update with step size ``mu``.
+    ``max_members`` nearest and run one update with step size ``mu`` and
+    squared-distance regularizer ``eps_x``. Star measurements are weighted
+    ``unity``, so no weight needs clamping.
     """
 
     mu: float = 0.5
@@ -77,7 +78,6 @@ class ProtocolConfig:
     noise_sigma: float = 0.1
     timeout_prob: float = 0.0
     eps_x: float = 1e-8
-    eps_w: float = 1e-3
 
     @property
     def head_prob(self) -> float:
@@ -258,7 +258,7 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
             cluster = np.concatenate([[head], members])
             star = ObservationBatch(np.zeros(len(members), dtype=np.int64),
                                     np.arange(1, len(cluster)), meas, w)
-            step = StepConfig(mu=cfg.mu, eps_x=cfg.eps_x, eps_w=cfg.eps_w)
+            step = StepConfig(mu=cfg.mu, eps_x=cfg.eps_x)
             updated = stochastic_step(state.estimates[cluster], star, step)
             state.estimates[cluster] = updated
             log.clusters_completed += 1
@@ -311,24 +311,6 @@ def anchor_align(estimates: np.ndarray, anchor_idx: np.ndarray,
     U, _, Vt = np.linalg.svd(sc.T @ dc)
     R = U @ Vt  # reflections permitted: no determinant correction
     return (np.asarray(estimates) - mu_s) @ R + mu_d
-
-
-def localization_error(estimates_trace: np.ndarray, truth_trace: np.ndarray,
-                       window) -> float:
-    """max over the window of (1/N) * Frobenius error between aligned
-    estimates and truth. ``window`` is an inclusive (lo, hi) slot range
-    against 0-based trace indices."""
-    est = np.asarray(estimates_trace)
-    tru = np.asarray(truth_trace)
-    if est.shape != tru.shape:
-        raise ValueError("estimate and truth traces must share shape")
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi or hi >= len(est):
-        raise ValueError(f"window [{lo}, {hi}] outside trace of length {len(est)}")
-    n = est.shape[1]
-    errs = np.linalg.norm((est[lo:hi + 1] - tru[lo:hi + 1]).reshape(
-        hi - lo + 1, -1), axis=1)
-    return float(errs.max() / n)
 
 
 def run_localization(

@@ -39,7 +39,7 @@ class SamplerConfig:
         if self.p < 2:
             raise ValueError(f"cluster size p must be >= 2, got {self.p}")
         if (self.q is None) == (self.fraction is None):
-            raise ValueError("exactly one of q or fraction must be given")
+            raise ValueError("exactly one of 'q' or 'fraction' must be given")
         if self.q is not None and self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:

@@ -144,7 +144,6 @@ class TestSubcommands:
         ["embed", "--noise-sigma", "inf"],
         ["embed", "--mode", "batch", "--tol", "inf"],
         ["embed", "--n", "1"],
-        ["embed", "--threads", "0"],
     ], ids=lambda argv: "_".join(argv).replace("--", ""))
     def test_out_of_range_count_is_config_error(self, argv, edge_file,
                                                 tmp_path, capsys):
@@ -388,13 +387,78 @@ class TestSubcommands:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_spe_mode_needs_clusters_of_two(self, edge_file, tmp_path,
-                                            capsys):
-        out = tmp_path / "emb.csv"
-        code = main(["embed", "--mode", "spe", "--p", "5", "--input",
-                     edge_file, "--slots", "2", "--out", str(out)])
+    @pytest.mark.parametrize("argv", [
+        *[[command, "--threads", "1"]
+          for command in ("embed", "oracle", "localize", "bench")],
+        ["embed", "--mode", "spe", "--p", "2"],
+        ["embed", "--input-kind", "coords"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_removed_flag_is_usage_error(self, argv, tmp_path, capsys):
+        """``--threads`` did nothing, SPE is ``--mode stochastic --p 2`` and
+        ``coords`` is ``vectors`` with the euclidean metric."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out" if argv[0] != "localize" else "--trace",
+                         str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, "threads", 1)
+          for command in ("embed", "oracle", "localize", "bench")],
+        ("localize", "eps_w", 1e-3),
+    ])
+    def test_removed_config_key_is_config_error(self, command, key, value,
+                                                tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config),
+                     "--out" if command != "localize" else "--trace",
+                     str(out)])
         assert code == EXIT_CONFIG
-        assert "'p'" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, code", [("embed", EXIT_CONFIG),
+                                               ("oracle", EXIT_OK),
+                                               ("localize", EXIT_OK)])
+    def test_mu_zero_is_a_config_error_only_for_a_schedule(
+            self, command, code, tmp_path, capsys):
+        """A schedule's steps lie in (0, 1], so ``embed --mu 0`` is refused
+        as a config value; the oracle and the protocol take a step of 0."""
+        out = tmp_path / "out"
+        argv = {"embed": ["--slots", "2"],
+                "oracle": ["--slots", "2", "--samples", "2"],
+                "localize": ["--n", "12", "--rounds", "2"]}[command]
+        if command != "localize":
+            argv += ["--input", _tiny_input("edges", tmp_path), "--p", "3"]
+        flag = "--trace" if command == "localize" else "--out"
+        assert main([command, "--mu", "0", *argv, flag, str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert "'mu'" in capsys.readouterr().err
+        assert out.exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("command", ["embed", "oracle"])
+    @pytest.mark.parametrize("where", ["flags", "config", "both"])
+    def test_q_with_fraction_is_config_error(self, command, where, tmp_path,
+                                             capsys):
+        """A sampler takes a pair count or a pair fraction, not both."""
+        settings = {"q": 2, "fraction": 1.0}
+        file_keys = {"flags": (), "config": ("q", "fraction"),
+                     "both": ("q",)}[where]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({k: settings[k] for k in file_keys}))
+        out = tmp_path / "emb.csv"
+        argv = [command, "--config", str(config), "--input",
+                _tiny_input("edges", tmp_path), "--p", "3", "--slots", "2",
+                "--out", str(out)]
+        for key in set(settings) - set(file_keys):
+            argv += [f"--{key}", str(settings[key])]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'q'" in err and "'fraction'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["embed", "oracle"])
@@ -502,7 +566,7 @@ def _tiny_input(kind, tmp_path):
     elif kind == "matrix":
         path = tmp_path / "input.npy"
         np.save(path, dist)
-    elif kind in ("vectors", "coords"):
+    elif kind == "vectors":
         path.write_text("".join(f"n{i}\t{x!r}\t{y!r}\n"
                                 for i, (x, y) in enumerate(coords)))
     else:
@@ -538,14 +602,14 @@ def _normalize(lines):
 
 
 class TestDeterminism:
-    def test_embed_bit_identical_across_threads(self, edge_file, tmp_path):
+    def test_embed_bit_identical_across_runs(self, edge_file, tmp_path):
         outs = []
-        for threads in (1, 8):
-            out = tmp_path / f"e{threads}.csv"
-            trace = tmp_path / f"t{threads}.jsonl"
+        for run in range(2):
+            out = tmp_path / f"e{run}.csv"
+            trace = tmp_path / f"t{run}.jsonl"
             code = main(["embed", "--mode", "stochastic", "--input", edge_file,
                          "--p", "5", "--fraction", "0.8", "--slots", "40",
-                         "--seed", "7", "--threads", str(threads),
+                         "--seed", "7",
                          "--out", str(out), "--trace", str(trace)])
             assert code == EXIT_OK
             outs.append((out.read_bytes(),

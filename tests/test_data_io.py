@@ -1,4 +1,5 @@
-"""Parsers, similarity functions, providers, and embedding round trips."""
+"""Parsers, providers and their dissimilarities, and embedding round
+trips."""
 
 import io
 
@@ -10,17 +11,16 @@ from stochmds.data_io import (
     FeatureProvider,
     FingerprintProvider,
     MatrixProvider,
-    cosine_dissimilarity,
     load_fingerprints,
     load_vectors,
     open_dense_matrix,
     parse_edge_list,
     read_embedding,
     serialize_edge_list,
-    tanimoto_dissimilarity,
     write_embedding,
 )
 from stochmds.observations import ObservationBatch
+from stochmds.sampling import assign_weights
 
 
 class TestParseEdgeList:
@@ -76,54 +76,64 @@ class TestParseEdgeList:
         np.testing.assert_array_equal(batch.weight, again.weight)
 
 
+def _tanimoto(h, g):
+    """The Tanimoto dissimilarity of two fingerprints, as a provider gives
+    it for the pair they form."""
+    return FingerprintProvider(np.array([h, g], dtype=bool)).pairs(
+        np.array([0]), np.array([1]))[0]
+
+
+def _cosine(u, v):
+    """The cosine dissimilarity of two vectors, as a provider gives it."""
+    return FeatureProvider(np.array([u, v]), metric="cosine").pairs(
+        np.array([0]), np.array([1]))[0]
+
+
 class TestTanimoto:
     def test_identical_fingerprints(self):
         h = np.array([1, 0, 1, 1], dtype=bool)
-        assert tanimoto_dissimilarity(h, h) == 0.0
+        assert _tanimoto(h, h) == 0.0
 
     def test_disjoint_supports(self):
         a = np.array([1, 1, 0, 0], dtype=bool)
         b = np.array([0, 0, 1, 1], dtype=bool)
-        assert tanimoto_dissimilarity(a, b) == 1.0
+        assert _tanimoto(a, b) == 1.0
 
     def test_hand_value(self):
         a = np.array([1, 1, 0, 0], dtype=bool)
         b = np.array([0, 1, 1, 0], dtype=bool)
-        assert tanimoto_dissimilarity(a, b) == pytest.approx(2 / 3)
+        assert _tanimoto(a, b) == pytest.approx(2 / 3)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            a = rng.random(16) < 0.4
-            b = rng.random(16) < 0.4
-            if not (a.any() or b.any()):
-                continue
-            assert tanimoto_dissimilarity(a, b) == tanimoto_dissimilarity(b, a)
+        bits = np.random.default_rng(1).random((50, 16)) < 0.4
+        prov = FingerprintProvider(bits)
+        m, n = np.triu_indices(50, k=1)
+        np.testing.assert_array_equal(prov.pairs(m, n), prov.pairs(n, m))
 
-    def test_empty_pair_rejected(self):
+    def test_empty_pair_gives_nan(self):
+        """Two empty fingerprints have no Tanimoto dissimilarity: the
+        provider gives NaN, which every weight scheme drops."""
         z = np.zeros(8, dtype=bool)
-        with pytest.raises(ValueError):
-            tanimoto_dissimilarity(z, z)
-        with pytest.raises(ValueError):
-            tanimoto_dissimilarity(z, np.zeros(4, dtype=bool))
+        delta = np.array([_tanimoto(z, z)])
+        assert np.isnan(delta).all()
+        for scheme in ("unity", "sammon"):
+            assert assign_weights(delta, scheme)[0] == 0.0
 
 
 class TestCosine:
     def test_identical(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine_dissimilarity(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert _cosine(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_dissimilarity(np.array([1.0, 0.0]),
-                                    np.array([0.0, 1.0])) == 1.0
+        assert _cosine([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_antipodal(self):
-        assert cosine_dissimilarity(np.array([1.0, 0.0]),
-                                    np.array([-1.0, 0.0])) == 2.0
+        assert _cosine([1.0, 0.0], [-1.0, 0.0]) == 2.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            cosine_dissimilarity(np.zeros(3), np.ones(3))
+            _cosine(np.zeros(3), np.ones(3))
 
 
 class TestProviders:

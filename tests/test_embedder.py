@@ -202,15 +202,13 @@ class TestRunStochastic:
         assert trace.status == "ok"
         assert len(trace.records) == 3
 
-    def test_spe_mode_requires_pair_clusters(self):
+    def test_spe_mode_rejected(self):
+        """SPE is the stochastic mode with p = 2, not a mode of its own."""
         provider, _ = planar_provider(10)
         init = random_init(10, 2, np.random.default_rng(4), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mode"):
             run_stochastic(provider, init, MuSchedule.constant(0.2),
-                           SamplerConfig(p=4, q=1, seed=0), 5, mode="spe")
-        trace = run_stochastic(provider, init, MuSchedule.constant(0.2),
-                               SamplerConfig(p=2, q=1, seed=0), 5, mode="spe")
-        assert trace.status == "ok"
+                           SamplerConfig(p=2, q=1, seed=0), 5, mode="spe")
 
     def test_sgd_diverges_under_heavy_noise(self):
         """The plain-gradient baseline processes the full measurement graph
@@ -289,6 +287,7 @@ def _per_cluster_slot(X, provider, clusters, sampler, rng, noise_sigma,
 
 
 class TestSlotKernel:
+    # "spe" is the stochastic rule at p = 2, the paper's SPE case
     @pytest.mark.parametrize("mode", ["stochastic", "sgd", "spe"])
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
     @pytest.mark.parametrize("several", [False, True],
@@ -302,7 +301,10 @@ class TestSlotKernel:
         against a chunk bound of N // d, so below d p nodes every chunk
         holds one cluster, and from 2 d p^2 on every chunk but the last
         holds several."""
-        p = 2 if mode == "spe" else data.draw(st.integers(2, 9))
+        if mode == "spe":
+            mode, p = "stochastic", 2
+        else:
+            p = data.draw(st.integers(2, 9))
         d = _CHUNK_DIVISOR
         full = data.draw(st.integers(2 * d * p, 2 * d * p + 4 * p) if several
                          else st.integers(1, d - 1))

@@ -10,8 +10,9 @@ import pytest
 
 from stochmds import ObservationBatch, algebraic_connectivity, \
     build_laplacian
-from stochmds.graph_linalg import _dense_min_norm, _laplacian_entries, \
-    _solve_cg, _sparse, group_components
+from stochmds import graph_linalg
+from stochmds.graph_linalg import _component_labels, _dense_min_norm, \
+    _laplacian_entries, _solve_cg, _sparse, group_components
 
 
 def batch(entries):
@@ -126,6 +127,49 @@ class TestConnectedComponents:
     def test_ordering_by_smallest_member(self):
         comps = self.components(batch([(4, 5, 1, 1), (0, 2, 1, 1)]), 6)
         assert comps == [[0, 2], [1], [3], [4, 5]]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_csgraph_fallback_matches_union_find(self, seed, monkeypatch):
+        """A path through nodes in random order stalls min-label propagation
+        past its pass limit; the csgraph fallback must then give the same
+        labels as a plain union-find, ordered by smallest member."""
+        calls = []
+        real = graph_linalg._cs_components
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graph_linalg, "_cs_components", spy)
+        node_count = 300
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(node_count)
+        path, other = perm[:200], perm[200:260]  # perm[260:] stay isolated
+        tree_parent = other[[int(rng.integers(0, k)) for k in
+                             range(1, len(other))]]
+        m = np.concatenate([path[:-1], other[1:]])
+        n = np.concatenate([path[1:], tree_parent])
+        labels, count = _component_labels(m, n, node_count)
+        assert len(calls) == 1
+
+        parent = list(range(node_count))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for a, b in zip(m.tolist(), n.tolist()):
+            parent[find(a)] = find(b)
+        smallest = {}
+        for v in range(node_count):
+            smallest.setdefault(find(v), v)  # v ascends: first is smallest
+        rank = {root: k for k, root in
+                enumerate(sorted(smallest, key=smallest.get))}
+        want = [rank[find(v)] for v in range(node_count)]
+        assert count == len(rank) == 2 + (node_count - 260)
+        assert labels.tolist() == want
 
 
 class TestSolveMinNorm:

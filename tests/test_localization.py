@@ -10,12 +10,13 @@ from stochmds import (
     ProtocolConfig,
     anchor_align,
     deploy_network,
-    localization_error,
     measure_distances,
     protocol_round,
     run_localization,
     step_mobility,
 )
+from stochmds import localization
+from stochmds.cli import EXIT_CONFIG, main
 from stochmds.localization import init_velocities, perturb_estimates
 from stochmds.rng import substream
 
@@ -223,27 +224,43 @@ class TestAnchorAlign:
 
 
 class TestLocalizationError:
-    def test_perfect_estimates(self):
-        tr = np.random.default_rng(16).random((5, 10, 2))
-        assert localization_error(tr, tr.copy(), (0, 4)) == 0.0
+    """The per-round ``e_loc`` run_localization records: the Frobenius
+    error of the estimates against the truth, over N."""
+
+    def test_perfect_estimates(self, monkeypatch):
+        # unperturbed start, no updates (mu = 0), static truth, no alignment
+        monkeypatch.setattr(localization, "perturb_estimates",
+                            lambda state, rng: None)
+        out = run_localization(20, 5, seed=16,
+                               mobility=MobilityConfig(sigma_v=0.0),
+                               protocol=ProtocolConfig(mu=0.0), align_every=0)
+        assert [r["e_loc"] for r in out["records"]] == [0.0] * 5
 
     def test_single_slot_window(self):
-        rng = np.random.default_rng(17)
-        est = rng.random((3, 8, 2))
-        tru = rng.random((3, 8, 2))
-        want = np.linalg.norm(est[1] - tru[1]) / 8
-        assert localization_error(est, tru, (1, 1)) == pytest.approx(want)
+        out = run_localization(8, 1, seed=17, record_positions=True)
+        [rec] = out["records"]
+        want = np.linalg.norm(out["estimates"][0] - out["truth"][0]) / 8
+        assert rec["t"] == 1 and rec["e_loc"] == want
 
     def test_window_is_max(self):
-        est = np.zeros((4, 2, 2))
-        tru = np.zeros((4, 2, 2))
-        tru[2, 0, 0] = 2.0
-        assert localization_error(est, tru, (0, 3)) == pytest.approx(1.0)
+        # the statistic the tracking experiment reads: max e_loc over slots
+        n, lo, hi = 30, 5, 20
+        out = run_localization(n, 25, seed=18, record_positions=True)
+        window = [r["e_loc"] for r in out["records"] if lo <= r["t"] <= hi]
+        est, tru = out["estimates"], out["truth"]
+        errs = [np.linalg.norm(est[t - 1] - tru[t - 1]) / n
+                for t in range(lo, hi + 1)]
+        assert len(window) == hi - lo + 1
+        assert max(window) == max(errs)
 
-    def test_bad_window_rejected(self):
-        tr = np.zeros((3, 4, 2))
-        with pytest.raises(ValueError):
-            localization_error(tr, tr, (0, 5))
+    def test_bad_window_rejected(self, tmp_path):
+        # a run without rounds records no e_loc, so localize refuses it
+        assert run_localization(12, 0, seed=19)["records"] == []
+        trace = tmp_path / "t.jsonl"
+        code = main(["localize", "--n", "12", "--rounds", "0",
+                     "--trace", str(trace)])
+        assert code == EXIT_CONFIG
+        assert not trace.exists()
 
 
 class TestRunLocalization:
@@ -257,6 +274,22 @@ class TestRunLocalization:
                 anchor_count=5, align_every=10)
             finals.append(result["records"][-1]["e_loc"])
         assert float(np.median(finals)) < 1e-3
+
+    def test_e_loc_records_match_positions(self):
+        """Each round's ``e_loc`` (and ``e_loc_batch``) is the Frobenius
+        error of the recorded estimates against the truth, over N."""
+        n = 30
+        out = run_localization(
+            n, 25, seed=8, mobility=MobilityConfig(alpha=0.9, sigma_v=0.01),
+            protocol=ProtocolConfig(mu=0.5), competitor_every=7,
+            record_positions=True)
+        for rec in out["records"]:
+            t = rec["t"]
+            truth = out["truth"][t - 1]
+            assert rec["e_loc"] == \
+                np.linalg.norm(out["estimates"][t - 1] - truth) / n
+            assert rec["e_loc_batch"] == \
+                np.linalg.norm(out["competitor"][t - 1] - truth) / n
 
     def test_competitor_trace_present(self):
         result = run_localization(
