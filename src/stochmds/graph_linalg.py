@@ -8,8 +8,11 @@ solution is the one with zero column sums as well.
 Every caller goes through one layer. ``group_components`` groups a batch's
 positive-weight edges by connected component into one ``ComponentStack``
 per component size, and ``ComponentStack.solve`` does the min-norm solves
-of a stack at once: one batched dense factorization up to
-``DENSE_SOLVER_MAX`` nodes, deflated conjugate gradients above. A single
+of a stack at once. The data picks one of three routes per component: a
+complete component with one measurement per pair, all of one weight ``w``,
+is solved in closed form, ``y = rhs / (w * size)`` recentered, with no
+assembly; the others take one batched dense factorization up to
+``DENSE_SOLVER_MAX`` nodes, and deflated conjugate gradients above. A single
 component is a stack of one: ``build_laplacian`` returns one per connected
 component and ``algebraic_connectivity`` takes one. ``_laplacian_entries``
 alone decides how measurements become Laplacian entries (a pair measured
@@ -135,17 +138,84 @@ class ComponentStack:
                 self.nodes[k:k + 1], self.a[e] - k * p, self.b[e] - k * p,
                 self.weights[e], self.delta[e])
 
+    def _complete_weights(self) -> np.ndarray | None:
+        """Per component, the weight ``w`` when the component is complete
+        with one measurement per unordered pair, all of weight ``w``, and 0
+        otherwise; None when no component is.
+
+        Exact and linear in the measurements. Only a component with
+        ``size * (size - 1) // 2`` measurements can qualify. Each of its
+        measurements marks cells (i, j) and (j, i) of a ``size**2``-byte
+        bitmap (twice its measurements plus its nodes); all off-diagonal
+        cells are marked exactly when no pair is measured twice and none is
+        a self-loop. Equal degrees are not enough: a multigraph can be
+        regular without being complete.
+        """
+        g, p = self.nodes.shape
+        half = p * (p - 1) // 2
+        if p < 2 or self.nnz < half:
+            return None
+        per = np.bincount(self.a // p, minlength=g) if g > 1 \
+            else np.array([self.nnz])
+        cand = np.flatnonzero(per == half)
+        if len(cand) == 0:
+            return None
+        a, b, w = self.a, self.b, self.weights
+        if len(cand) < g:  # keep their edges, renumbered as a stack of them
+            edges = np.repeat(per == half, per)
+            shift = np.repeat((cand - np.arange(len(cand))) * p, half)
+            a, b, w = a[edges] - shift, b[edges] - shift, w[edges]
+        w = w.reshape(-1, half)
+        seen = np.zeros((len(w), p * p), dtype=bool)
+        # a * p + local b is component k's cell (i, j) at k p^2 + i p + j
+        key = a * p
+        key += b if g == 1 else b % p
+        seen.reshape(-1)[key] = True
+        np.multiply(b, p, out=key)
+        key += a if g == 1 else a % p
+        seen.reshape(-1)[key] = True
+        ok = ((np.count_nonzero(seen, axis=1) == 2 * half)
+              & (w == w[:, :1]).all(axis=1))
+        if not ok.any():
+            return None
+        out = np.zeros(g)
+        out[cand[ok]] = w[ok, 0]
+        return out
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
 
         ``rhs`` is (count, size, dim) with zero column sums; so is the result.
+        The route follows from the data, component by component, so a
+        component's result does not depend on the stack it is in. A
+        complete component with one weight ``w`` has
+        ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve.
+        The others take one batched dense factorization up to
+        ``DENSE_SOLVER_MAX`` nodes, and deflated CG each above.
         """
+        w = self._complete_weights()
+        if w is not None and w.all():
+            return _closed_form(rhs, w)
         if self.size <= DENSE_SOLVER_MAX:
-            return _dense_min_norm(self, rhs)
-        y = np.empty_like(rhs)
-        for k, single in enumerate(self.split()):
-            y[k] = _solve_cg(single, rhs[k])
+            y = _dense_min_norm(self, rhs)
+        else:
+            y = np.empty_like(rhs)
+            for k, single in enumerate(self.split()):
+                if w is None or w[k] == 0:
+                    y[k] = _solve_cg(single, rhs[k])
+        if w is not None:
+            closed = w > 0
+            y[closed] = _closed_form(rhs[closed], w[closed])
         return y
+
+
+def _closed_form(rhs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Min-norm solves for complete components of weights ``w``:
+    ``y[k] = rhs[k] / (w[k] * size)``, recentered as the dense route does."""
+    p = rhs.shape[1]
+    y = rhs / (w * p)[:, None, None]
+    y -= y.sum(axis=1, keepdims=True) / p
+    return y
 
 
 def _laplacian_entries(stack: ComponentStack):

@@ -30,7 +30,7 @@ __all__ = [
 
 def stress(X: np.ndarray, batch: ObservationBatch) -> float:
     """Weighted stress: sum of w * (delta - ||x_m - x_n||)^2."""
-    diff = X[batch.m] - X[batch.n]
+    diff = np.take(X, batch.m, axis=0) - np.take(X, batch.n, axis=0)
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return float(np.sum(batch.weight * (batch.delta - d) ** 2))
 
@@ -41,13 +41,12 @@ def _regularized_coeffs(X, m, n, w, delta, eps_x):
     At eps_x == 0 coincident endpoints get coefficient 0 (the classical
     majorization matrix guard).
     """
-    diff = X[m] - X[n]
+    diff = np.take(X, m, axis=0) - np.take(X, n, axis=0)
     d2 = np.einsum("ij,ij->i", diff, diff)
     if eps_x > 0:
         return w * delta / np.sqrt(d2 + eps_x), diff
-    coef = np.zeros_like(d2)
-    pos = d2 > 0
-    coef[pos] = (w[pos] * delta[pos]) / np.sqrt(d2[pos])
+    coef = np.divide(w * delta, np.sqrt(d2), out=np.zeros_like(d2),
+                     where=d2 > 0)
     return coef, diff
 
 
@@ -57,12 +56,12 @@ def _b_times_x(Xc, stack: ComponentStack, eps_x):
     flat = Xc.reshape(-1, Xc.shape[2])
     coef, diff = _regularized_coeffs(flat, stack.a, stack.b, stack.weights,
                                      stack.delta, eps_x)
-    contrib = coef[:, None] * diff
     out = np.empty_like(flat)
     for col in range(flat.shape[1]):
+        contrib = coef * diff[:, col]  # contiguous, for bincount
         out[:, col] = (
-            np.bincount(stack.a, weights=contrib[:, col], minlength=len(flat))
-            - np.bincount(stack.b, weights=contrib[:, col], minlength=len(flat)))
+            np.bincount(stack.a, weights=contrib, minlength=len(flat))
+            - np.bincount(stack.b, weights=contrib, minlength=len(flat)))
     return out.reshape(Xc.shape)
 
 
@@ -75,7 +74,7 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch) -> np.ndarray:
     """
     Xn = np.array(X, dtype=np.float64, copy=True)
     for stack in group_components(batch, X.shape[0]):
-        rhs = _b_times_x(Xn[stack.nodes], stack, eps_x=0.0)
+        rhs = _b_times_x(np.take(Xn, stack.nodes, axis=0), stack, eps_x=0.0)
         Xn[stack.nodes] = stack.solve(rhs)
     return Xn
 
@@ -111,7 +110,7 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     count = Xn.shape[0] if nodes is None else len(nodes)
     for stack in group_components(batch, count, cfg.eps_w):
         rows = stack.nodes if nodes is None else nodes[stack.nodes]
-        Xc = Xn[rows]
+        Xc = np.take(Xn, rows, axis=0)
         y = stack.solve(_b_times_x(Xc, stack, cfg.eps_x))
         Xn[rows] = ((1.0 - mu) * Xc
                     + mu * Xc.mean(axis=1, keepdims=True) + mu * y)

@@ -7,12 +7,14 @@ CG solve and ``algebraic_connectivity`` run on."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmds import ObservationBatch, algebraic_connectivity, \
     build_laplacian
 from stochmds import graph_linalg
-from stochmds.graph_linalg import _component_labels, _dense_min_norm, \
-    _laplacian_entries, _solve_cg, _sparse, group_components
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, _component_labels, \
+    _dense_min_norm, _laplacian_entries, _sparse, group_components
 
 
 def batch(entries):
@@ -27,6 +29,19 @@ def dense(stack):
 def min_norm(stack, rhs):
     """Min-norm solve of one component, as every update does it."""
     return stack.solve(rhs[None])[0]
+
+
+def spy(monkeypatch, name):
+    """Replace ``graph_linalg.<name>`` by a wrapper that records its calls."""
+    calls = []
+    real = getattr(graph_linalg, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_linalg, name, wrapper)
+    return calls
 
 
 def random_connected_graph(rng, p, w_lo, w_hi=1.0):
@@ -133,14 +148,7 @@ class TestConnectedComponents:
         """A path through nodes in random order stalls min-label propagation
         past its pass limit; the csgraph fallback must then give the same
         labels as a plain union-find, ordered by smallest member."""
-        calls = []
-        real = graph_linalg._cs_components
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(graph_linalg, "_cs_components", spy)
+        calls = spy(monkeypatch, "_cs_components")
         node_count = 300
         rng = np.random.default_rng(seed)
         perm = rng.permutation(node_count)
@@ -206,14 +214,18 @@ class TestSolveMinNorm:
             assert resid <= 1e-8 * np.linalg.norm(rhs)
             assert np.abs(y.sum(axis=0)).max() <= 1e-9 * np.abs(y).sum()
 
-    def test_cg_path_matches_dense(self):
+    def test_cg_path_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(9)
         p = 60
         stack = build_laplacian(random_connected_graph(rng, p, 0.1), p)[0]
+        assert stack._complete_weights() is None
         rhs = rng.standard_normal((p, 2))
         rhs -= rhs.mean(axis=0)
         direct = _dense_min_norm(stack, rhs[None])[0]
-        iterative = _solve_cg(stack, rhs)
+        cg_calls = spy(monkeypatch, "_solve_cg")
+        fallbacks = spy(monkeypatch, "_dense_min_norm")
+        iterative = graph_linalg._solve_cg(stack, rhs)
+        assert len(cg_calls) >= 1 and not fallbacks  # CG converged itself
         np.testing.assert_allclose(iterative, direct, atol=1e-8)
 
     def test_low_weight_warning(self):
@@ -225,6 +237,128 @@ class TestSolveMinNorm:
         np.testing.assert_array_equal(stack.weights, [1e-3])
         y = stack.solve(np.array([[[1.0], [-1.0]]]))[0]
         np.testing.assert_allclose(y, [[500.0], [-500.0]], rtol=1e-12)
+
+
+def complete_stack(rng, count, size, weight):
+    """``count`` complete graphs of ``size`` nodes at one weight, with
+    shuffled node ids, edge order and orientation, as one stack."""
+    n = count * size
+    ids = rng.permutation(n)
+    iu, ju = np.triu_indices(size, k=1)
+    m = np.concatenate([ids[k * size:(k + 1) * size][iu]
+                        for k in range(count)])
+    nn = np.concatenate([ids[k * size:(k + 1) * size][ju]
+                         for k in range(count)])
+    flip = rng.random(len(m)) < 0.5
+    m, nn = np.where(flip, nn, m), np.where(flip, m, nn)
+    order = rng.permutation(len(m))
+    b = ObservationBatch(m[order], nn[order], np.ones(len(m)),
+                         np.full(len(m), weight))
+    [stack] = group_components(b, n)
+    return stack
+
+
+def zero_sum_rhs(rng, count, size, dim=2):
+    rhs = rng.standard_normal((count, size, dim))
+    return rhs - rhs.mean(axis=1, keepdims=True)
+
+
+class TestCompleteClosedForm:
+    """Complete components of one size at one weight w are solved as
+    rhs / (w * size), with no assembly, factorization or CG."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 12),
+           st.one_of(st.floats(0.01, 1.0),
+                     st.floats(1e-100, 0.01, exclude_max=True)),
+           st.integers(0, 2**32 - 1))
+    def test_matches_dense_and_pinv(self, count, size, weight, seed):
+        rng = np.random.default_rng(seed)
+        stack = complete_stack(rng, count, size, weight)
+        assert np.array_equal(stack._complete_weights(),
+                              np.full(count, weight))
+        rhs = zero_sum_rhs(rng, count, size)
+        got = stack.solve(rhs)
+        assert np.abs(got.sum(axis=1)).max() <= 1e-12 * np.abs(got).max()
+        for k, single in enumerate(stack.split()):
+            want = np.linalg.pinv(dense(single)) @ rhs[k]
+            np.testing.assert_allclose(got[k], want, rtol=0,
+                                       atol=1e-9 * np.abs(want).max())
+        # the dense reference loses digits as w -> 0 (its shifted matrix
+        # has condition ~ 1 / (w * size)), so it is held to 1e-12 only
+        # where it is itself that accurate
+        if weight >= 0.01:
+            np.testing.assert_allclose(got, _dense_min_norm(stack, rhs),
+                                       rtol=0, atol=1e-12)
+
+    def test_above_dense_limit_needs_no_cg(self, monkeypatch):
+        def no_cg(*args):
+            raise AssertionError("CG ran on a complete component")
+
+        monkeypatch.setattr(graph_linalg, "_solve_cg", no_cg)
+        rng = np.random.default_rng(31)
+        size = DENSE_SOLVER_MAX + 8
+        stack = complete_stack(rng, 1, size, 1.0)
+        rhs = zero_sum_rhs(rng, 1, size)
+        np.testing.assert_allclose(stack.solve(rhs),
+                                   _dense_min_norm(stack, rhs),
+                                   rtol=0, atol=1e-12)
+
+    def test_route_is_per_component(self, monkeypatch):
+        """In a stack that mixes complete components of different weights
+        with incomplete ones, each component gets the result it gets alone,
+        bit for bit, and only the incomplete ones reach the dense solve."""
+        rng = np.random.default_rng(33)
+        size = 5
+        iu, ju = np.triu_indices(size, k=1)
+        entries = []
+        for k, weight in enumerate([1.0, 0.5, None, 1.0, None]):
+            pairs = list(zip(iu.tolist(), ju.tolist()))
+            if weight is None:  # drop one pair: connected, not complete
+                pairs.pop(int(rng.integers(1, len(pairs))))
+            for i, j in pairs:
+                entries.append((k * size + i, k * size + j, 1.0,
+                                weight or rng.uniform(0.5, 1.0)))
+        [stack] = group_components(batch(entries), 5 * size)
+        np.testing.assert_array_equal(stack._complete_weights(),
+                                      [1.0, 0.5, 0.0, 1.0, 0.0])
+        rhs = zero_sum_rhs(rng, 5, size)
+        calls = spy(monkeypatch, "_dense_min_norm")
+        got = stack.solve(rhs)
+        assert len(calls) == 1
+        for k, single in enumerate(stack.split()):
+            assert np.array_equal(got[k], single.solve(rhs[k:k + 1])[0])
+            want = np.linalg.pinv(dense(single)) @ rhs[k]
+            np.testing.assert_allclose(got[k], want, atol=1e-12)
+        assert len(calls) == 3  # the two incomplete components, alone
+
+    @pytest.mark.parametrize("entries", [
+        # every degree 3 and K4's edge count, but (0, 1) and (2, 3) twice
+        [(0, 1, 1, 1), (1, 0, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1),
+         (0, 2, 1, 1), (1, 3, 1, 1)],
+        # K4 with two weights
+        [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 2, 1, 1),
+         (1, 3, 1, 1), (2, 3, 1, 0.5)],
+        # K4 less one edge
+        [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 2, 1, 1),
+         (1, 3, 1, 1)],
+        # K4 with one zero-weight edge, which nonzero() drops
+        [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 2, 1, 1),
+         (1, 3, 1, 1), (2, 3, 1, 0)],
+        # K4 less one edge plus a self-loop: K4's edge count, no pair twice
+        [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 2, 1, 1),
+         (1, 3, 1, 1), (2, 2, 1, 1)],
+    ], ids=["regular-multigraph", "two-weights", "missing-edge",
+            "zero-weight-edge", "self-loop"])
+    def test_not_complete_takes_dense(self, entries, monkeypatch):
+        [stack] = group_components(batch(entries), 4)
+        assert stack._complete_weights() is None
+        calls = spy(monkeypatch, "_dense_min_norm")
+        rhs = zero_sum_rhs(np.random.default_rng(32), 1, 4)
+        got = stack.solve(rhs)
+        assert len(calls) == 1
+        want = np.linalg.pinv(dense(stack)) @ rhs[0]
+        np.testing.assert_allclose(got[0], want, atol=1e-12)
 
 
 class TestAlgebraicConnectivity:

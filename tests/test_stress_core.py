@@ -1,5 +1,7 @@
 """Stress function and the four update rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,9 @@ from stochmds import (
     stress,
     upsilon,
 )
-from stochmds.graph_linalg import DENSE_SOLVER_MAX, group_components
+from stochmds import graph_linalg
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, ComponentStack, \
+    group_components
 from stochmds.stress_core import _b_times_x, _regularized_coeffs
 
 
@@ -367,10 +371,18 @@ class TestComponentLayerReference:
             want[list(nodes)] = sol
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
-    def test_component_above_dense_limit_takes_cg(self):
+    def test_component_above_dense_limit_takes_cg(self, monkeypatch):
         rng = np.random.default_rng(25)
         sizes = [DENSE_SOLVER_MAX + 8, 3, 3, 5]
         n, comps, batch = _component_instance(rng, sizes, 2, 4)
+        cg_calls = []
+        real_cg = graph_linalg._solve_cg
+
+        def spy_cg(*args):
+            cg_calls.append(args)
+            return real_cg(*args)
+
+        monkeypatch.setattr(graph_linalg, "_solve_cg", spy_cg)
         X = rng.standard_normal((n, 2)) * 3
         want_smacof = X.copy()
         want_step = X.copy()
@@ -386,6 +398,88 @@ class TestComponentLayerReference:
             want_step, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(smacof_iterate(X, batch), want_smacof,
                                    rtol=1e-9, atol=1e-9)
+        assert len(cg_calls) >= 2  # one per update
+
+
+def _stress_fancy(X, batch):
+    diff = X[batch.m] - X[batch.n]
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return float(np.sum(batch.weight * (batch.delta - d) ** 2))
+
+
+def _coeffs_fancy(X, m, n, w, delta, eps_x):
+    diff = X[m] - X[n]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if eps_x > 0:
+        return w * delta / np.sqrt(d2 + eps_x), diff
+    coef = np.zeros_like(d2)
+    pos = d2 > 0
+    coef[pos] = (w[pos] * delta[pos]) / np.sqrt(d2[pos])
+    return coef, diff
+
+
+def _b_times_x_fancy(Xc, stack, eps_x):
+    flat = Xc.reshape(-1, Xc.shape[2])
+    coef, diff = _coeffs_fancy(flat, stack.a, stack.b, stack.weights,
+                               stack.delta, eps_x)
+    contrib = coef[:, None] * diff
+    out = np.empty_like(flat)
+    for col in range(flat.shape[1]):
+        out[:, col] = (
+            np.bincount(stack.a, weights=contrib[:, col], minlength=len(flat))
+            - np.bincount(stack.b, weights=contrib[:, col],
+                          minlength=len(flat)))
+    return out.reshape(Xc.shape)
+
+
+class TestGathersBitIdentical:
+    """The stress and B(X)X kernels gather rows with ``np.take``; they must
+    equal plain fancy-index copies bit for bit, coincident endpoints and
+    zero-weight edges included."""
+
+    @staticmethod
+    def instance(rng, count, size, dim):
+        """A (count, size, dim) block and a stack of random measurements
+        with a zero-weight edge and, per component, two coincident
+        endpoints (nodes 0 and 1) measured against each other."""
+        Xc = rng.standard_normal((count, size, dim))
+        Xc[:, 1] = Xc[:, 0]
+        a, b = [], []
+        for k in range(count):
+            pairs = rng.choice(size, size=(3 * size, 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            a += [k * size] + (k * size + pairs[:, 0]).tolist()
+            b += [k * size + 1] + (k * size + pairs[:, 1]).tolist()
+        a, b = np.array(a), np.array(b)
+        w = rng.uniform(0.05, 1.0, len(a))
+        w[len(a) // 2] = 0.0
+        stack = ComponentStack(np.arange(count * size).reshape(count, size),
+                               a, b, w, rng.random(len(a)) + 0.2)
+        return Xc, stack
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
+    def test_matches_fancy_index(self, dim, eps_x):
+        rng = np.random.default_rng(40 + dim)
+        for count, size in [(1, 2), (1, 9), (4, 5), (3, 30)]:
+            Xc, stack = self.instance(rng, count, size, dim)
+            flat = Xc.reshape(-1, dim)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                coef, diff = _regularized_coeffs(
+                    flat, stack.a, stack.b, stack.weights, stack.delta, eps_x)
+                got_bx = _b_times_x(Xc, stack, eps_x)
+            want_coef, want_diff = _coeffs_fancy(
+                flat, stack.a, stack.b, stack.weights, stack.delta, eps_x)
+            assert np.array_equal(coef, want_coef)
+            assert np.array_equal(diff, want_diff)
+            assert np.array_equal(got_bx, _b_times_x_fancy(Xc, stack, eps_x))
+            if eps_x == 0.0:  # coincident endpoints: coefficient exactly 0
+                coincident = np.all(diff == 0, axis=1)
+                assert coincident.any() and np.all(coef[coincident] == 0.0)
+            batch = ObservationBatch(stack.a, stack.b, stack.delta,
+                                     stack.weights)
+            assert stress(flat, batch) == _stress_fancy(flat, batch)
 
 
 class TestSpeStep:
