@@ -6,8 +6,8 @@ final embedding and optionally the whole embedding sequence. ``_EvalSet``
 evaluates ``stress_core.stress`` on one batch: a sampled run's fixed sample of
 usable pairs (all of them up to ``eval_pairs``, else a uniform draw, so full
 stress, quadratic in N, is never computed per slot for large runs; an edge
-list offers only its own edges), a streamed slot's own batch, or the batch
-of a batch-mode run.
+list offers only its own edges) or a streamed slot's own batch. A
+batch-mode run takes its stress from its batch plan instead.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .stress_core import (
     stochastic_step,
     stress as _stress,
     upsilon,
+    _all_finite,
+    _BatchPlan,
     _damped_update,
 )
 
@@ -172,8 +174,8 @@ def _record(t, s, s_norm, mu, wall_ms, pairs):
 
 
 class _EvalSet:
-    """The batch on which stress is evaluated: a run's fixed pair sample,
-    a streamed slot's own batch or the batch of a batch-mode run."""
+    """The batch on which stress is evaluated: a run's fixed pair sample
+    or a streamed slot's own batch."""
 
     def __init__(self, batch: ObservationBatch):
         self.batch = batch
@@ -187,12 +189,6 @@ class _EvalSet:
         return s, (s / self.denom if self.denom > 0 else 0.0)
 
 
-def _all_finite(X: np.ndarray) -> bool:
-    """True when every entry is finite (min and max propagate NaN and inf,
-    so no N x P temporary is needed)."""
-    return X.size == 0 or bool(np.isfinite(X.min()) and np.isfinite(X.max()))
-
-
 def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
                      tol: float = 1e-6, max_iters: int = 500,
                      config_echo: dict | None = None,
@@ -200,23 +196,36 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
     """Iterate the batch majorization update until the relative stress
     decrease drops below ``tol`` or ``max_iters`` is reached.
 
+    The batch is fixed for the whole run, so it is planned once
+    (``stress_core._BatchPlan``): grouped into components, each component
+    routed (closed form, dense Cholesky factor or CG) and factored, and
+    work vectors allocated. Each iterate then gathers its edges, takes the
+    stress of the new embedding from the same edge lengths that give the
+    next iterate's B(X), and applies the cached solves.
+
     The recorded stress sequence is non-increasing up to solver round-off.
     A non-finite iterate stops the run with status ``diverged``; the final
     embedding is then the last finite one.
     """
     X = np.array(init, dtype=np.float64, copy=True)
-    evaluator = _EvalSet(batch)
-    prev, prev_norm = evaluator.stress(X)
+    denom = batch.total_weighted_delta_sq()  # before the plan's buffers
+    plan = _BatchPlan(batch, X.shape[0])
+
+    def evaluate(X):
+        s = plan.stress_at(X)
+        return s, (s / denom if denom > 0 else 0.0)
+
+    prev, prev_norm = evaluate(X)
     records = [_record(0, prev, prev_norm, 1.0, 0.0, len(batch))]
     status = "max_iters"
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        Xn = smacof_iterate(X, batch)
+        Xn = smacof_iterate(X, batch, plan)
         if not _all_finite(Xn):
             status = "diverged"
             break
         X = Xn
-        cur, cur_norm = evaluator.stress(X)
+        cur, cur_norm = evaluate(X)
         wall = (time.perf_counter() - t0) * 1e3
         records.append(_record(it, cur, cur_norm, 1.0, wall, len(batch)))
         if (prev - cur) < tol * max(prev, 1e-300):

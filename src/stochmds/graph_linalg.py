@@ -18,6 +18,12 @@ component and ``algebraic_connectivity`` takes one. ``_laplacian_entries``
 alone decides how measurements become Laplacian entries (a pair measured
 twice counts twice); the batched dense kernel and ``_sparse``, the CSR form
 behind CG and ``algebraic_connectivity``, both read it.
+
+A run that solves the same stack many times (batch majorization, whose
+batch is fixed) builds a ``_FactoredStack`` of it once instead. It routes
+each component by the same rule (``ComponentStack._route``) and keeps what
+the route can reuse: the closed-form weight, one Cholesky factor of
+``L + shift 11^T``, or the CSR Laplacian with its Jacobi preconditioner.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components as _cs_components
 from scipy.sparse.linalg import cg as _cg
 
@@ -75,11 +82,8 @@ def _component_labels(m, n, node_count):
              (np.concatenate([m, n]), np.concatenate([n, m]))),
             shape=(node_count, node_count),
         )
-        _, raw = _cs_components(adj, directed=False)
-        # canonicalize to min-member labels
-        mins = np.full(raw.max() + 1, node_count, dtype=np.int64)
-        np.minimum.at(mins, raw, np.arange(node_count))
-        labels = mins[raw]
+        # scipy numbers components in order of their smallest member
+        _, labels = _cs_components(adj, directed=False)
     uniq, inverse = np.unique(labels, return_inverse=True)
     return inverse, len(uniq)
 
@@ -182,27 +186,82 @@ class ComponentStack:
         out[cand[ok]] = w[ok, 0]
         return out
 
+    def _route(self):
+        """The one place that picks each component's route from the data.
+
+        Returns ``(w, dense)``: ``w`` as ``_complete_weights`` gives it
+        (components with ``w > 0`` are solved in closed form), and whether
+        the others take the dense factorization (up to ``DENSE_SOLVER_MAX``
+        nodes) or deflated CG.
+        """
+        return self._complete_weights(), self.size <= DENSE_SOLVER_MAX
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
 
         ``rhs`` is (count, size, dim) with zero column sums; so is the result.
-        The route follows from the data, component by component, so a
-        component's result does not depend on the stack it is in. A
-        complete component with one weight ``w`` has
+        The route follows from the data (``_route``), component by
+        component, so a component's result does not depend on the stack it
+        is in. A complete component with one weight ``w`` has
         ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve.
         The others take one batched dense factorization up to
         ``DENSE_SOLVER_MAX`` nodes, and deflated CG each above.
         """
-        w = self._complete_weights()
+        w, dense = self._route()
         if w is not None and w.all():
             return _closed_form(rhs, w)
-        if self.size <= DENSE_SOLVER_MAX:
+        if dense:
             y = _dense_min_norm(self, rhs)
         else:
             y = np.empty_like(rhs)
             for k, single in enumerate(self.split()):
                 if w is None or w[k] == 0:
                     y[k] = _solve_cg(single, rhs[k])
+        if w is not None:
+            closed = w > 0
+            y[closed] = _closed_form(rhs[closed], w[closed])
+        return y
+
+
+class _FactoredStack:
+    """Min-norm solves of a fixed stack, routed and factored once.
+
+    Each component takes the route ``ComponentStack._route`` picks and
+    keeps what that route can reuse: a closed-form component its weight; a
+    dense one the Cholesky factor of ``L + shift 11^T``, factored in place
+    (when Cholesky fails, as on a path with a 1e-20 weight, it takes the LU
+    solve of ``_dense_min_norm`` each time); a CG one its CSR Laplacian and
+    Jacobi preconditioner (``_cg_system``). ``solve`` agrees with
+    ``ComponentStack.solve`` bit for bit on closed-form and CG components
+    and to round-off on dense ones.
+    """
+
+    def __init__(self, stack: ComponentStack):
+        w, dense = stack._route()
+        self.closed, self.dense = w, dense
+        self.solvers = []     # (component, stack of one, factor or system)
+        if w is not None and w.all():
+            return
+        for k, single in enumerate(stack.split()):
+            if w is None or w[k] == 0:
+                self.solvers.append(
+                    (k, single, _cholesky(single) if dense
+                     else _cg_system(single)))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        w = self.closed
+        if w is not None and w.all():
+            return _closed_form(rhs, w)
+        y = np.empty_like(rhs)
+        for k, single, cached in self.solvers:
+            if not self.dense:
+                y[k] = _solve_cg(single, rhs[k], cached)
+            elif cached is None:
+                y[k] = _dense_min_norm(single, rhs[k:k + 1])[0]
+            else:
+                yk = cho_solve(cached, rhs[k], check_finite=False)
+                yk -= yk.sum(axis=0) / single.size
+                y[k] = yk
         if w is not None:
             closed = w > 0
             y[closed] = _closed_form(rhs[closed], w[closed])
@@ -306,8 +365,9 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     return comps
 
 
-def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
-    """Batched dense min-norm solve of a stack's Laplacian systems."""
+def _shifted_dense(stack: ComponentStack) -> np.ndarray:
+    """(count, size, size): every component's ``L + shift 11^T``,
+    nonsingular and equal to L on zero-sum vectors."""
     g, p = stack.nodes.shape
     rows, cols, off, degree, shift = _laplacian_entries(stack)
     L = np.repeat(shift, p * p)  # every entry starts at its shift
@@ -318,20 +378,45 @@ def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
         np.add.at(L, flat, off)
     L = L.reshape(g, p, p)
     L.reshape(g, p * p)[:, ::p + 1] += degree
-    y = np.linalg.solve(L, rhs)
-    y -= y.sum(axis=1, keepdims=True) / p
+    return L
+
+
+def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
+    """Batched dense min-norm solve of a stack's Laplacian systems."""
+    y = np.linalg.solve(_shifted_dense(stack), rhs)
+    y -= y.sum(axis=1, keepdims=True) / stack.size
     return y
 
 
-def _solve_cg(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
-    """Deflated CG min-norm solve for a stack of one; ``rhs`` is
-    (size, dim). Falls back to the dense solve if CG does not converge."""
+def _cholesky(stack: ComponentStack):
+    """``cho_factor`` of a stack of one's ``L + shift 11^T``, factored in
+    place (the matrix is symmetric, so its transpose is the Fortran-ordered
+    copy LAPACK works on); None when Cholesky fails on round-off."""
+    A = _shifted_dense(stack)[0].T
+    try:
+        return cho_factor(A, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cg_system(stack: ComponentStack):
+    """What CG needs of a stack of one: its CSR Laplacian, the shifted
+    operator ``L + shift 11^T`` and the Jacobi preconditioner."""
     p = stack.size
     L, degree, shift = _sparse(stack)
     A = sp.linalg.LinearOperator(
         (p, p), matvec=lambda v: L @ v + shift * v.sum(), dtype=np.float64
     )
-    M = sp.diags(1.0 / (degree + shift))
+    return L, A, sp.diags(1.0 / (degree + shift))
+
+
+def _solve_cg(stack: ComponentStack, rhs: np.ndarray,
+              system=None) -> np.ndarray:
+    """Deflated CG min-norm solve for a stack of one; ``rhs`` is
+    (size, dim). ``system`` is the stack's ``_cg_system``, built here when
+    not given. Falls back to the dense solve if CG does not converge."""
+    p = stack.size
+    L, A, M = system or _cg_system(stack)
     y = np.empty_like(rhs)
     for col in range(rhs.shape[1]):
         b = rhs[:, col]

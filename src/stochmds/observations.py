@@ -94,8 +94,20 @@ class ObservationBatch:
             self.m[keep], self.n[keep], self.delta[keep], self.weight[keep])
 
     def total_weighted_delta_sq(self) -> float:
-        """Sum of w * delta^2, the normalization constant for stress."""
-        return float(np.sum(self.weight * self.delta**2))
+        """Sum of w * delta^2 over the positive-weight measurements, the
+        normalization constant for stress."""
+        return float(np.sum(self.weight * self._live_delta()**2))
+
+    def _live_delta(self) -> np.ndarray:
+        """``delta`` with the rows that carry no information (weight not
+        positive, whose delta may be anything, NaN included) set to 0.
+
+        Such a row then adds an exact 0 to any sum of w * f(delta, d) with
+        finite d, as it does when its delta is finite, so the sums keep
+        their full length and order and stay bit for bit the same. Returns
+        ``delta`` itself when every row has positive weight."""
+        live = self.weight > 0
+        return self.delta if live.all() else np.where(live, self.delta, 0.0)
 
 
 @dataclass

@@ -7,13 +7,22 @@ with ``graph_linalg.group_components`` and solve each stack of equal-size
 components in one ``ComponentStack.solve`` call. The incremental rule blends
 that solution with the previous coordinates through the step size ``mu``;
 the per-component coordinate center is preserved exactly.
+
+A batch-majorization run iterates on one fixed batch, so it builds a
+``_BatchPlan`` once: the batch grouped, each stack routed and factored
+(``graph_linalg._FactoredStack``), and three work vectors of one value per
+measurement. ``smacof_iterate`` with the plan gathers each iterate's edges
+in batch order and takes the new embedding's stress from the same edge
+lengths that give the next iterate's B(X). Stress counts positive-weight
+measurements only: a zero-weight row may carry any delta, NaN included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph_linalg import ComponentStack, group_components
+from .graph_linalg import ComponentStack, group_components, \
+    _FactoredStack, _validate_batch_indices
 from .observations import ObservationBatch, StepConfig
 
 __all__ = [
@@ -29,10 +38,20 @@ __all__ = [
 
 
 def stress(X: np.ndarray, batch: ObservationBatch) -> float:
-    """Weighted stress: sum of w * (delta - ||x_m - x_n||)^2."""
+    """Weighted stress: sum of w * (delta - ||x_m - x_n||)^2 over the
+    positive-weight measurements."""
     diff = np.take(X, batch.m, axis=0) - np.take(X, batch.n, axis=0)
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return float(np.sum(batch.weight * (batch.delta - d) ** 2))
+    return _misfit(d, batch._live_delta(), batch.weight, out=d)
+
+
+def _misfit(d, delta, w, out) -> float:
+    """Stress from the edge lengths ``d`` (batch order): the sum of
+    w * (delta - d)^2, its terms formed in ``out`` (which may be ``d``)."""
+    np.subtract(delta, d, out=out)
+    out *= out
+    out *= w
+    return float(np.sum(out))
 
 
 def _regularized_coeffs(X, m, n, w, delta, eps_x):
@@ -65,18 +84,117 @@ def _b_times_x(Xc, stack: ComponentStack, eps_x):
     return out.reshape(Xc.shape)
 
 
-def smacof_iterate(X: np.ndarray, batch: ObservationBatch) -> np.ndarray:
+def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
+                   plan: _BatchPlan | None = None) -> np.ndarray:
     """One majorization iterate per component: X' = pinv(L) B(X) X.
 
     Components are recentered at the origin (the minimum-norm solution);
     nodes without usable measurements are left unchanged. Stress never
-    increases.
+    increases. A run that iterates on one batch passes the ``_BatchPlan``
+    it built for that batch once, and gets the same iterate without
+    grouping, routing or factoring the batch again.
     """
+    if plan is not None:
+        return plan.iterate(X)
     Xn = np.array(X, dtype=np.float64, copy=True)
     for stack in group_components(batch, X.shape[0]):
         rhs = _b_times_x(np.take(Xn, stack.nodes, axis=0), stack, eps_x=0.0)
         Xn[stack.nodes] = stack.solve(rhs)
     return Xn
+
+
+def _all_finite(X: np.ndarray) -> bool:
+    """True when every entry is finite (min and max propagate NaN and inf,
+    so no N x P temporary is needed)."""
+    return X.size == 0 or bool(np.isfinite(X.min()) and np.isfinite(X.max()))
+
+
+class _BatchPlan:
+    """A fixed batch prepared once for a run of majorization iterates.
+
+    Grouping, routes and factorizations depend only on the batch, so the
+    plan groups it once and keeps each stack's ``_FactoredStack``. It also
+    owns three work vectors of one value per measurement, in batch order:
+    the coefficients w * delta / d of B(X), and two scratch vectors for
+    per-column gathers (no (E, dim) difference array is kept).
+
+    ``iterate`` is ``smacof_iterate`` with all that reused. The stress of X
+    and the coefficients of B(X) come from the same edge lengths, so when
+    ``iterate`` returns a finite X' it has already measured X': a run takes
+    ``stress_at(X')`` at no cost and the next iterate starts from the kept
+    coefficients. Edge lengths are reduced as ``stress`` reduces them (sums
+    of squared columns at dim <= 2, the same ``einsum`` above), and every
+    node sums its edges in batch order, as per component, so iterates and
+    stresses equal the plain ones bit for bit except on dense components,
+    whose Cholesky solve differs from LU at round-off. X' must not be
+    changed in place while the plan is in use.
+    """
+
+    def __init__(self, batch: ObservationBatch, node_count: int):
+        _validate_batch_indices(batch, node_count)
+        self.batch = batch
+        self.delta = batch._live_delta()
+        self.parts = [(stack.nodes, _FactoredStack(stack))
+                      for stack in group_components(batch, node_count)]
+        e = len(batch)
+        self.coef, self.s, self.t = np.empty(e), np.empty(e), np.empty(e)
+        self._at, self._stress = None, 0.0
+
+    def stress_at(self, X: np.ndarray) -> float:
+        """Stress of X, as ``stress`` gives it."""
+        if X is not self._at:
+            self._measure(X)
+        return self._stress
+
+    def _diff(self, x: np.ndarray) -> np.ndarray:
+        """``x[m] - x[n]`` for one contiguous column, in ``self.s``."""
+        b = self.batch
+        # indices are checked once in __init__, so no buffered 'raise' mode
+        np.take(x, b.m, out=self.s, mode="clip")
+        np.take(x, b.n, out=self.t, mode="clip")
+        self.s -= self.t
+        return self.s
+
+    def _measure(self, X: np.ndarray) -> None:
+        """Edge lengths of X: its stress, and B(X)'s coefficients kept in
+        ``coef``."""
+        b, coef = self.batch, self.coef
+        if X.shape[1] > 2:
+            diff = np.take(X, b.m, axis=0)
+            diff -= np.take(X, b.n, axis=0)
+            np.einsum("ij,ij->i", diff, diff, out=coef)
+            del diff
+        else:
+            coef.fill(0.0)
+            for col in range(X.shape[1]):
+                sq = self._diff(np.ascontiguousarray(X[:, col]))
+                sq *= sq
+                coef += sq
+        np.sqrt(coef, out=coef)
+        self._stress = _misfit(coef, self.delta, b.weight, out=self.s)
+        # coincident endpoints keep coefficient 0, as in _regularized_coeffs;
+        # zero-weight rows get 0 * 0 / d
+        np.multiply(b.weight, self.delta, out=self.s)
+        np.divide(self.s, coef, out=coef, where=coef > 0)
+        self._at = X
+
+    def iterate(self, X: np.ndarray) -> np.ndarray:
+        if X is not self._at:
+            self._measure(X)
+        b = self.batch
+        n, dim = X.shape
+        bx = np.empty((n, dim))
+        for col in range(dim):
+            contrib = self._diff(np.ascontiguousarray(X[:, col]))
+            contrib *= self.coef
+            bx[:, col] = (np.bincount(b.m, weights=contrib, minlength=n)
+                          - np.bincount(b.n, weights=contrib, minlength=n))
+        Xn = np.array(X, dtype=np.float64, copy=True)
+        for nodes, solver in self.parts:
+            Xn[nodes] = solver.solve(np.take(bx, nodes, axis=0))
+        if _all_finite(Xn):
+            self._measure(Xn)
+        return Xn
 
 
 def stochastic_step(X: np.ndarray, batch: ObservationBatch,

@@ -19,14 +19,17 @@ from stochmds import (
     run_batch_smacof,
     run_stochastic,
     sgd_step,
+    smacof_iterate,
     steady_state_stats,
     stochastic_step,
     stress,
 )
+from stochmds import embedder, graph_linalg
 from stochmds.data_io import EdgeListProvider, FeatureProvider, \
     MatrixProvider
 from stochmds.embedder import _CHUNK_DIVISOR, _chunks, _usable_pairs, \
     estimate_scale
+from stochmds.graph_linalg import DENSE_SOLVER_MAX
 from stochmds.rng import substream
 from stochmds.sampling import _sample_local_pairs, assign_weights, \
     partition_nodes
@@ -124,6 +127,154 @@ class TestRunBatchSmacof:
         trace = run_batch_smacof(full_batch_from(coords), init, tol=1e-14,
                                  max_iters=2000)
         assert trace.records[-1]["stress_norm"] < 1e-6
+
+
+def _plain_batch_run(batch, init, tol, max_iters):
+    """``run_batch_smacof`` as a loop of one-shot iterates and ``stress``
+    calls: the reference for its batch plan."""
+    X = init.copy()
+    prev = stress(X, batch)
+    stresses = [prev]
+    for _ in range(max_iters):
+        Xn = smacof_iterate(X, batch)
+        if not np.all(np.isfinite(Xn)):
+            break
+        X = Xn
+        cur = stress(X, batch)
+        stresses.append(cur)
+        if (prev - cur) < tol * max(prev, 1e-300):
+            break
+        prev = cur
+    return X, stresses
+
+
+def _batch_of_components(rng, sizes, complete, isolated=2, dead=4):
+    """One batch holding a component per size, on shuffled node ids with
+    random orientation and edge order: complete graphs at one weight per
+    component when ``complete``, else random connected graphs with weights
+    in [0.2, 1]. ``dead`` zero-weight rows with NaN delta (a dropped
+    measurement) join random node pairs; ``isolated`` nodes get none."""
+    n = sum(sizes) + isolated
+    ids = rng.permutation(n)
+    rows, start = [], 0
+    for size in sizes:
+        nodes = ids[start:start + size]
+        start += size
+        iu, ju = np.triu_indices(size, k=1)
+        if complete:
+            keep = np.ones(len(iu), dtype=bool)
+            w = np.full(len(iu), rng.choice([1.0, 0.5, 0.25]))
+        else:
+            keep = rng.random(len(iu)) < 0.3
+            keep[[v * (v - 1) // 2 for v in range(1, size)]] = True
+            w = rng.uniform(0.2, 1.0, len(iu))
+        for i, j, wk in zip(iu[keep], ju[keep], w[keep]):
+            a, b = (nodes[i], nodes[j]) if rng.random() < 0.5 \
+                else (nodes[j], nodes[i])
+            rows.append((a, b, rng.uniform(0.5, 3.0), wk))
+    for _ in range(dead):
+        a, b = rng.choice(sum(sizes), size=2, replace=False)
+        rows.append((ids[a], ids[b], np.nan, 0.0))
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    return n, ObservationBatch.from_entries(rows)
+
+
+class TestBatchPlan:
+    """``run_batch_smacof`` plans its batch once; each route must give what
+    plain one-shot iterates and ``stress`` calls give."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_closed_form_route_is_bit_identical(self, dim, monkeypatch):
+        rng = np.random.default_rng(40 + dim)
+        n, batch = _batch_of_components(rng, [3, 3, 5, 4, 7], complete=True)
+        init = random_init(n, dim, rng, 3.0)
+        dense = []
+        monkeypatch.setattr(graph_linalg, "_cholesky",
+                            lambda *a: dense.append(a))
+        trace = run_batch_smacof(batch, init, tol=0.0, max_iters=12)
+        assert not dense  # every component took the closed form
+        want_X, want_s = _plain_batch_run(batch, init, 0.0, 12)
+        assert np.array_equal(trace.final, want_X)
+        assert np.array_equal(trace.stresses(), want_s)
+        assert np.all(np.isfinite(trace.stresses()))
+
+    def test_dense_route_matches_to_round_off(self):
+        rng = np.random.default_rng(44)
+        n, batch = _batch_of_components(rng, [30, 12, 12, 6], complete=False)
+        init = random_init(n, 2, rng, 3.0)
+        trace = run_batch_smacof(batch, init, tol=1e-9, max_iters=30)
+        want_X, want_s = _plain_batch_run(batch, init, 1e-9, 30)
+        assert len(trace.records) == len(want_s)
+        np.testing.assert_allclose(trace.final, want_X, rtol=0,
+                                   atol=1e-12 * np.abs(want_X).max())
+        np.testing.assert_allclose(trace.stresses(), want_s, rtol=1e-12)
+
+    def test_cg_route_builds_its_system_once(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        size = DENSE_SOLVER_MAX + 8
+        n, batch = _batch_of_components(rng, [size], complete=False)
+        init = random_init(n, 2, rng, 3.0)
+        built = []
+        real = graph_linalg._sparse
+        monkeypatch.setattr(graph_linalg, "_sparse",
+                            lambda stack: built.append(stack) or real(stack))
+        trace = run_batch_smacof(batch, init, tol=0.0, max_iters=4)
+        assert len(trace.records) == 5
+        assert len(built) == 1 and built[0].size == size
+        want_X, want_s = _plain_batch_run(batch, init, 0.0, 4)
+        assert len(built) == 1 + 4  # the plain loop builds it per iterate
+        assert np.array_equal(trace.final, want_X)
+        assert np.array_equal(trace.stresses(), want_s)
+
+    def test_one_module_level_iterate_per_iteration(self, monkeypatch):
+        """Each iteration goes through ``embedder.smacof_iterate`` once, so
+        a wrapper of that name sees every iteration."""
+        calls = []
+        real = embedder.smacof_iterate
+        monkeypatch.setattr(embedder, "smacof_iterate",
+                            lambda *a: calls.append(a) or real(*a))
+        rng = np.random.default_rng(47)
+        coords = rng.random((15, 2)) * 4
+        trace = run_batch_smacof(full_batch_from(coords),
+                                 random_init(15, 2, rng, 4.0), tol=0.0,
+                                 max_iters=7)
+        assert len(calls) == len(trace.records) - 1 == 7
+
+    def test_empty_batch(self):
+        init = random_init(4, 2, np.random.default_rng(0), 1.0)
+        trace = run_batch_smacof(ObservationBatch.empty(), init,
+                                 max_iters=3)
+        assert trace.status == "converged"
+        assert trace.stresses().tolist() == [0.0, 0.0]
+        np.testing.assert_array_equal(trace.final, init)
+
+
+class TestDroppedMeasurements:
+    """A zero-weight row may carry a NaN delta (``validate`` allows it); it
+    carries no information and must not reach stress or its norm."""
+
+    def _batch(self):
+        return ObservationBatch.from_entries(
+            [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, np.nan, 0.0)])
+
+    def test_streamed_run_stress_is_finite(self):
+        b = self._batch().validate(3)
+        init = random_init(3, 2, np.random.default_rng(0), 1.0)
+        trace = run_stochastic([b, b], init, MuSchedule.constant(0.5), None,
+                               slots=2)
+        assert trace.status == "ok"
+        assert np.all(np.isfinite(trace.stresses()))
+        norms = [r["stress_norm"] for r in trace.records]
+        # the first record has no batch to evaluate yet
+        assert np.all(np.isfinite(norms)) and min(norms[1:]) > 0
+
+    def test_batch_run_converges(self):
+        b = self._batch()
+        init = random_init(3, 2, np.random.default_rng(1), 1.0)
+        trace = run_batch_smacof(b, init, tol=1e-9, max_iters=200)
+        assert trace.status == "converged"
+        assert np.all(np.isfinite(trace.stresses()))
+        assert trace.records[-1]["stress"] < 1e-12
 
 
 class TestRunStochastic:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from stochmds import ObservationBatch, algebraic_connectivity, \
     build_laplacian
 from stochmds import graph_linalg
-from stochmds.graph_linalg import DENSE_SOLVER_MAX, _component_labels, \
-    _dense_min_norm, _laplacian_entries, _sparse, group_components
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, _FactoredStack, \
+    _component_labels, _dense_min_norm, _laplacian_entries, _sparse, group_components
 
 
 def batch(entries):
@@ -359,6 +359,67 @@ class TestCompleteClosedForm:
         assert len(calls) == 1
         want = np.linalg.pinv(dense(stack)) @ rhs[0]
         np.testing.assert_allclose(got[0], want, atol=1e-12)
+
+
+class TestFactoredStack:
+    """A stack routed and factored once solves as ``ComponentStack.solve``
+    does: bit for bit in closed form and by CG, to round-off by Cholesky."""
+
+    def test_mixed_dense_stack(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        size = 6
+        iu, ju = np.triu_indices(size, k=1)
+        entries = []
+        for k, weight in enumerate([0.5, None, 1.0, None]):
+            keep = np.ones(len(iu), dtype=bool)
+            if weight is None:  # a spanning path plus random extra pairs
+                keep = rng.random(len(iu)) < 0.5
+                keep[[v * (v - 1) // 2 for v in range(1, size)]] = True
+            for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
+                entries.append((k * size + i, k * size + j, 1.0,
+                                weight or rng.uniform(0.2, 1.0)))
+        [stack] = group_components(batch(entries), 4 * size)
+        factored = _FactoredStack(stack)
+        assert len(factored.solvers) == 2  # the two incomplete components
+        calls = spy(monkeypatch, "_dense_min_norm")
+        for _ in range(3):  # reused, never refactored
+            rhs = zero_sum_rhs(rng, 4, size)
+            got, want = factored.solve(rhs), stack.solve(rhs)
+            for k in (0, 2):
+                assert np.array_equal(got[k], want[k])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(calls) == 3  # the one-shot solves only
+
+    def test_failed_cholesky_takes_lu(self):
+        """A 1e-20 weight on a path leaves L + shift 11^T positive definite
+        only in exact arithmetic; Cholesky fails, and the component is
+        solved as the one-shot solve does it, bit for bit."""
+        [stack] = group_components(batch([(0, 1, 1.0, 1.0),
+                                          (1, 2, 1.0, 1e-20)]), 3)
+        factored = _FactoredStack(stack)
+        assert factored.solvers[0][2] is None
+        rhs = zero_sum_rhs(np.random.default_rng(36), 1, 3)
+        assert np.array_equal(factored.solve(rhs), stack.solve(rhs))
+
+    def test_cg_stack(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        p = DENSE_SOLVER_MAX + 8
+        # a random spanning tree plus as many random extra pairs
+        tree = np.arange(1, p)
+        m = np.concatenate([tree, rng.integers(0, p, p)])
+        n = np.concatenate([[rng.integers(0, v) for v in tree],
+                            rng.integers(0, p, p)])
+        keep = m != n
+        b = ObservationBatch(m[keep], n[keep], np.ones(keep.sum()),
+                             rng.uniform(0.1, 1.0, keep.sum()))
+        [stack] = group_components(b, p)
+        built = spy(monkeypatch, "_sparse")
+        factored = _FactoredStack(stack)
+        assert len(built) == 1
+        for _ in range(2):
+            rhs = zero_sum_rhs(rng, 1, p)
+            assert np.array_equal(factored.solve(rhs), stack.solve(rhs))
+        assert len(built) == 1 + 2  # the one-shot solves build their own
 
 
 class TestAlgebraicConnectivity:

@@ -60,6 +60,26 @@ class TestStress:
         b = full_batch(X, weights=np.zeros(10), deltas=np.full(10, 2.0))
         assert stress(X, b) == 0.0
 
+    def test_zero_weight_rows_are_ignored(self):
+        """A dropped measurement (weight 0) may carry a NaN or infinite
+        delta; stress and its normalization skip it, and a finite
+        zero-weight row changes neither sum."""
+        rng = np.random.default_rng(3)
+        X, b = random_instance(rng)
+        dropped = ObservationBatch(
+            np.concatenate([b.m, [0, 1]]), np.concatenate([b.n, [2, 3]]),
+            np.concatenate([b.delta, [np.nan, np.inf]]),
+            np.concatenate([b.weight, [0.0, 0.0]]))
+        assert stress(X, dropped) == pytest.approx(stress(X, b), rel=1e-14)
+        assert dropped.total_weighted_delta_sq() == pytest.approx(
+            b.total_weighted_delta_sq(), rel=1e-14)
+        finite = ObservationBatch(b.m, b.n, b.delta,
+                                  np.where(np.arange(len(b)) % 3, b.weight,
+                                           0.0))
+        assert stress(X, finite) == _stress_fancy(X, finite)
+        assert finite.total_weighted_delta_sq() == float(
+            np.sum(finite.weight * finite.delta**2))
+
     def test_translation_invariance(self):
         # the shifted coordinates round before stress sees them, so equality
         # holds to machine precision rather than bitwise
