@@ -346,6 +346,9 @@ def _diverged() -> int:
 def cmd_localize(args) -> int:
     cfg = load_config(LOCALIZE_DEFAULTS, args.config,
                       _overrides(args, LOCALIZE_DEFAULTS))
+    if cfg["mu"] == 0:  # a protocol step of 0 moves no estimate
+        raise ConfigError("config field 'mu': mu must lie in (0, 1], "
+                          f"got {cfg['mu']}")
     mobility = MobilityConfig(alpha=cfg["alpha"], sigma_v=cfg["sigma_v"])
     protocol = ProtocolConfig(
         mu=cfg["mu"], mean_cluster_size=cfg["mean_cluster_size"],

@@ -3,11 +3,12 @@
 Nodes move on a square region under a first-order Gauss-Markov velocity
 model, measure noisy ranges to neighbors within a communication radius, and
 refine position estimates through an asynchronous cluster-head protocol:
-heads declare at random, lock up to a fixed number of nearest available
-neighbors into a star-shaped cluster, measure head-to-member ranges, apply
-one incremental update, and release the locks (also released on timeout).
-Anchor nodes periodically resolve the translation/rotation/reflection
-ambiguity of the relative estimates.
+heads declare at random and lock up to a fixed number of nearest available
+neighbors into a star-shaped cluster, then measure head-to-member ranges.
+Locks last until the round ends (timed-out stars included), so the stars of
+one round are disjoint, and one incremental update applies every completed
+star at once. Anchor nodes periodically resolve the
+translation/rotation/reflection ambiguity of the relative estimates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.spatial import cKDTree
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import assign_weights
-from .stress_core import stochastic_step
+from .stress_core import _damped_update
 from .embedder import run_batch_smacof
 
 __all__ = [
@@ -62,13 +63,14 @@ class MobilityConfig:
 class ProtocolConfig:
     """Cluster-head protocol parameters.
 
-    Each available node declares headship with probability
-    1 / mean_cluster_size per round; overlapping claims are resolved in
-    ascending node-index order. Heads with fewer than ``min_neighbors``
-    available in-range neighbors abort; otherwise they lock the
-    ``max_members`` nearest and run one update with step size ``mu`` and
-    squared-distance regularizer ``eps_x``. Star measurements are weighted
-    ``unity``, so no weight needs clamping.
+    Each node declares headship with probability 1 / mean_cluster_size per
+    round; overlapping claims are resolved in ascending node-index order. A
+    head that an earlier star of the round locked does not run. Heads with
+    fewer than ``min_neighbors`` unlocked in-range neighbors abort; otherwise
+    they lock the ``max_members`` nearest until the round ends. The completed
+    stars share one update with step size ``mu`` and squared-distance
+    regularizer ``eps_x``. Star measurements are weighted ``unity``, so no
+    weight needs clamping.
     """
 
     mu: float = 0.5
@@ -108,7 +110,11 @@ class MobileNetworkState:
 @dataclass
 class RoundLog:
     """Bookkeeping of one protocol round (message accounting is exact:
-    total = solicitations + responses + result broadcasts)."""
+    total = solicitations + responses + result broadcasts).
+
+    ``double_lock_attempts`` and ``locks_leaked`` count lock faults. Heads
+    recruit only unlocked nodes and every lock a round takes is released
+    when it ends, so a correct round leaves both at 0."""
 
     clusters_completed: int = 0
     clusters_aborted: int = 0
@@ -201,12 +207,17 @@ def measure_distances(state: MobileNetworkState, noise_sigma: float,
 
 def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
                    cfg: ProtocolConfig) -> tuple:
-    """One asynchronous round of the cluster-head protocol.
+    """One asynchronous round of the cluster-head protocol: one slot of
+    disjoint stars.
 
     Returns (state, batch, log) where ``batch`` concatenates all star
-    measurements taken this round. Updates apply in place to
-    ``state.estimates``; all locks acquired in the round are released before
-    returning, including on simulated timeouts.
+    measurements taken this round, timed-out stars included. A star's locks
+    last until the round ends, so no node joins two stars of one round.
+    After the last head, one batched update applies every completed star in
+    place to ``state.estimates``; timed-out stars do not move. Members and
+    ranges depend only on the true positions, so this equals applying the
+    stars one after another. Every lock the round acquired is released
+    before returning; locks held on entry stay held.
     """
     n = state.node_count
     log = RoundLog()
@@ -214,7 +225,8 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
     acquired = np.zeros(n, dtype=bool)  # locks taken by this round only
 
     declares = np.flatnonzero(rng.random(n) < cfg.head_prob)
-    all_m, all_n, all_d, all_w = [], [], [], []
+    all_m, all_n, all_d = [], [], []
+    stars, star_d = [], []  # completed stars: head first
 
     for head in declares.tolist():
         if locked[head]:
@@ -235,9 +247,6 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
         members = candidates[order[:cfg.max_members]]
         log.responses += len(members)
 
-        if locked[head] or locked[members].any():
-            log.double_lock_attempts += 1
-            continue
         locked[head] = True
         locked[members] = True
         acquired[head] = True
@@ -247,41 +256,40 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
         true_d = dist[members]
         meas = true_d + cfg.noise_sigma * rng.standard_normal(len(members)) \
             if cfg.noise_sigma > 0 else true_d.copy()
-        w = assign_weights(meas, "unity")
 
         timed_out = cfg.timeout_prob > 0 and rng.random() < cfg.timeout_prob
         log.results += 1  # result broadcast is transmitted either way
         if timed_out:
             log.clusters_timeout += 1
         else:
-            # the star in local ids: head 0, members 1..k
-            cluster = np.concatenate([[head], members])
-            star = ObservationBatch(np.zeros(len(members), dtype=np.int64),
-                                    np.arange(1, len(cluster)), meas, w)
-            step = StepConfig(mu=cfg.mu, eps_x=cfg.eps_x)
-            updated = stochastic_step(state.estimates[cluster], star, step)
-            state.estimates[cluster] = updated
+            stars.append(np.concatenate([[head], members]))
+            star_d.append(meas)
             log.clusters_completed += 1
-            log.updated_nodes += len(cluster)
+            log.updated_nodes += len(members) + 1
 
         all_m.append(np.full(len(members), head))
         all_n.append(members)
         all_d.append(meas)
-        all_w.append(w)
 
-        # S4: release locks
-        locked[head] = False
-        locked[members] = False
-        acquired[head] = False
-        acquired[members] = False
+    if stars:
+        # the stars in local ids: each head, then its members
+        sizes = np.array([len(star) for star in stars])
+        heads = np.cumsum(sizes) - sizes
+        delta = np.concatenate(star_d)
+        local = ObservationBatch(np.repeat(heads, sizes - 1),
+                                 np.delete(np.arange(sizes.sum()), heads),
+                                 delta, assign_weights(delta, "unity"))
+        _damped_update(state.estimates, local,
+                       StepConfig(mu=cfg.mu, eps_x=cfg.eps_x),
+                       np.concatenate(stars))
 
-    if acquired.any():
-        log.locks_leaked += int(acquired.sum())
-        locked[acquired] = False
+    # S4: release every lock this round took
+    locked[acquired] = False
 
     if all_m:
+        delta = np.concatenate(all_d)
         batch = ObservationBatch(np.concatenate(all_m), np.concatenate(all_n),
-                                 np.concatenate(all_d), np.concatenate(all_w))
+                                 delta, assign_weights(delta, "unity"))
     else:
         batch = ObservationBatch.empty()
     return state, batch, log

@@ -422,23 +422,35 @@ class TestSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, code", [("embed", EXIT_CONFIG),
-                                               ("oracle", EXIT_OK),
-                                               ("localize", EXIT_OK)])
+                                               ("oracle", EXIT_OK)])
     def test_mu_zero_is_a_config_error_only_for_a_schedule(
             self, command, code, tmp_path, capsys):
         """A schedule's steps lie in (0, 1], so ``embed --mu 0`` is refused
-        as a config value; the oracle and the protocol take a step of 0."""
+        as a config value; the oracle takes a step of 0."""
         out = tmp_path / "out"
         argv = {"embed": ["--slots", "2"],
-                "oracle": ["--slots", "2", "--samples", "2"],
-                "localize": ["--n", "12", "--rounds", "2"]}[command]
-        if command != "localize":
-            argv += ["--input", _tiny_input("edges", tmp_path), "--p", "3"]
-        flag = "--trace" if command == "localize" else "--out"
-        assert main([command, "--mu", "0", *argv, flag, str(out)]) == code
+                "oracle": ["--slots", "2", "--samples", "2"]}[command]
+        argv += ["--input", _tiny_input("edges", tmp_path), "--p", "3"]
+        assert main([command, "--mu", "0", *argv, "--out", str(out)]) == code
         if code == EXIT_CONFIG:
             assert "'mu'" in capsys.readouterr().err
         assert out.exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_localize_mu_zero_is_config_error(self, where, tmp_path, capsys):
+        """A protocol step of 0 moves no estimate, so ``localize`` refuses
+        it, from a flag or from a config file."""
+        out = tmp_path / "t.jsonl"
+        argv = ["localize", "--n", "12", "--rounds", "2", "--trace", str(out)]
+        if where == "flag":
+            argv += ["--mu", "0"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"mu": 0}))
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_CONFIG
+        assert "'mu'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["embed", "oracle"])
     @pytest.mark.parametrize("where", ["flags", "config", "both"])

@@ -7,13 +7,16 @@ import pytest
 
 from stochmds import (
     MobilityConfig,
+    ObservationBatch,
     ProtocolConfig,
+    StepConfig,
     anchor_align,
     deploy_network,
     measure_distances,
     protocol_round,
     run_localization,
     step_mobility,
+    stochastic_step,
 )
 from stochmds import localization
 from stochmds.cli import EXIT_CONFIG, main
@@ -186,6 +189,88 @@ class TestProtocolRound:
         # anchor-free relative refinement still tightens absolute error here
         # because the initial perturbation is zero-mean
         assert np.linalg.norm(state.estimates - state.positions) < truth_err0
+
+
+def _moving_rounds(seed: int, node_count: int, rounds: int,
+                   cfg: ProtocolConfig):
+    """Yield (t, estimates before, state, batch, log) for each round of a
+    perturbed network under default mobility."""
+    state = deploy_network(node_count, 0, substream(seed, "deploy"))
+    mobility = MobilityConfig()
+    init_velocities(state, mobility.sigma_v, substream(seed, "mobility", 0))
+    perturb_estimates(state, substream(seed, "init"))
+    mob_rng = substream(seed, "mobility", 1)
+    for t in range(1, rounds + 1):
+        step_mobility(state, mobility, mob_rng)
+        before = state.estimates.copy()
+        _, batch, log = protocol_round(state, substream(seed, "protocol", t),
+                                       cfg)
+        yield t, before, state, batch, log
+
+
+def _stars(batch: ObservationBatch) -> list:
+    """A round's batch split into its stars, in head order: one
+    (head, members, delta, weight) per run of equal ``batch.m``."""
+    m = np.asarray(batch.m)
+    starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
+    ends = np.r_[starts[1:], len(m)]
+    return [(int(m[a]), batch.n[a:b], batch.delta[a:b], batch.weight[a:b])
+            for a, b in zip(starts, ends)]
+
+
+class TestRoundIsOneSlot:
+    """A round's stars are disjoint, and its one batched update equals
+    applying the completed stars one by one."""
+
+    def test_no_node_in_two_stars_of_a_round(self):
+        stars = 0
+        for t, _, state, batch, log in _moving_rounds(21, 200, 50,
+                                                      ProtocolConfig()):
+            heads = np.unique(batch.m)
+            nodes = np.concatenate([heads, batch.n])
+            assert len(np.unique(nodes)) == len(nodes), f"round {t}"
+            assert len(heads) == log.clusters_completed
+            assert not state.locked.any()
+            stars += len(heads)
+        assert stars > 50  # several stars per round
+
+    @pytest.mark.parametrize("timeout_prob, min_neighbors, cluster_size",
+                             [(0.2, 5, 11), (0.0, 0, 2)])
+    def test_matches_star_by_star_reference(self, timeout_prob,
+                                            min_neighbors, cluster_size):
+        """Replays each round's draws star by star: the noise of every star,
+        then its timeout draw. Timed-out stars stay locked but do not move.
+        With ``min_neighbors=0`` and many heads, a head whose neighbors are
+        all locked makes a zero-member star, which measures nothing and must
+        not move."""
+        cfg = ProtocolConfig(timeout_prob=timeout_prob,
+                             min_neighbors=min_neighbors,
+                             mean_cluster_size=cluster_size)
+        step = StepConfig(mu=cfg.mu, eps_x=cfg.eps_x)
+        timed_out = empty = 0
+        for t, before, state, batch, log in _moving_rounds(22, 200, 50, cfg):
+            rng = substream(22, "protocol", t)
+            rng.random(state.node_count)  # head declarations
+            want = before.copy()
+            stars = _stars(batch)
+            for head, members, delta, weight in stars:
+                noise = rng.standard_normal(len(members))
+                dist = np.linalg.norm(state.positions[members]
+                                      - state.positions[head], axis=1)
+                np.testing.assert_allclose(
+                    delta, dist + cfg.noise_sigma * noise, rtol=0, atol=1e-12)
+                if timeout_prob > 0 and rng.random() < timeout_prob:
+                    timed_out += 1
+                    continue
+                cluster = np.r_[head, members]
+                star = ObservationBatch(np.zeros(len(members), dtype=np.int64),
+                                        np.arange(1, len(cluster)), delta,
+                                        weight)
+                want[cluster] = stochastic_step(want[cluster], star, step)
+            np.testing.assert_allclose(state.estimates, want, rtol=0,
+                                       atol=1e-12, err_msg=f"round {t}")
+            empty += log.clusters_completed + log.clusters_timeout - len(stars)
+        assert timed_out > 0 if timeout_prob > 0 else empty > 0
 
 
 class TestAnchorAlign:
