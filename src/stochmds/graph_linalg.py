@@ -5,25 +5,23 @@ its own Laplacian. All coordinate updates reduce to solving ``L y = rhs``
 where ``rhs`` has zero column sums, and the minimum-norm (pseudo-inverse)
 solution is the one with zero column sums as well.
 
-Every caller goes through one layer. ``group_components`` groups a batch's
-positive-weight edges by connected component into one ``ComponentStack``
-per component size, and ``ComponentStack.solve`` does the min-norm solves
-of a stack at once. The data picks one of three routes per component: a
-complete component with one measurement per pair, all of one weight ``w``,
-is solved in closed form, ``y = rhs / (w * size)`` recentered, with no
-assembly; the others take one batched dense factorization up to
-``DENSE_SOLVER_MAX`` nodes, and deflated conjugate gradients above. A single
-component is a stack of one: ``build_laplacian`` returns one per connected
-component and ``algebraic_connectivity`` takes one. ``_laplacian_entries``
-alone decides how measurements become Laplacian entries (a pair measured
-twice counts twice); the batched dense kernel and ``_sparse``, the CSR form
-behind CG and ``algebraic_connectivity``, both read it.
-
-A run that solves the same stack many times (batch majorization, whose
-batch is fixed) builds a ``_FactoredStack`` of it once instead. It routes
-each component by the same rule (``ComponentStack._route``) and keeps what
-the route can reuse: the closed-form weight, one Cholesky factor of
-``L + shift 11^T``, or the CSR Laplacian with its Jacobi preconditioner.
+Every caller goes through one layer, and it sees only the graph (node ids,
+edges, weights): ``stress_core`` forms B(X)X once per batch and passes each
+stack its rows. ``group_components`` groups a batch's positive-weight edges
+by connected component into one ``ComponentStack`` per component size. The
+data picks one of three routes per component: a complete component with one
+measurement per pair, all of one weight ``w``, is solved in closed form,
+``y = rhs / (w * size)`` recentered, with no assembly; the others take a
+dense solve up to ``DENSE_SOLVER_MAX`` nodes, and deflated conjugate
+gradients above. ``_RoutedStack`` is the one dispatch: it splits a stack
+into its closed-form components and one sub-stack of the rest, which alone
+reaches the dense or CG route. ``ComponentStack.solve`` is its one-shot
+use; batch majorization, whose batch is fixed, has it keep its factors. A
+single component is a stack of one: ``build_laplacian`` returns one per
+connected component and ``algebraic_connectivity`` takes one.
+``_laplacian_entries`` alone decides how measurements become Laplacian
+entries (a pair measured twice counts twice); the dense kernel and
+``_sparse``, the CSR form behind CG and ``algebraic_connectivity``, read it.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components as _cs_components
 from scipy.sparse.linalg import cg as _cg
 
-from .observations import ObservationBatch, clamp_weights
+from .observations import ObservationBatch
 
 __all__ = [
     "ComponentStack",
@@ -112,7 +110,6 @@ class ComponentStack:
     a: np.ndarray
     b: np.ndarray
     weights: np.ndarray
-    delta: np.ndarray
 
     @property
     def size(self) -> int:
@@ -138,9 +135,23 @@ class ComponentStack:
                                  np.arange(self.count + 1)).tolist()
         for k in range(self.count):
             e = slice(bounds[k], bounds[k + 1])
-            yield ComponentStack(
-                self.nodes[k:k + 1], self.a[e] - k * p, self.b[e] - k * p,
-                self.weights[e], self.delta[e])
+            yield ComponentStack(self.nodes[k:k + 1], self.a[e] - k * p,
+                                 self.b[e] - k * p, self.weights[e])
+
+    def _edge_counts(self) -> np.ndarray:
+        """Measurements per component."""
+        if self.count == 1:
+            return np.array([self.nnz])
+        return np.bincount(self.a // self.size, minlength=self.count)
+
+    def _take(self, keep: np.ndarray, per: np.ndarray) -> ComponentStack:
+        """The components where ``keep`` holds as a stack of their own, their
+        edges renumbered into it; ``per`` is ``_edge_counts()``."""
+        idx = np.flatnonzero(keep)
+        edges = np.repeat(keep, per)
+        shift = np.repeat((idx - np.arange(len(idx))) * self.size, per[idx])
+        return ComponentStack(self.nodes[idx], self.a[edges] - shift,
+                              self.b[edges] - shift, self.weights[edges])
 
     def _complete_weights(self) -> np.ndarray | None:
         """Per component, the weight ``w`` when the component is complete
@@ -159,17 +170,12 @@ class ComponentStack:
         half = p * (p - 1) // 2
         if p < 2 or self.nnz < half:
             return None
-        per = np.bincount(self.a // p, minlength=g) if g > 1 \
-            else np.array([self.nnz])
+        per = self._edge_counts()
         cand = np.flatnonzero(per == half)
         if len(cand) == 0:
             return None
-        a, b, w = self.a, self.b, self.weights
-        if len(cand) < g:  # keep their edges, renumbered as a stack of them
-            edges = np.repeat(per == half, per)
-            shift = np.repeat((cand - np.arange(len(cand))) * p, half)
-            a, b, w = a[edges] - shift, b[edges] - shift, w[edges]
-        w = w.reshape(-1, half)
+        sub = self if len(cand) == g else self._take(per == half, per)
+        a, b, w = sub.a, sub.b, sub.weights.reshape(-1, half)
         seen = np.zeros((len(w), p * p), dtype=bool)
         # a * p + local b is component k's cell (i, j) at k p^2 + i p + j
         key = a * p
@@ -186,85 +192,70 @@ class ComponentStack:
         out[cand[ok]] = w[ok, 0]
         return out
 
-    def _route(self):
-        """The one place that picks each component's route from the data.
-
-        Returns ``(w, dense)``: ``w`` as ``_complete_weights`` gives it
-        (components with ``w > 0`` are solved in closed form), and whether
-        the others take the dense factorization (up to ``DENSE_SOLVER_MAX``
-        nodes) or deflated CG.
-        """
-        return self._complete_weights(), self.size <= DENSE_SOLVER_MAX
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component.
-
-        ``rhs`` is (count, size, dim) with zero column sums; so is the result.
-        The route follows from the data (``_route``), component by
-        component, so a component's result does not depend on the stack it
-        is in. A complete component with one weight ``w`` has
-        ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve.
-        The others take one batched dense factorization up to
-        ``DENSE_SOLVER_MAX`` nodes, and deflated CG each above.
-        """
-        w, dense = self._route()
-        if w is not None and w.all():
-            return _closed_form(rhs, w)
-        if dense:
-            y = _dense_min_norm(self, rhs)
-        else:
-            y = np.empty_like(rhs)
-            for k, single in enumerate(self.split()):
-                if w is None or w[k] == 0:
-                    y[k] = _solve_cg(single, rhs[k])
-        if w is not None:
-            closed = w > 0
-            y[closed] = _closed_form(rhs[closed], w[closed])
-        return y
+        """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component;
+        ``rhs`` is (count, size, dim) with zero column sums, and so is the
+        result. Each component takes the route its data picks
+        (``_RoutedStack``), so its result does not depend on its stack."""
+        return _RoutedStack(self).solve(rhs)
 
 
-class _FactoredStack:
-    """Min-norm solves of a fixed stack, routed and factored once.
+class _RoutedStack:
+    """The one place that picks each component's route from the data.
 
-    Each component takes the route ``ComponentStack._route`` picks and
-    keeps what that route can reuse: a closed-form component its weight; a
-    dense one the Cholesky factor of ``L + shift 11^T``, factored in place
-    (when Cholesky fails, as on a path with a 1e-20 weight, it takes the LU
-    solve of ``_dense_min_norm`` each time); a CG one its CSR Laplacian and
-    Jacobi preconditioner (``_cg_system``). ``solve`` agrees with
-    ``ComponentStack.solve`` bit for bit on closed-form and CG components
-    and to round-off on dense ones.
+    A complete component of one weight ``w`` (``_complete_weights``) has
+    ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve. The
+    others form ``rest``, one sub-stack, which takes one batched LU solve
+    up to ``DENSE_SOLVER_MAX`` nodes and deflated CG per component above.
+    After ``keep_factors``, each ``rest`` component keeps what its route
+    reuses instead: the Cholesky factor of ``L + shift 11^T``, factored in
+    place (None when Cholesky fails, as on a path with a 1e-20 weight: the
+    component then takes the LU solve), or its CG system. Kept solves equal
+    one-shot ones bit for bit by CG and to round-off by Cholesky.
     """
 
     def __init__(self, stack: ComponentStack):
-        w, dense = stack._route()
-        self.closed, self.dense = w, dense
-        self.solvers = []     # (component, stack of one, factor or system)
-        if w is not None and w.all():
-            return
-        for k, single in enumerate(stack.split()):
-            if w is None or w[k] == 0:
-                self.solvers.append(
-                    (k, single, _cholesky(single) if dense
-                     else _cg_system(single)))
+        w = stack._complete_weights()
+        self.dense = stack.size <= DENSE_SOLVER_MAX
+        self.rest, self.kept, self.closed = stack, None, None
+        if w is not None:
+            closed = w > 0
+            self.closed, self.w = np.flatnonzero(closed), w[closed]
+            self.open = np.flatnonzero(~closed)
+            self.rest = stack._take(~closed, stack._edge_counts()) \
+                if len(self.open) else None
+
+    def keep_factors(self) -> _RoutedStack:
+        if self.rest is not None:
+            self.kept = [(single, _cholesky(single) if self.dense
+                          else _cg_system(single))
+                         for single in self.rest.split()]
+        return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        w = self.closed
-        if w is not None and w.all():
-            return _closed_form(rhs, w)
+        if self.closed is None:
+            return self._solve_rest(rhs)
+        if self.rest is None:
+            return _closed_form(rhs, self.w)
         y = np.empty_like(rhs)
-        for k, single, cached in self.solvers:
+        y[self.closed] = _closed_form(rhs[self.closed], self.w)
+        y[self.open] = self._solve_rest(rhs[self.open])
+        return y
+
+    def _solve_rest(self, rhs: np.ndarray) -> np.ndarray:
+        if self.kept is None and self.dense:
+            return _dense_min_norm(self.rest, rhs)
+        y = np.empty_like(rhs)
+        kept = self.kept or [(single, None) for single in self.rest.split()]
+        for k, (single, cached) in enumerate(kept):
             if not self.dense:
                 y[k] = _solve_cg(single, rhs[k], cached)
             elif cached is None:
                 y[k] = _dense_min_norm(single, rhs[k:k + 1])[0]
-            else:
+            else:  # recenter cho_solve's own array; y[k] sums in another order
                 yk = cho_solve(cached, rhs[k], check_finite=False)
                 yk -= yk.sum(axis=0) / single.size
                 y[k] = yk
-        if w is not None:
-            closed = w > 0
-            y[closed] = _closed_form(rhs[closed], w[closed])
         return y
 
 
@@ -308,22 +299,19 @@ def _sparse(stack: ComponentStack):
 
 
 def group_components(batch: ObservationBatch, node_count: int,
-                     eps_w: float | None = None,
                      singletons: bool = False) -> list:
     """Group a batch's positive-weight edges by connected component.
 
     Returns one ``ComponentStack`` per component size, ascending; isolated
     nodes form a size-1 stack only with ``singletons``. Inside a stack,
     components are ordered by smallest member, node ids ascend and edges keep
-    batch order. When ``eps_w`` is given, nonzero weights below it are
-    clamped up with a warning.
+    batch order.
     """
     live = batch.nonzero()
-    w = live.weight if eps_w is None else clamp_weights(live.weight, eps_w)
     labels, n_comp = _component_labels(live.m, live.n, node_count)
     if n_comp == 1:  # connected: already in order
         stack = ComponentStack(np.arange(node_count)[None, :], live.m, live.n,
-                               w, live.delta)
+                               live.weight)
         return [stack] if node_count > 1 or singletons else []
     sizes = np.bincount(labels, minlength=n_comp)
     # rank components by (size, label): labels ascend, so a stable sort by
@@ -336,7 +324,7 @@ def group_components(batch: ObservationBatch, node_count: int,
     position = np.empty(node_count, dtype=np.int64)
     position[nodes] = np.arange(node_count)
     a, b = position[live.m[order]], position[live.n[order]]
-    w, delta = w[order], live.delta[order]
+    w = live.weight[order]
     node_size = sizes[labels[nodes]]  # non-decreasing
     edge_size = node_size[a]
     stacks = []
@@ -347,7 +335,7 @@ def group_components(batch: ObservationBatch, node_count: int,
         e0, e1 = np.searchsorted(edge_size, [size, size + 1]).tolist()
         stacks.append(ComponentStack(nodes[n0:n1].reshape(-1, size),
                                      a[e0:e1] - n0, b[e0:e1] - n0,
-                                     w[e0:e1], delta[e0:e1]))
+                                     w[e0:e1]))
     return stacks
 
 
@@ -382,7 +370,8 @@ def _shifted_dense(stack: ComponentStack) -> np.ndarray:
 
 
 def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
-    """Batched dense min-norm solve of a stack's Laplacian systems."""
+    """Batched LU min-norm solve of a stack's Laplacian systems; each
+    component is solved alone by the same LAPACK call."""
     y = np.linalg.solve(_shifted_dense(stack), rhs)
     y -= y.sum(axis=1, keepdims=True) / stack.size
     return y

@@ -112,9 +112,9 @@ class RoundLog:
     """Bookkeeping of one protocol round (message accounting is exact:
     total = solicitations + responses + result broadcasts).
 
-    ``double_lock_attempts`` and ``locks_leaked`` count lock faults. Heads
-    recruit only unlocked nodes and every lock a round takes is released
-    when it ends, so a correct round leaves both at 0."""
+    ``double_lock_attempts`` and ``locks_leaked`` are always 0: heads
+    recruit only unlocked nodes and a round releases every lock it took.
+    They stay because the benchmark and the c11 gate read them."""
 
     clusters_completed: int = 0
     clusters_aborted: int = 0

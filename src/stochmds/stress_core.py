@@ -2,28 +2,28 @@
 
 All updates share one structure: per connected component of the measurement
 graph, solve a Laplacian system against the majorization matrix of the
-current configuration. The batch and incremental rules both group the batch
-with ``graph_linalg.group_components`` and solve each stack of equal-size
-components in one ``ComponentStack.solve`` call. The incremental rule blends
-that solution with the previous coordinates through the step size ``mu``;
-the per-component coordinate center is preserved exactly.
+current configuration. ``_b_times_x`` forms B^eps(X)X once per batch, in
+batch order; the batch and incremental rules group the batch with
+``graph_linalg.group_components`` and solve each stack of equal-size
+components against its rows of that in one ``ComponentStack.solve`` call.
+The incremental rule blends that solution with the previous coordinates
+through the step size ``mu``; each component's center is preserved exactly.
 
 A batch-majorization run iterates on one fixed batch, so it builds a
 ``_BatchPlan`` once: the batch grouped, each stack routed and factored
-(``graph_linalg._FactoredStack``), and three work vectors of one value per
-measurement. ``smacof_iterate`` with the plan gathers each iterate's edges
-in batch order and takes the new embedding's stress from the same edge
-lengths that give the next iterate's B(X). Stress counts positive-weight
-measurements only: a zero-weight row may carry any delta, NaN included.
+(``graph_linalg._RoutedStack``), and three work vectors of one value per
+measurement. Each iterate takes the new embedding's stress from the same
+edge lengths that give the next iterate's B(X). Stress counts
+positive-weight measurements only: a zero-weight row may carry any delta.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph_linalg import ComponentStack, group_components, \
-    _FactoredStack, _validate_batch_indices
-from .observations import ObservationBatch, StepConfig
+from .graph_linalg import group_components, _RoutedStack, \
+    _validate_batch_indices
+from .observations import ObservationBatch, StepConfig, clamp_weights
 
 __all__ = [
     "stress",
@@ -69,19 +69,18 @@ def _regularized_coeffs(X, m, n, w, delta, eps_x):
     return coef, diff
 
 
-def _b_times_x(Xc, stack: ComponentStack, eps_x):
-    """B^eps(X_C) X_C for every component of a stack; ``Xc`` is the stack's
-    (count, size, dim) block of coordinates."""
-    flat = Xc.reshape(-1, Xc.shape[2])
-    coef, diff = _regularized_coeffs(flat, stack.a, stack.b, stack.weights,
-                                     stack.delta, eps_x)
-    out = np.empty_like(flat)
-    for col in range(flat.shape[1]):
-        contrib = coef * diff[:, col]  # contiguous, for bincount
-        out[:, col] = (
-            np.bincount(stack.a, weights=contrib, minlength=len(flat))
-            - np.bincount(stack.b, weights=contrib, minlength=len(flat)))
-    return out.reshape(Xc.shape)
+def _b_times_x(X, m, n, coef, diffs) -> np.ndarray:
+    """B(X) X from B(X)'s edge coefficients ``coef`` and the columns of
+    x_m - x_n, ``diffs``, both in batch order. Row i sums
+    +-coef * (x_m - x_n) over its measurements in batch order, whatever
+    else the batch holds. Each column is overwritten, and used up before
+    the next is drawn, so ``diffs`` may yield one work vector each time."""
+    out = np.empty(X.shape)
+    for col, d in enumerate(diffs):
+        d *= coef
+        out[:, col] = (np.bincount(m, weights=d, minlength=len(X))
+                       - np.bincount(n, weights=d, minlength=len(X)))
+    return out
 
 
 def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
@@ -96,10 +95,14 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
     """
     if plan is not None:
         return plan.iterate(X)
+    _validate_batch_indices(batch, X.shape[0])
+    live = batch.nonzero()
     Xn = np.array(X, dtype=np.float64, copy=True)
-    for stack in group_components(batch, X.shape[0]):
-        rhs = _b_times_x(np.take(Xn, stack.nodes, axis=0), stack, eps_x=0.0)
-        Xn[stack.nodes] = stack.solve(rhs)
+    coef, diff = _regularized_coeffs(Xn, live.m, live.n, live.weight,
+                                     live.delta, 0.0)
+    bx = _b_times_x(Xn, live.m, live.n, coef, diff.T)
+    for stack in group_components(live, X.shape[0]):
+        Xn[stack.nodes] = stack.solve(np.take(bx, stack.nodes, axis=0))
     return Xn
 
 
@@ -113,10 +116,10 @@ class _BatchPlan:
     """A fixed batch prepared once for a run of majorization iterates.
 
     Grouping, routes and factorizations depend only on the batch, so the
-    plan groups it once and keeps each stack's ``_FactoredStack``. It also
-    owns three work vectors of one value per measurement, in batch order:
-    the coefficients w * delta / d of B(X), and two scratch vectors for
-    per-column gathers (no (E, dim) difference array is kept).
+    plan groups it once and keeps each stack's factored ``_RoutedStack``.
+    It also owns three work vectors of one value per measurement, in batch
+    order: the coefficients w * delta / d of B(X), and two scratch vectors
+    for per-column gathers (no (E, dim) difference array is kept).
 
     ``iterate`` is ``smacof_iterate`` with all that reused. The stress of X
     and the coefficients of B(X) come from the same edge lengths, so when
@@ -134,7 +137,7 @@ class _BatchPlan:
         _validate_batch_indices(batch, node_count)
         self.batch = batch
         self.delta = batch._live_delta()
-        self.parts = [(stack.nodes, _FactoredStack(stack))
+        self.parts = [(stack.nodes, _RoutedStack(stack).keep_factors())
                       for stack in group_components(batch, node_count)]
         e = len(batch)
         self.coef, self.s, self.t = np.empty(e), np.empty(e), np.empty(e)
@@ -147,8 +150,8 @@ class _BatchPlan:
         return self._stress
 
     def _diff(self, x: np.ndarray) -> np.ndarray:
-        """``x[m] - x[n]`` for one contiguous column, in ``self.s``."""
-        b = self.batch
+        """``x[m] - x[n]`` for one column, in ``self.s``."""
+        b, x = self.batch, np.ascontiguousarray(x)
         # indices are checked once in __init__, so no buffered 'raise' mode
         np.take(x, b.m, out=self.s, mode="clip")
         np.take(x, b.n, out=self.t, mode="clip")
@@ -167,7 +170,7 @@ class _BatchPlan:
         else:
             coef.fill(0.0)
             for col in range(X.shape[1]):
-                sq = self._diff(np.ascontiguousarray(X[:, col]))
+                sq = self._diff(X[:, col])
                 sq *= sq
                 coef += sq
         np.sqrt(coef, out=coef)
@@ -182,13 +185,8 @@ class _BatchPlan:
         if X is not self._at:
             self._measure(X)
         b = self.batch
-        n, dim = X.shape
-        bx = np.empty((n, dim))
-        for col in range(dim):
-            contrib = self._diff(np.ascontiguousarray(X[:, col]))
-            contrib *= self.coef
-            bx[:, col] = (np.bincount(b.m, weights=contrib, minlength=n)
-                          - np.bincount(b.n, weights=contrib, minlength=n))
+        bx = _b_times_x(X, b.m, b.n, self.coef,
+                        (self._diff(X[:, col]) for col in range(X.shape[1])))
         Xn = np.array(X, dtype=np.float64, copy=True)
         for nodes, solver in self.parts:
             Xn[nodes] = solver.solve(np.take(bx, nodes, axis=0))
@@ -209,6 +207,7 @@ def stochastic_step(X: np.ndarray, batch: ObservationBatch,
     component is preserved. Nodes outside every component are unchanged;
     clusters whose measurements all have zero weight are skipped.
     """
+    _validate_batch_indices(batch, X.shape[0])
     Xn = np.array(X, dtype=np.float64, copy=True)
     _damped_update(Xn, batch, cfg)
     return Xn
@@ -219,17 +218,25 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     """Apply the incremental update in place to the rows ``batch`` touches.
 
     Batch ids index ``nodes`` (rows of ``Xn``) when given and rows of ``Xn``
-    otherwise. Each component reads its rows before writing them, and
-    components are disjoint, so every row is updated from its current value.
+    otherwise. Nonzero weights below ``cfg.eps_w`` are clamped up, with a
+    warning. B^eps(X)X is formed over those rows before any is written, so
+    every row is updated from its current value.
     """
     mu = cfg.mu
     if mu == 0.0:
         return
-    count = Xn.shape[0] if nodes is None else len(nodes)
-    for stack in group_components(batch, count, cfg.eps_w):
+    live = batch.nonzero()
+    w = clamp_weights(live.weight, cfg.eps_w)
+    if w is not live.weight:
+        live = ObservationBatch(live.m, live.n, live.delta, w)
+    X = Xn if nodes is None else np.take(Xn, nodes, axis=0)
+    coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
+                                     live.delta, cfg.eps_x)
+    bx = _b_times_x(X, live.m, live.n, coef, diff.T)
+    for stack in group_components(live, len(X)):
+        Xc = np.take(X, stack.nodes, axis=0)
+        y = stack.solve(np.take(bx, stack.nodes, axis=0))
         rows = stack.nodes if nodes is None else nodes[stack.nodes]
-        Xc = np.take(Xn, rows, axis=0)
-        y = stack.solve(_b_times_x(Xc, stack, cfg.eps_x))
         Xn[rows] = ((1.0 - mu) * Xc
                     + mu * Xc.mean(axis=1, keepdims=True) + mu * y)
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmds import ObservationBatch, algebraic_connectivity, \
-    build_laplacian
+from stochmds import ObservationBatch, StepConfig, algebraic_connectivity, \
+    build_laplacian, stochastic_step
 from stochmds import graph_linalg
-from stochmds.graph_linalg import DENSE_SOLVER_MAX, _FactoredStack, \
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, _RoutedStack, \
     _component_labels, _dense_min_norm, _laplacian_entries, _sparse, group_components
 
 
@@ -230,13 +230,19 @@ class TestSolveMinNorm:
 
     def test_low_weight_warning(self):
         """A weight below eps_w is clamped up, with a warning, before the
-        solve, so the solved system keeps its conditioning bound."""
-        low = batch([(0, 1, 1.0, 1e-6)])
-        with pytest.warns(UserWarning, match="below eps_w"):
-            [stack] = group_components(low, 2, eps_w=1e-3)
-        np.testing.assert_array_equal(stack.weights, [1e-3])
-        y = stack.solve(np.array([[[1.0], [-1.0]]]))[0]
-        np.testing.assert_allclose(y, [[500.0], [-500.0]], rtol=1e-12)
+        update's solve, so the solved system keeps its conditioning bound."""
+        X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
+
+        def triangle(w):  # a cycle, so the weights do not cancel
+            return batch([(0, 1, 1.0, w), (1, 2, 1.0, 1.0), (0, 2, 1.0, 1.0)])
+
+        cfg = StepConfig(mu=1.0, eps_x=0.0, eps_w=1e-3)
+        with pytest.warns(UserWarning, match="1 weight.* below eps_w"):
+            got = stochastic_step(X, triangle(1e-6), cfg)
+        assert np.array_equal(got, stochastic_step(X, triangle(1e-3), cfg))
+        unclamped = stochastic_step(X, triangle(1e-6),
+                                    StepConfig(mu=1.0, eps_x=0.0, eps_w=1e-9))
+        assert np.abs(got - unclamped).max() > 1e-6
 
 
 def complete_stack(rng, count, size, weight):
@@ -332,6 +338,23 @@ class TestCompleteClosedForm:
             np.testing.assert_allclose(got[k], want, atol=1e-12)
         assert len(calls) == 3  # the two incomplete components, alone
 
+    def test_closed_form_component_never_reaches_dense(self):
+        """K4 at w = 1e-100 next to a 4-node path at w = 1: K4's shifted
+        matrix is singular in floating point, so a dense solve of the whole
+        stack raises. Each component must get what it gets alone."""
+        k4 = [(i, j, 1.0, 1e-100) for i in range(4) for j in range(i + 1, 4)]
+        path = [(v, v + 1, 1.0, 1.0) for v in range(4, 7)]
+        [stack] = group_components(batch(k4 + path), 8)
+        assert stack.count == 2
+        rhs = zero_sum_rhs(np.random.default_rng(37), 2, 4)
+        got = stack.solve(rhs)
+        assert np.all(np.isfinite(got))
+        for k, single in enumerate(stack.split()):
+            assert np.array_equal(got[k], single.solve(rhs[k:k + 1])[0])
+        factored = _RoutedStack(stack).keep_factors()
+        np.testing.assert_allclose(factored.solve(rhs), got, rtol=0,
+                                   atol=1e-12 * np.abs(got).max())
+
     @pytest.mark.parametrize("entries", [
         # every degree 3 and K4's edge count, but (0, 1) and (2, 3) twice
         [(0, 1, 1, 1), (1, 0, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1),
@@ -362,8 +385,9 @@ class TestCompleteClosedForm:
 
 
 class TestFactoredStack:
-    """A stack routed and factored once solves as ``ComponentStack.solve``
-    does: bit for bit in closed form and by CG, to round-off by Cholesky."""
+    """A stack routed once that keeps its factors solves as the one-shot
+    ``ComponentStack.solve`` does: bit for bit in closed form and by CG, to
+    round-off by Cholesky."""
 
     def test_mixed_dense_stack(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -379,8 +403,8 @@ class TestFactoredStack:
                 entries.append((k * size + i, k * size + j, 1.0,
                                 weight or rng.uniform(0.2, 1.0)))
         [stack] = group_components(batch(entries), 4 * size)
-        factored = _FactoredStack(stack)
-        assert len(factored.solvers) == 2  # the two incomplete components
+        factored = _RoutedStack(stack).keep_factors()
+        assert len(factored.kept) == 2  # the two incomplete components
         calls = spy(monkeypatch, "_dense_min_norm")
         for _ in range(3):  # reused, never refactored
             rhs = zero_sum_rhs(rng, 4, size)
@@ -396,8 +420,8 @@ class TestFactoredStack:
         solved as the one-shot solve does it, bit for bit."""
         [stack] = group_components(batch([(0, 1, 1.0, 1.0),
                                           (1, 2, 1.0, 1e-20)]), 3)
-        factored = _FactoredStack(stack)
-        assert factored.solvers[0][2] is None
+        factored = _RoutedStack(stack).keep_factors()
+        assert factored.kept[0][1] is None
         rhs = zero_sum_rhs(np.random.default_rng(36), 1, 3)
         assert np.array_equal(factored.solve(rhs), stack.solve(rhs))
 
@@ -414,7 +438,7 @@ class TestFactoredStack:
                              rng.uniform(0.1, 1.0, keep.sum()))
         [stack] = group_components(b, p)
         built = spy(monkeypatch, "_sparse")
-        factored = _FactoredStack(stack)
+        factored = _RoutedStack(stack).keep_factors()
         assert len(built) == 1
         for _ in range(2):
             rhs = zero_sum_rhs(rng, 1, p)

@@ -20,8 +20,7 @@ from stochmds import (
     upsilon,
 )
 from stochmds import graph_linalg
-from stochmds.graph_linalg import DENSE_SOLVER_MAX, ComponentStack, \
-    group_components
+from stochmds.graph_linalg import DENSE_SOLVER_MAX, group_components
 from stochmds.stress_core import _b_times_x, _regularized_coeffs
 
 
@@ -97,17 +96,22 @@ class TestStress:
         assert stress(X @ R, b) == pytest.approx(stress(X, b), rel=1e-10)
 
 
-def b_epsilon_dense(X, stack, eps_x):
-    """Dense B^eps(X_C) of a stack of one: the Laplacian of the regularized
-    edge coefficients, with exact zero row sums."""
-    nodes = stack.nodes[0]
-    coef, _ = _regularized_coeffs(X[nodes], stack.a, stack.b, stack.weights,
-                                  stack.delta, eps_x)
-    B = np.zeros((len(nodes), len(nodes)))
-    np.add.at(B, (stack.a, stack.b), -coef)
-    np.add.at(B, (stack.b, stack.a), -coef)
+def b_epsilon_dense(X, b, eps_x):
+    """Dense B^eps(X) of a batch: the Laplacian of the regularized edge
+    coefficients, with exact zero row sums."""
+    coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, eps_x)
+    B = np.zeros((len(X), len(X)))
+    np.add.at(B, (b.m, b.n), -coef)
+    np.add.at(B, (b.n, b.m), -coef)
     B[np.diag_indices_from(B)] = -B.sum(axis=1)
     return B
+
+
+def b_times_x(X, b, eps_x):
+    """B^eps(X) X of a batch, as the updates form it."""
+    coef, diff = _regularized_coeffs(X, b.m, b.n, b.weight,
+                                     b._live_delta(), eps_x)
+    return _b_times_x(X, b.m, b.n, coef, diff.T)
 
 
 class TestBEpsilonMatrix:
@@ -116,9 +120,8 @@ class TestBEpsilonMatrix:
         b = ObservationBatch.from_entries([(0, 1, 2.0, 1.0)])
         coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
         np.testing.assert_allclose(coef, [2 / 3], rtol=1e-15)
-        [stack] = group_components(b, 2)
         np.testing.assert_allclose(
-            _b_times_x(X[stack.nodes], stack, 0.0)[0],
+            b_times_x(X, b, 0.0),
             np.array([[2 / 3, -2 / 3], [-2 / 3, 2 / 3]]) @ X, atol=1e-15)
 
     def test_coincident_points_guarded(self):
@@ -132,13 +135,15 @@ class TestBEpsilonMatrix:
 
     def test_zero_weight_entry_absent(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        b = ObservationBatch.from_entries([(0, 1, 1.0, 1.0), (1, 2, 1.0, 0.0)])
+        b = ObservationBatch.from_entries([(0, 1, 1.0, 1.0),
+                                           (1, 2, np.nan, 0.0)])
         stacks = group_components(b, 3)
         # the zero-weight pair forms no component and enters no B X
         assert [s.nodes.tolist() for s in stacks] == [[[0, 1]]]
         np.testing.assert_array_equal(stacks[0].weights, [1.0])
-        np.testing.assert_allclose(_b_times_x(X[stacks[0].nodes], stacks[0],
-                                              0.0)[0], [[-1, 0], [1, 0]])
+        got = b_times_x(X, b, 0.0)
+        np.testing.assert_array_equal(got, [[-1, 0], [1, 0], [0, 0]])
+        assert np.array_equal(got, b_times_x(X, b.nonzero(), 0.0))
 
     def test_boundedness_and_zero_row_sums(self):
         rng = np.random.default_rng(4)
@@ -146,14 +151,12 @@ class TestBEpsilonMatrix:
         for _ in range(50):
             X, b = random_instance(rng, n=8)
             bound = (b.weight * b.delta / np.sqrt(eps_x)).max()
-            for stack in group_components(b, len(X)):
-                dense = b_epsilon_dense(X, stack, eps_x)
-                assert np.abs(dense).max() <= bound + 1e-12
-                assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * max(
-                    np.abs(dense).max(), 1.0)
-                Xc = X[stack.nodes]
-                np.testing.assert_allclose(_b_times_x(Xc, stack, eps_x)[0],
-                                           dense @ Xc[0], atol=1e-12)
+            dense = b_epsilon_dense(X, b, eps_x)
+            assert np.abs(dense).max() <= bound + 1e-12
+            assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * max(
+                np.abs(dense).max(), 1.0)
+            np.testing.assert_allclose(b_times_x(X, b, eps_x), dense @ X,
+                                       atol=1e-12)
 
 
 class TestSmacofIterate:
@@ -280,6 +283,50 @@ class TestStochasticStep:
                 want_full = stochastic_step(X, sub, cfg)
                 want[base:base + 4] = want_full[base:base + 4]
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestClosedFormBesideDense:
+    """K4 at w = 1e-100 and a 4-node path at w = 1 form one stack of size
+    4. K4 is solved in closed form; a dense solve of the whole stack would
+    raise on its singular shifted matrix. Each update must equal, per
+    component, that component updated alone."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(38)
+        k4 = [(i, j, rng.uniform(0.5, 2.0), 1e-100)
+              for i in range(4) for j in range(i + 1, 4)]
+        path = [(v, v + 1, rng.uniform(0.5, 2.0), 1.0) for v in range(4, 7)]
+        return rng.standard_normal((8, 2)), k4, path
+
+    @pytest.mark.parametrize("update", [
+        smacof_iterate,
+        lambda X, b: stochastic_step(X, b, StepConfig(mu=0.5, eps_w=1e-300)),
+    ], ids=["smacof_iterate", "stochastic_step"])
+    def test_each_component_as_alone(self, update):
+        X, k4, path = self.instance()
+        got = update(X, ObservationBatch.from_entries(k4 + path))
+        assert np.all(np.isfinite(got))
+        for entries, rows in ((k4, slice(0, 4)), (path, slice(4, 8))):
+            alone = update(X, ObservationBatch.from_entries(entries))
+            assert np.array_equal(got[rows], alone[rows])
+
+
+class TestBatchIndices:
+    """The public updates reject node ids outside [0, N), as
+    ``run_batch_smacof`` does, instead of wrapping -1 to N - 1."""
+
+    @pytest.mark.parametrize("update", [
+        smacof_iterate,
+        lambda X, b: stochastic_step(X, b, StepConfig()),
+    ], ids=["smacof_iterate", "stochastic_step"])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_id_rejected(self, update, bad):
+        X = np.random.default_rng(39).standard_normal((4, 2))
+        b = ObservationBatch.from_entries([(0, bad, 1.0, 1.0),
+                                           (1, 2, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="node index out of range"):
+            update(X, b)
 
 
 def _component_instance(rng, sizes, isolated, zero_edges):
@@ -438,18 +485,15 @@ def _coeffs_fancy(X, m, n, w, delta, eps_x):
     return coef, diff
 
 
-def _b_times_x_fancy(Xc, stack, eps_x):
-    flat = Xc.reshape(-1, Xc.shape[2])
-    coef, diff = _coeffs_fancy(flat, stack.a, stack.b, stack.weights,
-                               stack.delta, eps_x)
+def _b_times_x_fancy(X, m, n, w, delta, eps_x):
+    coef, diff = _coeffs_fancy(X, m, n, w, delta, eps_x)
     contrib = coef[:, None] * diff
-    out = np.empty_like(flat)
-    for col in range(flat.shape[1]):
+    out = np.empty_like(X)
+    for col in range(X.shape[1]):
         out[:, col] = (
-            np.bincount(stack.a, weights=contrib[:, col], minlength=len(flat))
-            - np.bincount(stack.b, weights=contrib[:, col],
-                          minlength=len(flat)))
-    return out.reshape(Xc.shape)
+            np.bincount(m, weights=contrib[:, col], minlength=len(X))
+            - np.bincount(n, weights=contrib[:, col], minlength=len(X)))
+    return out
 
 
 class TestGathersBitIdentical:
@@ -459,47 +503,49 @@ class TestGathersBitIdentical:
 
     @staticmethod
     def instance(rng, count, size, dim):
-        """A (count, size, dim) block and a stack of random measurements
-        with a zero-weight edge and, per component, two coincident
-        endpoints (nodes 0 and 1) measured against each other."""
-        Xc = rng.standard_normal((count, size, dim))
-        Xc[:, 1] = Xc[:, 0]
-        a, b = [], []
+        """``count * size`` rows and a batch of random measurements within
+        each block of ``size`` rows, with a zero-weight edge and, per block,
+        two coincident endpoints (its rows 0 and 1) measured against each
+        other."""
+        X = rng.standard_normal((count, size, dim))
+        X[:, 1] = X[:, 0]
+        m, n = [], []
         for k in range(count):
             pairs = rng.choice(size, size=(3 * size, 2))
             pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-            a += [k * size] + (k * size + pairs[:, 0]).tolist()
-            b += [k * size + 1] + (k * size + pairs[:, 1]).tolist()
-        a, b = np.array(a), np.array(b)
-        w = rng.uniform(0.05, 1.0, len(a))
-        w[len(a) // 2] = 0.0
-        stack = ComponentStack(np.arange(count * size).reshape(count, size),
-                               a, b, w, rng.random(len(a)) + 0.2)
-        return Xc, stack
+            m += [k * size] + (k * size + pairs[:, 0]).tolist()
+            n += [k * size + 1] + (k * size + pairs[:, 1]).tolist()
+        w = rng.uniform(0.05, 1.0, len(m))
+        w[len(m) // 2] = 0.0
+        return X.reshape(-1, dim), ObservationBatch(
+            np.array(m), np.array(n), rng.random(len(m)) + 0.2, w)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
     def test_matches_fancy_index(self, dim, eps_x):
         rng = np.random.default_rng(40 + dim)
         for count, size in [(1, 2), (1, 9), (4, 5), (3, 30)]:
-            Xc, stack = self.instance(rng, count, size, dim)
-            flat = Xc.reshape(-1, dim)
+            X, b = self.instance(rng, count, size, dim)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 coef, diff = _regularized_coeffs(
-                    flat, stack.a, stack.b, stack.weights, stack.delta, eps_x)
-                got_bx = _b_times_x(Xc, stack, eps_x)
+                    X, b.m, b.n, b.weight, b.delta, eps_x)
+                got_bx = _b_times_x(X, b.m, b.n, coef, diff.copy().T)
+                # the batch plan gathers one column at a time instead
+                cols = (np.take(X[:, c], b.m) - np.take(X[:, c], b.n)
+                        for c in range(dim))
+                assert np.array_equal(_b_times_x(X, b.m, b.n, coef, cols),
+                                      got_bx)
             want_coef, want_diff = _coeffs_fancy(
-                flat, stack.a, stack.b, stack.weights, stack.delta, eps_x)
+                X, b.m, b.n, b.weight, b.delta, eps_x)
             assert np.array_equal(coef, want_coef)
             assert np.array_equal(diff, want_diff)
-            assert np.array_equal(got_bx, _b_times_x_fancy(Xc, stack, eps_x))
+            assert np.array_equal(got_bx, _b_times_x_fancy(
+                X, b.m, b.n, b.weight, b.delta, eps_x))
             if eps_x == 0.0:  # coincident endpoints: coefficient exactly 0
                 coincident = np.all(diff == 0, axis=1)
                 assert coincident.any() and np.all(coef[coincident] == 0.0)
-            batch = ObservationBatch(stack.a, stack.b, stack.delta,
-                                     stack.weights)
-            assert stress(flat, batch) == _stress_fancy(flat, batch)
+            assert stress(X, b) == _stress_fancy(X, b)
 
 
 class TestSpeStep:
