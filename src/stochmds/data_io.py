@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import string
 import warnings
 
 import numpy as np
@@ -215,11 +216,14 @@ class FingerprintProvider(_CountingProvider):
 
 
 def open_dense_matrix(path, memory_budget_bytes: int = 1 << 30) -> MatrixProvider:
-    """Open an .npy dissimilarity matrix, memory-mapping it when it would
-    not fit the budget (row blocks are then paged in on demand)."""
+    """Open a square .npy dissimilarity matrix, memory-mapping it when it
+    would not fit the budget (row blocks are then paged in on demand)."""
     size = os.path.getsize(path)
     mmap_mode = "r" if size > memory_budget_bytes else None
-    return MatrixProvider(np.load(path, mmap_mode=mmap_mode))
+    matrix = np.load(path, mmap_mode=mmap_mode)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{path}: matrix of shape {matrix.shape} is not square")
+    return MatrixProvider(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +234,11 @@ def load_fingerprints(source):
     """Read ``id<TAB>hex`` fingerprint records.
 
     Bit length is set by the first record's hex digits (4 bits per digit);
-    inconsistent lengths are rejected. Returns (ids, bits) with ``bits`` a
-    boolean (N, L) array, most-significant bit first.
+    inconsistent lengths and anything but hex digits (signs, ``0x``,
+    underscores) are rejected with the line number. Returns (ids, bits)
+    with ``bits`` a boolean (N, L) array, most-significant bit first.
     """
-    ids, rows = [], []
-    digits = None
+    ids, hexes = [], []
     for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -243,26 +247,23 @@ def load_fingerprints(source):
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'id<TAB>hex'")
         ident, hx = parts
-        if digits is None:
-            digits = len(hx)
-        elif len(hx) != digits:
+        if hexes and len(hx) != len(hexes[0]):
             raise ValueError(f"line {lineno}: fingerprint length mismatch")
-        try:
-            value = int(hx, 16)
-        except ValueError:
-            raise ValueError(f"line {lineno}: invalid hex {hx!r}") from None
-        nbits = digits * 4
-        row = np.array([(value >> (nbits - 1 - k)) & 1 for k in range(nbits)],
-                       dtype=bool)
+        if not set(hx) <= set(string.hexdigits):
+            raise ValueError(f"line {lineno}: invalid hex {hx!r}")
         ids.append(ident)
-        rows.append(row)
-    if not rows:
+        hexes.append(hx)
+    if not hexes:
         raise ValueError("no fingerprint records found")
-    return ids, np.array(rows)
+    # an odd digit count is padded with a leading 0, whose 4 bits are dropped
+    pad = len(hexes[0]) % 2
+    raw = np.frombuffer(bytes.fromhex("".join("0" * pad + hx for hx in hexes)),
+                        dtype=np.uint8).reshape(len(hexes), -1)
+    return ids, np.unpackbits(raw, axis=1)[:, 4 * pad:].astype(bool)
 
 
 def load_vectors(source):
-    """Read ``id<TAB>v0<TAB>v1...`` rows into (ids, (N, D) float array)."""
+    """Read ``id<TAB>v0...`` rows of finite floats into (ids, (N, D) array)."""
     ids, rows = [], []
     for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
@@ -276,6 +277,8 @@ def load_vectors(source):
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"line {lineno}: non-finite value")
     if not rows:
         raise ValueError("no vector records found")
     width = len(rows[0])

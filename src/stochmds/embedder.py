@@ -23,18 +23,18 @@ from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, partition_nodes, \
     _pair_from_index, _pair_request, _sample_local_pairs
-# private name: only _EvalSet.stress evaluates, so wrapping it times each once
+# _stress skips the id check: every batch evaluated here is checked already
 from .stress_core import (
     averaged_step,
     closed_form_b_average,
     sgd_step,
     smacof_iterate,
     stochastic_step,
-    stress as _stress,
     upsilon,
     _all_finite,
     _BatchPlan,
     _damped_update,
+    _stress,
 )
 
 __all__ = [

@@ -34,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components as _cs_components
 from scipy.sparse.linalg import cg as _cg
 
-from .observations import ObservationBatch
+from .observations import ObservationBatch, _validate_batch_indices
 
 __all__ = [
     "ComponentStack",
@@ -84,16 +84,6 @@ def _component_labels(m, n, node_count):
         _, labels = _cs_components(adj, directed=False)
     uniq, inverse = np.unique(labels, return_inverse=True)
     return inverse, len(uniq)
-
-
-def _validate_batch_indices(batch: ObservationBatch, node_count: int):
-    if len(batch) == 0:
-        return
-    if batch.m.min() < 0 or batch.n.min() < 0 \
-            or batch.m.max() >= node_count or batch.n.max() >= node_count:
-        raise ValueError("node index out of range")
-    if np.any(batch.weight < 0):
-        raise ValueError("negative weight")
 
 
 @dataclass

@@ -67,10 +67,10 @@ class ProtocolConfig:
     round; overlapping claims are resolved in ascending node-index order. A
     head that an earlier star of the round locked does not run. Heads with
     fewer than ``min_neighbors`` unlocked in-range neighbors abort; otherwise
-    they lock the ``max_members`` nearest until the round ends. The completed
+    they lock the ``max_members`` nearest until the round ends. The round's
     stars share one update with step size ``mu`` and squared-distance
-    regularizer ``eps_x``. Star measurements are weighted ``unity``, so no
-    weight needs clamping.
+    regularizer ``eps_x``, a timed-out star at weight 0. Star measurements
+    are weighted ``unity``, so no weight needs clamping.
     """
 
     mu: float = 0.5
@@ -211,22 +211,19 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
     disjoint stars.
 
     Returns (state, batch, log) where ``batch`` concatenates all star
-    measurements taken this round, timed-out stars included. A star's locks
-    last until the round ends, so no node joins two stars of one round.
-    After the last head, one batched update applies every completed star in
-    place to ``state.estimates``; timed-out stars do not move. Members and
-    ranges depend only on the true positions, so this equals applying the
-    stars one after another. Every lock the round acquired is released
-    before returning; locks held on entry stay held.
+    measurements taken this round, timed-out stars included, at unity
+    weight. A star's locks last until the round ends, so no node joins two
+    stars of one round; then every lock the round took is released (locks
+    held on entry stay held). One batched update applies every star in
+    place to ``state.estimates``, a timed-out star at weight 0, so it does
+    not move. Members and ranges depend only on the true positions, so this
+    equals applying the stars one after another.
     """
-    n = state.node_count
     log = RoundLog()
     locked = state.locked
-    acquired = np.zeros(n, dtype=bool)  # locks taken by this round only
 
-    declares = np.flatnonzero(rng.random(n) < cfg.head_prob)
-    all_m, all_n, all_d = [], [], []
-    stars, star_d = [], []  # completed stars: head first
+    declares = np.flatnonzero(rng.random(state.node_count) < cfg.head_prob)
+    stars = []  # (head then members, ranges, weight: 0 if timed out)
 
     for head in declares.tolist():
         if locked[head]:
@@ -247,52 +244,38 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
         members = candidates[order[:cfg.max_members]]
         log.responses += len(members)
 
-        locked[head] = True
-        locked[members] = True
-        acquired[head] = True
-        acquired[members] = True
+        star = np.r_[head, members]
+        locked[star] = True
 
-        # star measurements head <-> member
-        true_d = dist[members]
-        meas = true_d + cfg.noise_sigma * rng.standard_normal(len(members)) \
-            if cfg.noise_sigma > 0 else true_d.copy()
+        meas = dist[members]  # star measurements head <-> member
+        if cfg.noise_sigma > 0:
+            meas = meas + cfg.noise_sigma * rng.standard_normal(len(members))
 
         timed_out = cfg.timeout_prob > 0 and rng.random() < cfg.timeout_prob
         log.results += 1  # result broadcast is transmitted either way
         if timed_out:
             log.clusters_timeout += 1
         else:
-            stars.append(np.concatenate([[head], members]))
-            star_d.append(meas)
             log.clusters_completed += 1
             log.updated_nodes += len(members) + 1
+        stars.append((star, meas, 0.0 if timed_out else 1.0))
 
-        all_m.append(np.full(len(members), head))
-        all_n.append(members)
-        all_d.append(meas)
+    if not stars:  # no head locked anything
+        return state, ObservationBatch.empty(), log
+    stars, ranges, ride = zip(*stars)
+    nodes, delta = np.concatenate(stars), np.concatenate(ranges)
+    # S4: release every lock this round took: the nodes of its stars
+    locked[nodes] = False
 
-    if stars:
-        # the stars in local ids: each head, then its members
-        sizes = np.array([len(star) for star in stars])
-        heads = np.cumsum(sizes) - sizes
-        delta = np.concatenate(star_d)
-        local = ObservationBatch(np.repeat(heads, sizes - 1),
-                                 np.delete(np.arange(sizes.sum()), heads),
-                                 delta, assign_weights(delta, "unity"))
-        _damped_update(state.estimates, local,
-                       StepConfig(mu=cfg.mu, eps_x=cfg.eps_x),
-                       np.concatenate(stars))
-
-    # S4: release every lock this round took
-    locked[acquired] = False
-
-    if all_m:
-        delta = np.concatenate(all_d)
-        batch = ObservationBatch(np.concatenate(all_m), np.concatenate(all_n),
-                                 delta, assign_weights(delta, "unity"))
-    else:
-        batch = ObservationBatch.empty()
-    return state, batch, log
+    # the stars in local ids: each head, then its members
+    sizes = np.array([len(star) for star in stars])
+    heads = np.cumsum(sizes) - sizes
+    m, k = np.repeat(heads, sizes - 1), np.delete(np.arange(len(nodes)), heads)
+    unity = assign_weights(delta, "unity")
+    local = ObservationBatch(m, k, delta, unity * np.repeat(ride, sizes - 1))
+    _damped_update(state.estimates, local,
+                   StepConfig(mu=cfg.mu, eps_x=cfg.eps_x), nodes)
+    return state, ObservationBatch(nodes[m], nodes[k], delta, unity), log
 
 
 def anchor_align(estimates: np.ndarray, anchor_idx: np.ndarray,

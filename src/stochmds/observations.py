@@ -70,13 +70,7 @@ class ObservationBatch:
         if np.any(self.m == self.n):
             raise ValueError("self-loop observation (m == n)")
         if node_count is not None:
-            if len(self) and (
-                self.m.min() < 0
-                or self.n.min() < 0
-                or self.m.max() >= node_count
-                or self.n.max() >= node_count
-            ):
-                raise ValueError("node index out of range")
+            _validate_batch_indices(self, node_count)
         if not np.all((self.weight >= 0) & (self.weight <= 1)):
             raise ValueError("weights must lie in [0, 1]")
         live = self.delta[self.weight > 0]
@@ -110,14 +104,26 @@ class ObservationBatch:
         return self.delta if live.all() else np.where(live, self.delta, 0.0)
 
 
+def _validate_batch_indices(batch: ObservationBatch, node_count: int):
+    if len(batch) == 0:
+        return
+    if batch.m.min() < 0 or batch.n.min() < 0 \
+            or batch.m.max() >= node_count or batch.n.max() >= node_count:
+        raise ValueError("node index out of range")
+    if np.any(batch.weight < 0):
+        raise ValueError("negative weight")
+
+
 @dataclass
 class StepConfig:
     """Parameters of one incremental update.
 
     ``mu`` is the step size / forgetting factor, ``eps_x`` the squared-distance
     regularizer that keeps the update matrix bounded near coincident points,
-    and ``eps_w`` the smallest admissible nonzero weight (smaller weights are
-    clamped up to preserve the Laplacian conditioning guarantee).
+    and ``eps_w`` the smallest admissible nonzero weight, which keeps the
+    Laplacian conditioning guarantee: ``stochastic_step``, where outside
+    batches enter, clamps smaller ones up; the engine's own batches never
+    carry them.
     """
 
     mu: float = 0.1

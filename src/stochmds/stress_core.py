@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_linalg import group_components, _RoutedStack, \
+from .graph_linalg import group_components, _RoutedStack
+from .observations import ObservationBatch, StepConfig, clamp_weights, \
     _validate_batch_indices
-from .observations import ObservationBatch, StepConfig, clamp_weights
 
 __all__ = [
     "stress",
@@ -39,7 +39,13 @@ __all__ = [
 
 def stress(X: np.ndarray, batch: ObservationBatch) -> float:
     """Weighted stress: sum of w * (delta - ||x_m - x_n||)^2 over the
-    positive-weight measurements."""
+    positive-weight measurements. Ids outside X's rows raise ValueError."""
+    _validate_batch_indices(batch, X.shape[0])
+    return _stress(X, batch)
+
+
+def _stress(X: np.ndarray, batch: ObservationBatch) -> float:
+    """``stress`` without the id check, for batches the engine checked."""
     diff = np.take(X, batch.m, axis=0) - np.take(X, batch.n, axis=0)
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return _misfit(d, batch._live_delta(), batch.weight, out=d)
@@ -206,37 +212,44 @@ def stochastic_step(X: np.ndarray, batch: ObservationBatch,
     with J_C the centering projector on C, so the coordinate center of each
     component is preserved. Nodes outside every component are unchanged;
     clusters whose measurements all have zero weight are skipped.
+
+    Outside batches enter the update here: nonzero weights below
+    ``cfg.eps_w`` are clamped up, with a warning. Beyond the returned copy
+    of X, the step costs time linear in the batch, not in N.
     """
     _validate_batch_indices(batch, X.shape[0])
     Xn = np.array(X, dtype=np.float64, copy=True)
-    _damped_update(Xn, batch, cfg)
+    # renumbered onto the rows it touches; np.unique keeps id order, so the
+    # update equals the one over all N rows bit for bit
+    nodes, ids = np.unique(np.r_[batch.m, batch.n], return_inverse=True)
+    local = ObservationBatch(*np.split(ids, 2), batch.delta,
+                             clamp_weights(batch.weight, cfg.eps_w))
+    _damped_update(Xn, local, cfg, nodes)
     return Xn
 
 
 def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
-                   nodes: np.ndarray | None = None) -> None:
-    """Apply the incremental update in place to the rows ``batch`` touches.
+                   nodes: np.ndarray) -> None:
+    """Apply the incremental update in place to the rows ``nodes`` of
+    ``Xn``, which batch ids index, at a cost linear in the batch.
 
-    Batch ids index ``nodes`` (rows of ``Xn``) when given and rows of ``Xn``
-    otherwise. Nonzero weights below ``cfg.eps_w`` are clamped up, with a
-    warning. B^eps(X)X is formed over those rows before any is written, so
-    every row is updated from its current value.
+    Weights are used as given: 0 (ignored; a timed-out localization star
+    rides at 0) or at least ``cfg.eps_w``. B^eps(X)X is formed over those
+    rows before any is written, so every row is updated from its current
+    value.
     """
     mu = cfg.mu
     if mu == 0.0:
         return
     live = batch.nonzero()
-    w = clamp_weights(live.weight, cfg.eps_w)
-    if w is not live.weight:
-        live = ObservationBatch(live.m, live.n, live.delta, w)
-    X = Xn if nodes is None else np.take(Xn, nodes, axis=0)
+    X = np.take(Xn, nodes, axis=0)
     coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
                                      live.delta, cfg.eps_x)
     bx = _b_times_x(X, live.m, live.n, coef, diff.T)
     for stack in group_components(live, len(X)):
         Xc = np.take(X, stack.nodes, axis=0)
         y = stack.solve(np.take(bx, stack.nodes, axis=0))
-        rows = stack.nodes if nodes is None else nodes[stack.nodes]
+        rows = nodes[stack.nodes]
         Xn[rows] = ((1.0 - mu) * Xc
                     + mu * Xc.mean(axis=1, keepdims=True) + mu * y)
 
@@ -268,12 +281,12 @@ def sgd_step(X: np.ndarray, batch: ObservationBatch,
     """Plain stochastic-gradient step X + mu * (B(X) X - L X).
 
     Comparison baseline only; divergence is expected behavior under noise,
-    and the output may be non-finite.
+    and the output may be non-finite. Ids outside X's rows raise
+    ``ValueError``.
     """
+    _validate_batch_indices(batch, X.shape[0])
     live = batch.nonzero()
     Xn = np.array(X, dtype=np.float64, copy=True)
-    if len(live) == 0:
-        return Xn
     coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
                                      live.delta, eps_x=0.0)
     # rows of (B - L) X: sum over edges of (w*delta/d - w) * (x_m - x_n)

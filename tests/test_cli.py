@@ -101,6 +101,29 @@ class TestSubcommands:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, text, message", [
+        ("fingerprints", "a\tff\nb\t-f\n", "line 2"),
+        ("vectors", "a\t1.0\t2.0\nb\tnan\t1.0\n", "line 2"),
+        ("vectors", "a\t1.0\t2.0\nb\t1.0\tinf\n", "line 2"),
+        ("matrix", None, "not square"),
+    ])
+    def test_unrepresentable_input_is_input_error(self, kind, text, message,
+                                                  tmp_path, capsys):
+        """A signed hex fingerprint, a non-finite feature and a non-square
+        matrix are rejected when read, instead of running on wrapped bits,
+        a node that never moves, or failing mid-run."""
+        path = tmp_path / ("d.npy" if text is None else "d.tsv")
+        if text is None:
+            np.save(path, np.ones((6, 3)))
+        else:
+            path.write_text(text)
+        out = tmp_path / "emb.csv"
+        code = main(["embed", "--input", str(path), "--input-kind", kind,
+                     "--p", "2", "--slots", "2", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverged_run_is_execution_failure(self, tmp_path, capsys):
         path = tmp_path / "huge.tsv"
         iu, ju = np.triu_indices(6, k=1)

@@ -225,6 +225,14 @@ class TestProviders:
             big.pairs(np.array([0, 3]), np.array([5, 7])))
 
 
+    @pytest.mark.parametrize("shape", [(6, 3), (6,), (2, 2, 2)])
+    def test_dense_matrix_must_be_square(self, shape, tmp_path):
+        path = tmp_path / "d.npy"
+        np.save(path, np.ones(shape))
+        with pytest.raises(ValueError, match="not square"):
+            open_dense_matrix(path)
+
+
 class TestFingerprintFiles:
     def test_hex_records(self):
         ids, bits = load_fingerprints("a\tff\nb\t0f\n")
@@ -240,6 +248,27 @@ class TestFingerprintFiles:
     def test_bad_hex_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             load_fingerprints("a\tzz\n")
+
+    @pytest.mark.parametrize("hx", ["-ff", "0x1", "f_f", "+12"])
+    def test_only_hex_digits_accepted(self, hx):
+        """``int(hx, 16)`` takes signs, a ``0x`` prefix and underscores;
+        a fingerprint is hex digits only."""
+        with pytest.raises(ValueError, match="line 2: invalid hex"):
+            load_fingerprints(f"a\t{'0' * len(hx)}\nb\t{hx}\n")
+
+    @pytest.mark.parametrize("digits", [1, 3, 8, 33])
+    def test_bits_match_bit_by_bit_decode(self, digits):
+        """Odd digit counts too: 4 bits per digit, most significant
+        first."""
+        rng = np.random.default_rng(digits)
+        hexes = ["".join(rng.choice(list("0123456789abcdefABCDEF"), digits))
+                 for _ in range(5)]
+        _, bits = load_fingerprints(
+            "".join(f"n{i}\t{hx}\n" for i, hx in enumerate(hexes)))
+        want = [[(int(hx, 16) >> (4 * digits - 1 - k)) & 1
+                 for k in range(4 * digits)] for hx in hexes]
+        assert bits.dtype == bool
+        np.testing.assert_array_equal(bits, want)
 
 
 class TestEmbeddingIO:
@@ -265,6 +294,11 @@ class TestEmbeddingIO:
         ids, X = load_vectors("n0\t1.0\t2.0\nn1\t3.0\t4.0\n")
         assert ids == ["n0", "n1"]
         np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_vector_rejected(self, value):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_vectors(f"n0\t1.0\t2.0\nn1\t3.0\t{value}\n")
 
 
 class TestTextSources:

@@ -234,6 +234,37 @@ class TestRoundIsOneSlot:
             stars += len(heads)
         assert stars > 50  # several stars per round
 
+    def test_timed_out_star_rides_at_weight_zero(self, monkeypatch):
+        """Every star of a round enters its one update, a timed-out star at
+        weight 0, so its rows do not move; the round returns the same
+        measurements in global ids at unity weight."""
+        updates = []
+        real = localization._damped_update
+
+        def spy(Xn, batch, cfg, nodes):
+            updates.append((batch, nodes))
+            real(Xn, batch, cfg, nodes)
+
+        monkeypatch.setattr(localization, "_damped_update", spy)
+        cfg = ProtocolConfig(timeout_prob=0.5, noise_sigma=0.0)
+        timed_out = 0
+        for t, before, state, batch, log in _moving_rounds(23, 200, 30, cfg):
+            [(update, nodes)] = updates
+            updates.clear()
+            assert np.array_equal(nodes[update.m], batch.m)
+            assert np.array_equal(nodes[update.n], batch.n)
+            assert np.array_equal(update.delta, batch.delta)
+            assert np.all(batch.weight == 1.0)
+            heads = {w: np.unique(batch.m[update.weight == w])
+                     for w in (0.0, 1.0)}
+            assert len(heads[0.0]) == log.clusters_timeout
+            assert len(heads[1.0]) == log.clusters_completed
+            for head in heads[0.0]:
+                rows = np.r_[head, batch.n[batch.m == head]]
+                assert np.array_equal(state.estimates[rows], before[rows])
+            timed_out += log.clusters_timeout
+        assert timed_out > 10
+
     @pytest.mark.parametrize("timeout_prob, min_neighbors, cluster_size",
                              [(0.2, 5, 11), (0.0, 0, 2)])
     def test_matches_star_by_star_reference(self, timeout_prob,

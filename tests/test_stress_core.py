@@ -19,9 +19,10 @@ from stochmds import (
     stress,
     upsilon,
 )
-from stochmds import graph_linalg
+from stochmds import MuSchedule, graph_linalg, run_stochastic, stress_core
 from stochmds.graph_linalg import DENSE_SOLVER_MAX, group_components
-from stochmds.stress_core import _b_times_x, _regularized_coeffs
+from stochmds.stress_core import _b_times_x, _damped_update, \
+    _regularized_coeffs
 
 
 def full_batch(X, weights=None, deltas=None):
@@ -285,6 +286,63 @@ class TestStochasticStep:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+class TestStepIsLocal:
+    """``stochastic_step`` hands the update kernel its batch renumbered onto
+    the rows it touches, so a streamed slot costs time linear in its batch,
+    not in N, and gives the update of the batch in global ids."""
+
+    @staticmethod
+    def instance(rng, node_count, touched, pairs):
+        X = rng.standard_normal((node_count, 2))
+        nodes = np.sort(rng.choice(node_count, touched, replace=False))
+        a, b = np.triu_indices(touched, k=1)
+        k = rng.choice(len(a), pairs, replace=False)
+        return X, ObservationBatch(nodes[a[k]], nodes[b[k]],
+                                   rng.random(pairs) + 0.5, np.ones(pairs))
+
+    def test_streamed_batch_grouped_over_touched_rows(self, monkeypatch):
+        """One 25-node batch of 105 pairs (the ref100 chunk shape) in a
+        40,000-node embedding: components are labelled and B(X)X summed
+        over those 25 rows only, with the result of the update over all
+        rows."""
+        X, batch = self.instance(np.random.default_rng(40), 40_000, 25, 105)
+        rows = []
+        group, b_times_x = stress_core.group_components, stress_core._b_times_x
+
+        def spy_group(batch, node_count):
+            rows.append(("group_components", node_count))
+            return group(batch, node_count)
+
+        def spy_b_times_x(X, *args):
+            rows.append(("_b_times_x", len(X)))
+            return b_times_x(X, *args)
+
+        monkeypatch.setattr(stress_core, "group_components", spy_group)
+        monkeypatch.setattr(stress_core, "_b_times_x", spy_b_times_x)
+        trace = run_stochastic([batch], X, MuSchedule.constant(0.5), None, 1)
+        assert rows == [("_b_times_x", 25), ("group_components", 25)]
+        want = X.copy()
+        _damped_update(want, batch, StepConfig(mu=0.5), np.arange(len(X)))
+        assert np.array_equal(trace.final, want)
+
+    def test_rows_off_the_live_batch_unchanged(self):
+        """Untouched rows, and rows that only zero-weight measurements
+        (here with NaN deltas) touch, come back bit for bit."""
+        rng = np.random.default_rng(41)
+        X, live = self.instance(rng, 60, 12, 30)
+        dead = ObservationBatch([live.m[0], 55, 57], [58, 56, 59],
+                                [np.nan, 1.0, np.nan], np.zeros(3))
+        batch = ObservationBatch(np.r_[live.m, dead.m], np.r_[live.n, dead.n],
+                                 np.r_[live.delta, dead.delta],
+                                 np.r_[live.weight, dead.weight])
+        out = stochastic_step(X, batch, StepConfig(mu=0.5))
+        moved = np.unique(np.r_[live.m, live.n])
+        rest = np.setdiff1d(np.arange(len(X)), moved)
+        assert np.array_equal(out[rest], X[rest])
+        assert not np.array_equal(out[moved], X[moved])
+        assert np.array_equal(out, stochastic_step(X, live, StepConfig(mu=0.5)))
+
+
 class TestClosedFormBesideDense:
     """K4 at w = 1e-100 and a 4-node path at w = 1 form one stack of size
     4. K4 is solved in closed form; a dense solve of the whole stack would
@@ -319,7 +377,9 @@ class TestBatchIndices:
     @pytest.mark.parametrize("update", [
         smacof_iterate,
         lambda X, b: stochastic_step(X, b, StepConfig()),
-    ], ids=["smacof_iterate", "stochastic_step"])
+        stress,
+        lambda X, b: sgd_step(X, b, 0.1),
+    ], ids=["smacof_iterate", "stochastic_step", "stress", "sgd_step"])
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_out_of_range_id_rejected(self, update, bad):
         X = np.random.default_rng(39).standard_normal((4, 2))
