@@ -22,18 +22,19 @@ from .data_io import MatrixProvider
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, partition_nodes, \
-    _pair_from_index, _pair_request, _sample_local_pairs
-# _stress skips the id check: every batch evaluated here is checked already
+    _decode_pairs, _pair_request, _sample_local_pairs
+# _stress, _sgd_step and _stochastic_step skip the id check: every batch
+# they get here is checked already or built in range
 from .stress_core import (
     averaged_step,
     closed_form_b_average,
-    sgd_step,
     smacof_iterate,
-    stochastic_step,
     upsilon,
     _all_finite,
     _BatchPlan,
     _damped_update,
+    _sgd_step,
+    _stochastic_step,
     _stress,
 )
 
@@ -153,7 +154,7 @@ def _usable_pairs(provider, cap: int, seed: int,
         a, b = np.triu_indices(n, k=1) if keys is None else np.divmod(keys, n)
     else:
         k = np.sort(substream(seed, lane).choice(total, cap, replace=False))
-        a, b = _pair_from_index(k, n) if keys is None else \
+        a, b = _decode_pairs(k, n) if keys is None else \
             np.divmod(keys[k], n)
     delta = provider.pairs(a, b)
     keep = np.isfinite(delta) & (delta > 0)
@@ -238,14 +239,23 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
 # a chunk of the slot kernel is a run of consecutive clusters (at least one)
 # whose cost, nodes plus twice the pairs they measure (a pair takes about
 # twice a node's working memory), stays within N // _CHUNK_DIVISOR, so a
-# chunk's memory is a fixed share of the embedding at any sampling density
+# chunk's memory is a fixed share of the embedding at any sampling density,
+# or within _CHUNK_FLOOR when that is larger, so a small slot (the 100-node
+# reference run costs 4 x (25 + 2 x 105) = 940) is one chunk instead of
+# paying per-cluster fixed costs
 _CHUNK_DIVISOR = 24
+_CHUNK_FLOOR = 1024
+
+
+def _chunk_limit(node_count: int) -> int:
+    """Cost bound of one chunk of a slot over ``node_count`` nodes."""
+    return max(node_count // _CHUNK_DIVISOR, _CHUNK_FLOOR)
 
 
 def _chunks(clusters: list, sampler: SamplerConfig, limit: int):
     """Split ``clusters`` into runs of consecutive clusters whose nodes plus
-    twice their pairs stay within ``limit``; a larger cluster forms a run of
-    its own."""
+    twice their pairs stay within ``limit`` (``_chunk_limit`` in the slot
+    kernel); a larger cluster forms a run of its own."""
     start = total = 0
     for k, cluster in enumerate(clusters):
         size = len(cluster)
@@ -293,20 +303,22 @@ def _apply_slot(Xn, provider, clusters: list, sampler: SamplerConfig,
                 step: StepConfig, mu: float, mode: str) -> int:
     """Sample and apply one slot chunk by chunk, updating Xn in place.
 
-    Chunks are cut by ``_chunks`` with the bound N // ``_CHUNK_DIVISOR``.
-    Each chunk is sampled, fetched, grouped and solved in one pass.
+    Chunks are cut by ``_chunks`` with the bound ``_chunk_limit(N)``: N //
+    ``_CHUNK_DIVISOR``, or ``_CHUNK_FLOOR`` on small N, where a whole slot
+    is then one chunk. Each chunk is sampled, fetched, grouped and solved
+    in one pass.
     Clusters touch disjoint rows and each update reads only the slot-start
     values of its own rows, so the result equals the per-cluster update
     while holding only one chunk's measurements at a time.
     """
     pairs = 0
     cfg = replace(step, mu=mu)
-    for chunk in _chunks(clusters, sampler, len(Xn) // _CHUNK_DIVISOR):
+    for chunk in _chunks(clusters, sampler, _chunk_limit(len(Xn))):
         nodes, batch = _sample_chunk(provider, chunk, sampler, rng,
                                      noise_sigma, step.eps_w,
                                      clamp=(mode != "sgd"))
         if mode == "sgd":
-            Xn[nodes] = sgd_step(Xn[nodes], batch, mu)
+            Xn[nodes] = _sgd_step(Xn[nodes], batch, mu)
         else:
             _damped_update(Xn, batch, cfg, nodes)
         pairs += len(batch)
@@ -340,15 +352,17 @@ def run_stochastic(
 
     Sampler-driven slots process one chunk at a time: a run of consecutive
     clusters whose nodes plus twice their measured pairs stay within a fixed
-    fraction of N (``_CHUNK_DIVISOR``), or one larger cluster. Each chunk's
-    pairs are drawn, fetched, grouped into components and solved in one
-    pass before the next chunk is sampled, so working memory stays a small
-    multiple of the embedding at any sampling density: the slot holds one
-    chunk's measurements, not all of them. Streamed batches are checked with
-    ``ObservationBatch.validate`` and a bad one raises ``ValueError``. A
-    non-finite iterate stops the run with status ``diverged`` in every mode
-    (and so does a blown-up ``sgd`` iterate); the final embedding is the
-    last finite one.
+    fraction of N (``_CHUNK_DIVISOR``) or a fixed floor (``_CHUNK_FLOOR``),
+    whichever is larger, or one larger cluster. Each chunk's pairs are
+    drawn, fetched, grouped into components and solved in one pass before
+    the next chunk is sampled, so working memory stays a small multiple of
+    the embedding at any sampling density: the slot holds one chunk's
+    measurements, not all of them. Below 24 times the floor a chunk's
+    memory is bounded by the floor instead, and a small slot is one chunk.
+    Streamed batches are checked once, with ``ObservationBatch.validate``,
+    and a bad one raises ``ValueError``. A non-finite iterate stops the run
+    with status ``diverged`` in every mode (and so does a blown-up ``sgd``
+    iterate); the final embedding is the last finite one.
     """
     step = step or StepConfig()
     if mode not in ("stochastic", "sgd"):
@@ -381,9 +395,9 @@ def run_stochastic(
                 break
             evaluator = _EvalSet(batch)
             if mode == "sgd":
-                Xn = sgd_step(X, batch, mu)
+                Xn = _sgd_step(X, batch, mu)
             else:
-                Xn = stochastic_step(X, batch, replace(step, mu=mu))
+                Xn = _stochastic_step(X, batch, replace(step, mu=mu))
             pairs = len(batch)
         else:
             slot_rng = substream(seed, "partition", t)

@@ -73,20 +73,13 @@ _PAIR_TABLE_MAX = 200_000
 _pair_tables: dict = {}
 
 
-def _pair_from_index(k: np.ndarray, s: int):
-    """Decode linear pair indices into (a, b), a < b, over s items.
+def _decode_pairs(k: np.ndarray, s: int):
+    """Decode linear pair indices into (a, b), a < b, over s items, by
+    arithmetic, so only the requested pairs are materialized.
 
-    Pairs are enumerated row-major: (0,1), (0,2), ..., (0,s-1), (1,2), ...
-    Small sizes use a cached lookup table; larger ones are decoded
-    arithmetically so only the requested pairs are materialized.
+    Pairs are enumerated row-major, in ``np.triu_indices(s, 1)`` order:
+    (0,1), (0,2), ..., (0,s-1), (1,2), ...
     """
-    total = s * (s - 1) // 2
-    if total <= _PAIR_TABLE_MAX:
-        table = _pair_tables.get(s)
-        if table is None:
-            table = np.triu_indices(s, k=1)
-            _pair_tables[s] = table
-        return table[0][k], table[1][k]
     # row a satisfies T(a) <= k < T(a+1) with T(a) = a*s - a*(a+1)/2
     kf = k.astype(np.float64)
     a = np.floor((2 * s - 1 - np.sqrt((2 * s - 1) ** 2 - 8 * kf)) / 2).astype(np.int64)
@@ -100,6 +93,23 @@ def _pair_from_index(k: np.ndarray, s: int):
     start = a * s - a * (a + 1) // 2
     b = k - start + a + 1
     return a, b
+
+
+def _pair_from_index(k: np.ndarray, s: int):
+    """``_decode_pairs`` for cluster draws, which decode many indices over
+    few sizes: up to ``_PAIR_TABLE_MAX`` pairs, a size's
+    ``np.triu_indices`` table is built once, cached for the process and
+    indexed; larger sizes are decoded arithmetically. A one-off decode
+    over all N nodes calls ``_decode_pairs`` directly, so no whole-N
+    table is kept.
+    """
+    if s * (s - 1) // 2 > _PAIR_TABLE_MAX:
+        return _decode_pairs(k, s)
+    table = _pair_tables.get(s)
+    if table is None:
+        table = np.triu_indices(s, k=1)
+        _pair_tables[s] = table
+    return table[0][k], table[1][k]
 
 
 def _pair_request(size: int, q: int | None = None,

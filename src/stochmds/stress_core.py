@@ -215,9 +215,16 @@ def stochastic_step(X: np.ndarray, batch: ObservationBatch,
 
     Outside batches enter the update here: nonzero weights below
     ``cfg.eps_w`` are clamped up, with a warning. Beyond the returned copy
-    of X, the step costs time linear in the batch, not in N.
+    of X, the step costs time linear in the batch, not in N. Ids outside
+    X's rows raise ``ValueError``.
     """
     _validate_batch_indices(batch, X.shape[0])
+    return _stochastic_step(X, batch, cfg)
+
+
+def _stochastic_step(X: np.ndarray, batch: ObservationBatch,
+                     cfg: StepConfig) -> np.ndarray:
+    """``stochastic_step`` on a batch whose ids are checked already."""
     Xn = np.array(X, dtype=np.float64, copy=True)
     # renumbered onto the rows it touches; np.unique keeps id order, so the
     # update equals the one over all N rows bit for bit
@@ -285,6 +292,12 @@ def sgd_step(X: np.ndarray, batch: ObservationBatch,
     ``ValueError``.
     """
     _validate_batch_indices(batch, X.shape[0])
+    return _sgd_step(X, batch, mu)
+
+
+def _sgd_step(X: np.ndarray, batch: ObservationBatch,
+              mu: float) -> np.ndarray:
+    """``sgd_step`` on a batch whose ids are checked already."""
     live = batch.nonzero()
     Xn = np.array(X, dtype=np.float64, copy=True)
     coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,

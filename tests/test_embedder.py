@@ -24,11 +24,12 @@ from stochmds import (
     stochastic_step,
     stress,
 )
-from stochmds import embedder, graph_linalg
+from stochmds import embedder, graph_linalg, observations, sampling, \
+    stress_core
 from stochmds.data_io import EdgeListProvider, FeatureProvider, \
     MatrixProvider
-from stochmds.embedder import _CHUNK_DIVISOR, _chunks, _usable_pairs, \
-    estimate_scale
+from stochmds.embedder import _CHUNK_DIVISOR, _CHUNK_FLOOR, _chunk_limit, \
+    _chunks, _usable_pairs, estimate_scale
 from stochmds.graph_linalg import DENSE_SOLVER_MAX
 from stochmds.rng import substream
 from stochmds.sampling import _sample_local_pairs, assign_weights, \
@@ -353,6 +354,33 @@ class TestRunStochastic:
         assert trace.status == "ok"
         assert len(trace.records) == 3
 
+    @pytest.mark.parametrize("mode", ["stochastic", "sgd"])
+    def test_streamed_ids_checked_once_per_slot(self, monkeypatch, mode):
+        """``validate`` checks a streamed batch's ids and the step does not
+        check them again; an id outside [0, N) still raises."""
+        calls = []
+
+        def counting(batch, node_count):
+            calls.append(node_count)
+            check(batch, node_count)
+
+        check = observations._validate_batch_indices
+        monkeypatch.setattr(observations, "_validate_batch_indices", counting)
+        monkeypatch.setattr(stress_core, "_validate_batch_indices", counting)
+        batch = ObservationBatch([0, 1], [1, 2], [1.0, 2.0], [1.0, 1.0])
+        init = random_init(3, 2, np.random.default_rng(0), 1.0)
+        trace = run_stochastic(iter([batch] * 2), init,
+                               MuSchedule.constant(0.1), None, slots=2,
+                               mode=mode)
+        assert len(trace.records) == 3 and calls == [3, 3]
+        for bad in (-1, 3):
+            bad_batch = ObservationBatch([0, bad], [1, 2], [1.0, 2.0],
+                                         [1.0, 1.0])
+            with pytest.raises(ValueError, match="out of range"):
+                run_stochastic(iter([bad_batch]), init,
+                               MuSchedule.constant(0.1), None, slots=1,
+                               mode=mode)
+
     def test_spe_mode_rejected(self):
         """SPE is the stochastic mode with p = 2, not a mode of its own."""
         provider, _ = planar_provider(10)
@@ -437,37 +465,64 @@ def _per_cluster_slot(X, provider, clusters, sampler, rng, noise_sigma,
     return Xn
 
 
+# "spe" is the stochastic rule at p = 2, the paper's SPE case. A p = 2
+# cluster costs 4, far below the chunk floor, so an spe slot is never one
+# cluster per chunk
+_SLOT_KERNEL_CASES = [
+    pytest.param(several, noise_sigma, mode,
+                 id=f"{layout}-{noise_sigma}-{mode}")
+    for layout, several in (("one_per_chunk", False),
+                            ("several_per_chunk", True))
+    for noise_sigma in (0.0, 0.3)
+    for mode in ("sgd", "spe", "stochastic")
+    if several or mode != "spe"]
+
+
 class TestSlotKernel:
-    # "spe" is the stochastic rule at p = 2, the paper's SPE case
-    @pytest.mark.parametrize("mode", ["stochastic", "sgd", "spe"])
-    @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
-    @pytest.mark.parametrize("several", [False, True],
-                             ids=["one_per_chunk", "several_per_chunk"])
+    @pytest.mark.parametrize("several, noise_sigma, mode", _SLOT_KERNEL_CASES)
     @settings(max_examples=8, deadline=None)
     @given(st.data())
     def test_matches_per_cluster_loop(self, mode, noise_sigma, several,
                                       data):
-        """The chunked kernel reproduces the per-cluster loop exactly. A
-        cluster costs between p + 2 and p^2 (nodes plus twice its pairs)
-        against a chunk bound of N // d, so below d p nodes every chunk
-        holds one cluster, and from 2 d p^2 on every chunk but the last
-        holds several."""
+        """The chunked kernel reproduces the per-cluster loop exactly, in
+        both chunk layouts. A cluster costs between p + 2 and p^2 (nodes
+        plus twice its pairs) against a chunk bound of ``_CHUNK_FLOOR`` at
+        these sizes. So a cluster of p > sqrt(floor) that measures more than
+        (floor - p) / 2 pairs fills a chunk on its own, and at p <= 9 every
+        chunk but the last holds several clusters once the full clusters
+        cost more than one floor."""
         if mode == "spe":
             mode, p = "stochastic", 2
-        else:
+        elif several:
             p = data.draw(st.integers(2, 9))
-        d = _CHUNK_DIVISOR
-        full = data.draw(st.integers(2 * d * p, 2 * d * p + 4 * p) if several
-                         else st.integers(1, d - 1))
-        n = full * p + data.draw(st.integers(0, p - 1))  # remainder cluster
-        if data.draw(st.booleans()):
-            q, fraction = data.draw(st.integers(1, p * (p - 1) // 2)), None
         else:
-            q, fraction = None, data.draw(st.floats(0.05, 1.0))
+            root = int(np.sqrt(_CHUNK_FLOOR))
+            p = data.draw(st.integers(root + 1, root + 8))
+        total = p * (p - 1) // 2
+        if several:
+            least = _CHUNK_FLOOR // (p + 2) + 1
+            full = data.draw(st.integers(least, least + 4 * p))
+        else:
+            full = data.draw(st.integers(1, 4))
+        n = full * p + data.draw(st.integers(0, p - 1))  # remainder cluster
+        limit = _chunk_limit(n)
+        q_min = 1 if several else (limit - p) // 2 + 1
+        if data.draw(st.booleans()):
+            q, fraction = data.draw(st.integers(q_min, total)), None
+        else:
+            least = 0.05 if several else (q_min + 1) / total
+            q, fraction = None, data.draw(st.floats(least, 1.0))
         sampler = SamplerConfig(
             p=p, q=q, fraction=fraction,
             scheme=data.draw(st.sampled_from(["unity", "sammon"])),
             seed=data.draw(st.integers(0, 2**16)))
+        chunks = list(_chunks(partition_nodes(n, p, np.random.default_rng(0)),
+                              sampler, limit))
+        if several:
+            assert len(chunks) >= 2
+            assert all(len(c) >= 2 for c in chunks[:-1])
+        else:
+            assert all(len(c) == 1 for c in chunks)
         mu = data.draw(st.sampled_from([0.05, 0.5]))
         provider, _ = planar_provider(n, seed=sampler.seed)
         init = random_init(n, 2, np.random.default_rng(sampler.seed), 10.0)
@@ -499,6 +554,25 @@ class TestSlotKernel:
         chunks = list(_chunks(clusters, sampler, limit))
         assert sum(len(c) for c in chunks) == len(clusters)
         assert all(len(c) == max(1, limit // cost) for c in chunks[:-1])
+
+    def test_small_slot_is_one_chunk(self):
+        """The reference run's slot, four 25-node clusters measuring 105
+        pairs each, costs 940 and is applied as one chunk."""
+        sampler = SamplerConfig(p=25, fraction=0.35)
+        clusters = partition_nodes(100, 25, np.random.default_rng(0))
+        assert len(list(_chunks(clusters, sampler, _chunk_limit(100)))) == 1
+
+    def test_large_slot_bound_is_a_share_of_n(self):
+        """Above 24 floors the bound is N // _CHUNK_DIVISOR, as without
+        the floor: at N = 40,000, p = 100 and q = 50, chunks of 8 clusters
+        (cost 200 each against 1666)."""
+        n = 40_000
+        assert _chunk_limit(n) == n // _CHUNK_DIVISOR
+        assert _chunk_limit(_CHUNK_DIVISOR * _CHUNK_FLOOR) == _CHUNK_FLOOR
+        clusters = [np.arange(k, k + 100) for k in range(0, n, 100)]
+        chunks = list(_chunks(clusters, SamplerConfig(p=100, q=50),
+                              _chunk_limit(n)))
+        assert [len(c) for c in chunks] == [8] * 50
 
 
 class TestRunAveragedOracle:
@@ -735,6 +809,16 @@ class TestUsablePairs:
         assert len(edges) <= 512
         for seed in range(3):
             assert estimate_scale(provider, seed) == edges.delta.max()
+
+    @pytest.mark.parametrize("n, cap", [(100, 0), (100, 50), (400, 512)])
+    def test_draw_over_all_pairs_keeps_no_table(self, monkeypatch, n, cap):
+        """A draw over all pairs decodes its indices by arithmetic, so it
+        leaves the cluster draws' table cache as it found it."""
+        monkeypatch.setattr(sampling, "_pair_tables", {})
+        provider, _ = planar_provider(n)
+        batch = _usable_pairs(provider, cap, 3, "eval")
+        assert len(batch) == cap
+        assert sampling._pair_tables == {}
 
     def test_complete_edge_list_draws_as_all_pairs(self):
         """On a complete list the draw over its edges is the draw over all

@@ -5,7 +5,9 @@ import pytest
 
 from stochmds import SamplerConfig, assign_weights, partition_nodes
 from stochmds.rng import substream
-from stochmds.sampling import _sample_local_pairs
+from stochmds import sampling
+from stochmds.sampling import _decode_pairs, _pair_from_index, \
+    _sample_local_pairs
 
 
 class TestSamplerConfig:
@@ -69,6 +71,47 @@ class TestPartitionNodes:
         want = (p - 1) / (N - 1)
         se = np.sqrt(want * (1 - want) / slots)
         assert abs(hits / slots - want) <= 3 * se
+
+
+class TestPairDecode:
+    def test_matches_triu_order(self):
+        """Both paths list the pairs of s items in ``np.triu_indices``
+        order, index for index."""
+        for s in range(2, 61):
+            k = np.arange(s * (s - 1) // 2)
+            want = np.triu_indices(s, k=1)
+            for decode in (_decode_pairs, _pair_from_index):
+                a, b = decode(k, s)
+                np.testing.assert_array_equal(a, want[0])
+                np.testing.assert_array_equal(b, want[1])
+
+    def test_cell_boundaries_of_a_large_size(self):
+        """At s = 100,000 (about 5e9 pairs) every row's first and last index,
+        and the ones either side of them, decode to their pairs."""
+        s = 100_000
+        rows = np.arange(s - 1, dtype=np.int64)
+        first = rows * s - rows * (rows + 1) // 2
+        last = first + (s - 2 - rows)
+        k = np.concatenate([first, last, first[1:] + 1, last[:-1] - 1])
+        a_want = np.concatenate([rows, rows, rows[1:], rows[:-1]])
+        b_want = np.concatenate([rows + 1, np.full(s - 1, s - 1),
+                                 rows[1:] + 2, np.full(s - 2, s - 2)])
+        keep = b_want < s  # the last row has no second pair
+        a, b = _decode_pairs(k[keep], s)
+        np.testing.assert_array_equal(a, a_want[keep])
+        np.testing.assert_array_equal(b, b_want[keep])
+
+    def test_table_only_below_its_size_limit(self, monkeypatch):
+        """Cluster draws cache a size's table up to ``_PAIR_TABLE_MAX``
+        pairs and decode larger sizes by arithmetic."""
+        monkeypatch.setattr(sampling, "_pair_tables", {})
+        k = np.array([0, 5, 17])
+        small, large = 30, 1000  # 435 and 499,500 pairs
+        for s in (small, large):
+            a, b = _pair_from_index(k, s)
+            np.testing.assert_array_equal(
+                np.stack([a, b]), np.stack(_decode_pairs(k, s)))
+        assert list(sampling._pair_tables) == [small]
 
 
 class TestSampleClusterEdges:
