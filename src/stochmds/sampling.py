@@ -131,7 +131,14 @@ def _sample_local_pairs(
 ):
     """Uniform random subset of pairs over ``size`` items, as local index
     arrays ``(a, b)`` with ``a < b``. Requests beyond the number of available
-    pairs are clamped with a warning."""
+    pairs are clamped with a warning.
+
+    The subset is one ``rng.choice(..., replace=False, shuffle=False)``
+    draw of pair indices: numpy's Floyd draw, or, for a request of more
+    than a twentieth of over 10,000 pairs, a partial shuffle of the index
+    range's tail. Floyd's draw costs time in the pairs drawn, not in the
+    size*(size-1)/2 available. The pairs come in no particular order.
+    """
     if size < 2:
         raise ValueError("cluster must have at least 2 nodes")
     total = size * (size - 1) // 2
@@ -140,7 +147,7 @@ def _sample_local_pairs(
         warnings.warn(f"requested q={q} clamped to {total} available pairs",
                       stacklevel=2)
         q = total
-    k = rng.permutation(total)[:q]
+    k = rng.choice(total, q, replace=False, shuffle=False)
     return _pair_from_index(k, size)
 
 

@@ -510,8 +510,8 @@ class TestSlotKernel:
         if data.draw(st.booleans()):
             q, fraction = data.draw(st.integers(q_min, total)), None
         else:
-            least = 0.05 if several else (q_min + 1) / total
-            q, fraction = None, data.draw(st.floats(least, 1.0))
+            f_min = 0.05 if several else (q_min + 1) / total
+            q, fraction = None, data.draw(st.floats(f_min, 1.0))
         sampler = SamplerConfig(
             p=p, q=q, fraction=fraction,
             scheme=data.draw(st.sampled_from(["unity", "sammon"])),

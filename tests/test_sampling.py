@@ -1,7 +1,10 @@
 """Cluster partitioning, edge subsampling and weight schemes."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from stochmds import SamplerConfig, assign_weights, partition_nodes
 from stochmds.rng import substream
@@ -141,6 +144,51 @@ class TestSampleClusterEdges:
         expected = draws / 3
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 13.8  # 0.999 quantile, 2 dof
+
+    # numpy's choice without replacement and shuffle takes Floyd's draw,
+    # unless more than 10,000 pairs are available and more than a
+    # twentieth of them are requested: then it shuffles the tail of the
+    # index range
+    @pytest.mark.parametrize("size, q", [(100, 50), (25, 105), (200, 1000)],
+                             ids=["floyd", "floyd_dense", "tail_shuffle"])
+    def test_draw_is_a_set_of_pairs(self, size, q):
+        rng = substream(3, "edges", size)
+        for _ in range(20):
+            a, b = _sample_local_pairs(size, rng, q=q)
+            assert len(a) == q
+            assert len(set(zip(a.tolist(), b.tolist()))) == q
+            assert np.all((0 <= a) & (a < b) & (b < size))
+
+    def test_uniform_over_subsets(self):
+        """chi-square uniformity of whole draws: every one of the 20
+        three-pair subsets of a 4-node cluster is equally likely."""
+        subsets = {frozenset(c): 0 for c in itertools.combinations(
+            itertools.combinations(range(4), 2), 3)}
+        draws = 20_000
+        rng = substream(4, "edges", 0)
+        for _ in range(draws):
+            a, b = _sample_local_pairs(4, rng, q=3)
+            subsets[frozenset(zip(a.tolist(), b.tolist()))] += 1
+        assert len(subsets) == 20
+        expected = draws / 20
+        stat = sum((c - expected) ** 2 / expected for c in subsets.values())
+        assert stat < chi2.ppf(0.999, 19)
+
+    @pytest.mark.parametrize("size, q, draws", [(100, 50, 2000),
+                                                (200, 1000, 400)],
+                             ids=["floyd", "tail_shuffle"])
+    def test_uniform_pair_frequencies(self, size, q, draws):
+        """chi-square uniformity of how often each pair is drawn."""
+        total = size * (size - 1) // 2
+        counts = np.zeros((size, size), dtype=np.int64)
+        rng = substream(5, "edges", size)
+        for _ in range(draws):
+            a, b = _sample_local_pairs(size, rng, q=q)
+            counts[a, b] += 1
+        counts = counts[np.triu_indices(size, k=1)]
+        expected = draws * q / total
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert stat < chi2.ppf(0.999, total - 1)
 
     def test_oversized_request_clamped(self):
         with pytest.warns(UserWarning):
