@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import string
 import warnings
 
@@ -58,10 +59,28 @@ def parse_edge_list(source, node_count: int | None = None) -> ObservationBatch:
     occurrence with a warning. Malformed lines, self-loops, non-finite
     deltas, and nonpositive deltas carrying positive weight are rejected with
     the offending line number.
+
+    The lines are read in one vectorized pass (``_parse_table``). Any input
+    that pass might read differently, and any input it finds at fault, goes
+    to the line loop (``_parse_lines``), which words every error; both give
+    the same batch, bit for bit.
     """
+    lines = _read_lines(source)
+    parsed = _parse_table(lines, node_count)
+    batch, dupes = parsed if parsed is not None else \
+        _parse_lines(lines, node_count)
+    if dupes:
+        warnings.warn(f"{dupes} duplicate pair(s); last occurrence wins",
+                      stacklevel=2)
+    return batch
+
+
+def _parse_lines(lines, node_count):
+    """The line loop: (batch, duplicate count), or ``ValueError`` naming the
+    first bad line."""
     seen: dict = {}
     dupes = 0
-    for lineno, raw in enumerate(_read_lines(source), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -92,10 +111,65 @@ def parse_edge_list(source, node_count: int | None = None) -> ObservationBatch:
         if key in seen:
             dupes += 1
         seen[key] = (m, n, delta, weight)
-    if dupes:
-        warnings.warn(f"{dupes} duplicate pair(s); last occurrence wins",
-                      stacklevel=2)
-    return ObservationBatch.from_entries(seen.values())
+    return ObservationBatch.from_entries(seen.values()), dupes
+
+
+# characters the line loop and np.loadtxt need not read alike: control
+# characters that str.splitlines / str.split take as breaks, and the digit
+# separator that int and float accept
+_LOOP_ONLY = "\v\f\x1c\x1d\x1e\x1f_"
+# a '#' after the start of a line: loadtxt strips it as a comment, the loop
+# rejects the line
+_INLINE_HASH = re.compile(r"^[ \t]*[^\s#][^\n]*#", re.MULTILINE)
+# ids at or above this go to the loop, so that pair keys fit in int64
+_ID_LIMIT = 1 << 31
+
+
+def _parse_table(lines, node_count):
+    """The vectorized pass: (batch, duplicate count) as ``_parse_lines``
+    gives them, or None when the input is for the loop to read.
+
+    One ``np.loadtxt`` call reads every line into a structured table (its
+    field count taken from the first data line), and the loop's checks run
+    on whole columns. A pair listed twice keeps its first position and its
+    last occurrence's orientation and values, as the loop's dict does.
+    """
+    text = "\n".join(lines)
+    if not text.isascii() or any(c in text for c in _LOOP_ONLY) or \
+            ("#" in text and _INLINE_HASH.search(text)):
+        return None
+    first = next((s for s in map(str.strip, lines)
+                  if s and not s.startswith("#")), None)
+    width = len(first.split()) if first is not None else 0
+    if width not in (3, 4):
+        return None
+    dtype = [("m", np.int64), ("n", np.int64), ("delta", np.float64),
+             ("weight", np.float64)][:width]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    m, n, delta = table["m"], table["n"], table["delta"]
+    weight = table["weight"] if width == 4 else np.ones(len(table))
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    bound = _ID_LIMIT if node_count is None else min(node_count, _ID_LIMIT)
+    if (lo.min() < 0 or hi.max() >= bound or np.any(m == n)
+            or not np.isfinite(delta).all()
+            or not ((weight >= 0) & (weight <= 1)).all()
+            or np.any((weight > 0) & (delta <= 0))):
+        return None
+    keys = lo * (int(hi.max()) + 1) + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # a stable sort puts each pair's first and last occurrence at the ends
+    # of its run of equal keys
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], len(keys)] - 1
+    rows = order[ends][np.argsort(order[starts])]
+    return (ObservationBatch(m[rows], n[rows], delta[rows], weight[rows]),
+            len(keys) - len(starts))
 
 
 def serialize_edge_list(batch: ObservationBatch) -> str:
@@ -195,20 +269,30 @@ class FeatureProvider(_CountingProvider):
         return np.clip(1.0 - dots / (self._norms[m] * self._norms[n]), 0.0, 2.0)
 
 
+# set bits of each byte value
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
 class FingerprintProvider(_CountingProvider):
-    """On-demand Tanimoto dissimilarities over binary fingerprints."""
+    """On-demand Tanimoto dissimilarities over binary fingerprints.
+
+    ``bits`` is an (N, L) array of bits. Each row is kept packed, eight bits
+    to a byte (``np.packbits``, zero-padded), and bits are counted through a
+    256-entry table, so a row costs L/8 bytes and the counts equal those of
+    the unpacked bits. Two empty fingerprints give NaN.
+    """
 
     def __init__(self, bits: np.ndarray):
         super().__init__()
-        self.bits = np.asarray(bits).astype(bool)
-        self.node_count = self.bits.shape[0]
+        self.packed = np.packbits(np.asarray(bits).astype(bool), axis=1)
+        self.node_count = self.packed.shape[0]
 
     def pairs(self, m, n):
         self._count(len(m))
-        a = self.bits[m]
-        b = self.bits[n]
-        inter = np.count_nonzero(a & b, axis=1)
-        union = np.count_nonzero(a | b, axis=1)
+        a = self.packed[m]
+        b = self.packed[n]
+        inter = _POPCOUNT[a & b].sum(axis=1, dtype=np.int64)
+        union = _POPCOUNT[a | b].sum(axis=1, dtype=np.int64)
         out = np.full(len(inter), np.nan)
         ok = union > 0
         out[ok] = 1.0 - inter[ok] / union[ok]

@@ -104,7 +104,12 @@ class MuSchedule:
 
 @dataclass
 class RunTrace:
-    """Per-slot records plus the final embedding of one run."""
+    """Per-slot records plus the final embedding of one run.
+
+    ``evaluated_pairs`` is the size of the batch every record's stress is
+    taken on: a sampled run's evaluation sample or a batch run's batch.
+    It is None for a streamed run, which evaluates each slot's own batch.
+    """
 
     records: list
     final: np.ndarray
@@ -112,6 +117,7 @@ class RunTrace:
     status: str = "ok"
     config: dict | None = None
     embeddings: np.ndarray | None = None  # (slots+1, N, P) when recorded
+    evaluated_pairs: int | None = None
 
     def stresses(self) -> np.ndarray:
         return np.array([r["stress"] for r in self.records], dtype=np.float64)
@@ -120,9 +126,11 @@ class RunTrace:
         return np.array([r["t"] for r in self.records], dtype=np.int64)
 
     def write_jsonl(self, path) -> None:
-        """One header line with the effective config, then one line per slot."""
+        """One header line with the effective config, the run's seed, status
+        and evaluated pair count, then one line per slot."""
         header = {"config": self.config or {}, "seed": self.seed,
-                  "status": self.status}
+                  "status": self.status,
+                  "evaluated_pairs": self.evaluated_pairs}
         with open(path, "w") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for rec in self.records:
@@ -233,7 +241,8 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
             status = "converged"
             break
         prev = cur
-    return RunTrace(records, X, seed, status=status, config=config_echo)
+    return RunTrace(records, X, seed, status=status, config=config_echo,
+                    evaluated_pairs=len(batch))
 
 
 # a chunk of the slot kernel is a run of consecutive clusters (at least one)
@@ -422,7 +431,8 @@ def run_stochastic(
             embeds.append(X.copy())
 
     return RunTrace(records, X, seed, status=status, config=config_echo,
-                    embeddings=np.array(embeds) if embeds is not None else None)
+                    embeddings=np.array(embeds) if embeds is not None else None,
+                    evaluated_pairs=None if streaming else len(evaluator))
 
 
 def run_averaged_oracle(
@@ -523,7 +533,8 @@ def run_averaged_oracle(
             embeds.append(X.copy())
 
     return RunTrace(records, X, seed, status=status, config=config_echo,
-                    embeddings=np.array(embeds) if embeds is not None else None)
+                    embeddings=np.array(embeds) if embeds is not None else None,
+                    evaluated_pairs=len(evaluator))
 
 
 def hovering_deviation(embeds_a: np.ndarray, embeds_b: np.ndarray,

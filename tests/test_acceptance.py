@@ -342,6 +342,38 @@ def test_c10_scaling():
         assert row["peak_over_embedding"] < 4.0, rows
 
 
+def _disjoint_stars(batch):
+    """Whether a round's batch is a disjoint union of stars (head in ``m``,
+    members in ``n``): no node is a member twice, and none is both a head
+    and a member. Every star is in the batch, timed-out ones included, so
+    this covers every lock the round took."""
+    return (len(np.unique(batch.n)) == len(batch.n)
+            and not np.intersect1d(batch.m, batch.n).size)
+
+
+class _ReleasedAtOnce(np.ndarray):
+    """Lock flags that drop each lock as it is taken: a round that releases
+    a star's locks when the star ends instead of when the round does."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, False)
+
+
+def test_c11_star_check_fails_on_per_star_release():
+    """The disjoint-stars check of c11 fails on the c11 set-up when a round
+    releases locks per star, which ``state.locked`` alone does not show."""
+    state = deploy_network(20, 0, substream(11, "deploy"))
+    perturb_estimates(state, substream(11, "init"))
+    state.locked = state.locked.view(_ReleasedAtOnce)
+    cfg = ProtocolConfig(mu=0.3, mean_cluster_size=6, timeout_prob=0.1)
+    overlapping = 0
+    for t in range(1, 51):
+        batch = protocol_round(state, substream(11, "protocol", t), cfg)[1]
+        assert not state.locked.any()
+        overlapping += not _disjoint_stars(batch)
+    assert overlapping > 0
+
+
 @criterion("criterion 11: protocol safety over 1e5 rounds with timeouts")
 def test_c11_protocol_safety():
     state = deploy_network(20, 0, substream(11, "deploy"))
@@ -353,10 +385,12 @@ def test_c11_protocol_safety():
     rounds = 100_000
     for t in range(1, rounds + 1):
         step_mobility(state, mobility, mob_rng)
-        _, _, log = protocol_round(state, substream(11, "protocol", t), cfg)
+        _, batch, log = protocol_round(state, substream(11, "protocol", t),
+                                       cfg)
         assert log.double_lock_attempts == 0
         assert log.locks_leaked == 0
         assert not state.locked.any()
+        assert _disjoint_stars(batch), f"round {t}"
         # message accounting is exact per round
         assert log.solicitations == (log.clusters_completed +
                                      log.clusters_aborted +

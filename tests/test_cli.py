@@ -660,3 +660,59 @@ class TestDeterminism:
                   "--trace", str(trace)])
             texts.append(trace.read_text())
         assert texts[0] == texts[1]
+
+
+class TestTraceHeader:
+    """The trace header records how many pairs each record's stress is
+    taken on."""
+
+    @staticmethod
+    def _header(path):
+        return json.loads(path.read_text().splitlines()[0])
+
+    def test_sparse_edge_list_evaluates_its_usable_edges(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = [f"{i}\t{(i + 1) % 20}\t{rng.random() + 0.5!r}"
+                 for i in range(20)]
+        lines += ["0\t10\t2.0", "10\t0\t2.5",   # one pair, listed twice
+                  "3\t9\t-1.0\t0", "4\t12\t0.0\t0"]  # unusable: weight 0
+        path = tmp_path / "ring.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        trace = tmp_path / "t.jsonl"
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            code = main(["embed", "--mode", "stochastic", "--input",
+                         str(path), "--p", "4", "--slots", "3",
+                         "--trace", str(trace)])
+        assert code == EXIT_OK
+        assert self._header(trace)["evaluated_pairs"] == 21
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            code = main(["embed", "--mode", "batch", "--input", str(path),
+                         "--iters", "3", "--trace", str(trace)])
+        assert code == EXIT_OK
+        assert self._header(trace)["evaluated_pairs"] == 23  # the batch
+
+    def test_matrix_above_the_cap_evaluates_the_cap(self, tmp_path):
+        coords = np.random.default_rng(6).random((30, 2))
+        path = tmp_path / "d.npy"
+        np.save(path, np.linalg.norm(coords[:, None] - coords[None], axis=-1))
+        trace = tmp_path / "t.jsonl"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"eval_pairs": 100}))
+        for command, mode in (("embed", "stochastic"), ("oracle", "empirical")):
+            code = main([command, "--mode", mode, "--input", str(path),
+                         "--input-kind", "matrix", "--p", "5", "--slots", "2",
+                         "--config", str(config), "--trace", str(trace)]
+                        + (["--samples", "2"] if command == "oracle" else []))
+            assert code == EXIT_OK
+            assert self._header(trace)["evaluated_pairs"] == 100, command
+
+    def test_streamed_run_records_null(self, tmp_path):
+        from stochmds import MuSchedule, ObservationBatch, run_stochastic
+
+        batches = [ObservationBatch([0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0])
+                   for _ in range(3)]
+        run = run_stochastic(batches, np.eye(3, 2), MuSchedule.constant(0.1),
+                             None, 3)
+        trace = tmp_path / "t.jsonl"
+        run.write_jsonl(trace)
+        assert self._header(trace)["evaluated_pairs"] is None

@@ -2,10 +2,14 @@
 trips."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from stochmds import data_io
 from stochmds.data_io import (
     EdgeListProvider,
     FeatureProvider,
@@ -76,6 +80,169 @@ class TestParseEdgeList:
         np.testing.assert_array_equal(batch.weight, again.weight)
 
 
+# tokens a field may hold: well-formed ones, and ones that the line loop and
+# np.loadtxt might read differently (signs, leading zeros, floats as ids,
+# digit separators, non-ASCII digits, non-finite and out-of-range values)
+_ID_TOKENS = ["0", "1", "2", "3", "5", "8", "+2", "007", "-0", "-1", "1.0",
+              "1e0", "1_0", "\u0663", "2147483648", "99999999999999999999",
+              "0x1", "", "a"]
+_VALUE_TOKENS = ["0.5", "1", "1.0", "2.5", "0.25", "3e-2", ".5", "5.",
+                 "1E1", "0", "-0.0", "-2", "nan", "NaN", "+nan", "inf",
+                 "-inf", "Infinity", "1e400", "1e-400", "1_0", "\u0663",
+                 "0x10", "1.5#", "x", ""]
+_SEPARATORS = ["\t", " ", "  ", " \t", "\x1f", "\v", "\f", "\x1c",
+               "\xa0", "\x00"]
+_LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\x1e", "\x85"]
+
+
+@st.composite
+def _edge_files(draw):
+    """An edge-list text: data lines of 2 to 5 fields (mostly 3 or 4, mostly
+    well-formed), comments at a line start, indented or inline, blank and
+    whitespace-only lines, and a mix of line endings and separators."""
+    valid = draw(st.booleans())
+    ids = st.sampled_from(_ID_TOKENS[:5]) if valid else \
+        st.sampled_from(_ID_TOKENS)
+    values = st.sampled_from(_VALUE_TOKENS[:5]) if valid else \
+        st.sampled_from(_VALUE_TOKENS)
+    weights = st.sampled_from(["0", "0.5", "1", "1.0", "0.125"]) if valid \
+        else st.sampled_from(["0.5", "1", "0", "-0.0", "1.5", "-0.1"]
+                             + _VALUE_TOKENS[10:])
+    width = draw(st.sampled_from([3, 4]))
+    seps = st.sampled_from(["\t", " "]) if valid else \
+        st.sampled_from(_SEPARATORS)
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["data"] * 6 + ["comment", "indented",
+                                                     "inline", "blank"]))
+        if kind == "comment":
+            lines.append("# m n delta weight")
+        elif kind == "indented":
+            lines.append(" \t# note")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            k = width if valid else draw(st.sampled_from([width] * 4
+                                                         + [2, 3, 4, 5]))
+            fields = [draw(ids), draw(ids), draw(values), draw(weights),
+                      draw(values)][:k]
+            line = fields[0]
+            for f in fields[1:]:
+                line += draw(seps) + f
+            if kind == "inline":
+                line += " # c"
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    ends = st.sampled_from(_LINE_ENDS[:3]) if valid else \
+        st.sampled_from(_LINE_ENDS)
+    text = "".join(line + draw(ends) for line in lines)
+    node_count = draw(st.sampled_from([None, None, 4, 9, 2**31 + 1]))
+    return text, node_count
+
+
+def _outcome(parse):
+    """(batch, warning messages) or (error type, message) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            batch = parse()
+        except Exception as exc:  # its type is compared too
+            return type(exc), str(exc)
+    return batch, [str(w.message) for w in caught]
+
+
+def _loop(text, node_count):
+    """What the line loop alone gives for ``text``."""
+    def parse():
+        batch, dupes = data_io._parse_lines(
+            data_io._read_lines(io.StringIO(text)), node_count)
+        if dupes:
+            warnings.warn(f"{dupes} duplicate pair(s); last occurrence wins")
+        return batch
+    return _outcome(parse)
+
+
+def _assert_same_outcome(got, want):
+    if not isinstance(want[0], ObservationBatch):
+        assert got == want
+        return
+    assert isinstance(got[0], ObservationBatch), got
+    for field in ("m", "n", "delta", "weight"):
+        a, b = getattr(got[0], field), getattr(want[0], field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.flags.c_contiguous, field
+        assert a.tobytes() == b.tobytes(), field
+    assert got[1] == want[1]
+
+
+class _LoopSpy:
+    """Counts the calls that reach the line loop."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = data_io._parse_lines
+
+        def spy(*args):
+            self.calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(data_io, "_parse_lines", spy)
+
+
+class TestVectorizedParse:
+    """``parse_edge_list`` reads a list in one vectorized pass and hands
+    anything that pass might read differently, or finds at fault, to the
+    line loop: the result is the loop's, bit for bit, every time."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_edge_files())
+    def test_matches_line_loop(self, case):
+        text, node_count = case
+        got = _outcome(lambda: parse_edge_list(io.StringIO(text),
+                                               node_count=node_count))
+        _assert_same_outcome(got, _loop(text, node_count))
+
+    def test_well_formed_lists_never_enter_the_loop(self, monkeypatch):
+        spy = _LoopSpy(monkeypatch)
+        three = "# m n delta\r\n0\t1\t2.5\r\n1\t2\t1.5\r\n\r\n2 3 0.5\r\n"
+        batch = parse_edge_list(three)
+        np.testing.assert_array_equal(batch.m, [0, 1, 2])
+        np.testing.assert_array_equal(batch.weight, [1.0, 1.0, 1.0])
+        four = ("0\t1\t1.0\t0.5\n2\t3\t2.0\t1\n1\t0\t3.0\t0.25\n"
+                "3\t2\t4.0\t1\n2\t3\t5.0\t0\n")
+        with pytest.warns(UserWarning, match="^3 duplicate pair"):
+            batch = parse_edge_list(four)
+        assert spy.calls == 0
+        # first-occurrence order; orientation and values of the last
+        np.testing.assert_array_equal(batch.m, [1, 2])
+        np.testing.assert_array_equal(batch.n, [0, 3])
+        np.testing.assert_array_equal(batch.delta, [3.0, 5.0])
+        np.testing.assert_array_equal(batch.weight, [0.25, 0.0])
+
+    def test_bad_line_enters_the_loop_and_is_named(self, monkeypatch):
+        spy = _LoopSpy(monkeypatch)
+        text = "".join(f"{i}\t{i + 1}\t1.0\n" for i in range(6)) + \
+            "7\t7\t1.0\n8\t9\t1.0\n"
+        with pytest.raises(ValueError, match=r"^line 7: self-loop \(7, 7\)"):
+            parse_edge_list(text)
+        assert spy.calls == 1
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\t1_0\n",                 # a digit separator
+        "0\t1\t2.5 # inline\n",         # a comment after data
+        "0\t1\t2.5\n1\t2\t2.5\t1\n",    # mixed field counts
+        "0\t1\t2.5\x1f\n",              # a control character read as a space
+        "0\t\u0663\t2.5\n",             # a non-ASCII digit
+        "1.0\t2\t2.5\n",                # an integer written as a float
+        "0\t2147483648\t2.5\n",         # an id past the key range
+    ])
+    def test_inputs_the_pass_might_misread_go_to_the_loop(self, text,
+                                                           monkeypatch):
+        want = _loop(text, None)
+        spy = _LoopSpy(monkeypatch)
+        _assert_same_outcome(_outcome(lambda: parse_edge_list(text)), want)
+        assert spy.calls == 1
+
 def _tanimoto(h, g):
     """The Tanimoto dissimilarity of two fingerprints, as a provider gives
     it for the pair they form."""
@@ -118,6 +285,26 @@ class TestTanimoto:
         assert np.isnan(delta).all()
         for scheme in ("unity", "sammon"):
             assert assign_weights(delta, scheme)[0] == 0.0
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 13, 64, 100])
+    def test_packed_rows_match_the_bool_formula(self, length):
+        """Counts over packed rows give the Tanimoto values of the unpacked
+        bits bit for bit, at lengths that do not fill the last byte and
+        with empty fingerprints, whose pairs give NaN."""
+        rng = np.random.default_rng(length)
+        bits = rng.random((40, length)) < 0.3
+        bits[:3] = False                # three empty rows: three NaN pairs
+        bits[3:, -1] = True
+        m, n = np.triu_indices(40, k=1)
+        a, b = bits[m], bits[n]
+        inter = np.count_nonzero(a & b, axis=1)
+        union = np.count_nonzero(a | b, axis=1)
+        want = np.full(len(m), np.nan)
+        ok = union > 0
+        want[ok] = 1.0 - inter[ok] / union[ok]
+        got = FingerprintProvider(bits).pairs(m, n)
+        assert np.isnan(want).sum() == 3
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCosine:
