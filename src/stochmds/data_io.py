@@ -56,9 +56,9 @@ def parse_edge_list(source, node_count: int | None = None) -> ObservationBatch:
 
     ``source`` may be a path, a file-like object, or a string of lines.
     ``#``-prefixed lines are ignored; duplicate unordered pairs keep the last
-    occurrence with a warning. Malformed lines, self-loops, non-finite
-    deltas, and nonpositive deltas carrying positive weight are rejected with
-    the offending line number.
+    occurrence with a warning. Malformed lines, self-loops, node ids below
+    0 or not below 2**31, non-finite deltas, and nonpositive deltas carrying
+    positive weight are rejected with the offending line number.
 
     The lines are read in one vectorized pass (``_parse_table``). Any input
     that pass might read differently, and any input it finds at fault, goes
@@ -98,6 +98,9 @@ def _parse_lines(lines, node_count):
             raise ValueError(f"line {lineno}: self-loop ({m}, {n})")
         if m < 0 or n < 0:
             raise ValueError(f"line {lineno}: negative node index")
+        if max(m, n) >= _ID_LIMIT:
+            raise ValueError(f"line {lineno}: node index {max(m, n)} is "
+                             f"not below {_ID_LIMIT}")
         if node_count is not None and (m >= node_count or n >= node_count):
             raise ValueError(f"line {lineno}: node index beyond node count")
         if not math.isfinite(delta):
@@ -121,7 +124,9 @@ _LOOP_ONLY = "\v\f\x1c\x1d\x1e\x1f_"
 # a '#' after the start of a line: loadtxt strips it as a comment, the loop
 # rejects the line
 _INLINE_HASH = re.compile(r"^[ \t]*[^\s#][^\n]*#", re.MULTILINE)
-# ids at or above this go to the loop, so that pair keys fit in int64
+# node ids must lie below this, so that the node count and every pair key
+# (lo * N + hi) fit in int64; the vectorized pass leaves larger ids to the
+# loop, which rejects them
 _ID_LIMIT = 1 << 31
 
 

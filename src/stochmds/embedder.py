@@ -251,8 +251,11 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
 # chunk's memory is a fixed share of the embedding at any sampling density,
 # or within _CHUNK_FLOOR when that is larger, so a small slot (the 100-node
 # reference run costs 4 x (25 + 2 x 105) = 940) is one chunk instead of
-# paying per-cluster fixed costs
-_CHUNK_DIVISOR = 24
+# paying per-cluster fixed costs. Fewer, larger chunks pay for fewer
+# per-stack solves: at 8, an N = 40,000, p = 100, q = 50 slot is 16 chunks,
+# and a chunk adds about 0.33 embeddings at its peak, so the slot peaks at
+# 2.67 embeddings, the run's embedding and its next iterate included
+_CHUNK_DIVISOR = 8
 _CHUNK_FLOOR = 1024
 
 
@@ -315,7 +318,7 @@ def _apply_slot(Xn, provider, clusters: list, sampler: SamplerConfig,
     Chunks are cut by ``_chunks`` with the bound ``_chunk_limit(N)``: N //
     ``_CHUNK_DIVISOR``, or ``_CHUNK_FLOOR`` on small N, where a whole slot
     is then one chunk. Each chunk is sampled, fetched, grouped and solved
-    in one pass.
+    in one pass, and released before the next is sampled.
     Clusters touch disjoint rows and each update reads only the slot-start
     values of its own rows, so the result equals the per-cluster update
     while holding only one chunk's measurements at a time.
@@ -331,6 +334,7 @@ def _apply_slot(Xn, provider, clusters: list, sampler: SamplerConfig,
         else:
             _damped_update(Xn, batch, cfg, nodes)
         pairs += len(batch)
+        del nodes, batch  # released before the next chunk is sampled
     return pairs
 
 
@@ -366,8 +370,9 @@ def run_stochastic(
     drawn, fetched, grouped into components and solved in one pass before
     the next chunk is sampled, so working memory stays a small multiple of
     the embedding at any sampling density: the slot holds one chunk's
-    measurements, not all of them. Below 24 times the floor a chunk's
-    memory is bounded by the floor instead, and a small slot is one chunk.
+    measurements, not all of them. Below ``_CHUNK_DIVISOR`` (8) times the
+    floor a chunk's memory is bounded by the floor instead, and a small
+    slot is one chunk.
     Streamed batches are checked once, with ``ObservationBatch.validate``,
     and a bad one raises ``ValueError``. A non-finite iterate stops the run
     with status ``diverged`` in every mode (and so does a blown-up ``sgd``

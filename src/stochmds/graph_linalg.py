@@ -7,8 +7,9 @@ solution is the one with zero column sums as well.
 
 Every caller goes through one layer, and it sees only the graph (node ids,
 edges, weights): ``stress_core`` forms B(X)X once per batch and passes each
-stack its rows. ``group_components`` groups a batch's positive-weight edges
-by connected component into one ``ComponentStack`` per component size. The
+stack its rows. ``group_components`` groups a batch's edges, which its
+callers have stripped of zero weights (``ObservationBatch.nonzero``), by
+connected component into one ``ComponentStack`` per component size. The
 data picks one of three routes per component: a complete component with one
 measurement per pair, all of one weight ``w``, is solved in closed form,
 ``y = rhs / (w * size)`` recentered, with no assembly; the others take a
@@ -81,9 +82,15 @@ def _component_labels(m, n, node_count):
             shape=(node_count, node_count),
         )
         # scipy numbers components in order of their smallest member
-        _, labels = _cs_components(adj, directed=False)
-    uniq, inverse = np.unique(labels, return_inverse=True)
-    return inverse, len(uniq)
+        n_comp, labels = _cs_components(adj, directed=False)
+        return labels.astype(np.int64, copy=False), n_comp
+    # every node is labelled with its component's smallest member, the one
+    # node that labels itself: number those roots in node order
+    roots = labels == np.arange(node_count)
+    ids = np.cumsum(roots)
+    del roots
+    ids -= 1
+    return ids[labels], int(ids[-1]) + 1
 
 
 @dataclass
@@ -290,42 +297,60 @@ def _sparse(stack: ComponentStack):
 
 def group_components(batch: ObservationBatch, node_count: int,
                      singletons: bool = False) -> list:
-    """Group a batch's positive-weight edges by connected component.
+    """Group a batch's edges by connected component. Every weight must be
+    positive: callers hand in ``batch.nonzero()``, so a chunk's zero
+    weights are dropped once, by its caller.
 
     Returns one ``ComponentStack`` per component size, ascending; isolated
     nodes form a size-1 stack only with ``singletons``. Inside a stack,
     components are ordered by smallest member, node ids ascend and edges keep
-    batch order.
+    batch order. The stacks' edge arrays are views of one array each, and
+    each temporary is released once used, so grouping holds a few values per
+    node and per edge at a time.
     """
-    live = batch.nonzero()
-    labels, n_comp = _component_labels(live.m, live.n, node_count)
+    m, n = batch.m, batch.n
+    labels, n_comp = _component_labels(m, n, node_count)
     if n_comp == 1:  # connected: already in order
-        stack = ComponentStack(np.arange(node_count)[None, :], live.m, live.n,
-                               live.weight)
+        stack = ComponentStack(np.arange(node_count)[None, :], m, n,
+                               batch.weight)
         return [stack] if node_count > 1 or singletons else []
     sizes = np.bincount(labels, minlength=n_comp)
     # rank components by (size, label): labels ascend, so a stable sort by
     # size gives that order
+    by_size = np.argsort(sizes, kind="stable")
     rank = np.empty(n_comp, dtype=np.int64)
-    rank[np.argsort(sizes, kind="stable")] = np.arange(n_comp)
-    node_rank = rank[labels]
-    nodes = np.argsort(node_rank, kind="stable")
-    order = np.argsort(node_rank[live.m], kind="stable")
-    position = np.empty(node_count, dtype=np.int64)
+    rank[by_size] = np.arange(n_comp)
+    labels = rank[labels]  # each node's component rank
+    del rank
+    nodes = np.argsort(labels, kind="stable")
+    order = np.argsort(labels[m], kind="stable")
+    position = labels  # each node's place in ``nodes``
     position[nodes] = np.arange(node_count)
-    a, b = position[live.m[order]], position[live.n[order]]
-    w = live.weight[order]
-    node_size = sizes[labels[nodes]]  # non-decreasing
-    edge_size = node_size[a]
+    a, b = position[m[order]], position[n[order]]
+    del labels, position
+    w = batch.weight[order]
+    del order
+    sizes = sizes[by_size]
+    # the ranks where each run of one size starts, then the nodes they
+    # start at; edges follow their components, so an edge run starts at
+    # the first edge whose endpoint ``a`` lies in the node run
+    runs = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(),
+            n_comp]
+    run_sizes = sizes[runs[:-1]].tolist()
+    starts = [0]
+    for r0, r1, size in zip(runs, runs[1:], run_sizes):
+        starts.append(starts[-1] + (r1 - r0) * size)
+    edge_starts = np.searchsorted(a, starts).tolist()
     stacks = []
-    for size in np.unique(node_size).tolist():
+    for k, size in enumerate(run_sizes):
         if size < 2 and not singletons:
             continue
-        n0, n1 = np.searchsorted(node_size, [size, size + 1]).tolist()
-        e0, e1 = np.searchsorted(edge_size, [size, size + 1]).tolist()
+        n0, n1 = starts[k], starts[k + 1]
+        e0, e1 = edge_starts[k], edge_starts[k + 1]
+        a[e0:e1] -= n0
+        b[e0:e1] -= n0
         stacks.append(ComponentStack(nodes[n0:n1].reshape(-1, size),
-                                     a[e0:e1] - n0, b[e0:e1] - n0,
-                                     w[e0:e1]))
+                                     a[e0:e1], b[e0:e1], w[e0:e1]))
     return stacks
 
 
@@ -336,7 +361,7 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     singleton components with empty edge sets (skipped by all solvers).
     """
     _validate_batch_indices(batch, node_count)
-    comps = [c for stack in group_components(batch, node_count,
+    comps = [c for stack in group_components(batch.nonzero(), node_count,
                                              singletons=True)
              for c in stack.split()]
     comps.sort(key=lambda c: c.nodes[0, 0])

@@ -55,12 +55,18 @@ def partition_nodes(node_count: int, p: int,
 
     A remainder of size >= 2 forms a final smaller cluster; a remainder of
     one node idles for the slot.
+
+    The ids are int32 below 2**31 nodes: the permutation is the one
+    ``rng.permutation(node_count)`` draws (a shuffle makes the same draws
+    whatever the dtype) at half its memory.
     """
     if p < 2:
         raise ValueError(f"cluster size p must be >= 2, got {p}")
     if p > node_count:
         raise ValueError(f"cluster size p={p} exceeds node count {node_count}")
-    perm = rng.permutation(node_count)
+    small = node_count <= np.iinfo(np.int32).max
+    perm = np.arange(node_count, dtype=np.int32 if small else np.int64)
+    rng.shuffle(perm)
     full = node_count // p
     rem = node_count - full * p
     clusters = [perm[k * p:(k + 1) * p] for k in range(full)]

@@ -84,8 +84,9 @@ def _b_times_x(X, m, n, coef, diffs) -> np.ndarray:
     out = np.empty(X.shape)
     for col, d in enumerate(diffs):
         d *= coef
-        out[:, col] = (np.bincount(m, weights=d, minlength=len(X))
-                       - np.bincount(n, weights=d, minlength=len(X)))
+        sums = np.bincount(m, weights=d, minlength=len(X))
+        sums -= np.bincount(n, weights=d, minlength=len(X))
+        out[:, col] = sums
     return out
 
 
@@ -144,7 +145,8 @@ class _BatchPlan:
         self.batch = batch
         self.delta = batch._live_delta()
         self.parts = [(stack.nodes, _RoutedStack(stack).keep_factors())
-                      for stack in group_components(batch, node_count)]
+                      for stack in group_components(batch.nonzero(),
+                                                    node_count)]
         e = len(batch)
         self.coef, self.s, self.t = np.empty(e), np.empty(e), np.empty(e)
         self._at, self._stress = None, 0.0
@@ -241,9 +243,11 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     ``Xn``, which batch ids index, at a cost linear in the batch.
 
     Weights are used as given: 0 (ignored; a timed-out localization star
-    rides at 0) or at least ``cfg.eps_w``. B^eps(X)X is formed over those
-    rows before any is written, so every row is updated from its current
-    value.
+    rides at 0) or at least ``cfg.eps_w``; zero weights are dropped here,
+    once. ``nodes`` are distinct rows. B^eps(X)X is formed over them before
+    any is written, and components own disjoint rows, so every row is
+    updated from its current value. The gathered rows and the edge
+    coefficients are released once B^eps(X)X is formed, before grouping.
     """
     mu = cfg.mu
     if mu == 0.0:
@@ -253,12 +257,14 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
                                      live.delta, cfg.eps_x)
     bx = _b_times_x(X, live.m, live.n, coef, diff.T)
-    for stack in group_components(live, len(X)):
-        Xc = np.take(X, stack.nodes, axis=0)
-        y = stack.solve(np.take(bx, stack.nodes, axis=0))
+    del X, coef, diff
+    for stack in group_components(live, len(nodes)):
         rows = nodes[stack.nodes]
-        Xn[rows] = ((1.0 - mu) * Xc
-                    + mu * Xc.mean(axis=1, keepdims=True) + mu * y)
+        Xc = np.take(Xn, rows, axis=0)
+        y = stack.solve(np.take(bx, stack.nodes, axis=0))
+        # the mean as np.mean forms it, without its per-call overhead
+        center = Xc.sum(axis=1, keepdims=True) / stack.size
+        Xn[rows] = (1.0 - mu) * Xc + mu * center + mu * y
 
 
 def spe_step(xi: np.ndarray, xj: np.ndarray, delta: float, mu: float):

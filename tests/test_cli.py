@@ -101,6 +101,22 @@ class TestSubcommands:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("node_id", ["99999999999999999999",
+                                         "9223372036854775807"])
+    def test_oversized_node_id_is_input_error(self, node_id, tmp_path,
+                                              capsys):
+        """An id beyond int64, or one whose node count N = id + 1 is, is an
+        input error that names its line, not an overflow mid-run."""
+        path = tmp_path / "big.tsv"
+        path.write_text(f"0\t1\t1.0\n0\t{node_id}\t1.0\n")
+        out = tmp_path / "emb.csv"
+        code = main(["embed", "--mode", "batch", "--input", str(path),
+                     "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 2" in err and node_id in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, text, message", [
         ("fingerprints", "a\tff\nb\t-f\n", "line 2"),
         ("vectors", "a\t1.0\t2.0\nb\tnan\t1.0\n", "line 2"),

@@ -1,6 +1,7 @@
 """Run drivers, schedules, traces, and steady-state metrics."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -563,16 +564,63 @@ class TestSlotKernel:
         assert len(list(_chunks(clusters, sampler, _chunk_limit(100)))) == 1
 
     def test_large_slot_bound_is_a_share_of_n(self):
-        """Above 24 floors the bound is N // _CHUNK_DIVISOR, as without
-        the floor: at N = 40,000, p = 100 and q = 50, chunks of 8 clusters
-        (cost 200 each against 1666)."""
+        """Above _CHUNK_DIVISOR floors the bound is N // _CHUNK_DIVISOR, as
+        without the floor: at N = 40,000, p = 100 and q = 50, chunks of 25
+        clusters (cost 200 each against 5000)."""
         n = 40_000
         assert _chunk_limit(n) == n // _CHUNK_DIVISOR
         assert _chunk_limit(_CHUNK_DIVISOR * _CHUNK_FLOOR) == _CHUNK_FLOOR
         clusters = [np.arange(k, k + 100) for k in range(0, n, 100)]
         chunks = list(_chunks(clusters, SamplerConfig(p=100, q=50),
                               _chunk_limit(n)))
-        assert [len(c) for c in chunks] == [8] * 50
+        assert [len(c) for c in chunks] == [25] * 16
+
+    @pytest.mark.parametrize("mode, scheme, noise_sigma",
+                             [("stochastic", "sammon", 0.1),
+                              ("sgd", "unity", 0.0)])
+    def test_chunk_layout_changes_no_output(self, mode, scheme, noise_sigma,
+                                            monkeypatch):
+        """At N = 30,000, p = 100 and q = 50, chunks of 6, 25 and 150
+        clusters (divisors 24, 8 and 1) give the same final embedding and
+        the same records, but for their wall times, bit for bit."""
+        n = 30_000
+        provider, _ = planar_provider(n, seed=3, side=100.0)
+        init = random_init(n, 2, np.random.default_rng(4), 100.0)
+        sampler = SamplerConfig(p=100, q=50, scheme=scheme, seed=5)
+        runs = []
+        for divisor in (24, _CHUNK_DIVISOR, 1):
+            monkeypatch.setattr(embedder, "_CHUNK_DIVISOR", divisor)
+            trace = run_stochastic(provider, init, MuSchedule.constant(0.1),
+                                   sampler, 2, noise_sigma=noise_sigma,
+                                   mode=mode, eval_pairs=5_000)
+            records = [{k: v for k, v in r.items() if k != "wall_ms"}
+                       for r in trace.records]
+            runs.append((trace.status, records, trace.final.tobytes()))
+        assert len(runs[0][1]) == 3
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_slot_memory_is_a_small_multiple_of_the_embedding(self):
+        """One slot at N = 20,000, p = 100 and q = 50, traced after a
+        warm-up slot, peaks below 4 embeddings (c10's bound): the run's
+        embedding and the slot's copy, the int32 permutation, and one
+        chunk's working memory."""
+        n = 20_000
+        provider, _ = planar_provider(n, seed=6, side=100.0)
+        init = random_init(n, 2, np.random.default_rng(7), 100.0)
+        sampler = SamplerConfig(p=100, q=50, seed=8)
+
+        def slot():
+            run_stochastic(provider, init, MuSchedule.constant(0.1), sampler,
+                           1, eval_pairs=0)
+
+        slot()
+        tracemalloc.start()
+        try:
+            slot()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * init.nbytes
 
 
 class TestRunAveragedOracle:

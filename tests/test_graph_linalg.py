@@ -180,6 +180,63 @@ class TestConnectedComponents:
         assert labels.tolist() == want
 
 
+def reference_stacks(m, n, w, node_count, singletons):
+    """``group_components`` by union-find and Python lists: per size,
+    ascending, components by smallest member, each component's nodes
+    ascending and its edges in batch order, in flattened local ids."""
+    parent = list(range(node_count))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in zip(m, n):
+        parent[find(a)] = find(b)
+    members = {}
+    for v in range(node_count):
+        members.setdefault(find(v), []).append(v)
+    comps = sorted(members.values(), key=lambda c: (len(c), c[0]))
+    by_size = {}
+    for comp in comps:
+        if len(comp) > 1 or singletons:
+            by_size.setdefault(len(comp), []).append(comp)
+    out = []
+    for size, group in by_size.items():
+        place = {v: k * size + i for k, comp in enumerate(group)
+                 for i, v in enumerate(comp)}
+        edges = [(place[a], place[b], x) for comp in group
+                 for a, b, x in zip(m, n, w) if a in comp]
+        out.append(([v for comp in group for v in comp],
+                    [e[0] for e in edges], [e[1] for e in edges],
+                    [e[2] for e in edges]))
+    return out
+
+
+class TestGroupComponents:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("singletons", [False, True])
+    def test_matches_reference(self, seed, singletons):
+        """Sparse random graphs (components of many sizes, singletons
+        among them) are grouped as the union-find reference groups them:
+        the same stacks, nodes, local edges and weights, in order."""
+        rng = np.random.default_rng(seed)
+        node_count = int(rng.integers(50, 300))
+        pairs = int(rng.integers(1, node_count))
+        m = rng.integers(0, node_count, pairs)
+        n = (m + rng.integers(1, node_count, pairs)) % node_count
+        w = rng.random(pairs) + 0.1
+        stacks = group_components(ObservationBatch(m, n, np.ones(pairs), w),
+                                  node_count, singletons=singletons)
+        want = reference_stacks(m.tolist(), n.tolist(), w.tolist(),
+                                node_count, singletons)
+        got = [(s.nodes.ravel().tolist(), s.a.tolist(), s.b.tolist(),
+                s.weights.tolist()) for s in stacks]
+        assert got == want
+        assert [s.size for s in stacks] == sorted({s.size for s in stacks})
+
+
 class TestSolveMinNorm:
     def test_two_node_system(self):
         lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]

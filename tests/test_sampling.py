@@ -61,6 +61,19 @@ class TestPartitionNodes:
             for ca, cb in zip(a, b):
                 np.testing.assert_array_equal(ca, cb)
 
+    @pytest.mark.parametrize("n, p", [(5, 2), (100, 25), (40_001, 100)])
+    def test_int32_ids_are_the_permutation_draw(self, n, p):
+        """The int32 ids are ``rng.permutation(n)`` cut into clusters, and
+        the generator ends in the same state."""
+        got_rng, want_rng = substream(9, "partition", n), \
+            substream(9, "partition", n)
+        part = partition_nodes(n, p, got_rng)
+        perm = want_rng.permutation(n)
+        assert all(c.dtype == np.int32 for c in part)
+        np.testing.assert_array_equal(np.concatenate(part),
+                                      perm[:len(np.concatenate(part))])
+        assert got_rng.random() == want_rng.random()
+
     def test_pair_cooccurrence_probability(self):
         """P(fixed pair shares a cluster) = (p-1)/(N-1) over random slots."""
         N, p, slots = 20, 5, 10_000

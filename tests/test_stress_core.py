@@ -138,8 +138,9 @@ class TestBEpsilonMatrix:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         b = ObservationBatch.from_entries([(0, 1, 1.0, 1.0),
                                            (1, 2, np.nan, 0.0)])
-        stacks = group_components(b, 3)
+        # the caller drops zero weights (once) and groups the live batch:
         # the zero-weight pair forms no component and enters no B X
+        stacks = group_components(b.nonzero(), 3)
         assert [s.nodes.tolist() for s in stacks] == [[[0, 1]]]
         np.testing.assert_array_equal(stacks[0].weights, [1.0])
         got = b_times_x(X, b, 0.0)
