@@ -289,7 +289,7 @@ class FingerprintProvider(_CountingProvider):
 
     def __init__(self, bits: np.ndarray):
         super().__init__()
-        self.packed = np.packbits(np.asarray(bits).astype(bool), axis=1)
+        self.packed = np.packbits(np.asarray(bits, dtype=bool), axis=1)
         self.node_count = self.packed.shape[0]
 
     def pairs(self, m, n):
@@ -348,7 +348,7 @@ def load_fingerprints(source):
     pad = len(hexes[0]) % 2
     raw = np.frombuffer(bytes.fromhex("".join("0" * pad + hx for hx in hexes)),
                         dtype=np.uint8).reshape(len(hexes), -1)
-    return ids, np.unpackbits(raw, axis=1)[:, 4 * pad:].astype(bool)
+    return ids, np.unpackbits(raw, axis=1)[:, 4 * pad:].view(bool)
 
 
 def load_vectors(source):

@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .data_io import MatrixProvider
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
-from .sampling import SamplerConfig, assign_weights, partition_nodes, \
-    _decode_pairs, _pair_request, _sample_local_pairs
+from .sampling import SamplerConfig, assign_weights, _cluster_sizes, \
+    _decode_pairs, _pair_count, _shuffled_nodes
 # _stress, _sgd_step and _stochastic_step skip the id check: every batch
 # they get here is checked already or built in range
 from .stress_core import (
@@ -247,14 +248,13 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
 
 # a chunk of the slot kernel is a run of consecutive clusters (at least one)
 # whose cost, nodes plus twice the pairs they measure (a pair takes about
-# twice a node's working memory), stays within N // _CHUNK_DIVISOR, so a
-# chunk's memory is a fixed share of the embedding at any sampling density,
-# or within _CHUNK_FLOOR when that is larger, so a small slot (the 100-node
-# reference run costs 4 x (25 + 2 x 105) = 940) is one chunk instead of
-# paying per-cluster fixed costs. Fewer, larger chunks pay for fewer
-# per-stack solves: at 8, an N = 40,000, p = 100, q = 50 slot is 16 chunks,
-# and a chunk adds about 0.33 embeddings at its peak, so the slot peaks at
-# 2.67 embeddings, the run's embedding and its next iterate included
+# twice a node's working memory), stays within N // _CHUNK_DIVISOR, a fixed
+# share of the embedding at any sampling density, or within _CHUNK_FLOOR
+# when that is larger, so a small slot (the 100-node reference run costs
+# 4 x (25 + 2 x 105) = 940) is one chunk. Fewer, larger chunks make fewer
+# per-stack solves: at 8, an N = 40,000, p = 100, q = 50 slot is 16 chunks
+# and peaks at 2.58 embeddings, the run's embedding, its next iterate and
+# the slot's permutation included
 _CHUNK_DIVISOR = 8
 _CHUNK_FLOOR = 1024
 
@@ -264,77 +264,89 @@ def _chunk_limit(node_count: int) -> int:
     return max(node_count // _CHUNK_DIVISOR, _CHUNK_FLOOR)
 
 
-def _chunks(clusters: list, sampler: SamplerConfig, limit: int):
-    """Split ``clusters`` into runs of consecutive clusters whose nodes plus
-    twice their pairs stay within ``limit`` (``_chunk_limit`` in the slot
-    kernel); a larger cluster forms a run of its own."""
-    start = total = 0
-    for k, cluster in enumerate(clusters):
-        size = len(cluster)
-        pairs = min(_pair_request(size, sampler.q, sampler.fraction),
-                    size * (size - 1) // 2)
-        cost = size + 2 * pairs
-        if k > start and total + cost > limit:
-            yield clusters[start:k]
-            start, total = k, 0
-        total += cost
-    yield clusters[start:]
-
-
-def _sample_chunk(provider, clusters: list, sampler: SamplerConfig,
-                  rng: np.random.Generator, noise_sigma: float, eps_w: float,
-                  clamp: bool):
-    """Sample the measurements of consecutive clusters as one batch.
-
-    Returns ``(nodes, batch)``: ``nodes`` concatenates the clusters and the
-    batch's ids index it. The draws come from the slot's stream in cluster
-    order (the pairs, then the noise), so the measurements depend only on
-    the stream and never on how the clusters are chunked.
+def _slot_plan(node_count: int, sampler: SamplerConfig) -> list:
+    """The chunks of every sampled slot of a run over ``node_count`` nodes,
+    as ``(span, sizes, counts)``: the chunk's slice of the slot's node
+    permutation, and its clusters' sizes and the pairs each measures (the
+    sampler's request, clamped with one warning per size to the pairs the
+    size has). A chunk is consecutive clusters whose nodes plus twice
+    their pairs stay within ``_chunk_limit(node_count)``, or one larger
+    cluster. A p above ``node_count`` raises ``ValueError``.
     """
-    ms, ns, noise = [], [], []
-    offset = 0
-    for cluster in clusters:
-        a, b = _sample_local_pairs(
-            len(cluster), rng, q=sampler.q, fraction=sampler.fraction)
-        ms.append(a + offset)
-        ns.append(b + offset)
-        if noise_sigma > 0:
-            noise.append(rng.standard_normal(len(a)))
-        offset += len(cluster)
-    nodes = np.concatenate(clusters)
-    m, n = np.concatenate(ms), np.concatenate(ns)
+    p = sampler.p
+    sizes = _cluster_sizes(node_count, p)
+    counts = [_pair_count(p, sampler.q, sampler.fraction)] * len(sizes)
+    if sizes[-1] < p:
+        counts[-1] = _pair_count(sizes[-1], sampler.q, sampler.fraction)
+    # full clusters all cost the same, so every chunk but the last holds as
+    # many of them; a remainder cluster joins the last chunk if it fits
+    limit, full = _chunk_limit(node_count), node_count // p
+    cost = p + 2 * counts[0]
+    bounds = [*range(0, full, max(1, limit // cost)), full]
+    if len(sizes) > full:
+        if (full - bounds[-2]) * cost + sizes[-1] + 2 * counts[-1] > limit:
+            bounds.append(full)
+        bounds[-1] = full + 1
+    # a remainder cluster ends the permutation; an idle node is left out
+    return [(slice(c0 * p, c1 * p), sizes[c0:c1], counts[c0:c1])
+            for c0, c1 in zip(bounds[:-1], bounds[1:])]
+
+
+def _sample_chunk(provider, nodes: np.ndarray, sizes: list, counts: list,
+                  sampler: SamplerConfig, rng: np.random.Generator,
+                  noise_sigma: float, eps_w: float,
+                  clamp: bool) -> ObservationBatch:
+    """Sample consecutive clusters of ``nodes``, of the given ``sizes`` and
+    pair ``counts``, as one batch whose ids index ``nodes``. Each cluster
+    draws its pairs (as ``sampling._sample_local_pairs`` does), then their
+    noise, from the slot's stream in cluster order, so the measurements
+    never depend on the chunking; the chunk's pairs decode in one call."""
+    ends = list(accumulate(counts))
+    k = np.empty(ends[-1], dtype=np.int64)
+    noise = np.empty(len(k)) if noise_sigma > 0 else None
+    for size, lo, hi in zip(sizes, [0] + ends, ends):
+        k[lo:hi] = rng.choice(size * (size - 1) // 2, hi - lo,
+                              replace=False, shuffle=False)
+        if noise is not None:
+            rng.standard_normal(out=noise[lo:hi])
+    m, n = _decode_pairs(
+        k, sizes[0] if sizes[-1] == sizes[0] else np.repeat(sizes, counts))
+    offsets = np.repeat(np.arange(0, len(nodes), sampler.p), counts)
+    m += offsets
+    n += offsets
     delta = provider.pairs(nodes[m], nodes[n])
-    if noise_sigma > 0:
-        delta = delta + noise_sigma * np.concatenate(noise)
+    if noise is not None:
+        delta = delta + noise_sigma * noise
     w = assign_weights(delta, sampler.scheme, eps_w=eps_w, clamp=clamp)
-    return nodes, ObservationBatch(m, n, delta, w)
+    return ObservationBatch(m, n, delta, w)
 
 
-def _apply_slot(Xn, provider, clusters: list, sampler: SamplerConfig,
+def _apply_slot(Xn, provider, plan: list, sampler: SamplerConfig,
                 rng: np.random.Generator, noise_sigma: float,
                 step: StepConfig, mu: float, mode: str) -> int:
     """Sample and apply one slot chunk by chunk, updating Xn in place.
 
-    Chunks are cut by ``_chunks`` with the bound ``_chunk_limit(N)``: N //
-    ``_CHUNK_DIVISOR``, or ``_CHUNK_FLOOR`` on small N, where a whole slot
-    is then one chunk. Each chunk is sampled, fetched, grouped and solved
-    in one pass, and released before the next is sampled.
+    The slot shuffles the nodes (the draw ``partition_nodes`` makes) and
+    cuts the permutation by the run's ``_slot_plan``: each chunk is a
+    slice of it, sampled, fetched, grouped and solved in one pass, and
+    released before the next is sampled.
     Clusters touch disjoint rows and each update reads only the slot-start
     values of its own rows, so the result equals the per-cluster update
     while holding only one chunk's measurements at a time.
     """
+    perm = _shuffled_nodes(len(Xn), rng)
     pairs = 0
     cfg = replace(step, mu=mu)
-    for chunk in _chunks(clusters, sampler, _chunk_limit(len(Xn))):
-        nodes, batch = _sample_chunk(provider, chunk, sampler, rng,
-                                     noise_sigma, step.eps_w,
-                                     clamp=(mode != "sgd"))
+    for span, sizes, counts in plan:
+        nodes = perm[span]
+        batch = _sample_chunk(provider, nodes, sizes, counts, sampler, rng,
+                              noise_sigma, step.eps_w, clamp=(mode != "sgd"))
         if mode == "sgd":
             Xn[nodes] = _sgd_step(Xn[nodes], batch, mu)
         else:
             _damped_update(Xn, batch, cfg, nodes)
         pairs += len(batch)
-        del nodes, batch  # released before the next chunk is sampled
+        del batch  # released before the next chunk is sampled
     return pairs
 
 
@@ -363,16 +375,15 @@ def run_stochastic(
     The first record (t = 0) holds the evaluation of the initial
     configuration.
 
-    Sampler-driven slots process one chunk at a time: a run of consecutive
-    clusters whose nodes plus twice their measured pairs stay within a fixed
-    fraction of N (``_CHUNK_DIVISOR``) or a fixed floor (``_CHUNK_FLOOR``),
-    whichever is larger, or one larger cluster. Each chunk's pairs are
-    drawn, fetched, grouped into components and solved in one pass before
-    the next chunk is sampled, so working memory stays a small multiple of
-    the embedding at any sampling density: the slot holds one chunk's
-    measurements, not all of them. Below ``_CHUNK_DIVISOR`` (8) times the
-    floor a chunk's memory is bounded by the floor instead, and a small
-    slot is one chunk.
+    A sampled run plans its slots once, before the first (``_slot_plan``,
+    so a p above N raises ``ValueError`` even for zero slots). Each slot
+    cuts one node permutation into clusters, and those into chunks of
+    consecutive clusters whose nodes plus twice their pairs stay within
+    N // ``_CHUNK_DIVISOR`` or ``_CHUNK_FLOOR``, whichever is larger. A
+    chunk is drawn, fetched, grouped into components and solved in one
+    pass before the next is sampled, so working memory stays a small
+    multiple of the embedding at any sampling density, and a small slot is
+    one chunk.
     Streamed batches are checked once, with ``ObservationBatch.validate``,
     and a bad one raises ``ValueError``. A non-finite iterate stops the run
     with status ``diverged`` in every mode (and so does a blown-up ``sgd``
@@ -388,6 +399,7 @@ def run_stochastic(
         evaluator = _EvalSet(ObservationBatch.empty())
     else:
         seed = sampler.seed
+        plan = _slot_plan(len(init), sampler)
         evaluator = _EvalSet(_usable_pairs(source, eval_pairs, seed, "eval"))
 
     X = np.array(init, dtype=np.float64, copy=True)
@@ -414,11 +426,10 @@ def run_stochastic(
                 Xn = _stochastic_step(X, batch, replace(step, mu=mu))
             pairs = len(batch)
         else:
-            slot_rng = substream(seed, "partition", t)
-            clusters = partition_nodes(n, sampler.p, slot_rng)
             Xn = np.array(X, copy=True)
-            pairs = _apply_slot(Xn, source, clusters, sampler, slot_rng,
-                                noise_sigma, step, mu, mode)
+            pairs = _apply_slot(Xn, source, plan, sampler,
+                                substream(seed, "partition", t), noise_sigma,
+                                step, mu, mode)
 
         diverged = not _all_finite(Xn)
         if mode == "sgd" and not diverged:
@@ -501,6 +512,7 @@ def run_averaged_oracle(
             raise ValueError(
                 f"averaging_samples must be >= 1, got {averaging_samples}")
         provider = source
+        plan = _slot_plan(n, sampler)
         if seed is None:
             seed = sampler.seed
 
@@ -520,10 +532,9 @@ def run_averaged_oracle(
             acc = np.zeros_like(X)
             pairs = 0
             for s_ix in range(averaging_samples):
-                draw_rng = substream(seed, "oracle", t, s_ix)
-                clusters = partition_nodes(n, sampler.p, draw_rng)
                 Xs = X.copy()
-                pairs += _apply_slot(Xs, source, clusters, sampler, draw_rng,
+                pairs += _apply_slot(Xs, source, plan, sampler,
+                                     substream(seed, "oracle", t, s_ix),
                                      noise_sigma, step, mu, "stochastic")
                 acc += Xs
             Xn = acc / averaging_samples

@@ -48,85 +48,76 @@ class SamplerConfig:
             raise ValueError(f"unknown weight scheme {self.scheme!r}")
 
 
-def partition_nodes(node_count: int, p: int,
-                    rng: np.random.Generator) -> list:
-    """Partition nodes into random disjoint clusters of size p, returned as
-    a list of node-id arrays.
-
-    A remainder of size >= 2 forms a final smaller cluster; a remainder of
-    one node idles for the slot.
-
-    The ids are int32 below 2**31 nodes: the permutation is the one
-    ``rng.permutation(node_count)`` draws (a shuffle makes the same draws
-    whatever the dtype) at half its memory.
-    """
+def _cluster_sizes(node_count: int, p: int) -> list:
+    """Sizes of a slot's clusters over ``node_count`` nodes: p each, then a
+    remainder of size >= 2 (a remainder of one node idles for the slot)."""
     if p < 2:
         raise ValueError(f"cluster size p must be >= 2, got {p}")
     if p > node_count:
         raise ValueError(f"cluster size p={p} exceeds node count {node_count}")
+    full, rem = divmod(node_count, p)
+    return [p] * full + [rem] * (rem >= 2)
+
+
+def _shuffled_nodes(node_count: int, rng: np.random.Generator) -> np.ndarray:
+    """The permutation ``rng.permutation(node_count)`` draws (a shuffle makes
+    the same draws whatever the dtype), as int32 below 2**31 nodes at half
+    its memory. A slot's clusters are consecutive slices of it."""
     small = node_count <= np.iinfo(np.int32).max
     perm = np.arange(node_count, dtype=np.int32 if small else np.int64)
     rng.shuffle(perm)
-    full = node_count // p
-    rem = node_count - full * p
-    clusters = [perm[k * p:(k + 1) * p] for k in range(full)]
-    if rem >= 2:
-        clusters.append(perm[full * p:])
-    return clusters
-
-# pair tables for small cluster sizes, built once per size
-_PAIR_TABLE_MAX = 200_000
-_pair_tables: dict = {}
+    return perm
 
 
-def _decode_pairs(k: np.ndarray, s: int):
+def partition_nodes(node_count: int, p: int,
+                    rng: np.random.Generator) -> list:
+    """Partition nodes into random disjoint clusters of size p, returned as
+    a list of node-id arrays: views of the shuffled permutation that the
+    slot kernel of ``run_stochastic`` cuts into the same clusters.
+
+    A remainder of size >= 2 forms a final smaller cluster; a remainder of
+    one node idles for the slot.
+    """
+    count = len(_cluster_sizes(node_count, p))
+    perm = _shuffled_nodes(node_count, rng)
+    return [perm[k * p:(k + 1) * p] for k in range(count)]
+
+
+def _decode_pairs(k: np.ndarray, s: int | np.ndarray):
     """Decode linear pair indices into (a, b), a < b, over s items, by
-    arithmetic, so only the requested pairs are materialized.
+    arithmetic, so only the requested pairs are materialized. ``s`` is one
+    size, or one size per index.
 
     Pairs are enumerated row-major, in ``np.triu_indices(s, 1)`` order:
     (0,1), (0,2), ..., (0,s-1), (1,2), ...
     """
     # row a satisfies T(a) <= k < T(a+1) with T(a) = a*s - a*(a+1)/2
-    kf = k.astype(np.float64)
-    a = np.floor((2 * s - 1 - np.sqrt((2 * s - 1) ** 2 - 8 * kf)) / 2).astype(np.int64)
-    # guard against floating-point rounding on the cell boundaries
-    start = a * s - a * (a + 1) // 2
-    over = k < start
-    a[over] -= 1
-    start = a * s - a * (a + 1) // 2
-    under = k >= start + (s - 1 - a)
-    a[under] += 1
-    start = a * s - a * (a + 1) // 2
-    b = k - start + a + 1
+    # = a*(c-a)/2, c = 2s - 1, so a is the floor of c/2 - sqrt(c^2/4 - 2k)
+    c = 2 * s - 1
+    a = (c / 2 - np.sqrt(c * c / 4 - 2.0 * k)).astype(np.int64)
+    b = k - a * (c - a) // 2 + a + 1
+    if ((b <= a) | (b >= s)).any():
+        # rounding put an index on a cell boundary one row off (s > 10^8)
+        a -= (b <= a).astype(np.int64) - (b >= s)
+        b = k - a * (c - a) // 2 + a + 1
     return a, b
 
 
-def _pair_from_index(k: np.ndarray, s: int):
-    """``_decode_pairs`` for cluster draws, which decode many indices over
-    few sizes: up to ``_PAIR_TABLE_MAX`` pairs, a size's
-    ``np.triu_indices`` table is built once, cached for the process and
-    indexed; larger sizes are decoded arithmetically. A one-off decode
-    over all N nodes calls ``_decode_pairs`` directly, so no whole-N
-    table is kept.
-    """
-    if s * (s - 1) // 2 > _PAIR_TABLE_MAX:
-        return _decode_pairs(k, s)
-    table = _pair_tables.get(s)
-    if table is None:
-        table = np.triu_indices(s, k=1)
-        _pair_tables[s] = table
-    return table[0][k], table[1][k]
-
-
-def _pair_request(size: int, q: int | None = None,
-                  fraction: float | None = None) -> int:
-    """Pairs requested from ``size`` items, before clamping to the
-    size*(size-1)/2 available."""
-    if q is not None:
-        return q
-    if fraction is None:
-        raise ValueError("one of q or fraction is required")
-    return max(1, round(fraction * (size * (size - 1) // 2)))
+def _pair_count(size: int, q: int | None = None,
+                fraction: float | None = None) -> int:
+    """Pairs drawn from ``size`` items: ``q``, or ``fraction`` of the
+    size*(size-1)/2 available (at least one), clamped to the available
+    pairs with a warning."""
+    total = size * (size - 1) // 2
+    if q is None:
+        if fraction is None:
+            raise ValueError("one of q or fraction is required")
+        q = max(1, round(fraction * total))
+    if q > total:
+        warnings.warn(f"requested q={q} clamped to {total} available pairs",
+                      stacklevel=3)
+        q = total
+    return q
 
 
 def _sample_local_pairs(
@@ -147,14 +138,9 @@ def _sample_local_pairs(
     """
     if size < 2:
         raise ValueError("cluster must have at least 2 nodes")
-    total = size * (size - 1) // 2
-    q = _pair_request(size, q, fraction)
-    if q > total:
-        warnings.warn(f"requested q={q} clamped to {total} available pairs",
-                      stacklevel=2)
-        q = total
-    k = rng.choice(total, q, replace=False, shuffle=False)
-    return _pair_from_index(k, size)
+    q = _pair_count(size, q, fraction)
+    k = rng.choice(size * (size - 1) // 2, q, replace=False, shuffle=False)
+    return _decode_pairs(k, size)
 
 
 def assign_weights(delta: np.ndarray, scheme: str = "unity",

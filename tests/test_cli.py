@@ -160,6 +160,21 @@ class TestSubcommands:
         assert code == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["embed", "oracle"])
+    @pytest.mark.parametrize("slots", ["0", "3"])
+    def test_cluster_above_node_count_is_input_error(self, command, slots,
+                                                     tmp_path, capsys):
+        """p = 5 on a 3-node list is an input error before the first slot,
+        so a run of no slots fails as a run of three does."""
+        path = tmp_path / "e.tsv"
+        path.write_text("0\t1\t1.0\n1\t2\t1.0\n0\t2\t1.5\n")
+        out = tmp_path / "emb.csv"
+        code = main([command, "--input", str(path), "--p", "5",
+                     "--slots", slots, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "p=5 exceeds node count 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_provided_scheme_rejected(self, edge_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["embed", "--input", edge_file, "--scheme", "provided"])

@@ -2,6 +2,7 @@
 trips."""
 
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -456,6 +457,30 @@ class TestFingerprintFiles:
                  for k in range(4 * digits)] for hx in hexes]
         assert bits.dtype == bool
         np.testing.assert_array_equal(bits, want)
+
+    @pytest.mark.parametrize("digits", [255, 256])
+    def test_load_and_pack_make_no_bool_copy(self, digits, tmp_path):
+        """Loading 2,000 records and packing them into a provider peaks at
+        about 1.5 bytes per bit under ``tracemalloc`` (the unpacked bits
+        and the text): bool copies of the bits in the loader and again in
+        the provider took it to 2.5. The bound is 2.0."""
+        rng = np.random.default_rng(digits)
+        hexes = ["".join(rng.choice(list("0123456789abcdef"), digits))
+                 for _ in range(2000)]
+        path = tmp_path / "fp.tsv"
+        path.write_text("".join(f"n{i}\t{hx}\n" for i, hx in enumerate(hexes)))
+        tracemalloc.start()
+        try:
+            _, bits = load_fingerprints(str(path))
+            provider = FingerprintProvider(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * bits.size
+        want = [[(int(hx, 16) >> (4 * digits - 1 - k)) & 1
+                 for k in range(4 * digits)] for hx in hexes[:5]]
+        np.testing.assert_array_equal(
+            np.unpackbits(provider.packed[:5], axis=1)[:, :4 * digits], want)
 
 
 class TestEmbeddingIO:

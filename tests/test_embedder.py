@@ -25,12 +25,11 @@ from stochmds import (
     stochastic_step,
     stress,
 )
-from stochmds import embedder, graph_linalg, observations, sampling, \
-    stress_core
+from stochmds import embedder, graph_linalg, observations, stress_core
 from stochmds.data_io import EdgeListProvider, FeatureProvider, \
     MatrixProvider
 from stochmds.embedder import _CHUNK_DIVISOR, _CHUNK_FLOOR, _chunk_limit, \
-    _chunks, _usable_pairs, estimate_scale
+    _slot_plan, _usable_pairs, estimate_scale
 from stochmds.graph_linalg import DENSE_SOLVER_MAX
 from stochmds.rng import substream
 from stochmds.sampling import _sample_local_pairs, assign_weights, \
@@ -466,6 +465,37 @@ def _per_cluster_slot(X, provider, clusters, sampler, rng, noise_sigma,
     return Xn
 
 
+def _clusters_per_chunk(node_count, sampler):
+    """The number of clusters in each chunk of the slot plan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q clamped on a remainder
+        return [len(sizes) for _, sizes, _ in _slot_plan(node_count, sampler)]
+
+
+def _chunks(clusters, sampler, limit):
+    """The slot plan's chunks over ``clusters``, a ``partition_nodes``
+    result under the chunk bound ``limit``, each as its list of clusters."""
+    node_count = sum(len(c) for c in clusters)
+    assert _chunk_limit(node_count) == limit
+    ends = np.cumsum(_clusters_per_chunk(node_count, sampler))
+    return [clusters[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
+def _greedy_chunks(sizes, counts, limit):
+    """Reference chunking: consecutive clusters, cut before a cluster that
+    would take the chunk's nodes plus twice its pairs over ``limit``; a
+    chunk holds at least one cluster. Returns the clusters per chunk."""
+    runs, total = [], 0
+    for size, count in zip(sizes, counts):
+        cost = size + 2 * count
+        if not runs or total + cost > limit:
+            runs.append(0)
+            total = 0
+        runs[-1] += 1
+        total += cost
+    return runs
+
+
 # "spe" is the stochastic rule at p = 2, the paper's SPE case. A p = 2
 # cluster costs 4, far below the chunk floor, so an spe slot is never one
 # cluster per chunk
@@ -549,19 +579,19 @@ class TestSlotKernel:
         """Each chunk's nodes plus twice its pairs stay within the bound, so
         a denser sampler gets chunks of fewer clusters."""
         sampler = SamplerConfig(p=10, **kw)
-        clusters = [np.arange(k, k + 10) for k in range(0, 2400, 10)]
-        limit = 2400 // _CHUNK_DIVISOR
+        n = 24_000
+        limit = n // _CHUNK_DIVISOR
+        assert _chunk_limit(n) == limit
         cost = 10 + 2 * min(sampler.q or 45, 45)
-        chunks = list(_chunks(clusters, sampler, limit))
-        assert sum(len(c) for c in chunks) == len(clusters)
-        assert all(len(c) == max(1, limit // cost) for c in chunks[:-1])
+        chunks = _clusters_per_chunk(n, sampler)
+        assert sum(chunks) == n // 10
+        assert all(c == max(1, limit // cost) for c in chunks[:-1])
 
     def test_small_slot_is_one_chunk(self):
         """The reference run's slot, four 25-node clusters measuring 105
         pairs each, costs 940 and is applied as one chunk."""
         sampler = SamplerConfig(p=25, fraction=0.35)
-        clusters = partition_nodes(100, 25, np.random.default_rng(0))
-        assert len(list(_chunks(clusters, sampler, _chunk_limit(100)))) == 1
+        assert len(_slot_plan(100, sampler)) == 1
 
     def test_large_slot_bound_is_a_share_of_n(self):
         """Above _CHUNK_DIVISOR floors the bound is N // _CHUNK_DIVISOR, as
@@ -570,10 +600,59 @@ class TestSlotKernel:
         n = 40_000
         assert _chunk_limit(n) == n // _CHUNK_DIVISOR
         assert _chunk_limit(_CHUNK_DIVISOR * _CHUNK_FLOOR) == _CHUNK_FLOOR
-        clusters = [np.arange(k, k + 100) for k in range(0, n, 100)]
-        chunks = list(_chunks(clusters, SamplerConfig(p=100, q=50),
-                              _chunk_limit(n)))
-        assert [len(c) for c in chunks] == [25] * 16
+        chunks = _clusters_per_chunk(n, SamplerConfig(p=100, q=50))
+        assert chunks == [25] * 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_plan_matches_greedy_cut(self, data):
+        """The plan's chunks are the slot's clusters cut one by one,
+        remainder clusters included: the same sizes, clamped pair counts
+        and nodes, and the same chunk boundaries."""
+        p = data.draw(st.integers(2, 120))
+        n = data.draw(st.one_of(st.integers(p, 3 * p + 5),
+                                st.integers(p, 30_000)))
+        if data.draw(st.booleans()):
+            kw = {"q": data.draw(st.integers(1, 300))}
+        else:
+            kw = {"fraction": data.draw(st.floats(0.01, 1.0))}
+        sampler = SamplerConfig(p=p, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # q clamped
+            plan = _slot_plan(n, sampler)
+            clusters = partition_nodes(n, p, np.random.default_rng(0))
+            counts = [len(_sample_local_pairs(
+                len(c), np.random.default_rng(0), **kw)[0]) for c in clusters]
+        perm = np.random.default_rng(0).permutation(n)
+        sizes = [len(c) for c in clusters]
+        runs = _greedy_chunks(sizes, counts, _chunk_limit(n))
+        assert [len(chunk_sizes) for _, chunk_sizes, _ in plan] == runs
+        first = 0
+        for (span, chunk_sizes, chunk_counts), run in zip(plan, runs):
+            assert list(chunk_sizes) == sizes[first:first + run]
+            assert list(chunk_counts) == counts[first:first + run]
+            np.testing.assert_array_equal(
+                perm[span], np.concatenate(clusters[first:first + run]))
+            first += run
+
+    @pytest.mark.parametrize("run", ["stochastic", "oracle"])
+    def test_q_clamp_warns_once_per_run(self, run):
+        """A run clamps each cluster size's request once: over three slots
+        of 47 nodes at p = 10 and q = 40, only the 7-node remainder (21
+        pairs) is clamped, and it warns once, not once per slot."""
+        provider, _ = planar_provider(47)
+        init = random_init(47, 2, np.random.default_rng(0), 10.0)
+        sampler = SamplerConfig(p=10, q=40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if run == "stochastic":
+                run_stochastic(provider, init, MuSchedule.constant(0.1),
+                               sampler, 3)
+            else:
+                run_averaged_oracle(provider, init - init.mean(axis=0), 0.1,
+                                    3, sampler, averaging_samples=2)
+        assert [str(w.message) for w in caught] == [
+            "requested q=40 clamped to 21 available pairs"]
 
     @pytest.mark.parametrize("mode, scheme, noise_sigma",
                              [("stochastic", "sammon", 0.1),
@@ -857,16 +936,6 @@ class TestUsablePairs:
         assert len(edges) <= 512
         for seed in range(3):
             assert estimate_scale(provider, seed) == edges.delta.max()
-
-    @pytest.mark.parametrize("n, cap", [(100, 0), (100, 50), (400, 512)])
-    def test_draw_over_all_pairs_keeps_no_table(self, monkeypatch, n, cap):
-        """A draw over all pairs decodes its indices by arithmetic, so it
-        leaves the cluster draws' table cache as it found it."""
-        monkeypatch.setattr(sampling, "_pair_tables", {})
-        provider, _ = planar_provider(n)
-        batch = _usable_pairs(provider, cap, 3, "eval")
-        assert len(batch) == cap
-        assert sampling._pair_tables == {}
 
     def test_complete_edge_list_draws_as_all_pairs(self):
         """On a complete list the draw over its edges is the draw over all

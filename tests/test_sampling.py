@@ -8,9 +8,7 @@ from scipy.stats import chi2
 
 from stochmds import SamplerConfig, assign_weights, partition_nodes
 from stochmds.rng import substream
-from stochmds import sampling
-from stochmds.sampling import _decode_pairs, _pair_from_index, \
-    _sample_local_pairs
+from stochmds.sampling import _decode_pairs, _sample_local_pairs
 
 
 class TestSamplerConfig:
@@ -91,15 +89,46 @@ class TestPartitionNodes:
 
 class TestPairDecode:
     def test_matches_triu_order(self):
-        """Both paths list the pairs of s items in ``np.triu_indices``
-        order, index for index."""
+        """The pairs of s items come in ``np.triu_indices`` order, index
+        for index."""
         for s in range(2, 61):
             k = np.arange(s * (s - 1) // 2)
             want = np.triu_indices(s, k=1)
-            for decode in (_decode_pairs, _pair_from_index):
-                a, b = decode(k, s)
-                np.testing.assert_array_equal(a, want[0])
-                np.testing.assert_array_equal(b, want[1])
+            a, b = _decode_pairs(k, s)
+            np.testing.assert_array_equal(a, want[0])
+            np.testing.assert_array_equal(b, want[1])
+
+    def test_rounding_steps_at_a_huge_size(self):
+        """At s = 3 x 10^8 the float root lands in the wrong row on some
+        row boundaries; the decode steps it back, so the first and last
+        index of every 1,000th row still decode to their pairs."""
+        s = 300_000_000
+        rows = np.arange(0, s - 1, 1000, dtype=np.int64)
+        first = rows * s - rows * (rows + 1) // 2
+        k = np.concatenate([first, first + (s - 2 - rows)])
+        c = 2 * s - 1
+        root = (c / 2 - np.sqrt(c * c / 4 - 2.0 * k)).astype(np.int64)
+        a_want = np.concatenate([rows, rows])
+        assert (root != a_want).any()  # the step is exercised
+        a, b = _decode_pairs(k, s)
+        np.testing.assert_array_equal(a, a_want)
+        np.testing.assert_array_equal(
+            b, np.concatenate([rows + 1, np.full(len(rows), s - 1)]))
+
+    def test_one_size_per_index(self):
+        """Every index of sizes 2 to 60, mixed and shuffled in one call
+        with a size per index, decodes as ``np.triu_indices`` of its own
+        size, as a chunk holding a remainder cluster decodes."""
+        sizes = np.arange(2, 61)
+        counts = sizes * (sizes - 1) // 2
+        s = np.repeat(sizes, counts)
+        k = np.concatenate([np.arange(c) for c in counts])
+        order = np.random.default_rng(0).permutation(len(k))
+        a, b = _decode_pairs(k[order], s[order])
+        want = [np.concatenate([np.triu_indices(v, k=1)[i] for v in sizes])
+                for i in (0, 1)]
+        np.testing.assert_array_equal(a, want[0][order])
+        np.testing.assert_array_equal(b, want[1][order])
 
     def test_cell_boundaries_of_a_large_size(self):
         """At s = 100,000 (about 5e9 pairs) every row's first and last index,
@@ -116,18 +145,6 @@ class TestPairDecode:
         a, b = _decode_pairs(k[keep], s)
         np.testing.assert_array_equal(a, a_want[keep])
         np.testing.assert_array_equal(b, b_want[keep])
-
-    def test_table_only_below_its_size_limit(self, monkeypatch):
-        """Cluster draws cache a size's table up to ``_PAIR_TABLE_MAX``
-        pairs and decode larger sizes by arithmetic."""
-        monkeypatch.setattr(sampling, "_pair_tables", {})
-        k = np.array([0, 5, 17])
-        small, large = 30, 1000  # 435 and 499,500 pairs
-        for s in (small, large):
-            a, b = _pair_from_index(k, s)
-            np.testing.assert_array_equal(
-                np.stack([a, b]), np.stack(_decode_pairs(k, s)))
-        assert list(sampling._pair_tables) == [small]
 
 
 class TestSampleClusterEdges:
