@@ -33,6 +33,7 @@ from .stress_core import (
     upsilon,
     _all_finite,
     _BatchPlan,
+    _check_cluster_size,
     _damped_update,
     _sgd_step,
     _stochastic_step,
@@ -339,14 +340,16 @@ def _apply_slot(Xn, provider, plan: list, sampler: SamplerConfig,
     cfg = replace(step, mu=mu)
     for span, sizes, counts in plan:
         nodes = perm[span]
-        batch = _sample_chunk(provider, nodes, sizes, counts, sampler, rng,
-                              noise_sigma, step.eps_w, clamp=(mode != "sgd"))
+        chunk = (provider, nodes, sizes, counts, sampler, rng, noise_sigma,
+                 step.eps_w)
+        # each batch is passed on, not kept, so it is released once used
+        # (by _damped_update once it is grouped)
         if mode == "sgd":
-            Xn[nodes] = _sgd_step(Xn[nodes], batch, mu)
+            Xn[nodes] = _sgd_step(Xn[nodes], _sample_chunk(*chunk, clamp=False),
+                                  mu)
         else:
-            _damped_update(Xn, batch, cfg, nodes)
-        pairs += len(batch)
-        del batch  # released before the next chunk is sampled
+            _damped_update(Xn, _sample_chunk(*chunk, clamp=True), cfg, nodes)
+        pairs += sum(counts)
     return pairs
 
 
@@ -501,6 +504,7 @@ def run_averaged_oracle(
             sampler.p if sampler is not None else None)
         if p is None:
             raise ValueError("closed_form mode requires a cluster size")
+        _check_cluster_size(n, p)  # before the first slot, at any count
         ups = upsilon(n, p)
         provider = MatrixProvider(expected_deltas)
         if seed is None:

@@ -6,28 +6,41 @@ where ``rhs`` has zero column sums, and the minimum-norm (pseudo-inverse)
 solution is the one with zero column sums as well.
 
 Every caller goes through one layer, and it sees only the graph (node ids,
-edges, weights): ``stress_core`` forms B(X)X once per batch and passes each
-stack its rows. ``group_components`` groups a batch's edges, which its
-callers have stripped of zero weights (``ObservationBatch.nonzero``), by
-connected component into one ``ComponentStack`` per component size. The
-data picks one of three routes per component: a complete component with one
-measurement per pair, all of one weight ``w``, is solved in closed form,
-``y = rhs / (w * size)`` recentered, with no assembly; the others take a
-dense solve up to ``DENSE_SOLVER_MAX`` nodes, and deflated conjugate
-gradients above. ``_RoutedStack`` is the one dispatch: it splits a stack
-into its closed-form components and one sub-stack of the rest, which alone
-reaches the dense or CG route. ``ComponentStack.solve`` is its one-shot
-use; batch majorization, whose batch is fixed, has it keep its factors. A
-single component is a stack of one: ``build_laplacian`` returns one per
-connected component and ``algebraic_connectivity`` takes one.
-``_laplacian_entries`` alone decides how measurements become Laplacian
-entries (a pair measured twice counts twice); the dense kernel and
-``_sparse``, the CSR form behind CG and ``algebraic_connectivity``, read it.
+edges, weights): ``stress_core`` forms B(X)X once per batch and hands the
+layer its rows. ``group_components`` lays a batch's components end to end,
+ordered by size, in one ``ComponentGroups``; its callers have stripped the
+batch of zero weights (``ObservationBatch.nonzero``). A grouping is solved
+in one pass (``_RoutedStack``), whatever its number of sizes:
+
+- the route pass picks each component's route from the data once over the
+  whole grouping: a complete component with one measurement per pair, all
+  of one weight ``w``, is solved in closed form, ``y = rhs / (w * size)``,
+  with no assembly; the others take the dense route up to
+  ``DENSE_SOLVER_MAX`` nodes and deflated conjugate gradients above;
+- one assembly (``_shifted_dense``) forms every dense-route component's
+  ``L + shift 11^T`` from one pass of ``_laplacian_entries`` over the
+  grouping's edges, and ``np.linalg.solve`` is called once per size, so each
+  matrix still goes through the same LAPACK call alone. The matrices are
+  filled and solved in waves of consecutive sizes, none holding more cells
+  than the largest size does, so the assembly's memory stays what a
+  per-size assembly needed;
+- the solutions are written over the right-hand side and recentered in one
+  step.
+
+Batch majorization, whose batch is fixed, has ``_RoutedStack`` keep each
+component's factor instead. As a sequence, a grouping is one
+``ComponentStack`` per size, a grouping of one size; ``build_laplacian``
+returns one stack per connected component and ``algebraic_connectivity``
+takes one. ``_laplacian_entries`` alone decides how measurements become
+Laplacian entries (a pair measured twice counts twice); the dense assembly
+and ``_sparse``, the CSR form behind CG and ``algebraic_connectivity``, read
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +51,7 @@ from scipy.sparse.linalg import cg as _cg
 from .observations import ObservationBatch, _validate_batch_indices
 
 __all__ = [
+    "ComponentGroups",
     "ComponentStack",
     "group_components",
     "build_laplacian",
@@ -94,19 +108,195 @@ def _component_labels(m, n, node_count):
 
 
 @dataclass
-class ComponentStack:
+class ComponentGroups:
+    """Connected components laid end to end, for solves that take every
+    component in one pass.
+
+    ``nodes`` holds each component's global node ids in ascending order,
+    one component after another, and ``sizes`` the component sizes, which
+    never decrease. Edge endpoints ``a`` and ``b`` index the flattened
+    ``nodes``; edges keep their measured orientation and are grouped by
+    component. As a sequence, a grouping is one ``ComponentStack`` per run
+    of equal sizes.
+    """
+
+    nodes: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    weights: np.ndarray
+    sizes: np.ndarray
+
+    def __post_init__(self):
+        # (size, first, end): the components of each size, a range
+        sizes = self.sizes
+        if len(sizes) == 0:
+            self.runs = []
+        elif sizes[0] == sizes[-1]:
+            self.runs = [(int(sizes[0]), 0, len(sizes))]
+        else:
+            cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+            bounds = [0, *cuts, len(sizes)]
+            self.runs = [(int(sizes[c0]), c0, c1)
+                         for c0, c1 in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Where each component's nodes start in the flattened ``nodes``,
+        then the node count."""
+        if len(self.runs) == 1:
+            size = self.runs[0][0]
+            return np.arange(0, size * (len(self.sizes) + 1), size)
+        out = np.zeros(len(self.sizes) + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=out[1:])
+        return out
+
+    @cached_property
+    def edge_starts(self) -> np.ndarray:
+        """Where each component's edges start, then the edge count. Every
+        endpoint ``a`` lies in its component's node range, so one binary
+        search per component finds its first edge."""
+        return np.searchsorted(self.a, self.starts)
+
+    @cached_property
+    def edge_counts(self) -> np.ndarray:
+        """Measurements per component."""
+        if len(self.runs) == 1:  # component k holds nodes k size onwards
+            return np.bincount(self.a // self.runs[0][0],
+                               minlength=len(self.sizes))
+        starts = self.edge_starts
+        return starts[1:] - starts[:-1]
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, k: int) -> ComponentStack:
+        _, c0, c1 = self.runs[k]
+        return self._stack(c0, c1)
+
+    def __iter__(self):
+        return (self._stack(c0, c1) for _, c0, c1 in self.runs)
+
+    def split(self) -> list:
+        """Each component as a stack of one, in order."""
+        return [self._stack(k, k + 1) for k in range(len(self.sizes))]
+
+    def _stack(self, c0: int, c1: int) -> ComponentStack:
+        """Components ``c0`` to ``c1 - 1``, of one size, as a stack of their
+        own: a view of the nodes and weights, endpoints renumbered into it."""
+        n0, n1 = int(self.starts[c0]), int(self.starts[c1])
+        e0, e1 = int(self.edge_starts[c0]), int(self.edge_starts[c1])
+        a, b = self.a[e0:e1], self.b[e0:e1]
+        if n0:
+            a, b = a - n0, b - n0
+        return ComponentStack(self.nodes.reshape(-1)[n0:n1].reshape(c1 - c0, -1),
+                              a, b, self.weights[e0:e1])
+
+    def _complete_weights(self) -> np.ndarray | None:
+        """Per component, the weight ``w`` when the component is complete
+        with one measurement per unordered pair, all of weight ``w``, and 0
+        otherwise; None when no component is.
+
+        Exact and linear in the measurements. Only a component of size p
+        with p (p - 1) / 2 measurements can qualify. Its diagonal and each
+        of its measurements' cells (i, j) and (j, i) are marked in a p^2
+        bitmap, the candidates' bitmaps laid end to end; every cell is
+        marked exactly when no pair is measured twice and none is a
+        self-loop. Equal degrees are not enough: a multigraph can be
+        regular without being complete.
+        """
+        sizes, per = self.sizes, self.edge_counts
+        if len(self.runs) == 1:  # one size: one test first
+            size = self.runs[0][0]
+            if size < 2 or not (per == size * (size - 1) // 2).any():
+                return None
+        half = sizes * (sizes - 1) // 2
+        cand = (per == half) & (half > 0)
+        if not cand.any():
+            return None
+        a, b, w = self.a, self.b, self.weights
+        everyone = cand.all()
+        if not everyone:
+            edges = np.repeat(cand, per)
+            a, b, w = a[edges], b[edges], w[edges]
+        p, half = sizes[cand], half[cand]
+        cells = p * p
+        first = np.cumsum(cells) - cells
+        seen = np.zeros(int(first[-1] + cells[-1]), dtype=bool)
+        cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
+        for k0, k1 in zip(cuts, cuts[1:]):
+            size = int(p[k0])
+            block = seen[first[k0]:first[k0] + (k1 - k0) * size * size]
+            block.reshape(k1 - k0, size * size)[:, ::size + 1] = True
+        halves = (_cell_halves((a, b), (b, a), p) if everyone and len(cuts) == 2
+                  else _cell_halves((a, b), (b, a), p, self.starts[:-1][cand],
+                                    first, half))
+        for key in halves:
+            seen[key] = True
+        head = np.cumsum(half) - half  # each candidate's first measurement
+        w0 = np.minimum.reduceat(w, head)
+        ok = (np.logical_and.reduceat(seen, first)
+              & (w0 == np.maximum.reduceat(w, head)))
+        if not ok.any():
+            return None
+        out = np.zeros(len(sizes))
+        out[np.flatnonzero(cand)[ok]] = w0[ok]
+        return out
+
+    def _means(self, v: np.ndarray) -> np.ndarray:
+        """Per component, the column means of its rows of ``v`` (one row
+        per node), each summed as a stack's ``(count, size, dim).sum(axis=1)``
+        sums it: down each column in row order, as ``np.bincount`` over
+        component labels sums, except in one dimension, where numpy sums
+        the contiguous column pairwise. So the sums are taken per size in
+        one dimension or when there are no more sizes than dimensions (the
+        fewer calls), and by one ``np.bincount`` per dimension otherwise."""
+        dim = v.shape[1]
+        if len(self.runs) == 1:
+            size = self.runs[0][0]
+            return v.reshape(-1, size, dim).sum(axis=1) / size
+        if dim == 1 or len(self.runs) <= dim:
+            starts = self.starts.tolist()
+            sums = np.concatenate([
+                v[starts[c0]:starts[c1]].reshape(c1 - c0, size, dim)
+                .sum(axis=1) for size, c0, c1 in self.runs])
+        else:
+            labels = np.repeat(np.arange(len(self.sizes)), self.sizes)
+            sums = np.empty((len(self.sizes), dim))
+            for col in range(dim):
+                sums[:, col] = np.bincount(labels, weights=v[:, col])
+        return sums / self.sizes[:, None]
+
+    def _spread(self, v: np.ndarray, values: np.ndarray):
+        """``v`` (one row per node) and ``values`` (one row per component)
+        in shapes that line each node up with its component's row: as they
+        are, repeated, or for one size as (count, size, dim) and
+        (count, 1, dim) views."""
+        if len(self.runs) == 1:
+            return v.reshape(len(self.sizes), -1, v.shape[1]), values[:, None]
+        return v, np.repeat(values, self.sizes, axis=0)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Min-norm ``y_k`` with ``L_k y_k = rhs_k`` for every component
+        k, each by the route its data picks (``_RoutedStack``), so its
+        result does not depend on the others."""
+        return _RoutedStack(self).solve(rhs)
+
+
+@dataclass
+class ComponentStack(ComponentGroups):
     """Connected components of one size, stacked for a batched solve.
 
     Row ``k`` of ``nodes`` holds component k's global node ids in ascending
     order. Edge endpoints ``a`` and ``b`` index the flattened ``nodes``, so
     ``a // size`` is an edge's component and ``a % size`` its local node.
-    Edges keep their measured orientation and are grouped by component.
     """
 
-    nodes: np.ndarray    # (count, size) global node ids
-    a: np.ndarray
-    b: np.ndarray
-    weights: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        count, size = self.nodes.shape
+        self.sizes = np.full(count, size)
+        self.runs = [(size, 0, count)]
 
     @property
     def size(self) -> int:
@@ -121,172 +311,164 @@ class ComponentStack:
         """Number of measurements (each stores two off-diagonal entries)."""
         return len(self.weights)
 
-    def split(self):
-        """Yield each component as a stack of one, in order; a stack that
-        holds one component yields itself."""
-        if self.count == 1:
-            yield self
-            return
-        p = self.size
-        bounds = np.searchsorted(self.a // p,
-                                 np.arange(self.count + 1)).tolist()
-        for k in range(self.count):
-            e = slice(bounds[k], bounds[k + 1])
-            yield ComponentStack(self.nodes[k:k + 1], self.a[e] - k * p,
-                                 self.b[e] - k * p, self.weights[e])
-
-    def _edge_counts(self) -> np.ndarray:
-        """Measurements per component."""
-        if self.count == 1:
-            return np.array([self.nnz])
-        return np.bincount(self.a // self.size, minlength=self.count)
-
-    def _take(self, keep: np.ndarray, per: np.ndarray) -> ComponentStack:
-        """The components where ``keep`` holds as a stack of their own, their
-        edges renumbered into it; ``per`` is ``_edge_counts()``."""
-        idx = np.flatnonzero(keep)
-        edges = np.repeat(keep, per)
-        shift = np.repeat((idx - np.arange(len(idx))) * self.size, per[idx])
-        return ComponentStack(self.nodes[idx], self.a[edges] - shift,
-                              self.b[edges] - shift, self.weights[edges])
-
-    def _complete_weights(self) -> np.ndarray | None:
-        """Per component, the weight ``w`` when the component is complete
-        with one measurement per unordered pair, all of weight ``w``, and 0
-        otherwise; None when no component is.
-
-        Exact and linear in the measurements. Only a component with
-        ``size * (size - 1) // 2`` measurements can qualify. Each of its
-        measurements marks cells (i, j) and (j, i) of a ``size**2``-byte
-        bitmap (twice its measurements plus its nodes); all off-diagonal
-        cells are marked exactly when no pair is measured twice and none is
-        a self-loop. Equal degrees are not enough: a multigraph can be
-        regular without being complete.
-        """
-        g, p = self.nodes.shape
-        half = p * (p - 1) // 2
-        if p < 2 or self.nnz < half:
-            return None
-        per = self._edge_counts()
-        cand = np.flatnonzero(per == half)
-        if len(cand) == 0:
-            return None
-        sub = self if len(cand) == g else self._take(per == half, per)
-        a, b, w = sub.a, sub.b, sub.weights.reshape(-1, half)
-        seen = np.zeros((len(w), p * p), dtype=bool)
-        # a * p + local b is component k's cell (i, j) at k p^2 + i p + j
-        key = a * p
-        key += b if g == 1 else b % p
-        seen.reshape(-1)[key] = True
-        np.multiply(b, p, out=key)
-        key += a if g == 1 else a % p
-        seen.reshape(-1)[key] = True
-        ok = ((np.count_nonzero(seen, axis=1) == 2 * half)
-              & (w == w[:, :1]).all(axis=1))
-        if not ok.any():
-            return None
-        out = np.zeros(g)
-        out[cand[ok]] = w[ok, 0]
-        return out
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Min-norm ``y[k]`` with ``L_k y[k] = rhs[k]`` for every component;
-        ``rhs`` is (count, size, dim) with zero column sums, and so is the
-        result. Each component takes the route its data picks
-        (``_RoutedStack``), so its result does not depend on its stack."""
-        return _RoutedStack(self).solve(rhs)
-
 
 class _RoutedStack:
     """The one place that picks each component's route from the data.
 
     A complete component of one weight ``w`` (``_complete_weights``) has
     ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve. The
-    others form ``rest``, one sub-stack, which takes one batched LU solve
-    up to ``DENSE_SOLVER_MAX`` nodes and deflated CG per component above.
-    After ``keep_factors``, each ``rest`` component keeps what its route
-    reuses instead: the Cholesky factor of ``L + shift 11^T``, factored in
-    place (None when Cholesky fails, as on a path with a 1e-20 weight: the
-    component then takes the LU solve), or its CG system. Kept solves equal
-    one-shot ones bit for bit by CG and to round-off by Cholesky.
+    others take the dense route up to ``DENSE_SOLVER_MAX`` nodes, all of
+    them assembled in one pass and solved by one LU call per size
+    (``_lu_solve``), and deflated CG one by one above. After
+    ``keep_factors``, each of those keeps what its route reuses instead:
+    the Cholesky factor of ``L + shift 11^T``, factored in place (None when
+    Cholesky fails, as on a path with a 1e-20 weight: the component then
+    stays on the LU route), or its CG system. Kept solves equal one-shot
+    ones bit for bit by CG and to round-off by Cholesky.
     """
 
-    def __init__(self, stack: ComponentStack):
-        w = stack._complete_weights()
-        self.dense = stack.size <= DENSE_SOLVER_MAX
-        self.rest, self.kept, self.closed = stack, None, None
-        if w is not None:
-            closed = w > 0
-            self.closed, self.w = np.flatnonzero(closed), w[closed]
-            self.open = np.flatnonzero(~closed)
-            self.rest = stack._take(~closed, stack._edge_counts()) \
-                if len(self.open) else None
+    def __init__(self, groups: ComponentGroups):
+        self.groups, self.kept = groups, None
+        self.w = groups._complete_weights()
+        sizes = groups.sizes
+        if self.w is None and (not len(sizes)
+                               or sizes[-1] <= DENSE_SOLVER_MAX):
+            self.lu, self.alone = None, []  # every component, one LU route
+            return
+        open_ = self._open()
+        big = sizes[open_] > DENSE_SOLVER_MAX
+        self.lu = open_[~big]
+        # the components solved on their own: rows, stack of one, and what
+        # their solve reuses
+        self.alone = [(self._rows(k), groups._stack(k, k + 1), None)
+                      for k in open_[big].tolist()]
+
+    def _rows(self, k: int) -> slice:
+        return slice(*self.groups.starts[k:k + 2].tolist())
+
+    def _open(self) -> np.ndarray:
+        """The components that are not solved in closed form."""
+        if self.w is None:
+            return np.arange(len(self.groups.sizes))
+        return np.flatnonzero(self.w == 0)
 
     def keep_factors(self) -> _RoutedStack:
-        if self.rest is not None:
-            self.kept = [(single, _cholesky(single) if self.dense
-                          else _cg_system(single))
-                         for single in self.rest.split()]
+        open_ = self._open()
+        singles = [self.groups._stack(k, k + 1) for k in open_.tolist()]
+        self.kept = [(single, _cholesky(single) if single.size <= DENSE_SOLVER_MAX
+                      else _cg_system(single)) for single in singles]
+        factored = np.array([reused is not None for _, reused in self.kept],
+                            dtype=bool)
+        self.alone = [(self._rows(k), single, reused) for k, (single, reused)
+                      in zip(open_.tolist(), self.kept) if reused is not None]
+        self.lu = open_[~factored]
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.closed is None:
-            return self._solve_rest(rhs)
-        if self.rest is None:
-            return _closed_form(rhs, self.w)
-        y = np.empty_like(rhs)
-        y[self.closed] = _closed_form(rhs[self.closed], self.w)
-        y[self.open] = self._solve_rest(rhs[self.open])
+        """Min-norm solves of every component; ``rhs`` holds one row per
+        node of the flattened ``nodes`` ((count, size, dim) for a stack),
+        with zero column sums per component, and so does the result."""
+        return self.solve_in_place(np.array(rhs, dtype=np.float64))
+
+    def solve_in_place(self, y: np.ndarray) -> np.ndarray:
+        """``solve`` written over ``y``, a C-ordered right-hand side."""
+        groups = self.groups
+        if not len(groups):
+            return y
+        flat = y.reshape(-1, y.shape[-1])
+        # solved first, from their own right-hand sides
+        alone = [(rows, _solve_alone(single, flat[rows], reused))
+                 for rows, single, reused in self.alone]
+        lu = self.lu is None or len(self.lu)
+        if lu:
+            _lu_solve(groups, flat, self.lu)
+        if self.w is not None:
+            closed = np.where(self.w > 0, self.w * groups.sizes, 1.0)
+            flat /= np.repeat(closed, groups.sizes)[:, None]
+        if lu or self.w is not None:
+            _recenter(groups, flat)
+        for rows, yk in alone:
+            flat[rows] = yk
         return y
 
-    def _solve_rest(self, rhs: np.ndarray) -> np.ndarray:
-        if self.kept is None and self.dense:
-            return _dense_min_norm(self.rest, rhs)
-        y = np.empty_like(rhs)
-        kept = self.kept or [(single, None) for single in self.rest.split()]
-        for k, (single, cached) in enumerate(kept):
-            if not self.dense:
-                y[k] = _solve_cg(single, rhs[k], cached)
-            elif cached is None:
-                y[k] = _dense_min_norm(single, rhs[k:k + 1])[0]
-            else:  # recenter cho_solve's own array; y[k] sums in another order
-                yk = cho_solve(cached, rhs[k], check_finite=False)
-                yk -= yk.sum(axis=0) / single.size
-                y[k] = yk
-        return y
 
-
-def _closed_form(rhs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Min-norm solves for complete components of weights ``w``:
-    ``y[k] = rhs[k] / (w[k] * size)``, recentered as the dense route does."""
-    p = rhs.shape[1]
-    y = rhs / (w * p)[:, None, None]
-    y -= y.sum(axis=1, keepdims=True) / p
+def _solve_alone(single: ComponentStack, rhs: np.ndarray, reused):
+    """One component's min-norm solve by CG above ``DENSE_SOLVER_MAX``
+    (``reused`` its kept system, if any), else by its kept Cholesky factor.
+    """
+    if single.size > DENSE_SOLVER_MAX:
+        return _solve_cg(single, rhs, reused)
+    # recenter cho_solve's own array; a row of y would sum in another order
+    y = cho_solve(reused, rhs, check_finite=False)
+    y -= y.sum(axis=0) / single.size
     return y
 
 
-def _laplacian_entries(stack: ComponentStack):
-    """The one place that decides how a stack's measurements become
+def _recenter(groups: ComponentGroups, flat: np.ndarray) -> None:
+    """Subtract from every component's rows of ``flat`` their mean."""
+    rows, mean = groups._spread(flat, groups._means(flat))
+    rows -= mean
+
+
+def _cell_halves(rows, cols, sizes, starts=None, first=None, per=None):
+    """The flat cells of ``(rows[h], cols[h])``, h = 0, 1, each in its
+    component's size x size block (C order) of a buffer of blocks.
+    Component k has its first node at position ``starts[k]``, its block at
+    ``first[k]`` and the next ``per[k]`` measurements; without ``first``,
+    the components all have size ``sizes[0]`` and start at node 0 and cell
+    0. Each half is written over the one before, so it is used before the
+    next is drawn."""
+    if first is None:
+        p, base = int(sizes[0]), None
+    else:
+        p = np.repeat(sizes, per)
+        base = np.repeat(first - starts * (sizes + 1), per)
+    cell = None
+    for r, c in zip(rows, cols):
+        cell = np.multiply(r, p, out=cell)
+        if base is None:
+            # component k starts at node k p and at cell k p^2, so the
+            # cell of (r, c) is r p + c mod p
+            cell += c % p if len(sizes) > 1 else c
+        else:
+            # cell (r, c) of component k: first + (r - start) p + c - start
+            cell += c
+            cell += base
+        yield cell
+
+
+def _laplacian_entries(groups: ComponentGroups):
+    """The one place that decides how a grouping's measurements become
     Laplacian entries: each adds its own weight ``w``, ``-w`` at (a, b) and
     (b, a) and ``w`` to both degrees.
 
-    Returns ``(rows, cols, off, degree, shift)``: measurement k adds
-    ``off[k]`` at ``(rows[h][k], cols[h][k])`` for h = 0, 1 (flattened rows,
-    local columns); ``degree`` is (count, size); adding ``shift[k]`` to every
-    entry makes L_k nonsingular without changing it on zero-sum vectors.
+    Returns ``(rows, cols, w, degree, shift)``: measurement k subtracts
+    ``w[k]`` at ``(rows[h][k], cols[h][k])`` for h = 0, 1 (positions in
+    the flattened nodes); ``degree`` is shaped like the nodes; adding
+    ``shift[k]`` to every entry makes L_k nonsingular without changing it
+    on zero-sum vectors.
     """
-    g, p = stack.nodes.shape
-    a, b, w = stack.a, stack.b, stack.weights
-    degree = (np.bincount(a, weights=w, minlength=g * p)
-              + np.bincount(b, weights=w, minlength=g * p)).reshape(g, p)
-    i, j = (a, b) if g == 1 else (a % p, b % p)
-    shift = np.maximum(degree.sum(axis=1) / p, 1.0) / p
-    return (a, b), (j, i), -w, degree, shift
+    a, b, w = groups.a, groups.b, groups.weights
+    degree = np.bincount(a, weights=w, minlength=groups.nodes.size)
+    degree += np.bincount(b, weights=w, minlength=groups.nodes.size)
+    # each component's degree sum as a (count, size) stack sums its rows
+    if len(groups.runs) == 1:
+        size = groups.runs[0][0]
+        sums = degree.reshape(-1, size).sum(axis=1)
+    else:
+        starts = groups.starts.tolist()
+        sums = np.concatenate([
+            degree[starts[c0]:starts[c1]].reshape(c1 - c0, size).sum(axis=1)
+            for size, c0, c1 in groups.runs])
+        size = groups.sizes
+    shift = np.maximum(sums / size, 1.0) / size
+    return (a, b), (b, a), w, degree.reshape(groups.nodes.shape), shift
 
 
 def _sparse(stack: ComponentStack):
     """CSR Laplacian of a stack of one, its degrees and its shift."""
-    rows, cols, off, degree, shift = _laplacian_entries(stack)
+    rows, cols, w, degree, shift = _laplacian_entries(stack)
+    off = -w
     diag = np.arange(stack.size)
     L = sp.csr_matrix(
         (np.concatenate([off, off, degree[0]]),
@@ -296,24 +478,23 @@ def _sparse(stack: ComponentStack):
 
 
 def group_components(batch: ObservationBatch, node_count: int,
-                     singletons: bool = False) -> list:
+                     singletons: bool = False) -> ComponentGroups:
     """Group a batch's edges by connected component. Every weight must be
     positive: callers hand in ``batch.nonzero()``, so a chunk's zero
     weights are dropped once, by its caller.
 
-    Returns one ``ComponentStack`` per component size, ascending; isolated
-    nodes form a size-1 stack only with ``singletons``. Inside a stack,
-    components are ordered by smallest member, node ids ascend and edges keep
-    batch order. The stacks' edge arrays are views of one array each, and
-    each temporary is released once used, so grouping holds a few values per
-    node and per edge at a time.
+    Returns the components ordered by (size, smallest member), so each size
+    is one ``ComponentStack`` of the result; isolated nodes form size-1
+    components only with ``singletons``. Node ids ascend inside a component
+    and edges keep batch order. Each temporary is released once used, so
+    grouping holds a few values per node and per edge at a time.
     """
     m, n = batch.m, batch.n
     labels, n_comp = _component_labels(m, n, node_count)
     if n_comp == 1:  # connected: already in order
-        stack = ComponentStack(np.arange(node_count)[None, :], m, n,
-                               batch.weight)
-        return [stack] if node_count > 1 or singletons else []
+        keep = node_count > 1 or singletons
+        return ComponentGroups(np.arange(node_count if keep else 0), m, n,
+                               batch.weight, np.array([node_count] * keep))
     sizes = np.bincount(labels, minlength=n_comp)
     # rank components by (size, label): labels ascend, so a stable sort by
     # size gives that order
@@ -322,36 +503,21 @@ def group_components(batch: ObservationBatch, node_count: int,
     rank[by_size] = np.arange(n_comp)
     labels = rank[labels]  # each node's component rank
     del rank
+    sizes = sizes[by_size]
+    # isolated nodes lead; without singletons they are left out
+    skip = 0 if singletons or sizes[0] > 1 else \
+        int(np.searchsorted(sizes, 2))
     nodes = np.argsort(labels, kind="stable")
     order = np.argsort(labels[m], kind="stable")
-    position = labels  # each node's place in ``nodes``
-    position[nodes] = np.arange(node_count)
+    position = labels  # each node's place in the grouped nodes
+    position[nodes] = np.arange(-skip, node_count - skip)
     a, b = position[m[order]], position[n[order]]
     del labels, position
     w = batch.weight[order]
     del order
-    sizes = sizes[by_size]
-    # the ranks where each run of one size starts, then the nodes they
-    # start at; edges follow their components, so an edge run starts at
-    # the first edge whose endpoint ``a`` lies in the node run
-    runs = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(),
-            n_comp]
-    run_sizes = sizes[runs[:-1]].tolist()
-    starts = [0]
-    for r0, r1, size in zip(runs, runs[1:], run_sizes):
-        starts.append(starts[-1] + (r1 - r0) * size)
-    edge_starts = np.searchsorted(a, starts).tolist()
-    stacks = []
-    for k, size in enumerate(run_sizes):
-        if size < 2 and not singletons:
-            continue
-        n0, n1 = starts[k], starts[k + 1]
-        e0, e1 = edge_starts[k], edge_starts[k + 1]
-        a[e0:e1] -= n0
-        b[e0:e1] -= n0
-        stacks.append(ComponentStack(nodes[n0:n1].reshape(-1, size),
-                                     a[e0:e1], b[e0:e1], w[e0:e1]))
-    return stacks
+    if skip:  # a copy, so that the isolated nodes are not held
+        nodes, sizes = nodes[skip:].copy(), sizes[skip:].copy()
+    return ComponentGroups(nodes, a, b, w, sizes)
 
 
 def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
@@ -361,34 +527,143 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     singleton components with empty edge sets (skipped by all solvers).
     """
     _validate_batch_indices(batch, node_count)
-    comps = [c for stack in group_components(batch.nonzero(), node_count,
-                                             singletons=True)
-             for c in stack.split()]
+    comps = group_components(batch.nonzero(), node_count,
+                             singletons=True).split()
     comps.sort(key=lambda c: c.nodes[0, 0])
     return comps
 
 
-def _shifted_dense(stack: ComponentStack) -> np.ndarray:
-    """(count, size, size): every component's ``L + shift 11^T``,
-    nonsingular and equal to L on zero-sum vectors."""
-    g, p = stack.nodes.shape
-    rows, cols, off, degree, shift = _laplacian_entries(stack)
-    L = np.repeat(shift, p * p)  # every entry starts at its shift
-    # one half at a time, so no temporary exceeds one value per measurement
-    for r, c in zip(rows, cols):
-        flat = r * p
-        flat += c
-        np.add.at(L, flat, off)
-    L = L.reshape(g, p, p)
-    L.reshape(g, p * p)[:, ::p + 1] += degree
-    return L
+def _blocks(groups: ComponentGroups, comps=None) -> list:
+    """Per size, the components ``comps`` (all when None) as ``(size, c0,
+    c1, count, rows, cell)``: the run of components of that size, how many
+    of them are in ``comps``, their rows of the flattened nodes (a slice,
+    or an index array when others of that size lie between them) and where
+    their blocks start when the blocks of ``comps`` lie end to end."""
+    everyone = comps is None or len(comps) == len(groups.sizes)
+    if everyone and len(groups.runs) == 1:
+        size, c0, c1 = groups.runs[0]
+        return [(size, c0, c1, c1, slice(0, groups.nodes.size), 0)]
+    starts = groups.starts
+    bounds = None if everyone else np.searchsorted(
+        comps, [c0 for _, c0, _ in groups.runs] + [len(groups.sizes)]).tolist()
+    out, cell = [], 0
+    for k, (size, c0, c1) in enumerate(groups.runs):
+        if everyone or bounds[k + 1] - bounds[k] == c1 - c0:
+            count, rows = c1 - c0, slice(int(starts[c0]), int(starts[c1]))
+        elif bounds[k + 1] == bounds[k]:
+            continue
+        else:
+            first = starts[comps[bounds[k]:bounds[k + 1]]]
+            count = len(first)
+            rows = (first[:, None] + np.arange(size)).reshape(-1)
+        out.append((size, c0, c1, count, rows, cell))
+        cell += count * size * size
+    return out
 
 
-def _dense_min_norm(stack: ComponentStack, rhs: np.ndarray) -> np.ndarray:
-    """Batched LU min-norm solve of a stack's Laplacian systems; each
-    component is solved alone by the same LAPACK call."""
-    y = np.linalg.solve(_shifted_dense(stack), rhs)
-    y -= y.sum(axis=1, keepdims=True) / stack.size
+def _waves(blocks: list, room: int) -> list:
+    """Consecutive blocks, each wave holding at most as many cells as the
+    largest block plus ``room`` (or one block)."""
+    if len(blocks) < 2:
+        return [blocks] if blocks else []
+    cells = [count * size * size for size, _, _, count, _, _ in blocks]
+    budget = max(cells) + room
+    waves, held = [], None
+    for block, n in zip(blocks, cells):
+        if held is None or held + n > budget:
+            waves.append([])
+            held = 0
+        waves[-1].append(block)
+        held += n
+    return waves
+
+
+def _shifted_dense(groups: ComponentGroups, comps=None, room: int = 0):
+    """The one dense assembly: every component of ``comps`` (all when
+    None) as its ``L + shift 11^T``, nonsingular and equal to L on zero-sum
+    vectors. One pass of ``_laplacian_entries`` and one of ``_cell_halves``
+    serve every component; the matrices are then filled and handed out
+    wave by wave, each wave no larger than the largest size's block plus
+    ``room`` cells (``_waves``). Yields ``(A, blocks)``: a flat buffer of
+    size x size blocks in component order, and per size ``(size, count,
+    rows, cells)``, its components' rows and their slice of ``A``.
+    """
+    rows, cols, w, degree, shift = _laplacian_entries(groups)
+    blocks = _blocks(groups, comps)
+    sizes = groups.sizes
+    cells = sizes * sizes
+    skip = None
+    if comps is not None and len(comps) < len(sizes):
+        keep = np.zeros(len(sizes), dtype=bool)
+        keep[comps] = True
+        cells[~keep] = 0
+        skip = np.repeat(~keep, groups.edge_counts)
+    if skip is None and len(groups.runs) == 1:
+        halves = _cell_halves(rows, cols, sizes)
+    else:
+        halves = _cell_halves(rows, cols, sizes, groups.starts[:-1],
+                              np.cumsum(cells) - cells, groups.edge_counts)
+    waves = _waves(blocks, room)
+    if len(waves) > 1:  # kept for every wave, as int32 while the cells fit
+        halves = [cell.astype(np.int32 if cells.sum() < 2**31 else np.int64)
+                  for cell in halves]
+    degree = degree.reshape(-1)
+    for wave in waves:
+        c0, c1, first = wave[0][1], wave[-1][2], wave[0][5]
+        e0, e1 = ((0, len(w)) if c1 - c0 == len(sizes) else
+                  (int(groups.edge_starts[c0]), int(groups.edge_starts[c1])))
+        # measurements of components left out between the wave's own land
+        # in a first, spare cell
+        spare = int(sum(block[3] for block in wave) < c1 - c0)
+        if spare:
+            A = np.repeat(np.r_[0.0, shift[c0:c1]], np.r_[1, cells[c0:c1]])
+        else:
+            A = np.repeat(shift[c0:c1], cells[c0:c1])  # entries start at it
+        offset = first - spare  # the global cell at A[0]
+        for cell in halves:
+            local = cell[e0:e1] - offset if offset else cell[e0:e1]
+            if spare:
+                local[skip[e0:e1]] = 0
+            np.subtract.at(A, local, w[e0:e1])
+        out = []
+        for size, _, _, count, nodes, at in wave:
+            n = count * size * size
+            block = slice(at - offset, at - offset + n)
+            A[block].reshape(count, size * size)[:, ::size + 1] += \
+                degree[nodes].reshape(count, size)
+            out.append((size, count, nodes, block))
+        yield A, out
+        del A, out  # released before the next wave is filled
+
+
+def _lu_solve(groups: ComponentGroups, flat: np.ndarray, comps=None) -> None:
+    """Overwrite the rows of ``flat`` of every component of ``comps`` (all
+    when None) with its solve against ``L + shift 11^T``, not yet
+    recentered: one assembly, then one LAPACK call per size, which solves
+    each matrix alone.
+
+    A wave of the assembly may exceed the largest size's block by as many
+    cells as ``flat`` has values: what a per-size solve held besides that
+    block, the B(X)X rows its caller kept alive, was at least as large. So
+    a small grouping is one wave, and a large one holds no more than the
+    per-size solve did."""
+    dim = flat.shape[1]
+    for A, blocks in _shifted_dense(groups, comps, flat.size):
+        for size, count, rows, cells in blocks:
+            flat[rows] = np.linalg.solve(
+                A[cells].reshape(count, size, size),
+                flat[rows].reshape(count, size, dim)).reshape(-1, dim)
+        del A
+
+
+def _dense_min_norm(groups: ComponentGroups, rhs: np.ndarray) -> np.ndarray:
+    """LU min-norm solve of every component, whatever its route: the CG
+    fallback, and the reference the routes are tested against. ``rhs`` as
+    in ``_RoutedStack.solve``."""
+    y = np.array(rhs, dtype=np.float64)
+    flat = y.reshape(-1, y.shape[-1])
+    _lu_solve(groups, flat)
+    _recenter(groups, flat)
     return y
 
 
@@ -396,7 +671,8 @@ def _cholesky(stack: ComponentStack):
     """``cho_factor`` of a stack of one's ``L + shift 11^T``, factored in
     place (the matrix is symmetric, so its transpose is the Fortran-ordered
     copy LAPACK works on); None when Cholesky fails on round-off."""
-    A = _shifted_dense(stack)[0].T
+    [(A, _)] = _shifted_dense(stack)
+    A = A.reshape(stack.size, stack.size).T
     try:
         return cho_factor(A, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:

@@ -4,17 +4,18 @@ All updates share one structure: per connected component of the measurement
 graph, solve a Laplacian system against the majorization matrix of the
 current configuration. ``_b_times_x`` forms B^eps(X)X once per batch, in
 batch order; the batch and incremental rules group the batch with
-``graph_linalg.group_components`` and solve each stack of equal-size
-components against its rows of that in one ``ComponentStack.solve`` call.
-The incremental rule blends that solution with the previous coordinates
-through the step size ``mu``; each component's center is preserved exactly.
+``graph_linalg.group_components`` and solve all its components against
+their rows of that in one pass (``graph_linalg._RoutedStack``). The
+incremental rule blends that solution with the previous coordinates through
+the step size ``mu``, over all grouped rows at once; each component's
+center is preserved exactly.
 
 A batch-majorization run iterates on one fixed batch, so it builds a
-``_BatchPlan`` once: the batch grouped, each stack routed and factored
-(``graph_linalg._RoutedStack``), and three work vectors of one value per
-measurement. Each iterate takes the new embedding's stress from the same
-edge lengths that give the next iterate's B(X). Stress counts
-positive-weight measurements only: a zero-weight row may carry any delta.
+``_BatchPlan`` once: the batch grouped, routed and factored, and three work
+vectors of one value per measurement. Each iterate takes the new
+embedding's stress from the same edge lengths that give the next iterate's
+B(X). Stress counts positive-weight measurements only: a zero-weight row
+may carry any delta.
 """
 
 from __future__ import annotations
@@ -96,9 +97,11 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
 
     Components are recentered at the origin (the minimum-norm solution);
     nodes without usable measurements are left unchanged. Stress never
-    increases. A run that iterates on one batch passes the ``_BatchPlan``
-    it built for that batch once, and gets the same iterate without
-    grouping, routing or factoring the batch again.
+    increases. All components are solved in one pass: one gather of their
+    rows of B(X)X, one dense assembly with one LU call per size, one
+    scatter. A run that iterates on one batch passes the ``_BatchPlan`` it
+    built for that batch once, and gets the same iterate without grouping,
+    routing or factoring the batch again.
     """
     if plan is not None:
         return plan.iterate(X)
@@ -108,8 +111,8 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
     coef, diff = _regularized_coeffs(Xn, live.m, live.n, live.weight,
                                      live.delta, 0.0)
     bx = _b_times_x(Xn, live.m, live.n, coef, diff.T)
-    for stack in group_components(live, X.shape[0]):
-        Xn[stack.nodes] = stack.solve(np.take(bx, stack.nodes, axis=0))
+    groups = group_components(live, X.shape[0])
+    Xn[groups.nodes] = groups.solve(np.take(bx, groups.nodes, axis=0))
     return Xn
 
 
@@ -123,7 +126,8 @@ class _BatchPlan:
     """A fixed batch prepared once for a run of majorization iterates.
 
     Grouping, routes and factorizations depend only on the batch, so the
-    plan groups it once and keeps each stack's factored ``_RoutedStack``.
+    plan groups it once and keeps its ``_RoutedStack``, factored per
+    component.
     It also owns three work vectors of one value per measurement, in batch
     order: the coefficients w * delta / d of B(X), and two scratch vectors
     for per-column gathers (no (E, dim) difference array is kept).
@@ -144,9 +148,8 @@ class _BatchPlan:
         _validate_batch_indices(batch, node_count)
         self.batch = batch
         self.delta = batch._live_delta()
-        self.parts = [(stack.nodes, _RoutedStack(stack).keep_factors())
-                      for stack in group_components(batch.nonzero(),
-                                                    node_count)]
+        self.routes = _RoutedStack(
+            group_components(batch.nonzero(), node_count)).keep_factors()
         e = len(batch)
         self.coef, self.s, self.t = np.empty(e), np.empty(e), np.empty(e)
         self._at, self._stress = None, 0.0
@@ -196,8 +199,8 @@ class _BatchPlan:
         bx = _b_times_x(X, b.m, b.n, self.coef,
                         (self._diff(X[:, col]) for col in range(X.shape[1])))
         Xn = np.array(X, dtype=np.float64, copy=True)
-        for nodes, solver in self.parts:
-            Xn[nodes] = solver.solve(np.take(bx, nodes, axis=0))
+        nodes = self.routes.groups.nodes
+        Xn[nodes] = self.routes.solve_in_place(np.take(bx, nodes, axis=0))
         if _all_finite(Xn):
             self._measure(Xn)
         return Xn
@@ -246,8 +249,17 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     rides at 0) or at least ``cfg.eps_w``; zero weights are dropped here,
     once. ``nodes`` are distinct rows. B^eps(X)X is formed over them before
     any is written, and components own disjoint rows, so every row is
-    updated from its current value. The gathered rows and the edge
-    coefficients are released once B^eps(X)X is formed, before grouping.
+    updated from its current value.
+
+    After grouping, the chunk is one pass, not one per size: the grouped
+    rows of B^eps(X)X are gathered once and solved in place
+    (``_RoutedStack.solve_in_place``), and the blend takes every
+    component's center at once (``np.bincount`` over component labels,
+    summing as each size's own sum did) and is written over the gathered
+    rows in the per-stack order of operations, so the result is the same
+    bit for bit. The gathered rows, the edge coefficients and B^eps(X)X are
+    released as soon as they are used; so is the batch once grouped, when
+    the caller passed it on without keeping it (``_apply_slot`` does).
     """
     mu = cfg.mu
     if mu == 0.0:
@@ -258,13 +270,25 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
                                      live.delta, cfg.eps_x)
     bx = _b_times_x(X, live.m, live.n, coef, diff.T)
     del X, coef, diff
-    for stack in group_components(live, len(nodes)):
-        rows = nodes[stack.nodes]
-        Xc = np.take(Xn, rows, axis=0)
-        y = stack.solve(np.take(bx, stack.nodes, axis=0))
-        # the mean as np.mean forms it, without its per-call overhead
-        center = Xc.sum(axis=1, keepdims=True) / stack.size
-        Xn[rows] = (1.0 - mu) * Xc + mu * center + mu * y
+    groups = group_components(live, len(nodes))
+    del batch, live
+    if not len(groups):
+        return
+    y = np.take(bx, groups.nodes, axis=0)
+    del bx
+    _RoutedStack(groups).solve_in_place(y)
+    rows = nodes[groups.nodes]
+    Xc = np.take(Xn, rows, axis=0)
+    # (1 - mu) Xc + mu center + mu y, in that order, with the mean as
+    # np.mean forms it, written over Xc
+    center = groups._means(Xc)
+    Xc *= 1.0 - mu
+    center *= mu
+    rows_of, center = groups._spread(Xc, center)
+    rows_of += center
+    y *= mu
+    Xc += y
+    Xn[rows] = Xc
 
 
 def spe_step(xi: np.ndarray, xj: np.ndarray, delta: float, mu: float):
@@ -320,6 +344,15 @@ def upsilon(N: int, p: int) -> float:
     return N * (p - 1) / (p * (N - 1))
 
 
+def _check_cluster_size(node_count: int, p: int) -> None:
+    """The size-p cluster scheme of the expected update needs
+    2 <= p <= N and p dividing N; anything else raises ValueError."""
+    if not 2 <= p <= node_count:
+        raise ValueError(f"cluster size p={p} out of range for N={node_count}")
+    if node_count % p != 0:
+        raise ValueError(f"p={p} must divide N={node_count}")
+
+
 def closed_form_b_average(
     X: np.ndarray,
     expected_deltas: np.ndarray,
@@ -334,10 +367,7 @@ def closed_form_b_average(
     """
     X = np.asarray(X, dtype=np.float64)
     N = X.shape[0]
-    if not 2 <= p <= N:
-        raise ValueError(f"cluster size p={p} out of range for N={N}")
-    if N % p != 0:
-        raise ValueError(f"p={p} must divide N={N}")
+    _check_cluster_size(N, p)
     expected_deltas = np.asarray(expected_deltas, dtype=np.float64)
     if expected_deltas.shape != (N, N):
         raise ValueError("expected_deltas must be an N x N matrix")

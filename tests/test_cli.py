@@ -336,6 +336,23 @@ class TestSubcommands:
         assert all(b <= a + 1e-9 * (1 + a)
                    for a, b in zip(stresses, stresses[1:]))
 
+    @pytest.mark.parametrize("p, message", [
+        ("5", "cluster size p=5 out of range for N=3"),
+        ("2", "p=2 must divide N=3"),
+    ])
+    def test_closed_form_oracle_checks_p_before_first_slot(self, p, message,
+                                                          tmp_path, capsys):
+        """The closed-form oracle checks its cluster size before the first
+        slot, so a run of no slots fails as a longer run does."""
+        path = tmp_path / "e.tsv"
+        path.write_text("0\t1\t1.0\n1\t2\t1.0\n0\t2\t1.5\n")
+        out = tmp_path / "emb.csv"
+        code = main(["oracle", "--mode", "closed_form", "--input", str(path),
+                     "--p", p, "--slots", "0", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_sparse_edge_list_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "sparse.tsv"
         path.write_text("0\t1\t1.0\n1\t2\t1.0\n2\t3\t1.0\n3\t0\t1.0\n")

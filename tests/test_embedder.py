@@ -701,6 +701,34 @@ class TestSlotKernel:
             tracemalloc.stop()
         assert peak < 4.0 * init.nbytes
 
+    def test_small_slot_memory_stays_at_its_per_stack_level(self):
+        """One warm slot of the 100-node reference shape (p = 25, fraction
+        0.35), a single chunk whose four clusters form one stack, traced
+        with the embedding and its copy made before tracing. The per-stack
+        kernel read about 76 KB (47.8 embeddings) here; the one-pass kernel
+        reads about 57 KB (35.8). The bound is the per-stack figure plus 5%,
+        so a chunk that is one stack holds no more than it did."""
+        n = 100
+        provider, _ = planar_provider(n, seed=9)
+        init = random_init(n, 2, np.random.default_rng(10), 10.0)
+        sampler = SamplerConfig(p=25, fraction=0.35, seed=11)
+        plan = embedder._slot_plan(n, sampler)
+
+        def slot(t, Xn):
+            embedder._apply_slot(Xn, provider, plan, sampler,
+                                 substream(sampler.seed, "partition", t), 0.1,
+                                 StepConfig(), 0.1, "stochastic")
+
+        slot(0, init.copy())
+        Xn = init.copy()
+        tracemalloc.start()
+        try:
+            slot(1, Xn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 47.8 * init.nbytes
+
 
 class TestRunAveragedOracle:
     def test_single_sample_equals_one_stochastic_path(self):

@@ -5,6 +5,8 @@ connected component; the tests read node ids from ``nodes[0]``, degrees from
 ``_laplacian_entries`` and dense matrices from ``_sparse``, the assembly the
 CG solve and ``algebraic_connectivity`` run on."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,7 +388,7 @@ class TestCompleteClosedForm:
         np.testing.assert_array_equal(stack._complete_weights(),
                                       [1.0, 0.5, 0.0, 1.0, 0.0])
         rhs = zero_sum_rhs(rng, 5, size)
-        calls = spy(monkeypatch, "_dense_min_norm")
+        calls = spy(monkeypatch, "_shifted_dense")
         got = stack.solve(rhs)
         assert len(calls) == 1
         for k, single in enumerate(stack.split()):
@@ -433,7 +435,7 @@ class TestCompleteClosedForm:
     def test_not_complete_takes_dense(self, entries, monkeypatch):
         [stack] = group_components(batch(entries), 4)
         assert stack._complete_weights() is None
-        calls = spy(monkeypatch, "_dense_min_norm")
+        calls = spy(monkeypatch, "_shifted_dense")
         rhs = zero_sum_rhs(np.random.default_rng(32), 1, 4)
         got = stack.solve(rhs)
         assert len(calls) == 1
@@ -462,7 +464,7 @@ class TestFactoredStack:
         [stack] = group_components(batch(entries), 4 * size)
         factored = _RoutedStack(stack).keep_factors()
         assert len(factored.kept) == 2  # the two incomplete components
-        calls = spy(monkeypatch, "_dense_min_norm")
+        calls = spy(monkeypatch, "_shifted_dense")
         for _ in range(3):  # reused, never refactored
             rhs = zero_sum_rhs(rng, 4, size)
             got, want = factored.solve(rhs), stack.solve(rhs)
@@ -528,3 +530,146 @@ class TestAlgebraicConnectivity:
             lap = build_laplacian(random_connected_graph(rng, p, eps_w), p)[0]
             a = algebraic_connectivity(lap)
             assert a >= 2 * eps_w / (p - 1) ** 2 - 1e-12
+
+
+def plain_component(p, edges):
+    """One component's ``L + shift 11^T`` entry by entry: the shift, then
+    -w at every (i, j) in measurement order, then at every (j, i), then the
+    degree, each end's sum taken in measurement order."""
+    ends = np.zeros((2, p))
+    for i, j, w in edges:
+        ends[0, i] += w
+    for i, j, w in edges:
+        ends[1, j] += w
+    degree = ends[0] + ends[1]
+    L = np.full((p, p), max(degree.sum() / p, 1.0) / p)
+    for i, j, w in edges:
+        L[i, j] -= w
+    for i, j, w in edges:
+        L[j, i] -= w
+    L[np.arange(p), np.arange(p)] += degree
+    return L
+
+
+def plain_solve(p, edges, rhs):
+    """One component's min-norm solve by the route a plain reading of its
+    measurements picks: closed form when every pair is measured once at one
+    weight, CG above ``DENSE_SOLVER_MAX``, else one LU solve."""
+    pairs = [(min(i, j), max(i, j)) for i, j, _ in edges]
+    weights = {w for _, _, w in edges}
+    complete = (len(pairs) == p * (p - 1) // 2 == len(set(pairs))
+                and all(i != j for i, j in pairs) and len(weights) == 1)
+    if complete:
+        y = rhs / (weights.pop() * p)
+    elif p > DENSE_SOLVER_MAX:
+        a, b, w = (np.array(col) for col in zip(*edges))
+        return graph_linalg._solve_cg(
+            graph_linalg.ComponentStack(np.arange(p)[None], a, b, w), rhs)
+    else:
+        y = np.linalg.solve(plain_component(p, edges), rhs)
+    return y - y.sum(axis=0) / p
+
+
+@st.composite
+def groupings(draw):
+    """Components of mixed sizes 2-40, open ones (a random tree, extra
+    pairs, some pairs measured twice) and complete ones at one weight,
+    each complete one with an open twin of its size; maybe one open
+    component above ``DENSE_SOLVER_MAX``."""
+    sizes = draw(st.lists(st.integers(2, 40), min_size=1, max_size=7))
+    complete = draw(st.lists(st.booleans(), min_size=len(sizes),
+                             max_size=len(sizes)))
+    sizes += [s for s, c in zip(sizes, complete) if c]
+    complete += [False] * (len(sizes) - len(complete))
+    if draw(st.integers(0, 3)) == 0:
+        sizes.append(DENSE_SOLVER_MAX + 8)
+        complete.append(False)
+    return (sizes, complete, draw(st.sampled_from([1, 2, 3])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def grouping_instance(sizes, complete, seed):
+    """A batch of the given components over shuffled node ids, in random
+    measurement order and orientation, and per component, keyed by its
+    smallest id, (sorted ids, local measurements in batch order)."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(sum(sizes))
+    starts = np.cumsum([0, *sizes])
+    rows = []
+    for size, full, nodes in zip(sizes, complete,
+                                 np.split(ids, starts[1:-1])):
+        if full:
+            iu, ju = np.triu_indices(size, k=1)
+            pairs, w = list(zip(iu.tolist(), ju.tolist())), rng.uniform(0.1, 2)
+            weights = [w] * len(pairs)
+        else:
+            pairs = [(int(rng.integers(0, v)), v) for v in range(1, size)]
+            pairs += [tuple(rng.choice(size, 2, replace=False).tolist())
+                      for _ in range(size // 2)]
+            pairs += [pairs[k] for k in rng.choice(len(pairs), 2)]  # twice
+            weights = rng.uniform(0.1, 2, len(pairs)).tolist()
+        for (u, v), w in zip(pairs, weights):
+            if rng.random() < 0.5:
+                u, v = v, u
+            rows.append((int(nodes[u]), int(nodes[v]), 1.0, w))
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    owner, local, comps = {}, {}, {}
+    for nodes in np.split(ids, starts[1:-1]):
+        nodes = np.sort(nodes)
+        comps[int(nodes[0])] = (nodes, [])
+        for k, v in enumerate(nodes.tolist()):
+            owner[v], local[v] = int(nodes[0]), k
+    for a, b, _, w in rows:
+        comps[owner[a]][1].append((local[a], local[b], w))
+    return ObservationBatch.from_entries(rows), comps
+
+
+class TestGroupingAgainstPlainReference:
+    """The grouping-wide assembly and solve against a per-component
+    reference built entry by entry, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(groupings())
+    def test_assembly_and_solve(self, case):
+        sizes, complete, dim, seed = case
+        batch, comps = grouping_instance(sizes, complete, seed)
+        groups = group_components(batch, sum(sizes))
+        assert sorted(groups.sizes.tolist()) == sorted(sizes)
+        starts = groups.starts.tolist()
+        owner = {}
+        for k in range(len(groups.sizes)):
+            nodes, edges = comps[int(groups.nodes[starts[k]])]
+            assert groups.nodes[starts[k]:starts[k + 1]].tolist() == \
+                nodes.tolist()
+            owner[k] = (len(nodes), edges)
+        # the one assembly, of every component below the dense limit and
+        # of the open ones alone (complete twins left out between them)
+        small = groups.sizes <= DENSE_SOLVER_MAX
+        w = groups._complete_weights()
+        for comps in (np.flatnonzero(small),
+                      np.flatnonzero(small & ((w == 0) if w is not None
+                                              else True))):
+            assembled = []
+            for A, blocks in graph_linalg._shifted_dense(groups, comps):
+                for size, count, rows, cells in blocks:
+                    first = (np.arange(rows.start, rows.stop, size)
+                             if isinstance(rows, slice) else rows[::size])
+                    for k, block in zip(np.searchsorted(starts, first),
+                                        A[cells].reshape(count, size, size)):
+                        assert np.array_equal(block,
+                                              plain_component(*owner[k]))
+                        assembled.append(k)
+            assert assembled == comps.tolist()
+        # the routed solve
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal((len(groups.nodes), dim))
+        for k in range(len(groups.sizes)):
+            rhs[starts[k]:starts[k + 1]] -= \
+                rhs[starts[k]:starts[k + 1]].mean(axis=0)
+        with mock.patch.object(graph_linalg, "_solve_cg",
+                               wraps=graph_linalg._solve_cg) as cg:
+            got = groups.solve(rhs)
+        assert cg.call_count == sum(s > DENSE_SOLVER_MAX for s in sizes)
+        for k, (p, edges) in owner.items():
+            want = plain_solve(p, edges, rhs[starts[k]:starts[k + 1]])
+            assert np.array_equal(got[starts[k]:starts[k + 1]], want), k

@@ -20,7 +20,10 @@ from stochmds import (
     upsilon,
 )
 from stochmds import MuSchedule, graph_linalg, run_stochastic, stress_core
+from stochmds.data_io import FeatureProvider
+from stochmds.embedder import _sample_chunk, _slot_plan
 from stochmds.graph_linalg import DENSE_SOLVER_MAX, group_components
+from stochmds.sampling import SamplerConfig
 from stochmds.stress_core import _b_times_x, _damped_update, \
     _regularized_coeffs
 
@@ -527,6 +530,114 @@ class TestComponentLayerReference:
         np.testing.assert_allclose(smacof_iterate(X, batch), want_smacof,
                                    rtol=1e-9, atol=1e-9)
         assert len(cg_calls) >= 2  # one per update
+
+
+def _per_stack_update(Xn, batch, cfg, nodes):
+    """The update one size-stack at a time: each stack's own route,
+    solve, center and blend, as the kernel applied it before it took a
+    whole chunk in one pass."""
+    mu = cfg.mu
+    live = batch.nonzero()
+    X = np.take(Xn, nodes, axis=0)
+    coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
+                                     live.delta, cfg.eps_x)
+    bx = _b_times_x(X, live.m, live.n, coef, diff.T)
+    for stack in group_components(live, len(nodes)):
+        rows = nodes[stack.nodes]
+        Xc = np.take(Xn, rows, axis=0)
+        y = stack.solve(np.take(bx, stack.nodes, axis=0))
+        center = Xc.sum(axis=1, keepdims=True) / stack.size
+        Xn[rows] = (1.0 - mu) * Xc + mu * center + mu * y
+
+
+def _star_batch(rng, node_count, stars):
+    """A protocol round's batch in local ids: each star a head, then its
+    members, each member measured to its head, a timed-out star at weight
+    0; and the distinct rows the stars hold."""
+    sizes = rng.integers(2, 12, stars)
+    nodes = rng.choice(node_count, int(sizes.sum()), replace=False)
+    heads = np.cumsum(sizes) - sizes
+    m = np.repeat(heads, sizes - 1)
+    k = np.delete(np.arange(len(nodes)), heads)
+    ride = (rng.random(stars) < 0.85).astype(float)
+    return (ObservationBatch(m, k, rng.uniform(0.5, 3.0, len(m)),
+                             np.repeat(ride, sizes - 1)), nodes)
+
+
+class TestChunkKernelAgainstPerStack:
+    """``_damped_update`` takes a chunk's components in one pass; it must
+    give what the per-stack loop gives, bit for bit."""
+
+    @pytest.mark.parametrize("n, p, q, fraction, scheme", [
+        (100, 25, None, 0.35, "unity"),
+        (1001, 7, 5, None, "sammon"),
+        (5000, 100, 50, None, "unity"),
+        (300, 12, None, 1.0, "sammon"),
+        (300, 12, None, 1.0, "unity"),
+        (2000, 2, 1, None, "unity"),
+    ])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slot_chunks(self, n, p, q, fraction, scheme, dim):
+        rng = np.random.default_rng([n, p, dim])
+        provider = FeatureProvider(rng.random((n, 2)) * 10, metric="euclidean")
+        sampler = SamplerConfig(p=p, q=q, fraction=fraction, scheme=scheme)
+        X = rng.standard_normal((n, dim)) * 5
+        perm = rng.permutation(n)
+        for span, sizes, counts in _slot_plan(n, sampler)[:3]:
+            nodes = perm[span]
+            batch = _sample_chunk(provider, nodes, sizes, counts, sampler,
+                                  rng, 0.3, 1e-6, clamp=True)
+            cfg = StepConfig(mu=0.3, eps_x=1e-8)
+            got, want = X.copy(), X.copy()
+            _damped_update(got, batch, cfg, nodes)
+            _per_stack_update(want, batch, cfg, nodes)
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, X)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_star_batches(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((200, dim)) * 5
+        batch, nodes = _star_batch(rng, 200, int(rng.integers(1, 16)))
+        cfg = StepConfig(mu=0.5, eps_x=1e-8)
+        got, want = X.copy(), X.copy()
+        _damped_update(got, batch, cfg, nodes)
+        _per_stack_update(want, batch, cfg, nodes)
+        assert np.array_equal(got, want)
+
+    def test_large_chunk_assembles_once_and_solves_once_per_size(
+            self, monkeypatch):
+        """A chunk of an N = 40,000, p = 100, q = 50 slot: one dense
+        assembly, and one LAPACK call per size that some component not
+        solved in closed form has."""
+        n = 40_000
+        rng = np.random.default_rng(7)
+        provider = FeatureProvider(rng.random((n, 2)) * 200,
+                                   metric="euclidean")
+        sampler = SamplerConfig(p=100, q=50)
+        span, sizes, counts = _slot_plan(n, sampler)[0]
+        nodes = rng.permutation(n)[span]
+        batch = _sample_chunk(provider, nodes, sizes, counts, sampler, rng,
+                              0.0, 1e-6, clamp=True)
+        dense = set()
+        for comp in group_components(batch, len(nodes)).split():
+            pairs = {(min(a, b), max(a, b)) for a, b in
+                     zip(comp.a.tolist(), comp.b.tolist())}
+            complete = (len(pairs) == comp.nnz == comp.size * (comp.size - 1)
+                        // 2 and len(set(comp.weights.tolist())) == 1)
+            if not complete:
+                dense.add(comp.size)
+        assembled, solved = [], []
+        real_assembly, real_solve = graph_linalg._shifted_dense, np.linalg.solve
+        monkeypatch.setattr(graph_linalg, "_shifted_dense",
+                            lambda *a: assembled.append(1) or real_assembly(*a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: solved.append(A.shape[-1])
+                            or real_solve(A, b))
+        _damped_update(rng.random((n, 2)), batch, StepConfig(mu=0.1), nodes)
+        assert len(assembled) == 1
+        assert solved == sorted(dense) and len(dense) > 15
 
 
 def _stress_fancy(X, batch):
