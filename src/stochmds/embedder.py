@@ -340,16 +340,14 @@ def _apply_slot(Xn, provider, plan: list, sampler: SamplerConfig,
     cfg = replace(step, mu=mu)
     for span, sizes, counts in plan:
         nodes = perm[span]
-        chunk = (provider, nodes, sizes, counts, sampler, rng, noise_sigma,
-                 step.eps_w)
-        # each batch is passed on, not kept, so it is released once used
-        # (by _damped_update once it is grouped)
+        batch = _sample_chunk(provider, nodes, sizes, counts, sampler, rng,
+                              noise_sigma, step.eps_w, clamp=(mode != "sgd"))
         if mode == "sgd":
-            Xn[nodes] = _sgd_step(Xn[nodes], _sample_chunk(*chunk, clamp=False),
-                                  mu)
+            Xn[nodes] = _sgd_step(Xn[nodes], batch, mu)
         else:
-            _damped_update(Xn, _sample_chunk(*chunk, clamp=True), cfg, nodes)
-        pairs += sum(counts)
+            _damped_update(Xn, batch, cfg, nodes)
+        pairs += len(batch)
+        del batch  # released before the next chunk is sampled
     return pairs
 
 

@@ -28,13 +28,12 @@ in one pass (``_RoutedStack``), whatever its number of sizes:
   step.
 
 Batch majorization, whose batch is fixed, has ``_RoutedStack`` keep each
-component's factor instead. As a sequence, a grouping is one
-``ComponentStack`` per size, a grouping of one size; ``build_laplacian``
-returns one stack per connected component and ``algebraic_connectivity``
-takes one. ``_laplacian_entries`` alone decides how measurements become
-Laplacian entries (a pair measured twice counts twice); the dense assembly
-and ``_sparse``, the CSR form behind CG and ``algebraic_connectivity``, read
-it.
+component's factor instead. A ``ComponentStack`` is a grouping of one
+size; ``build_laplacian`` returns one stack per connected component and
+``algebraic_connectivity`` takes one. ``_laplacian_entries`` alone
+decides how measurements become Laplacian entries (a pair measured twice
+counts twice); the dense assembly and ``_sparse``, the CSR form behind CG
+and ``algebraic_connectivity``, read it.
 """
 
 from __future__ import annotations
@@ -116,8 +115,7 @@ class ComponentGroups:
     one component after another, and ``sizes`` the component sizes, which
     never decrease. Edge endpoints ``a`` and ``b`` index the flattened
     ``nodes``; edges keep their measured orientation and are grouped by
-    component. As a sequence, a grouping is one ``ComponentStack`` per run
-    of equal sizes.
+    component. ``runs`` lists, per size, the range of its components.
     """
 
     nodes: np.ndarray
@@ -129,23 +127,18 @@ class ComponentGroups:
     def __post_init__(self):
         # (size, first, end): the components of each size, a range
         sizes = self.sizes
-        if len(sizes) == 0:
-            self.runs = []
-        elif sizes[0] == sizes[-1]:
+        if len(sizes) and sizes[0] == sizes[-1]:
             self.runs = [(int(sizes[0]), 0, len(sizes))]
-        else:
-            cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
-            bounds = [0, *cuts, len(sizes)]
-            self.runs = [(int(sizes[c0]), c0, c1)
-                         for c0, c1 in zip(bounds, bounds[1:])]
+            return
+        cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+        bounds = [0, *cuts, len(sizes)] if len(sizes) else []
+        self.runs = [(int(sizes[c0]), c0, c1)
+                     for c0, c1 in zip(bounds, bounds[1:])]
 
     @cached_property
     def starts(self) -> np.ndarray:
         """Where each component's nodes start in the flattened ``nodes``,
         then the node count."""
-        if len(self.runs) == 1:
-            size = self.runs[0][0]
-            return np.arange(0, size * (len(self.sizes) + 1), size)
         out = np.zeros(len(self.sizes) + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=out[1:])
         return out
@@ -160,21 +153,8 @@ class ComponentGroups:
     @cached_property
     def edge_counts(self) -> np.ndarray:
         """Measurements per component."""
-        if len(self.runs) == 1:  # component k holds nodes k size onwards
-            return np.bincount(self.a // self.runs[0][0],
-                               minlength=len(self.sizes))
         starts = self.edge_starts
         return starts[1:] - starts[:-1]
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __getitem__(self, k: int) -> ComponentStack:
-        _, c0, c1 = self.runs[k]
-        return self._stack(c0, c1)
-
-    def __iter__(self):
-        return (self._stack(c0, c1) for _, c0, c1 in self.runs)
 
     def split(self) -> list:
         """Each component as a stack of one, in order."""
@@ -205,10 +185,6 @@ class ComponentGroups:
         regular without being complete.
         """
         sizes, per = self.sizes, self.edge_counts
-        if len(self.runs) == 1:  # one size: one test first
-            size = self.runs[0][0]
-            if size < 2 or not (per == size * (size - 1) // 2).any():
-                return None
         half = sizes * (sizes - 1) // 2
         cand = (per == half) & (half > 0)
         if not cand.any():
@@ -218,23 +194,19 @@ class ComponentGroups:
         if not everyone:
             edges = np.repeat(cand, per)
             a, b, w = a[edges], b[edges], w[edges]
-        p, half = sizes[cand], half[cand]
-        cells = p * p
+        cells = np.where(cand, sizes * sizes, 0)  # the others get no block
         first = np.cumsum(cells) - cells
         seen = np.zeros(int(first[-1] + cells[-1]), dtype=bool)
-        cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
-        for k0, k1 in zip(cuts, cuts[1:]):
-            size = int(p[k0])
-            block = seen[first[k0]:first[k0] + (k1 - k0) * size * size]
-            block.reshape(k1 - k0, size * size)[:, ::size + 1] = True
-        halves = (_cell_halves((a, b), (b, a), p) if everyone and len(cuts) == 2
-                  else _cell_halves((a, b), (b, a), p, self.starts[:-1][cand],
-                                    first, half))
-        for key in halves:
+        row, col = _block_cells(self.starts, sizes, first)
+        diagonal = row + col
+        seen[diagonal if everyone else diagonal[np.repeat(cand, sizes)]] = True
+        del diagonal
+        for key in _cell_halves((a, b), (b, a), row, col):
             seen[key] = True
+        half = half[cand]
         head = np.cumsum(half) - half  # each candidate's first measurement
         w0 = np.minimum.reduceat(w, head)
-        ok = (np.logical_and.reduceat(seen, first)
+        ok = (np.logical_and.reduceat(seen, first[cand])
               & (w0 == np.maximum.reduceat(w, head)))
         if not ok.any():
             return None
@@ -248,13 +220,13 @@ class ComponentGroups:
         sums it: down each column in row order, as ``np.bincount`` over
         component labels sums, except in one dimension, where numpy sums
         the contiguous column pairwise. So the sums are taken per size in
-        one dimension or when there are no more sizes than dimensions (the
-        fewer calls), and by one ``np.bincount`` per dimension otherwise."""
+        one dimension and by one ``np.bincount`` per dimension otherwise,
+        unless there is one size."""
         dim = v.shape[1]
         if len(self.runs) == 1:
             size = self.runs[0][0]
             return v.reshape(-1, size, dim).sum(axis=1) / size
-        if dim == 1 or len(self.runs) <= dim:
+        if dim == 1:
             starts = self.starts.tolist()
             sums = np.concatenate([
                 v[starts[c0]:starts[c1]].reshape(c1 - c0, size, dim)
@@ -266,14 +238,10 @@ class ComponentGroups:
                 sums[:, col] = np.bincount(labels, weights=v[:, col])
         return sums / self.sizes[:, None]
 
-    def _spread(self, v: np.ndarray, values: np.ndarray):
-        """``v`` (one row per node) and ``values`` (one row per component)
-        in shapes that line each node up with its component's row: as they
-        are, repeated, or for one size as (count, size, dim) and
-        (count, 1, dim) views."""
-        if len(self.runs) == 1:
-            return v.reshape(len(self.sizes), -1, v.shape[1]), values[:, None]
-        return v, np.repeat(values, self.sizes, axis=0)
+    def _spread(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (one row per component) repeated for each of its
+        nodes, one row per node."""
+        return np.repeat(values, self.sizes, axis=0)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm ``y_k`` with ``L_k y_k = rhs_k`` for every component
@@ -373,7 +341,7 @@ class _RoutedStack:
     def solve_in_place(self, y: np.ndarray) -> np.ndarray:
         """``solve`` written over ``y``, a C-ordered right-hand side."""
         groups = self.groups
-        if not len(groups):
+        if not len(groups.sizes):
             return y
         flat = y.reshape(-1, y.shape[-1])
         # solved first, from their own right-hand sides
@@ -406,34 +374,41 @@ def _solve_alone(single: ComponentStack, rhs: np.ndarray, reused):
 
 def _recenter(groups: ComponentGroups, flat: np.ndarray) -> None:
     """Subtract from every component's rows of ``flat`` their mean."""
-    rows, mean = groups._spread(flat, groups._means(flat))
-    rows -= mean
+    flat -= groups._spread(groups._means(flat))
 
 
-def _cell_halves(rows, cols, sizes, starts=None, first=None, per=None):
-    """The flat cells of ``(rows[h], cols[h])``, h = 0, 1, each in its
-    component's size x size block (C order) of a buffer of blocks.
-    Component k has its first node at position ``starts[k]``, its block at
-    ``first[k]`` and the next ``per[k]`` measurements; without ``first``,
-    the components all have size ``sizes[0]`` and start at node 0 and cell
-    0. Each half is written over the one before, so it is used before the
-    next is drawn."""
-    if first is None:
-        p, base = int(sizes[0]), None
-    else:
-        p = np.repeat(sizes, per)
-        base = np.repeat(first - starts * (sizes + 1), per)
+def _block_cells(starts, sizes, first):
+    """Per node of a grouping whose component k starts at node
+    ``starts[k]`` and owns the size x size block (C order) at cell
+    ``first[k]`` of a buffer of blocks: where the node's row of that block
+    starts, and the node's column in it. Cell (r, c) is ``row[r] +
+    col[c]``."""
+    col = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
+    row = np.repeat(sizes, sizes) * col
+    row += np.repeat(first, sizes)
+    return row, col
+
+
+def _cell_halves(rows, cols, row, col):
+    """The flat cells of ``(rows[h], cols[h])``, h = 0, 1, by
+    ``_block_cells``'s ``row`` and ``col``. Each half is written over the
+    one before, so it is used before the next is drawn."""
     cell = None
     for r, c in zip(rows, cols):
-        cell = np.multiply(r, p, out=cell)
-        if base is None:
-            # component k starts at node k p and at cell k p^2, so the
-            # cell of (r, c) is r p + c mod p
-            cell += c % p if len(sizes) > 1 else c
-        else:
-            # cell (r, c) of component k: first + (r - start) p + c - start
-            cell += c
-            cell += base
+        cell = np.take(row, r) if cell is None else \
+            np.take(row, r, out=cell, mode="clip")  # "raise" would buffer
+        cell += col[c]
+        yield cell
+
+
+def _stack_cell_halves(rows, cols, size):
+    """``_cell_halves`` when every component has one size and every block
+    is in the buffer: component k starts at node k p and at cell k p^2, so
+    the cell of (r, c) is r p + c mod p."""
+    cell = None
+    for r, c in zip(rows, cols):
+        cell = np.multiply(r, size, out=cell)
+        cell += c % size
         yield cell
 
 
@@ -599,10 +574,10 @@ def _shifted_dense(groups: ComponentGroups, comps=None, room: int = 0):
         cells[~keep] = 0
         skip = np.repeat(~keep, groups.edge_counts)
     if skip is None and len(groups.runs) == 1:
-        halves = _cell_halves(rows, cols, sizes)
+        halves = _stack_cell_halves(rows, cols, groups.runs[0][0])
     else:
-        halves = _cell_halves(rows, cols, sizes, groups.starts[:-1],
-                              np.cumsum(cells) - cells, groups.edge_counts)
+        halves = _cell_halves(rows, cols, *_block_cells(
+            groups.starts, sizes, np.cumsum(cells) - cells))
     waves = _waves(blocks, room)
     if len(waves) > 1:  # kept for every wave, as int32 while the cells fit
         halves = [cell.astype(np.int32 if cells.sum() < 2**31 else np.int64)

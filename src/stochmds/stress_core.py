@@ -254,12 +254,11 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     After grouping, the chunk is one pass, not one per size: the grouped
     rows of B^eps(X)X are gathered once and solved in place
     (``_RoutedStack.solve_in_place``), and the blend takes every
-    component's center at once (``np.bincount`` over component labels,
-    summing as each size's own sum did) and is written over the gathered
+    component's center at once (``ComponentGroups._means``, summing as
+    each size's own sum did) and is written over the gathered
     rows in the per-stack order of operations, so the result is the same
     bit for bit. The gathered rows, the edge coefficients and B^eps(X)X are
-    released as soon as they are used; so is the batch once grouped, when
-    the caller passed it on without keeping it (``_apply_slot`` does).
+    released as soon as they are used.
     """
     mu = cfg.mu
     if mu == 0.0:
@@ -271,8 +270,8 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     bx = _b_times_x(X, live.m, live.n, coef, diff.T)
     del X, coef, diff
     groups = group_components(live, len(nodes))
-    del batch, live
-    if not len(groups):
+    del live
+    if not len(groups.sizes):
         return
     y = np.take(bx, groups.nodes, axis=0)
     del bx
@@ -284,8 +283,7 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     center = groups._means(Xc)
     Xc *= 1.0 - mu
     center *= mu
-    rows_of, center = groups._spread(Xc, center)
-    rows_of += center
+    Xc += groups._spread(center)
     y *= mu
     Xc += y
     Xn[rows] = Xc

@@ -706,7 +706,7 @@ class TestSlotKernel:
         0.35), a single chunk whose four clusters form one stack, traced
         with the embedding and its copy made before tracing. The per-stack
         kernel read about 76 KB (47.8 embeddings) here; the one-pass kernel
-        reads about 57 KB (35.8). The bound is the per-stack figure plus 5%,
+        reads about 63 KB (39.6). The bound is the per-stack figure plus 5%,
         so a chunk that is one stack holds no more than it did."""
         n = 100
         provider, _ = planar_provider(n, seed=9)

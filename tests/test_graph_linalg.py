@@ -182,6 +182,12 @@ class TestConnectedComponents:
         assert labels.tolist() == want
 
 
+def size_stacks(groups):
+    """A grouping's components as one ``ComponentStack`` per size, in
+    order."""
+    return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
+
+
 def reference_stacks(m, n, w, node_count, singletons):
     """``group_components`` by union-find and Python lists: per size,
     ascending, components by smallest member, each component's nodes
@@ -229,8 +235,9 @@ class TestGroupComponents:
         m = rng.integers(0, node_count, pairs)
         n = (m + rng.integers(1, node_count, pairs)) % node_count
         w = rng.random(pairs) + 0.1
-        stacks = group_components(ObservationBatch(m, n, np.ones(pairs), w),
-                                  node_count, singletons=singletons)
+        stacks = size_stacks(group_components(
+            ObservationBatch(m, n, np.ones(pairs), w), node_count,
+            singletons=singletons))
         want = reference_stacks(m.tolist(), n.tolist(), w.tolist(),
                                 node_count, singletons)
         got = [(s.nodes.ravel().tolist(), s.a.tolist(), s.b.tolist(),
@@ -319,7 +326,7 @@ def complete_stack(rng, count, size, weight):
     order = rng.permutation(len(m))
     b = ObservationBatch(m[order], nn[order], np.ones(len(m)),
                          np.full(len(m), weight))
-    [stack] = group_components(b, n)
+    [stack] = size_stacks(group_components(b, n))
     return stack
 
 
@@ -384,7 +391,7 @@ class TestCompleteClosedForm:
             for i, j in pairs:
                 entries.append((k * size + i, k * size + j, 1.0,
                                 weight or rng.uniform(0.5, 1.0)))
-        [stack] = group_components(batch(entries), 5 * size)
+        [stack] = size_stacks(group_components(batch(entries), 5 * size))
         np.testing.assert_array_equal(stack._complete_weights(),
                                       [1.0, 0.5, 0.0, 1.0, 0.0])
         rhs = zero_sum_rhs(rng, 5, size)
@@ -403,7 +410,7 @@ class TestCompleteClosedForm:
         stack raises. Each component must get what it gets alone."""
         k4 = [(i, j, 1.0, 1e-100) for i in range(4) for j in range(i + 1, 4)]
         path = [(v, v + 1, 1.0, 1.0) for v in range(4, 7)]
-        [stack] = group_components(batch(k4 + path), 8)
+        [stack] = size_stacks(group_components(batch(k4 + path), 8))
         assert stack.count == 2
         rhs = zero_sum_rhs(np.random.default_rng(37), 2, 4)
         got = stack.solve(rhs)
@@ -433,7 +440,7 @@ class TestCompleteClosedForm:
     ], ids=["regular-multigraph", "two-weights", "missing-edge",
             "zero-weight-edge", "self-loop"])
     def test_not_complete_takes_dense(self, entries, monkeypatch):
-        [stack] = group_components(batch(entries), 4)
+        [stack] = size_stacks(group_components(batch(entries), 4))
         assert stack._complete_weights() is None
         calls = spy(monkeypatch, "_shifted_dense")
         rhs = zero_sum_rhs(np.random.default_rng(32), 1, 4)
@@ -461,7 +468,7 @@ class TestFactoredStack:
             for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
                 entries.append((k * size + i, k * size + j, 1.0,
                                 weight or rng.uniform(0.2, 1.0)))
-        [stack] = group_components(batch(entries), 4 * size)
+        [stack] = size_stacks(group_components(batch(entries), 4 * size))
         factored = _RoutedStack(stack).keep_factors()
         assert len(factored.kept) == 2  # the two incomplete components
         calls = spy(monkeypatch, "_shifted_dense")
@@ -477,8 +484,8 @@ class TestFactoredStack:
         """A 1e-20 weight on a path leaves L + shift 11^T positive definite
         only in exact arithmetic; Cholesky fails, and the component is
         solved as the one-shot solve does it, bit for bit."""
-        [stack] = group_components(batch([(0, 1, 1.0, 1.0),
-                                          (1, 2, 1.0, 1e-20)]), 3)
+        [stack] = size_stacks(group_components(
+            batch([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1e-20)]), 3))
         factored = _RoutedStack(stack).keep_factors()
         assert factored.kept[0][1] is None
         rhs = zero_sum_rhs(np.random.default_rng(36), 1, 3)
@@ -495,7 +502,7 @@ class TestFactoredStack:
         keep = m != n
         b = ObservationBatch(m[keep], n[keep], np.ones(keep.sum()),
                              rng.uniform(0.1, 1.0, keep.sum()))
-        [stack] = group_components(b, p)
+        [stack] = size_stacks(group_components(b, p))
         built = spy(monkeypatch, "_sparse")
         factored = _RoutedStack(stack).keep_factors()
         assert len(built) == 1

@@ -143,7 +143,7 @@ class TestBEpsilonMatrix:
                                            (1, 2, np.nan, 0.0)])
         # the caller drops zero weights (once) and groups the live batch:
         # the zero-weight pair forms no component and enters no B X
-        stacks = group_components(b.nonzero(), 3)
+        stacks = size_stacks(group_components(b.nonzero(), 3))
         assert [s.nodes.tolist() for s in stacks] == [[[0, 1]]]
         np.testing.assert_array_equal(stacks[0].weights, [1.0])
         got = b_times_x(X, b, 0.0)
@@ -532,6 +532,12 @@ class TestComponentLayerReference:
         assert len(cg_calls) >= 2  # one per update
 
 
+def size_stacks(groups):
+    """A grouping's components as one ``ComponentStack`` per size, in
+    order."""
+    return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
+
+
 def _per_stack_update(Xn, batch, cfg, nodes):
     """The update one size-stack at a time: each stack's own route,
     solve, center and blend, as the kernel applied it before it took a
@@ -542,7 +548,7 @@ def _per_stack_update(Xn, batch, cfg, nodes):
     coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
                                      live.delta, cfg.eps_x)
     bx = _b_times_x(X, live.m, live.n, coef, diff.T)
-    for stack in group_components(live, len(nodes)):
+    for stack in size_stacks(group_components(live, len(nodes))):
         rows = nodes[stack.nodes]
         Xc = np.take(Xn, rows, axis=0)
         y = stack.solve(np.take(bx, stack.nodes, axis=0))
