@@ -27,6 +27,15 @@ in one pass (``_RoutedStack``), whatever its number of sizes:
 - the solutions are written over the right-hand side and recentered in one
   step.
 
+Every per-component sum in this layer, and in the blend that follows it,
+is taken in one place, ``ComponentGroups._sum``: one ``np.bincount`` over
+the grouping's component ``labels``, which adds a column's rows in row
+order, starting from 0, on every numpy version. Means, recentering (of
+every route, kept factors and CG included) and the degree sums behind the
+shift all go through it, so their bits do not depend on how numpy orders a
+reduction. Only CG's own iterations, whose dot products scipy takes, sum
+otherwise.
+
 Batch majorization, whose batch is fixed, has ``_RoutedStack`` keep each
 component's factor instead. A ``ComponentStack`` is a grouping of one
 size; ``build_laplacian`` returns one stack per connected component and
@@ -127,9 +136,6 @@ class ComponentGroups:
     def __post_init__(self):
         # (size, first, end): the components of each size, a range
         sizes = self.sizes
-        if len(sizes) and sizes[0] == sizes[-1]:
-            self.runs = [(int(sizes[0]), 0, len(sizes))]
-            return
         cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
         bounds = [0, *cuts, len(sizes)] if len(sizes) else []
         self.runs = [(int(sizes[c0]), c0, c1)
@@ -142,6 +148,11 @@ class ComponentGroups:
         out = np.zeros(len(self.sizes) + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=out[1:])
         return out
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The component of each grouped node."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     @cached_property
     def edge_starts(self) -> np.ndarray:
@@ -197,7 +208,7 @@ class ComponentGroups:
         cells = np.where(cand, sizes * sizes, 0)  # the others get no block
         first = np.cumsum(cells) - cells
         seen = np.zeros(int(first[-1] + cells[-1]), dtype=bool)
-        row, col = _block_cells(self.starts, sizes, first)
+        row, col = _block_cells(self, first)
         diagonal = row + col
         seen[diagonal if everyone else diagonal[np.repeat(cand, sizes)]] = True
         del diagonal
@@ -214,28 +225,18 @@ class ComponentGroups:
         out[np.flatnonzero(cand)[ok]] = w0[ok]
         return out
 
+    def _sum(self, column: np.ndarray) -> np.ndarray:
+        """Per component, the sum of its entries of ``column`` (one per
+        node), added in row order: the one per-component sum."""
+        return np.bincount(self.labels, weights=column,
+                           minlength=len(self.sizes))
+
     def _means(self, v: np.ndarray) -> np.ndarray:
         """Per component, the column means of its rows of ``v`` (one row
-        per node), each summed as a stack's ``(count, size, dim).sum(axis=1)``
-        sums it: down each column in row order, as ``np.bincount`` over
-        component labels sums, except in one dimension, where numpy sums
-        the contiguous column pairwise. So the sums are taken per size in
-        one dimension and by one ``np.bincount`` per dimension otherwise,
-        unless there is one size."""
-        dim = v.shape[1]
-        if len(self.runs) == 1:
-            size = self.runs[0][0]
-            return v.reshape(-1, size, dim).sum(axis=1) / size
-        if dim == 1:
-            starts = self.starts.tolist()
-            sums = np.concatenate([
-                v[starts[c0]:starts[c1]].reshape(c1 - c0, size, dim)
-                .sum(axis=1) for size, c0, c1 in self.runs])
-        else:
-            labels = np.repeat(np.arange(len(self.sizes)), self.sizes)
-            sums = np.empty((len(self.sizes), dim))
-            for col in range(dim):
-                sums[:, col] = np.bincount(labels, weights=v[:, col])
+        per node)."""
+        sums = np.empty((len(self.sizes), v.shape[1]))
+        for col in range(v.shape[1]):
+            sums[:, col] = self._sum(v[:, col])
         return sums / self.sizes[:, None]
 
     def _spread(self, values: np.ndarray) -> np.ndarray:
@@ -263,8 +264,8 @@ class ComponentStack(ComponentGroups):
 
     def __post_init__(self):
         count, size = self.nodes.shape
-        self.sizes = np.full(count, size)
-        self.runs = [(size, 0, count)]
+        self.sizes = np.full(count, size, dtype=np.int64)
+        super().__post_init__()
 
     @property
     def size(self) -> int:
@@ -291,8 +292,9 @@ class _RoutedStack:
     ``keep_factors``, each of those keeps what its route reuses instead:
     the Cholesky factor of ``L + shift 11^T``, factored in place (None when
     Cholesky fails, as on a path with a 1e-20 weight: the component then
-    stays on the LU route), or its CG system. Kept solves equal one-shot
-    ones bit for bit by CG and to round-off by Cholesky.
+    stays on the LU route), or its CG system. Every route's solutions are
+    recentered together, after the last is written. Kept solves equal
+    one-shot ones bit for bit by CG and to round-off by Cholesky.
     """
 
     def __init__(self, groups: ComponentGroups):
@@ -341,35 +343,25 @@ class _RoutedStack:
     def solve_in_place(self, y: np.ndarray) -> np.ndarray:
         """``solve`` written over ``y``, a C-ordered right-hand side."""
         groups = self.groups
-        if not len(groups.sizes):
-            return y
         flat = y.reshape(-1, y.shape[-1])
-        # solved first, from their own right-hand sides
-        alone = [(rows, _solve_alone(single, flat[rows], reused))
-                 for rows, single, reused in self.alone]
-        lu = self.lu is None or len(self.lu)
-        if lu:
+        for rows, single, reused in self.alone:
+            flat[rows] = _solve_alone(single, flat[rows], reused)
+        if self.lu is None or len(self.lu):
             _lu_solve(groups, flat, self.lu)
         if self.w is not None:
             closed = np.where(self.w > 0, self.w * groups.sizes, 1.0)
             flat /= np.repeat(closed, groups.sizes)[:, None]
-        if lu or self.w is not None:
-            _recenter(groups, flat)
-        for rows, yk in alone:
-            flat[rows] = yk
+        _recenter(groups, flat)
         return y
 
 
 def _solve_alone(single: ComponentStack, rhs: np.ndarray, reused):
-    """One component's min-norm solve by CG above ``DENSE_SOLVER_MAX``
-    (``reused`` its kept system, if any), else by its kept Cholesky factor.
-    """
+    """One component's solve, not yet recentered: by CG above
+    ``DENSE_SOLVER_MAX`` (``reused`` its kept system, if any), else by its
+    kept Cholesky factor."""
     if single.size > DENSE_SOLVER_MAX:
         return _solve_cg(single, rhs, reused)
-    # recenter cho_solve's own array; a row of y would sum in another order
-    y = cho_solve(reused, rhs, check_finite=False)
-    y -= y.sum(axis=0) / single.size
-    return y
+    return cho_solve(reused, rhs, check_finite=False)
 
 
 def _recenter(groups: ComponentGroups, flat: np.ndarray) -> None:
@@ -377,15 +369,15 @@ def _recenter(groups: ComponentGroups, flat: np.ndarray) -> None:
     flat -= groups._spread(groups._means(flat))
 
 
-def _block_cells(starts, sizes, first):
-    """Per node of a grouping whose component k starts at node
-    ``starts[k]`` and owns the size x size block (C order) at cell
-    ``first[k]`` of a buffer of blocks: where the node's row of that block
-    starts, and the node's column in it. Cell (r, c) is ``row[r] +
-    col[c]``."""
-    col = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
-    row = np.repeat(sizes, sizes) * col
-    row += np.repeat(first, sizes)
+def _block_cells(groups: ComponentGroups, first):
+    """Per node of ``groups``, whose component k owns the size x size
+    block (C order) at cell ``first[k]`` of a buffer of blocks: where the
+    node's row of that block starts, and the node's column in it. Cell
+    (r, c) is ``row[r] + col[c]``."""
+    labels = groups.labels
+    col = np.arange(len(labels)) - groups.starts[labels]
+    row = groups.sizes[labels] * col
+    row += first[labels]
     return row, col
 
 
@@ -398,17 +390,6 @@ def _cell_halves(rows, cols, row, col):
         cell = np.take(row, r) if cell is None else \
             np.take(row, r, out=cell, mode="clip")  # "raise" would buffer
         cell += col[c]
-        yield cell
-
-
-def _stack_cell_halves(rows, cols, size):
-    """``_cell_halves`` when every component has one size and every block
-    is in the buffer: component k starts at node k p and at cell k p^2, so
-    the cell of (r, c) is r p + c mod p."""
-    cell = None
-    for r, c in zip(rows, cols):
-        cell = np.multiply(r, size, out=cell)
-        cell += c % size
         yield cell
 
 
@@ -426,17 +407,8 @@ def _laplacian_entries(groups: ComponentGroups):
     a, b, w = groups.a, groups.b, groups.weights
     degree = np.bincount(a, weights=w, minlength=groups.nodes.size)
     degree += np.bincount(b, weights=w, minlength=groups.nodes.size)
-    # each component's degree sum as a (count, size) stack sums its rows
-    if len(groups.runs) == 1:
-        size = groups.runs[0][0]
-        sums = degree.reshape(-1, size).sum(axis=1)
-    else:
-        starts = groups.starts.tolist()
-        sums = np.concatenate([
-            degree[starts[c0]:starts[c1]].reshape(c1 - c0, size).sum(axis=1)
-            for size, c0, c1 in groups.runs])
-        size = groups.sizes
-    shift = np.maximum(sums / size, 1.0) / size
+    size = groups.sizes
+    shift = np.maximum(groups._sum(degree) / size, 1.0) / size
     return (a, b), (b, a), w, degree.reshape(groups.nodes.shape), shift
 
 
@@ -469,7 +441,8 @@ def group_components(batch: ObservationBatch, node_count: int,
     if n_comp == 1:  # connected: already in order
         keep = node_count > 1 or singletons
         return ComponentGroups(np.arange(node_count if keep else 0), m, n,
-                               batch.weight, np.array([node_count] * keep))
+                               batch.weight,
+                               np.array([node_count] * keep, dtype=np.int64))
     sizes = np.bincount(labels, minlength=n_comp)
     # rank components by (size, label): labels ascend, so a stable sort by
     # size gives that order
@@ -480,8 +453,7 @@ def group_components(batch: ObservationBatch, node_count: int,
     del rank
     sizes = sizes[by_size]
     # isolated nodes lead; without singletons they are left out
-    skip = 0 if singletons or sizes[0] > 1 else \
-        int(np.searchsorted(sizes, 2))
+    skip = 0 if singletons else int(np.searchsorted(sizes, 2))
     nodes = np.argsort(labels, kind="stable")
     order = np.argsort(labels[m], kind="stable")
     position = labels  # each node's place in the grouped nodes
@@ -515,9 +487,6 @@ def _blocks(groups: ComponentGroups, comps=None) -> list:
     or an index array when others of that size lie between them) and where
     their blocks start when the blocks of ``comps`` lie end to end."""
     everyone = comps is None or len(comps) == len(groups.sizes)
-    if everyone and len(groups.runs) == 1:
-        size, c0, c1 = groups.runs[0]
-        return [(size, c0, c1, c1, slice(0, groups.nodes.size), 0)]
     starts = groups.starts
     bounds = None if everyone else np.searchsorted(
         comps, [c0 for _, c0, _ in groups.runs] + [len(groups.sizes)]).tolist()
@@ -573,11 +542,8 @@ def _shifted_dense(groups: ComponentGroups, comps=None, room: int = 0):
         keep[comps] = True
         cells[~keep] = 0
         skip = np.repeat(~keep, groups.edge_counts)
-    if skip is None and len(groups.runs) == 1:
-        halves = _stack_cell_halves(rows, cols, groups.runs[0][0])
-    else:
-        halves = _cell_halves(rows, cols, *_block_cells(
-            groups.starts, sizes, np.cumsum(cells) - cells))
+    halves = _cell_halves(rows, cols,
+                          *_block_cells(groups, np.cumsum(cells) - cells))
     waves = _waves(blocks, room)
     if len(waves) > 1:  # kept for every wave, as int32 while the cells fit
         halves = [cell.astype(np.int32 if cells.sum() < 2**31 else np.int64)
@@ -667,9 +633,10 @@ def _cg_system(stack: ComponentStack):
 
 def _solve_cg(stack: ComponentStack, rhs: np.ndarray,
               system=None) -> np.ndarray:
-    """Deflated CG min-norm solve for a stack of one; ``rhs`` is
+    """Deflated CG solve for a stack of one, not yet recentered; ``rhs`` is
     (size, dim). ``system`` is the stack's ``_cg_system``, built here when
-    not given. Falls back to the dense solve if CG does not converge."""
+    not given. Falls back to the dense min-norm solve if CG does not
+    converge."""
     p = stack.size
     L, A, M = system or _cg_system(stack)
     y = np.empty_like(rhs)
@@ -679,7 +646,6 @@ def _solve_cg(stack: ComponentStack, rhs: np.ndarray,
         if info != 0:
             return _dense_min_norm(stack, rhs[None])[0]
         y[:, col] = sol
-    y -= y.mean(axis=0)
     resid = np.linalg.norm(L @ y - rhs)
     if resid > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
         return _dense_min_norm(stack, rhs[None])[0]

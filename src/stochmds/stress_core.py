@@ -254,10 +254,10 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     After grouping, the chunk is one pass, not one per size: the grouped
     rows of B^eps(X)X are gathered once and solved in place
     (``_RoutedStack.solve_in_place``), and the blend takes every
-    component's center at once (``ComponentGroups._means``, summing as
-    each size's own sum did) and is written over the gathered
-    rows in the per-stack order of operations, so the result is the same
-    bit for bit. The gathered rows, the edge coefficients and B^eps(X)X are
+    component's center at once (``ComponentGroups._means``, the solve
+    layer's one summation rule) and is written over the gathered rows in
+    the per-stack order of operations, so the result is the same bit for
+    bit. The gathered rows, the edge coefficients and B^eps(X)X are
     released as soon as they are used.
     """
     mu = cfg.mu
@@ -278,8 +278,7 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     _RoutedStack(groups).solve_in_place(y)
     rows = nodes[groups.nodes]
     Xc = np.take(Xn, rows, axis=0)
-    # (1 - mu) Xc + mu center + mu y, in that order, with the mean as
-    # np.mean forms it, written over Xc
+    # (1 - mu) Xc + mu center + mu y, in that order, written over Xc
     center = groups._means(Xc)
     Xc *= 1.0 - mu
     center *= mu

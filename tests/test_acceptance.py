@@ -7,7 +7,9 @@ module takes several minutes; every tolerance is pinned here.
 
 import functools
 import json
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,19 +263,27 @@ def test_c05_hovering(planar100):
     assert time.perf_counter() - t0 < 600.0
 
 
+def _c06_eta(provider, init, mu, seed):
+    """One c06 run's windowed steady-state mean; a process-pool worker."""
+    tr = run_stochastic(
+        provider, init, MuSchedule.constant(mu),
+        SamplerConfig(p=25, fraction=0.35, seed=seed), 5000,
+        noise_sigma=0.1, eval_pairs=4950)
+    return steady_state_stats(tr, (4801, 5000))[1]
+
+
 @criterion("criterion 6: steady-state stress decreases with mu (20 seeds)")
 def test_c06_steady_state_tradeoff(planar100):
+    """80 independent, fully seeded runs, spread over at most one worker
+    process per core."""
     coords, provider, init = planar100
-    medians = []
-    for mu in (0.2, 0.1, 0.05, 0.02):
-        etas = []
-        for seed in range(20):
-            tr = run_stochastic(
-                provider, init, MuSchedule.constant(mu),
-                SamplerConfig(p=25, fraction=0.35, seed=seed), 5000,
-                noise_sigma=0.1, eval_pairs=4950)
-            etas.append(steady_state_stats(tr, (4801, 5000))[1])
-        medians.append(float(np.median(etas)))
+    mus, seeds = (0.2, 0.1, 0.05, 0.02), range(20)
+    runs = [(mu, seed) for mu in mus for seed in seeds]
+    with ProcessPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        etas = list(pool.map(functools.partial(_c06_eta, provider, init),
+                             *zip(*runs)))
+    medians = [float(np.median(etas[k * len(seeds):(k + 1) * len(seeds)]))
+               for k in range(len(mus))]
     assert all(b < a for a, b in zip(medians, medians[1:])), medians
 
 

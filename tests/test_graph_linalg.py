@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmds import ObservationBatch, StepConfig, algebraic_connectivity, \
-    build_laplacian, stochastic_step
+    build_laplacian, smacof_iterate, stochastic_step
 from stochmds import graph_linalg
 from stochmds.graph_linalg import DENSE_SOLVER_MAX, _RoutedStack, \
     _component_labels, _dense_min_norm, _laplacian_entries, _sparse, group_components
@@ -539,17 +539,27 @@ class TestAlgebraicConnectivity:
             assert a >= 2 * eps_w / (p - 1) ** 2 - 1e-12
 
 
+def sequential_sum(rows):
+    """``rows.sum(axis=0)``, added one row at a time in row order,
+    starting from 0."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
+
+
 def plain_component(p, edges):
     """One component's ``L + shift 11^T`` entry by entry: the shift, then
     -w at every (i, j) in measurement order, then at every (j, i), then the
-    degree, each end's sum taken in measurement order."""
+    degree, each end's sum taken in measurement order; the shift sums the
+    degrees in node order."""
     ends = np.zeros((2, p))
     for i, j, w in edges:
         ends[0, i] += w
     for i, j, w in edges:
         ends[1, j] += w
     degree = ends[0] + ends[1]
-    L = np.full((p, p), max(degree.sum() / p, 1.0) / p)
+    L = np.full((p, p), max(sequential_sum(degree) / p, 1.0) / p)
     for i, j, w in edges:
         L[i, j] -= w
     for i, j, w in edges:
@@ -570,11 +580,11 @@ def plain_solve(p, edges, rhs):
         y = rhs / (weights.pop() * p)
     elif p > DENSE_SOLVER_MAX:
         a, b, w = (np.array(col) for col in zip(*edges))
-        return graph_linalg._solve_cg(
+        y = graph_linalg._solve_cg(
             graph_linalg.ComponentStack(np.arange(p)[None], a, b, w), rhs)
     else:
         y = np.linalg.solve(plain_component(p, edges), rhs)
-    return y - y.sum(axis=0) / p
+    return y - sequential_sum(y) / p
 
 
 @st.composite
@@ -680,3 +690,70 @@ class TestGroupingAgainstPlainReference:
         for k, (p, edges) in owner.items():
             want = plain_solve(p, edges, rhs[starts[k]:starts[k + 1]])
             assert np.array_equal(got[starts[k]:starts[k + 1]], want), k
+
+
+class TestSummationOrder:
+    """Every per-component sum is taken in row order, as a plain loop over
+    the component's rows takes it, whatever numpy's own reductions do.
+    Components of 9 or more rows with non-integer values tell that order
+    from numpy's pairwise sum."""
+
+    @pytest.mark.parametrize("sizes", [[40] * 4, [9, 9, 17, 33, 33, 60]],
+                             ids=["one-size", "mixed"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["_sum", "_means"])
+    def test_sums_and_means(self, sizes, dim, method):
+        batch, _ = grouping_instance(sizes, [False] * len(sizes), dim)
+        groups = group_components(batch, sum(sizes))
+        v = np.random.default_rng(dim).standard_normal((sum(sizes), dim))
+        if method == "_sum":
+            got = np.stack([groups._sum(v[:, col]) for col in range(dim)], 1)
+        else:
+            got = groups._means(v)
+        starts = groups.starts.tolist()
+        for k, size in enumerate(groups.sizes.tolist()):
+            for col in range(dim):
+                want = sequential_sum(v[starts[k]:starts[k + 1], col])
+                assert got[k, col] == (want if method == "_sum"
+                                       else want / size), (k, col)
+
+    @pytest.mark.parametrize("sizes", [[40] * 4, [9, 9, 17, 33, 33, 60]],
+                             ids=["one-size", "mixed"])
+    def test_degree_sums(self, sizes):
+        batch, _ = grouping_instance(sizes, [False] * len(sizes), 4)
+        groups = group_components(batch, sum(sizes))
+        *_, degree, shift = _laplacian_entries(groups)
+        degree = degree.reshape(-1)
+        assert not np.array_equal(degree, np.round(degree))
+        starts = groups.starts.tolist()
+        for k, size in enumerate(groups.sizes.tolist()):
+            total = sequential_sum(degree[starts[k]:starts[k + 1]])
+            assert total > size  # so the shift carries the sum
+            assert shift[k] == max(total / size, 1.0) / size
+
+
+class TestEmptyGroupings:
+    """No nodes and one node give groupings with int64 sizes that every
+    solve and update accepts."""
+
+    def test_no_nodes(self):
+        empty = ObservationBatch.empty()
+        groups = group_components(empty, 0)
+        assert groups.sizes.dtype == np.int64 and not len(groups.sizes)
+        assert groups.labels.shape == (0,)
+        assert groups.solve(np.zeros((0, 2))).shape == (0, 2)
+        assert smacof_iterate(np.zeros((0, 2)), empty).shape == (0, 2)
+        cfg = StepConfig(mu=0.5)
+        assert stochastic_step(np.zeros((0, 2)), empty, cfg).shape == (0, 2)
+        X = np.array([[1.0, 2.0], [3.0, 5.0]])
+        assert np.array_equal(stochastic_step(X, empty, cfg), X)
+
+    @pytest.mark.parametrize("singletons", [False, True])
+    def test_one_node(self, singletons):
+        groups = group_components(ObservationBatch.empty(), 1, singletons)
+        assert groups.sizes.dtype == np.int64
+        assert groups.labels.tolist() == [0] * singletons
+        rhs = np.zeros((int(singletons), 2))
+        assert np.array_equal(groups.solve(rhs), rhs)
+        X = np.array([[1.0, 2.0]])
+        assert np.array_equal(smacof_iterate(X, ObservationBatch.empty()), X)

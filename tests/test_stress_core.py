@@ -552,7 +552,11 @@ def _per_stack_update(Xn, batch, cfg, nodes):
         rows = nodes[stack.nodes]
         Xc = np.take(Xn, rows, axis=0)
         y = stack.solve(np.take(bx, stack.nodes, axis=0))
-        center = Xc.sum(axis=1, keepdims=True) / stack.size
+        # each center summed one row at a time, in row order
+        center = np.zeros((stack.count, 1, Xc.shape[2]))
+        for k in range(stack.size):
+            center[:, 0] += Xc[:, k]
+        center /= stack.size
         Xn[rows] = (1.0 - mu) * Xc + mu * center + mu * y
 
 
