@@ -254,8 +254,9 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
 # when that is larger, so a small slot (the 100-node reference run costs
 # 4 x (25 + 2 x 105) = 940) is one chunk. Fewer, larger chunks make fewer
 # per-stack solves: at 8, an N = 40,000, p = 100, q = 50 slot is 16 chunks
-# and peaks at 2.58 embeddings, the run's embedding, its next iterate and
-# the slot's permutation included
+# and peaks at about 2.65 embeddings, in a chunk's dense assembly and LU
+# solve, the run's embedding, its next iterate and the slot's permutation
+# included
 _CHUNK_DIVISOR = 8
 _CHUNK_FLOOR = 1024
 

@@ -9,14 +9,21 @@ Every caller goes through one layer, and it sees only the graph (node ids,
 edges, weights): ``stress_core`` forms B(X)X once per batch and hands the
 layer its rows. ``group_components`` lays a batch's components end to end,
 ordered by size, in one ``ComponentGroups``; its callers have stripped the
-batch of zero weights (``ObservationBatch.nonzero``). A grouping is solved
-in one pass (``_RoutedStack``), whatever its number of sizes:
+batch of zero weights (``ObservationBatch.nonzero``). It finds the
+components by root hooking (``_component_labels``, after Shiloach and
+Vishkin): each pass hooks every edge's larger root onto the smaller and
+jumps pointers until each node points at its root, so the roots end up
+the components' smallest members. Its stable sorts take 16-bit keys
+whenever the keys fit, which numpy radix-sorts. A grouping is solved in
+one pass (``_RoutedStack``), whatever its number of sizes:
 
 - the route pass picks each component's route from the data once over the
   whole grouping: a complete component with one measurement per pair, all
   of one weight ``w``, is solved in closed form, ``y = rhs / (w * size)``,
-  with no assembly; the others take the dense route up to
-  ``DENSE_SOLVER_MAX`` nodes and deflated conjugate gradients above;
+  with no assembly (a pair measured once is complete because it is
+  connected; larger components are checked against a bitmap of their
+  pairs); the others take the dense route up to ``DENSE_SOLVER_MAX`` nodes
+  and deflated conjugate gradients above;
 - one assembly (``_shifted_dense``) forms every dense-route component's
   ``L + shift 11^T`` from one pass of ``_laplacian_entries`` over the
   grouping's edges, and ``np.linalg.solve`` is called once per size, so each
@@ -73,39 +80,56 @@ DENSE_SOLVER_MAX = 512
 _CG_TOL = 1e-12   # relative residual that CG iterates to
 
 
+def _label_passes(node_count: int) -> int:
+    """How many hooking passes ``_component_labels`` takes before it hands
+    the graph to csgraph."""
+    return 4 + 2 * int(np.ceil(np.log2(node_count + 1)))
+
+
 def _component_labels(m, n, node_count):
     """Connected-component label per node under positive-weight adjacency.
 
     Labels are consecutive integers ordered by each component's smallest
-    member. Uses min-label propagation with pointer jumping (linear work per
-    pass, logarithmic passes); falls back to the csgraph routine if an
-    adversarial edge pattern stalls convergence.
+    member. Root hooking with pointer jumping (Shiloach & Vishkin, 1982):
+    every node points at itself or at a smaller node, so the pointers form
+    a forest, and after jumping each node points at its tree's root. A pass
+    reads the roots of every edge's ends, hooks each edge's larger root
+    onto the smaller (``np.minimum.at`` in both directions, so a root takes
+    the smallest root it meets), then jumps pointers until they are stable.
+    Pointers only move down, so an unchanged sum of pointers means none
+    moved: the loop ends when hooking moves none, that is when the ends of
+    every edge share a root. Each tree is then a component and its root its
+    smallest member. A pass holds two values per edge, the roots of its
+    ends. Falls back to the csgraph routine if an edge pattern outlasts
+    ``_label_passes``.
     """
     if len(m) == 0:
         return np.arange(node_count), node_count
     labels = np.arange(node_count)
-    max_passes = 4 + 2 * int(np.ceil(np.log2(node_count + 1)))
-    for _ in range(max_passes):
-        before = labels.copy()
-        low = np.minimum(labels[m], labels[n])
-        np.minimum.at(labels, m, low)
-        np.minimum.at(labels, n, low)
-        labels = labels[labels]
-        labels = labels[labels]
-        if not labels.any():  # one component swallowing node 0: connected
-            return labels, 1
-        if np.array_equal(labels, before):
+    total = labels.sum()
+    passes = _label_passes(node_count)
+    lm, ln = labels.take(m), labels.take(n)  # the root of each edge's ends
+    while True:
+        np.minimum.at(labels, lm, ln)
+        np.minimum.at(labels, ln, lm)
+        hooked = labels.sum()
+        if hooked == total:  # every edge within a tree
             break
-    else:
-        ones = np.ones(len(m))
-        adj = sp.csr_matrix(
-            (np.concatenate([ones, ones]),
-             (np.concatenate([m, n]), np.concatenate([n, m]))),
-            shape=(node_count, node_count),
-        )
-        # scipy numbers components in order of their smallest member
-        n_comp, labels = _cs_components(adj, directed=False)
-        return labels.astype(np.int64, copy=False), n_comp
+        if not passes:
+            return _csgraph_labels(m, n, node_count)
+        passes -= 1
+        total = hooked
+        while True:
+            up = labels.take(labels)
+            jumped = up.sum()
+            if jumped == total:
+                break
+            labels, total = up, jumped
+        if not total:  # one component swallowing node 0: connected
+            return labels, 1
+        labels.take(m, out=lm, mode="clip")  # "raise" would buffer
+        labels.take(n, out=ln, mode="clip")
+    del lm, ln
     # every node is labelled with its component's smallest member, the one
     # node that labels itself: number those roots in node order
     roots = labels == np.arange(node_count)
@@ -113,6 +137,29 @@ def _component_labels(m, n, node_count):
     del roots
     ids -= 1
     return ids[labels], int(ids[-1]) + 1
+
+
+def _csgraph_labels(m, n, node_count):
+    """``_component_labels`` by scipy's csgraph routine."""
+    ones = np.ones(len(m))
+    adj = sp.csr_matrix(
+        (np.concatenate([ones, ones]),
+         (np.concatenate([m, n]), np.concatenate([n, m]))),
+        shape=(node_count, node_count),
+    )
+    # scipy numbers components in order of their smallest member
+    n_comp, labels = _cs_components(adj, directed=False)
+    return labels.astype(np.int64, copy=False), n_comp
+
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in [0,
+    ``bound``). Below 2**16 the keys are sorted as uint16, which numpy
+    radix-sorts; on wider keys with many ties it takes timsort, several
+    times slower."""
+    if bound <= 2**16:
+        keys = keys.astype(np.uint16, copy=False)
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass
@@ -188,18 +235,25 @@ class ComponentGroups:
         otherwise; None when no component is.
 
         Exact and linear in the measurements. Only a component of size p
-        with p (p - 1) / 2 measurements can qualify. Its diagonal and each
-        of its measurements' cells (i, j) and (j, i) are marked in a p^2
-        bitmap, the candidates' bitmaps laid end to end; every cell is
-        marked exactly when no pair is measured twice and none is a
-        self-loop. Equal degrees are not enough: a multigraph can be
-        regular without being complete.
+        with p (p - 1) / 2 measurements can qualify. A pair with one
+        measurement does: it is connected, so that measurement joins its
+        two nodes. From three nodes up, the diagonal and each measurement's
+        cells (i, j) and (j, i) are marked in a p^2 bitmap, the candidates'
+        bitmaps laid end to end; every cell is marked exactly when no pair
+        is measured twice and none is a self-loop. Equal degrees are not
+        enough: a multigraph can be regular without being complete.
         """
         sizes, per = self.sizes, self.edge_counts
         half = sizes * (sizes - 1) // 2
         cand = (per == half) & (half > 0)
         if not cand.any():
             return None
+        out = np.zeros(len(sizes))
+        pairs = cand & (sizes == 2)
+        out[pairs] = self.weights[self.edge_starts[:-1][pairs]]
+        cand &= sizes > 2
+        if not cand.any():
+            return out
         a, b, w = self.a, self.b, self.weights
         everyone = cand.all()
         if not everyone:
@@ -219,11 +273,8 @@ class ComponentGroups:
         w0 = np.minimum.reduceat(w, head)
         ok = (np.logical_and.reduceat(seen, first[cand])
               & (w0 == np.maximum.reduceat(w, head)))
-        if not ok.any():
-            return None
-        out = np.zeros(len(sizes))
         out[np.flatnonzero(cand)[ok]] = w0[ok]
-        return out
+        return out if out.any() else None
 
     def _sum(self, column: np.ndarray) -> np.ndarray:
         """Per component, the sum of its entries of ``column`` (one per
@@ -446,7 +497,7 @@ def group_components(batch: ObservationBatch, node_count: int,
     sizes = np.bincount(labels, minlength=n_comp)
     # rank components by (size, label): labels ascend, so a stable sort by
     # size gives that order
-    by_size = np.argsort(sizes, kind="stable")
+    by_size = _stable_argsort(sizes, node_count + 1)
     rank = np.empty(n_comp, dtype=np.int64)
     rank[by_size] = np.arange(n_comp)
     labels = rank[labels]  # each node's component rank
@@ -454,8 +505,8 @@ def group_components(batch: ObservationBatch, node_count: int,
     sizes = sizes[by_size]
     # isolated nodes lead; without singletons they are left out
     skip = 0 if singletons else int(np.searchsorted(sizes, 2))
-    nodes = np.argsort(labels, kind="stable")
-    order = np.argsort(labels[m], kind="stable")
+    nodes = _stable_argsort(labels, n_comp)
+    order = _stable_argsort(labels[m], n_comp)
     position = labels  # each node's place in the grouped nodes
     position[nodes] = np.arange(-skip, node_count - skip)
     a, b = position[m[order]], position[n[order]]

@@ -16,7 +16,8 @@ from stochmds import ObservationBatch, StepConfig, algebraic_connectivity, \
     build_laplacian, smacof_iterate, stochastic_step
 from stochmds import graph_linalg
 from stochmds.graph_linalg import DENSE_SOLVER_MAX, _RoutedStack, \
-    _component_labels, _dense_min_norm, _laplacian_entries, _sparse, group_components
+    _component_labels, _dense_min_norm, _laplacian_entries, _sparse, \
+    _stable_argsort, group_components
 
 
 def batch(entries):
@@ -125,6 +126,61 @@ class TestBuildLaplacian:
         assert sizes == [1, 2]
 
 
+def union_find_labels(m, n, node_count):
+    """Component labels by a plain union-find, numbered in order of each
+    component's smallest member, and their count."""
+    parent = list(range(node_count))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in zip(m, n):
+        parent[find(a)] = find(b)
+    smallest = {}
+    for v in range(node_count):
+        smallest.setdefault(find(v), v)  # v ascends: first is smallest
+    rank = {root: k for k, root in
+            enumerate(sorted(smallest, key=smallest.get))}
+    return [rank[find(v)] for v in range(node_count)], len(rank)
+
+
+@st.composite
+def label_graphs(draw):
+    """Edges among shuffled node ids, in random order and orientation:
+    pieces that are paths, stars, forests (random trees with some edges
+    dropped) and complete graphs, isolated nodes besides them; no piece at
+    all gives an empty edge set."""
+    kinds = draw(st.lists(st.sampled_from(["path", "star", "forest",
+                                           "complete"]), max_size=5))
+    sizes = [draw(st.integers(2, 12 if kind == "complete" else 80))
+             for kind in kinds]
+    isolated = draw(st.integers(0 if kinds else 1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    node_count = sum(sizes) + isolated
+    ids = rng.permutation(node_count).tolist()
+    pairs, at = [], 0
+    for kind, size in zip(kinds, sizes):
+        v, at = ids[at:at + size], at + size
+        if kind == "path":
+            pairs += zip(v[:-1], v[1:])
+        elif kind == "star":
+            pairs += [(v[0], u) for u in v[1:]]
+        elif kind == "forest":
+            pairs += [(v[int(rng.integers(0, k))], v[k])
+                      for k in range(1, size) if rng.random() < 0.8]
+        else:
+            pairs += [(v[i], v[j]) for i in range(size)
+                      for j in range(i + 1, size)]
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b)
+             for a, b in (pairs[k] for k in rng.permutation(len(pairs)))]
+    m = np.array([a for a, _ in pairs], dtype=np.int64)
+    n = np.array([b for _, b in pairs], dtype=np.int64)
+    return m, n, node_count
+
+
 class TestConnectedComponents:
     @staticmethod
     def components(b, n):
@@ -145,12 +201,28 @@ class TestConnectedComponents:
         comps = self.components(batch([(4, 5, 1, 1), (0, 2, 1, 1)]), 6)
         assert comps == [[0, 2], [1], [3], [4, 5]]
 
+    @settings(max_examples=200, deadline=None)
+    @given(label_graphs())
+    def test_labels_match_union_find(self, graph):
+        """Root hooking labels every node as a plain union-find does,
+        numbered by smallest member, within its pass bound (csgraph is
+        never reached)."""
+        m, n, node_count = graph
+        with mock.patch.object(graph_linalg, "_cs_components",
+                               wraps=graph_linalg._cs_components) as cs:
+            labels, count = _component_labels(m, n, node_count)
+        assert cs.call_count == 0
+        want, want_count = union_find_labels(m.tolist(), n.tolist(),
+                                             node_count)
+        assert labels.tolist() == want and count == want_count
+
     @pytest.mark.parametrize("seed", range(3))
     def test_csgraph_fallback_matches_union_find(self, seed, monkeypatch):
-        """A path through nodes in random order stalls min-label propagation
-        past its pass limit; the csgraph fallback must then give the same
-        labels as a plain union-find, ordered by smallest member."""
+        """With one hooking pass allowed, a path through nodes in random
+        order outlasts the pass limit; the csgraph fallback must then give
+        the same labels as a plain union-find, ordered by smallest member."""
         calls = spy(monkeypatch, "_cs_components")
+        monkeypatch.setattr(graph_linalg, "_label_passes", lambda count: 1)
         node_count = 300
         rng = np.random.default_rng(seed)
         perm = rng.permutation(node_count)
@@ -161,24 +233,9 @@ class TestConnectedComponents:
         n = np.concatenate([path[1:], tree_parent])
         labels, count = _component_labels(m, n, node_count)
         assert len(calls) == 1
-
-        parent = list(range(node_count))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in zip(m.tolist(), n.tolist()):
-            parent[find(a)] = find(b)
-        smallest = {}
-        for v in range(node_count):
-            smallest.setdefault(find(v), v)  # v ascends: first is smallest
-        rank = {root: k for k, root in
-                enumerate(sorted(smallest, key=smallest.get))}
-        want = [rank[find(v)] for v in range(node_count)]
-        assert count == len(rank) == 2 + (node_count - 260)
+        want, want_count = union_find_labels(m.tolist(), n.tolist(),
+                                             node_count)
+        assert count == want_count == 2 + (node_count - 260)
         assert labels.tolist() == want
 
 
@@ -244,6 +301,22 @@ class TestGroupComponents:
                 s.weights.tolist()) for s in stacks]
         assert got == want
         assert [s.size for s in stacks] == sorted({s.size for s in stacks})
+
+
+class TestStableArgsort:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 300, 2**16, 2**16 + 1, 2**40]),
+           st.integers(0, 3000), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_stable(self, bound, count, seed):
+        """Keys below and above 2**16, many tied, the largest one present:
+        the same permutation as numpy's stable argsort of the keys as
+        given."""
+        keys = np.random.default_rng(seed).integers(0, bound, count)
+        if count:
+            keys[-1] = bound - 1
+        got = _stable_argsort(keys, bound)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
 
 
 class TestSolveMinNorm:
@@ -448,6 +521,81 @@ class TestCompleteClosedForm:
         assert len(calls) == 1
         want = np.linalg.pinv(dense(stack)) @ rhs[0]
         np.testing.assert_allclose(got[0], want, atol=1e-12)
+
+
+@st.composite
+def route_groupings(draw):
+    """Components whose completeness is decided apart from their size:
+    pairs measured once (at different weights) or twice, triangles at one
+    weight or two, complete graphs and near-complete ones (a pair missing,
+    a pair measured twice in place of another, a self-loop in place of a
+    pair), and paths of three. Returns the batch entries and their node
+    count; node ids, measurement order and orientation are shuffled."""
+    kinds = draw(st.lists(st.sampled_from(
+        ["pair", "pair-twice", "triangle", "triangle-two-weights",
+         "complete", "missing", "repeat", "self-loop", "path"]),
+        min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = [0.5, 1.0, 2.0]
+    pieces = []
+    for kind in kinds:
+        size = {"pair": 2, "pair-twice": 2, "triangle": 3, "path": 3,
+                "triangle-two-weights": 3}.get(kind) or int(rng.integers(3, 7))
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        if kind == "pair-twice":
+            pairs *= 2
+        elif kind == "path":
+            pairs = [(0, 1), (1, 2)]
+        elif kind in ("missing", "repeat", "self-loop"):
+            # the spanning star from node 0 stays, so the component holds
+            k = int(rng.integers(size - 1, len(pairs)))
+            gone = pairs.pop(k)
+            if kind == "repeat":
+                pairs.append(pairs[int(rng.integers(len(pairs)))])
+            elif kind == "self-loop":
+                pairs.append((gone[0], gone[0]))
+        w = [weights[int(rng.integers(3))]] * len(pairs)
+        if kind == "triangle-two-weights" or (kind == "pair-twice"
+                                              and rng.random() < 0.5):
+            w[int(rng.integers(len(w)))] = 3.0
+        pieces.append((size, pairs, w))
+    ids = rng.permutation(sum(size for size, _, _ in pieces)).tolist()
+    entries, at = [], 0
+    for size, pairs, w in pieces:
+        v, at = ids[at:at + size], at + size
+        for (i, j), wk in zip(pairs, w):
+            if rng.random() < 0.5:
+                i, j = j, i
+            entries.append((v[i], v[j], 1.0, wk))
+    entries = [entries[k] for k in rng.permutation(len(entries))]
+    return entries, len(ids)
+
+
+class TestCompleteWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(route_groupings())
+    def test_matches_brute_force(self, case):
+        """Per component of a mixed grouping, the weight when every pair
+        is measured exactly once at one weight, else 0 (None when no
+        component is complete), as a per-component reading of the batch
+        finds it."""
+        entries, node_count = case
+        groups = group_components(batch(entries), node_count)
+        starts = groups.starts.tolist()
+        want = []
+        for k, p in enumerate(groups.sizes.tolist()):
+            members = set(groups.nodes[starts[k]:starts[k + 1]].tolist())
+            own = [(u, v, w) for u, v, _, w in entries if u in members]
+            pairs = [frozenset((u, v)) for u, v, _ in own]
+            complete = (len(own) == p * (p - 1) // 2 == len(set(pairs))
+                        and all(len(pair) == 2 for pair in pairs)
+                        and len({w for _, _, w in own}) == 1)
+            want.append(own[0][2] if complete else 0.0)
+        got = groups._complete_weights()
+        if not any(want):
+            assert got is None
+        else:
+            assert got.tolist() == want
 
 
 class TestFactoredStack:
