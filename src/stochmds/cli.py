@@ -213,6 +213,9 @@ def load_config(defaults: dict, path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config file: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object, got "
+                              f"{type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -425,9 +428,17 @@ def cmd_stats(args) -> int:
         raise ConfigError("stats requires --trace-file or --hovering")
     records = []
     with open(args.trace_file) as fh:
-        for line in fh:
+        for k, line in enumerate(fh, 1):
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(
+                    f"{args.trace_file} line {k}: not a JSON object")
             if "t" in rec and "stress" in rec:
+                if not all(isinstance(rec[key], (int, float))
+                           and not isinstance(rec[key], bool)
+                           for key in ("t", "stress")):
+                    raise ValueError(f"{args.trace_file} line {k}: t and "
+                                     "stress must be numbers")
                 records.append(rec)
     if not records:
         raise ValueError(f"{args.trace_file} has no stress records")

@@ -478,7 +478,7 @@ def run_averaged_oracle(
     ``averaging_samples`` fresh measurement draws, each sampled and applied
     chunk by chunk by the slot kernel of ``run_stochastic``. ``closed_form``
     mode requires ``expected_deltas`` (an N x N matrix of mean
-    dissimilarities) and a cluster size that divides N, and applies the
+    dissimilarities) and a ``cluster_size`` that divides N, and applies the
     i.i.d.-weight expected update matrix directly; its recorded mean stress
     is non-increasing.
     Non-finite ``expected_deltas`` and, in ``empirical`` mode,
@@ -499,8 +499,7 @@ def run_averaged_oracle(
             raise ValueError("closed_form mode requires expected_deltas")
         if not np.all(np.isfinite(expected_deltas)):
             raise ValueError("expected_deltas must be finite for every pair")
-        p = cluster_size if cluster_size is not None else (
-            sampler.p if sampler is not None else None)
+        p = cluster_size
         if p is None:
             raise ValueError("closed_form mode requires a cluster size")
         _check_cluster_size(n, p)  # before the first slot, at any count

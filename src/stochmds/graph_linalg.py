@@ -44,17 +44,18 @@ reduction. Only CG's own iterations, whose dot products scipy takes, sum
 otherwise.
 
 Batch majorization, whose batch is fixed, has ``_RoutedStack`` keep each
-component's factor instead. A ``ComponentStack`` is a grouping of one
-size; ``build_laplacian`` returns one stack per connected component and
-``algebraic_connectivity`` takes one. ``_laplacian_entries`` alone
-decides how measurements become Laplacian entries (a pair measured twice
-counts twice); the dense assembly and ``_sparse``, the CSR form behind CG
-and ``algebraic_connectivity``, read it.
+component's factor instead. A component solved on its own is a grouping
+of one (``ComponentGroups._stack``); ``build_laplacian`` returns one per
+connected component and ``algebraic_connectivity`` takes one.
+``_laplacian_entries`` alone decides how measurements become Laplacian
+entries (a pair measured twice counts twice); the dense assembly and
+``_sparse``, the CSR form behind CG and ``algebraic_connectivity``, read
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +68,6 @@ from .observations import ObservationBatch, _validate_batch_indices
 
 __all__ = [
     "ComponentGroups",
-    "ComponentStack",
     "group_components",
     "build_laplacian",
     "algebraic_connectivity",
@@ -171,7 +171,7 @@ class ComponentGroups:
     one component after another, and ``sizes`` the component sizes, which
     never decrease. Edge endpoints ``a`` and ``b`` index the flattened
     ``nodes``; edges keep their measured orientation and are grouped by
-    component. ``runs`` lists, per size, the range of its components.
+    component.
     """
 
     nodes: np.ndarray
@@ -180,13 +180,23 @@ class ComponentGroups:
     weights: np.ndarray
     sizes: np.ndarray
 
-    def __post_init__(self):
-        # (size, first, end): the components of each size, a range
+    @property
+    def size(self) -> int:
+        """Number of nodes."""
+        return len(self.nodes)
+
+    @property
+    def nnz(self) -> int:
+        """Number of measurements (each stores two off-diagonal entries)."""
+        return len(self.weights)
+
+    @cached_property
+    def runs(self) -> list:
+        """Per size, ``(size, first, end)``: the range of its components."""
         sizes = self.sizes
         cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
         bounds = [0, *cuts, len(sizes)] if len(sizes) else []
-        self.runs = [(int(sizes[c0]), c0, c1)
-                     for c0, c1 in zip(bounds, bounds[1:])]
+        return [(int(sizes[c0]), c0, c1) for c0, c1 in zip(bounds, bounds[1:])]
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -215,19 +225,19 @@ class ComponentGroups:
         return starts[1:] - starts[:-1]
 
     def split(self) -> list:
-        """Each component as a stack of one, in order."""
+        """Each component as a grouping of one, in order."""
         return [self._stack(k, k + 1) for k in range(len(self.sizes))]
 
-    def _stack(self, c0: int, c1: int) -> ComponentStack:
-        """Components ``c0`` to ``c1 - 1``, of one size, as a stack of their
-        own: a view of the nodes and weights, endpoints renumbered into it."""
+    def _stack(self, c0: int, c1: int) -> ComponentGroups:
+        """Components ``c0`` to ``c1 - 1`` as a grouping of their own: a
+        view of the nodes and weights, endpoints renumbered into it."""
         n0, n1 = int(self.starts[c0]), int(self.starts[c1])
         e0, e1 = int(self.edge_starts[c0]), int(self.edge_starts[c1])
         a, b = self.a[e0:e1], self.b[e0:e1]
         if n0:
             a, b = a - n0, b - n0
-        return ComponentStack(self.nodes.reshape(-1)[n0:n1].reshape(c1 - c0, -1),
-                              a, b, self.weights[e0:e1])
+        return ComponentGroups(self.nodes[n0:n1], a, b, self.weights[e0:e1],
+                               self.sizes[c0:c1])
 
     def _complete_weights(self) -> np.ndarray | None:
         """Per component, the weight ``w`` when the component is complete
@@ -302,36 +312,6 @@ class ComponentGroups:
         return _RoutedStack(self).solve(rhs)
 
 
-@dataclass
-class ComponentStack(ComponentGroups):
-    """Connected components of one size, stacked for a batched solve.
-
-    Row ``k`` of ``nodes`` holds component k's global node ids in ascending
-    order. Edge endpoints ``a`` and ``b`` index the flattened ``nodes``, so
-    ``a // size`` is an edge's component and ``a % size`` its local node.
-    """
-
-    sizes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        count, size = self.nodes.shape
-        self.sizes = np.full(count, size, dtype=np.int64)
-        super().__post_init__()
-
-    @property
-    def size(self) -> int:
-        return self.nodes.shape[1]
-
-    @property
-    def count(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        """Number of measurements (each stores two off-diagonal entries)."""
-        return len(self.weights)
-
-
 class _RoutedStack:
     """The one place that picks each component's route from the data.
 
@@ -339,8 +319,8 @@ class _RoutedStack:
     ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve. The
     others take the dense route up to ``DENSE_SOLVER_MAX`` nodes, all of
     them assembled in one pass and solved by one LU call per size
-    (``_lu_solve``), and deflated CG one by one above. After
-    ``keep_factors``, each of those keeps what its route reuses instead:
+    (``_lu_solve``), and deflated CG one by one above, each a grouping of
+    one. After ``keep_factors``, each of those keeps what its route reuses:
     the Cholesky factor of ``L + shift 11^T``, factored in place (None when
     Cholesky fails, as on a path with a 1e-20 weight: the component then
     stays on the LU route), or its CG system. Every route's solutions are
@@ -349,7 +329,7 @@ class _RoutedStack:
     """
 
     def __init__(self, groups: ComponentGroups):
-        self.groups, self.kept = groups, None
+        self.groups = groups
         self.w = groups._complete_weights()
         sizes = groups.sizes
         if self.w is None and (not len(sizes)
@@ -359,8 +339,8 @@ class _RoutedStack:
         open_ = self._open()
         big = sizes[open_] > DENSE_SOLVER_MAX
         self.lu = open_[~big]
-        # the components solved on their own: rows, stack of one, and what
-        # their solve reuses
+        # the components solved on their own: rows, grouping of one, and
+        # what their solve reuses
         self.alone = [(self._rows(k), groups._stack(k, k + 1), None)
                       for k in open_[big].tolist()]
 
@@ -376,19 +356,19 @@ class _RoutedStack:
     def keep_factors(self) -> _RoutedStack:
         open_ = self._open()
         singles = [self.groups._stack(k, k + 1) for k in open_.tolist()]
-        self.kept = [(single, _cholesky(single) if single.size <= DENSE_SOLVER_MAX
-                      else _cg_system(single)) for single in singles]
-        factored = np.array([reused is not None for _, reused in self.kept],
+        kept = [_cholesky(single) if single.size <= DENSE_SOLVER_MAX
+                else _cg_system(single) for single in singles]
+        factored = np.array([reused is not None for reused in kept],
                             dtype=bool)
-        self.alone = [(self._rows(k), single, reused) for k, (single, reused)
-                      in zip(open_.tolist(), self.kept) if reused is not None]
+        self.alone = [(self._rows(k), single, reused) for k, single, reused
+                      in zip(open_.tolist(), singles, kept) if reused]
         self.lu = open_[~factored]
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm solves of every component; ``rhs`` holds one row per
-        node of the flattened ``nodes`` ((count, size, dim) for a stack),
-        with zero column sums per component, and so does the result."""
+        node (or is (count, size, dim) for one size), with zero column sums
+        per component, and so does the result."""
         return self.solve_in_place(np.array(rhs, dtype=np.float64))
 
     def solve_in_place(self, y: np.ndarray) -> np.ndarray:
@@ -406,7 +386,7 @@ class _RoutedStack:
         return y
 
 
-def _solve_alone(single: ComponentStack, rhs: np.ndarray, reused):
+def _solve_alone(single: ComponentGroups, rhs: np.ndarray, reused):
     """One component's solve, not yet recentered: by CG above
     ``DENSE_SOLVER_MAX`` (``reused`` its kept system, if any), else by its
     kept Cholesky factor."""
@@ -451,28 +431,28 @@ def _laplacian_entries(groups: ComponentGroups):
 
     Returns ``(rows, cols, w, degree, shift)``: measurement k subtracts
     ``w[k]`` at ``(rows[h][k], cols[h][k])`` for h = 0, 1 (positions in
-    the flattened nodes); ``degree`` is shaped like the nodes; adding
+    ``nodes``); ``degree`` holds one value per node; adding
     ``shift[k]`` to every entry makes L_k nonsingular without changing it
     on zero-sum vectors.
     """
     a, b, w = groups.a, groups.b, groups.weights
-    degree = np.bincount(a, weights=w, minlength=groups.nodes.size)
-    degree += np.bincount(b, weights=w, minlength=groups.nodes.size)
+    degree = np.bincount(a, weights=w, minlength=groups.size)
+    degree += np.bincount(b, weights=w, minlength=groups.size)
     size = groups.sizes
     shift = np.maximum(groups._sum(degree) / size, 1.0) / size
-    return (a, b), (b, a), w, degree.reshape(groups.nodes.shape), shift
+    return (a, b), (b, a), w, degree, shift
 
 
-def _sparse(stack: ComponentStack):
-    """CSR Laplacian of a stack of one, its degrees and its shift."""
-    rows, cols, w, degree, shift = _laplacian_entries(stack)
+def _sparse(single: ComponentGroups):
+    """CSR Laplacian of a grouping of one, its degrees and its shift."""
+    rows, cols, w, degree, shift = _laplacian_entries(single)
     off = -w
-    diag = np.arange(stack.size)
+    diag = np.arange(single.size)
     L = sp.csr_matrix(
-        (np.concatenate([off, off, degree[0]]),
+        (np.concatenate([off, off, degree]),
          (np.concatenate([*rows, diag]), np.concatenate([*cols, diag]))),
-        shape=(stack.size, stack.size))
-    return L, degree[0], float(shift[0])
+        shape=(single.size, single.size))
+    return L, degree, float(shift[0])
 
 
 def group_components(batch: ObservationBatch, node_count: int,
@@ -482,7 +462,7 @@ def group_components(batch: ObservationBatch, node_count: int,
     weights are dropped once, by its caller.
 
     Returns the components ordered by (size, smallest member), so each size
-    is one ``ComponentStack`` of the result; isolated nodes form size-1
+    is one of the result's ``runs``; isolated nodes form size-1
     components only with ``singletons``. Node ids ascend inside a component
     and edges keep batch order. Each temporary is released once used, so
     grouping holds a few values per node and per edge at a time.
@@ -519,7 +499,7 @@ def group_components(batch: ObservationBatch, node_count: int,
 
 
 def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
-    """One ``ComponentStack`` of one component per connected component.
+    """One ``ComponentGroups`` of one component per connected component.
 
     Components are ordered by their smallest member. Isolated nodes appear as
     singleton components with empty edge sets (skipped by all solvers).
@@ -527,7 +507,7 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     _validate_batch_indices(batch, node_count)
     comps = group_components(batch.nonzero(), node_count,
                              singletons=True).split()
-    comps.sort(key=lambda c: c.nodes[0, 0])
+    comps.sort(key=lambda c: c.nodes[0])
     return comps
 
 
@@ -599,7 +579,6 @@ def _shifted_dense(groups: ComponentGroups, comps=None, room: int = 0):
     if len(waves) > 1:  # kept for every wave, as int32 while the cells fit
         halves = [cell.astype(np.int32 if cells.sum() < 2**31 else np.int64)
                   for cell in halves]
-    degree = degree.reshape(-1)
     for wave in waves:
         c0, c1, first = wave[0][1], wave[-1][2], wave[0][5]
         e0, e1 = ((0, len(w)) if c1 - c0 == len(sizes) else
@@ -659,54 +638,54 @@ def _dense_min_norm(groups: ComponentGroups, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _cholesky(stack: ComponentStack):
-    """``cho_factor`` of a stack of one's ``L + shift 11^T``, factored in
+def _cholesky(single: ComponentGroups):
+    """``cho_factor`` of a grouping of one's ``L + shift 11^T``, factored in
     place (the matrix is symmetric, so its transpose is the Fortran-ordered
     copy LAPACK works on); None when Cholesky fails on round-off."""
-    [(A, _)] = _shifted_dense(stack)
-    A = A.reshape(stack.size, stack.size).T
+    [(A, _)] = _shifted_dense(single)
+    A = A.reshape(single.size, single.size).T
     try:
         return cho_factor(A, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
 
 
-def _cg_system(stack: ComponentStack):
-    """What CG needs of a stack of one: its CSR Laplacian, the shifted
+def _cg_system(single: ComponentGroups):
+    """What CG needs of a grouping of one: its CSR Laplacian, the shifted
     operator ``L + shift 11^T`` and the Jacobi preconditioner."""
-    p = stack.size
-    L, degree, shift = _sparse(stack)
+    p = single.size
+    L, degree, shift = _sparse(single)
     A = sp.linalg.LinearOperator(
         (p, p), matvec=lambda v: L @ v + shift * v.sum(), dtype=np.float64
     )
     return L, A, sp.diags(1.0 / (degree + shift))
 
 
-def _solve_cg(stack: ComponentStack, rhs: np.ndarray,
+def _solve_cg(single: ComponentGroups, rhs: np.ndarray,
               system=None) -> np.ndarray:
-    """Deflated CG solve for a stack of one, not yet recentered; ``rhs`` is
-    (size, dim). ``system`` is the stack's ``_cg_system``, built here when
-    not given. Falls back to the dense min-norm solve if CG does not
+    """Deflated CG solve for a grouping of one, not yet recentered; ``rhs``
+    is (size, dim). ``system`` is its ``_cg_system``, built here when not
+    given. Falls back to the dense min-norm solve if CG does not
     converge."""
-    p = stack.size
-    L, A, M = system or _cg_system(stack)
+    p = single.size
+    L, A, M = system or _cg_system(single)
     y = np.empty_like(rhs)
     for col in range(rhs.shape[1]):
         b = rhs[:, col]
         sol, info = _cg(A, b, rtol=_CG_TOL, atol=0.0, maxiter=50 * p, M=M)
         if info != 0:
-            return _dense_min_norm(stack, rhs[None])[0]
+            return _dense_min_norm(single, rhs)
         y[:, col] = sol
     resid = np.linalg.norm(L @ y - rhs)
     if resid > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
-        return _dense_min_norm(stack, rhs[None])[0]
+        return _dense_min_norm(single, rhs)
     return y
 
 
-def algebraic_connectivity(stack: ComponentStack) -> float:
+def algebraic_connectivity(single: ComponentGroups) -> float:
     """Second-smallest Laplacian eigenvalue (reciprocal of the pseudo-inverse
-    spectral norm) of a connected component, given as a stack of one."""
-    if stack.size < 2:
+    spectral norm) of a connected component, given as a grouping of one."""
+    if single.size < 2:
         raise ValueError("algebraic connectivity is undefined for singletons")
-    vals = np.linalg.eigvalsh(_sparse(stack)[0].toarray())
+    vals = np.linalg.eigvalsh(_sparse(single)[0].toarray())
     return float(vals[1])

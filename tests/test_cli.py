@@ -184,6 +184,16 @@ class TestSubcommands:
         assert main(["embed", "--input", edge_file, "--slots", "2",
                      "--config", str(config)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("top", [None, 5, [["p", 3]]],
+                             ids=["null", "number", "list"])
+    def test_config_file_not_an_object_is_config_error(self, top, edge_file,
+                                                       tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(top))
+        assert main(["embed", "--input", edge_file, "--slots", "2",
+                     "--config", str(config)]) == EXIT_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--samples", "-1"],
         ["oracle", "--samples", "0"],
@@ -401,6 +411,21 @@ class TestSubcommands:
         code = main(["stats", "--trace-file", str(trace)])
         assert code == EXIT_INPUT
         assert "no stress records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, reason", [
+        ("5", "not a JSON object"),
+        ('{"t": "1", "stress": 0.5}', "t and stress must be numbers"),
+        ('{"t": 1, "stress": [0.5]}', "t and stress must be numbers"),
+        ('{"t": 1, "stress": true}', "t and stress must be numbers"),
+    ], ids=["number", "string-t", "list-stress", "bool-stress"])
+    def test_stats_malformed_trace_line_is_input_error(self, line, reason,
+                                                       tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        good = json.dumps({"t": 0, "stress": 1.0})
+        trace.write_text(f"{good}\n{line}\n")
+        code = main(["stats", "--trace-file", str(trace)])
+        assert code == EXIT_INPUT
+        assert f"line 2: {reason}" in capsys.readouterr().err
 
     def test_stats_hovering(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

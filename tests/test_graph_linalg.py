@@ -1,7 +1,7 @@
 """Laplacian construction, component detection, and min-norm solves.
 
-``build_laplacian`` returns one ``ComponentStack`` of one component per
-connected component; the tests read node ids from ``nodes[0]``, degrees from
+``build_laplacian`` returns one ``ComponentGroups`` of one component per
+connected component; the tests read node ids from ``nodes``, degrees from
 ``_laplacian_entries`` and dense matrices from ``_sparse``, the assembly the
 CG solve and ``algebraic_connectivity`` run on."""
 
@@ -24,14 +24,14 @@ def batch(entries):
     return ObservationBatch.from_entries(entries)
 
 
-def dense(stack):
-    """A stack of one's Laplacian as an array."""
-    return _sparse(stack)[0].toarray()
+def dense(single):
+    """A grouping of one's Laplacian as an array."""
+    return _sparse(single)[0].toarray()
 
 
-def min_norm(stack, rhs):
+def min_norm(single, rhs):
     """Min-norm solve of one component, as every update does it."""
-    return stack.solve(rhs[None])[0]
+    return single.solve(rhs)
 
 
 def spy(monkeypatch, name):
@@ -72,15 +72,15 @@ class TestBuildLaplacian:
     def test_empty_graph_gives_singletons(self):
         laps = build_laplacian(ObservationBatch.empty(), 2)
         assert len(laps) == 2
-        assert all(l.count == 1 and l.size == 1 and l.nnz == 0
+        assert all(len(l.sizes) == 1 and l.size == 1 and l.nnz == 0
                    for l in laps)
 
     def test_two_components(self):
         laps = build_laplacian(batch([(0, 1, 1.0, 1.0), (2, 3, 1.0, 1.0)]), 4)
         assert len(laps) == 2
-        assert [l.count for l in laps] == [1, 1]
-        np.testing.assert_array_equal(laps[0].nodes[0], [0, 1])
-        np.testing.assert_array_equal(laps[1].nodes[0], [2, 3])
+        assert [len(l.sizes) for l in laps] == [1, 1]
+        np.testing.assert_array_equal(laps[0].nodes, [0, 1])
+        np.testing.assert_array_equal(laps[1].nodes, [2, 3])
         # split() carries each component's own measurements
         np.testing.assert_array_equal(laps[1].a, [0])
         np.testing.assert_array_equal(laps[1].b, [1])
@@ -92,7 +92,7 @@ class TestBuildLaplacian:
             p = int(rng.integers(2, 12))
             lap = build_laplacian(random_connected_graph(rng, p, 0.1), p)[0]
             assert np.all(lap.weights > 0) and np.all(lap.a != lap.b)
-            degree = _laplacian_entries(lap)[3][0]
+            degree = _laplacian_entries(lap)[3]
             expected = (
                 np.bincount(lap.a, weights=lap.weights, minlength=p)
                 + np.bincount(lap.b, weights=lap.weights, minlength=p))
@@ -105,7 +105,7 @@ class TestBuildLaplacian:
         lap = build_laplacian(
             batch([(0, 1, 1.0, 0.5), (1, 0, 1.0, 1.0), (1, 2, 1.0, 1.0)]), 3)[0]
         assert lap.nnz == 3
-        np.testing.assert_array_equal(_laplacian_entries(lap)[3][0],
+        np.testing.assert_array_equal(_laplacian_entries(lap)[3],
                                       [1.5, 2.5, 1.0])
         expected = np.array([[1.5, -1.5, 0.], [-1.5, 2.5, -1.], [0., -1., 1.]])
         L = dense(lap)
@@ -184,7 +184,7 @@ def label_graphs(draw):
 class TestConnectedComponents:
     @staticmethod
     def components(b, n):
-        return [lap.nodes[0].tolist() for lap in build_laplacian(b, n)]
+        return [lap.nodes.tolist() for lap in build_laplacian(b, n)]
 
     def test_path_graph(self):
         comps = self.components(batch([(0, 1, 1, 1), (1, 2, 1, 1)]), 3)
@@ -240,8 +240,7 @@ class TestConnectedComponents:
 
 
 def size_stacks(groups):
-    """A grouping's components as one ``ComponentStack`` per size, in
-    order."""
+    """A grouping's components as one grouping per size, in order."""
     return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
 
 
@@ -300,7 +299,8 @@ class TestGroupComponents:
         got = [(s.nodes.ravel().tolist(), s.a.tolist(), s.b.tolist(),
                 s.weights.tolist()) for s in stacks]
         assert got == want
-        assert [s.size for s in stacks] == sorted({s.size for s in stacks})
+        sizes = [int(s.sizes[0]) for s in stacks]
+        assert sizes == sorted(set(sizes))
 
 
 class TestStableArgsort:
@@ -360,7 +360,7 @@ class TestSolveMinNorm:
         assert stack._complete_weights() is None
         rhs = rng.standard_normal((p, 2))
         rhs -= rhs.mean(axis=0)
-        direct = _dense_min_norm(stack, rhs[None])[0]
+        direct = _dense_min_norm(stack, rhs)
         cg_calls = spy(monkeypatch, "_solve_cg")
         fallbacks = spy(monkeypatch, "_dense_min_norm")
         iterative = graph_linalg._solve_cg(stack, rhs)
@@ -484,7 +484,7 @@ class TestCompleteClosedForm:
         k4 = [(i, j, 1.0, 1e-100) for i in range(4) for j in range(i + 1, 4)]
         path = [(v, v + 1, 1.0, 1.0) for v in range(4, 7)]
         [stack] = size_stacks(group_components(batch(k4 + path), 8))
-        assert stack.count == 2
+        assert len(stack.sizes) == 2
         rhs = zero_sum_rhs(np.random.default_rng(37), 2, 4)
         got = stack.solve(rhs)
         assert np.all(np.isfinite(got))
@@ -600,7 +600,7 @@ class TestCompleteWeights:
 
 class TestFactoredStack:
     """A stack routed once that keeps its factors solves as the one-shot
-    ``ComponentStack.solve`` does: bit for bit in closed form and by CG, to
+    ``ComponentGroups.solve`` does: bit for bit in closed form and by CG, to
     round-off by Cholesky."""
 
     def test_mixed_dense_stack(self, monkeypatch):
@@ -618,7 +618,7 @@ class TestFactoredStack:
                                 weight or rng.uniform(0.2, 1.0)))
         [stack] = size_stacks(group_components(batch(entries), 4 * size))
         factored = _RoutedStack(stack).keep_factors()
-        assert len(factored.kept) == 2  # the two incomplete components
+        assert len(factored.alone) == 2  # the two incomplete components
         calls = spy(monkeypatch, "_shifted_dense")
         for _ in range(3):  # reused, never refactored
             rhs = zero_sum_rhs(rng, 4, size)
@@ -635,7 +635,7 @@ class TestFactoredStack:
         [stack] = size_stacks(group_components(
             batch([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1e-20)]), 3))
         factored = _RoutedStack(stack).keep_factors()
-        assert factored.kept[0][1] is None
+        assert not factored.alone and factored.lu.tolist() == [0]
         rhs = zero_sum_rhs(np.random.default_rng(36), 1, 3)
         assert np.array_equal(factored.solve(rhs), stack.solve(rhs))
 
@@ -728,8 +728,8 @@ def plain_solve(p, edges, rhs):
         y = rhs / (weights.pop() * p)
     elif p > DENSE_SOLVER_MAX:
         a, b, w = (np.array(col) for col in zip(*edges))
-        y = graph_linalg._solve_cg(
-            graph_linalg.ComponentStack(np.arange(p)[None], a, b, w), rhs)
+        y = graph_linalg._solve_cg(graph_linalg.ComponentGroups(
+            np.arange(p), a, b, w, np.array([p])), rhs)
     else:
         y = np.linalg.solve(plain_component(p, edges), rhs)
     return y - sequential_sum(y) / p
@@ -838,6 +838,37 @@ class TestGroupingAgainstPlainReference:
         for k, (p, edges) in owner.items():
             want = plain_solve(p, edges, rhs[starts[k]:starts[k + 1]])
             assert np.array_equal(got[starts[k]:starts[k + 1]], want), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(groupings(), st.data())
+    def test_cut_across_sizes(self, case, data):
+        """``_stack(c0, c1)`` over a range of components that crosses a
+        change of size has the whole grouping's Laplacian entries and
+        solves of those components, bit for bit."""
+        sizes, complete, dim, seed = case
+        if len(set(sizes)) == 1:  # a second size, for the cut to cross
+            sizes, complete = sizes + [sizes[0] + 1], complete + [False]
+        batch, _ = grouping_instance(sizes, complete, seed)
+        groups = group_components(batch, sum(sizes))
+        edge = data.draw(st.sampled_from([c for _, c, _ in groups.runs[1:]]))
+        c0 = data.draw(st.integers(0, edge - 1))
+        c1 = data.draw(st.integers(edge + 1, len(groups.sizes)))
+        part = groups._stack(c0, c1)
+        n0, n1 = int(groups.starts[c0]), int(groups.starts[c1])
+        e0, e1 = int(groups.edge_starts[c0]), int(groups.edge_starts[c1])
+        assert part.size == n1 - n0 and part.nnz == e1 - e0
+        rows, cols, w, degree, shift = _laplacian_entries(part)
+        whole = _laplacian_entries(groups)
+        for h in range(2):
+            assert np.array_equal(rows[h] + n0, whole[0][h][e0:e1])
+            assert np.array_equal(cols[h] + n0, whole[1][h][e0:e1])
+        assert np.array_equal(w, whole[2][e0:e1])
+        assert np.array_equal(degree, whole[3][n0:n1])
+        assert np.array_equal(shift, whole[4][c0:c1])
+        rhs = np.random.default_rng(seed).standard_normal((groups.size, dim))
+        rhs -= groups._spread(groups._means(rhs))
+        assert np.array_equal(part.solve(rhs[n0:n1]),
+                              groups.solve(rhs)[n0:n1])
 
 
 class TestSummationOrder:

@@ -144,7 +144,7 @@ class TestBEpsilonMatrix:
         # the caller drops zero weights (once) and groups the live batch:
         # the zero-weight pair forms no component and enters no B X
         stacks = size_stacks(group_components(b.nonzero(), 3))
-        assert [s.nodes.tolist() for s in stacks] == [[[0, 1]]]
+        assert [s.nodes.tolist() for s in stacks] == [[0, 1]]
         np.testing.assert_array_equal(stacks[0].weights, [1.0])
         got = b_times_x(X, b, 0.0)
         np.testing.assert_array_equal(got, [[-1, 0], [1, 0], [0, 0]])
@@ -533,8 +533,7 @@ class TestComponentLayerReference:
 
 
 def size_stacks(groups):
-    """A grouping's components as one ``ComponentStack`` per size, in
-    order."""
+    """A grouping's components as one grouping per size, in order."""
     return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
 
 
@@ -549,14 +548,16 @@ def _per_stack_update(Xn, batch, cfg, nodes):
                                      live.delta, cfg.eps_x)
     bx = _b_times_x(X, live.m, live.n, coef, diff.T)
     for stack in size_stacks(group_components(live, len(nodes))):
-        rows = nodes[stack.nodes]
+        count, size = len(stack.sizes), int(stack.sizes[0])
+        local = stack.nodes.reshape(count, size)
+        rows = nodes[local]
         Xc = np.take(Xn, rows, axis=0)
-        y = stack.solve(np.take(bx, stack.nodes, axis=0))
+        y = stack.solve(np.take(bx, local, axis=0))
         # each center summed one row at a time, in row order
-        center = np.zeros((stack.count, 1, Xc.shape[2]))
-        for k in range(stack.size):
+        center = np.zeros((count, 1, Xc.shape[2]))
+        for k in range(size):
             center[:, 0] += Xc[:, k]
-        center /= stack.size
+        center /= size
         Xn[rows] = (1.0 - mu) * Xc + mu * center + mu * y
 
 
