@@ -7,30 +7,33 @@ solution is the one with zero column sums as well.
 
 Every caller goes through one layer, and it sees only the graph (node ids,
 edges, weights): ``stress_core`` forms B(X)X once per batch and hands the
-layer its rows. ``group_components`` lays a batch's components end to end,
-ordered by size, in one ``ComponentGroups``; its callers have stripped the
-batch of zero weights (``ObservationBatch.nonzero``). It finds the
-components by root hooking (``_component_labels``, after Shiloach and
-Vishkin): each pass hooks every edge's larger root onto the smaller and
-jumps pointers until each node points at its root, so the roots end up
-the components' smallest members. Its stable sorts take 16-bit keys
-whenever the keys fit, which numpy radix-sorts. A grouping is solved in
-one pass (``_RoutedStack``), whatever its number of sizes:
+layer its rows. ``group_components`` lays a batch's components end to end
+in one ``ComponentGroups``: the open ones by size, then the candidates for
+the closed form (as many measurements as pairs of nodes) by size; its
+callers have stripped the batch of zero weights
+(``ObservationBatch.nonzero``). It finds the components by root hooking
+(``_component_labels``, after Shiloach and Vishkin): each pass hooks every
+edge's larger root onto the smaller and jumps pointers until each node
+points at its root, so the roots end up the components' smallest members.
+Its stable sorts take 16-bit keys whenever the keys fit, which numpy
+radix-sorts. A grouping is solved in one pass (``_RoutedStack``), whatever
+its number of sizes, and every route takes a run of its components:
 
-- the route pass picks each component's route from the data once over the
-  whole grouping: a complete component with one measurement per pair, all
-  of one weight ``w``, is solved in closed form, ``y = rhs / (w * size)``,
-  with no assembly (a pair measured once is complete because it is
-  connected; larger components are checked against a bitmap of their
-  pairs); the others take the dense route up to ``DENSE_SOLVER_MAX`` nodes
-  and deflated conjugate gradients above;
-- one assembly (``_shifted_dense``) forms every dense-route component's
-  ``L + shift 11^T`` from one pass of ``_laplacian_entries`` over the
-  grouping's edges, and ``np.linalg.solve`` is called once per size, so each
+- the open components up to ``DENSE_SOLVER_MAX`` nodes lead; one assembly
+  (``_shifted_dense``) forms each one's ``L + shift 11^T`` from one pass of
+  ``_laplacian_entries`` over their edges, and ``np.linalg.solve`` is
+  called once per size on their slice of the right-hand side, so each
   matrix still goes through the same LAPACK call alone. The matrices are
   filled and solved in waves of consecutive sizes, none holding more cells
   than the largest size does, so the assembly's memory stays what a
   per-size assembly needed;
+- the larger open components follow, each solved alone by deflated
+  conjugate gradients;
+- a candidate that is complete, with one measurement per pair, all of one
+  weight ``w``, is solved in closed form, ``y = rhs / (w * size)``, with no
+  assembly (a pair measured once is complete because it is connected;
+  larger candidates are checked against a bitmap of their pairs); one
+  that is not is solved alone, as an open component of its size is;
 - the solutions are written over the right-hand side and recentered in one
   step.
 
@@ -162,16 +165,27 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def _closed_form_candidates(sizes, counts) -> np.ndarray:
+    """Per component, whether it may be solved in closed form: it has two
+    nodes or more and as many measurements (``counts``) as pairs of nodes,
+    size (size - 1) / 2."""
+    half = sizes * (sizes - 1) // 2
+    return (counts == half) & (half > 0)
+
+
 @dataclass
 class ComponentGroups:
     """Connected components laid end to end, for solves that take every
     component in one pass.
 
     ``nodes`` holds each component's global node ids in ascending order,
-    one component after another, and ``sizes`` the component sizes, which
-    never decrease. Edge endpoints ``a`` and ``b`` index the flattened
-    ``nodes``; edges keep their measured orientation and are grouped by
-    component.
+    one component after another, and ``sizes`` the component sizes. The
+    open components come first and the closed-form candidates
+    (``_closed_form_candidates``) last, from ``tail`` on; sizes never
+    decrease within the open part and within the tail, so each route of
+    ``_RoutedStack`` takes a run of components. Edge endpoints ``a`` and
+    ``b`` index the flattened ``nodes``; edges keep their measured
+    orientation and are grouped by component.
     """
 
     nodes: np.ndarray
@@ -192,7 +206,8 @@ class ComponentGroups:
 
     @cached_property
     def runs(self) -> list:
-        """Per size, ``(size, first, end)``: the range of its components."""
+        """Per run of components of one size, ``(size, first, end)``: the
+        range of its components."""
         sizes = self.sizes
         cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
         bounds = [0, *cuts, len(sizes)] if len(sizes) else []
@@ -212,17 +227,24 @@ class ComponentGroups:
         return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     @cached_property
-    def edge_starts(self) -> np.ndarray:
-        """Where each component's edges start, then the edge count. Every
-        endpoint ``a`` lies in its component's node range, so one binary
-        search per component finds its first edge."""
-        return np.searchsorted(self.a, self.starts)
+    def edge_counts(self) -> np.ndarray:
+        """Measurements per component. Every endpoint ``a`` lies in its
+        component's node range, so one binary search per component finds
+        its first edge. ``group_components`` and ``_stack``, which know the
+        counts, set them."""
+        return np.diff(np.searchsorted(self.a, self.starts))
 
     @cached_property
-    def edge_counts(self) -> np.ndarray:
-        """Measurements per component."""
-        starts = self.edge_starts
-        return starts[1:] - starts[:-1]
+    def edge_starts(self) -> np.ndarray:
+        """Where each component's edges start, then the edge count."""
+        return np.concatenate(([0], np.cumsum(self.edge_counts)))
+
+    @cached_property
+    def tail(self) -> int:
+        """Where the closed-form candidates start: the number of open
+        components (``group_components``, which knows it, sets it)."""
+        return int(np.count_nonzero(
+            ~_closed_form_candidates(self.sizes, self.edge_counts)))
 
     def split(self) -> list:
         """Each component as a grouping of one, in order."""
@@ -230,60 +252,54 @@ class ComponentGroups:
 
     def _stack(self, c0: int, c1: int) -> ComponentGroups:
         """Components ``c0`` to ``c1 - 1`` as a grouping of their own: a
-        view of the nodes and weights, endpoints renumbered into it."""
+        view of the nodes and weights, endpoints renumbered into it (the
+        grouping itself when that is every component)."""
+        if c0 == 0 and c1 == len(self.sizes):
+            return self
         n0, n1 = int(self.starts[c0]), int(self.starts[c1])
         e0, e1 = int(self.edge_starts[c0]), int(self.edge_starts[c1])
         a, b = self.a[e0:e1], self.b[e0:e1]
         if n0:
             a, b = a - n0, b - n0
-        return ComponentGroups(self.nodes[n0:n1], a, b, self.weights[e0:e1],
+        part = ComponentGroups(self.nodes[n0:n1], a, b, self.weights[e0:e1],
                                self.sizes[c0:c1])
+        part.edge_counts = self.edge_counts[c0:c1]
+        return part
 
     def _complete_weights(self) -> np.ndarray | None:
         """Per component, the weight ``w`` when the component is complete
         with one measurement per unordered pair, all of weight ``w``, and 0
         otherwise; None when no component is.
 
-        Exact and linear in the measurements. Only a component of size p
-        with p (p - 1) / 2 measurements can qualify. A pair with one
-        measurement does: it is connected, so that measurement joins its
-        two nodes. From three nodes up, the diagonal and each measurement's
-        cells (i, j) and (j, i) are marked in a p^2 bitmap, the candidates'
-        bitmaps laid end to end; every cell is marked exactly when no pair
-        is measured twice and none is a self-loop. Equal degrees are not
-        enough: a multigraph can be regular without being complete.
+        Exact and linear in the measurements. Only the candidates, from
+        ``tail`` on, can qualify. A pair does: it is connected, so its one
+        measurement joins its two nodes. The pairs lead the tail; from
+        three nodes up, the diagonal and each measurement's cells (i, j)
+        and (j, i) are marked in a p^2 bitmap, the components' bitmaps laid
+        end to end; every cell is marked exactly when no pair is measured
+        twice and none is a self-loop. Equal degrees are not enough: a
+        multigraph can be regular without being complete.
         """
-        sizes, per = self.sizes, self.edge_counts
-        half = sizes * (sizes - 1) // 2
-        cand = (per == half) & (half > 0)
-        if not cand.any():
+        sizes, t = self.sizes, self.tail
+        if t == len(sizes):
             return None
         out = np.zeros(len(sizes))
-        pairs = cand & (sizes == 2)
-        out[pairs] = self.weights[self.edge_starts[:-1][pairs]]
-        cand &= sizes > 2
-        if not cand.any():
-            return out
-        a, b, w = self.a, self.b, self.weights
-        everyone = cand.all()
-        if not everyone:
-            edges = np.repeat(cand, per)
-            a, b, w = a[edges], b[edges], w[edges]
-        cells = np.where(cand, sizes * sizes, 0)  # the others get no block
-        first = np.cumsum(cells) - cells
-        seen = np.zeros(int(first[-1] + cells[-1]), dtype=bool)
-        row, col = _block_cells(self, first)
-        diagonal = row + col
-        seen[diagonal if everyone else diagonal[np.repeat(cand, sizes)]] = True
-        del diagonal
-        for key in _cell_halves((a, b), (b, a), row, col):
-            seen[key] = True
-        half = half[cand]
-        head = np.cumsum(half) - half  # each candidate's first measurement
-        w0 = np.minimum.reduceat(w, head)
-        ok = (np.logical_and.reduceat(seen, first[cand])
-              & (w0 == np.maximum.reduceat(w, head)))
-        out[np.flatnonzero(cand)[ok]] = w0[ok]
+        t3 = t + int(np.searchsorted(sizes[t:], 3))
+        out[t:t3] = self.weights[self.edge_starts[t:t3]]
+        if t3 < len(sizes):
+            big = self._stack(t3, len(sizes))
+            cells = big.sizes * big.sizes
+            first = np.cumsum(cells) - cells
+            seen = np.zeros(int(first[-1] + cells[-1]), dtype=bool)
+            row, col = _block_cells(big, first)
+            seen[row + col] = True  # the diagonal
+            for key in _cell_halves((big.a, big.b), (big.b, big.a), row, col):
+                seen[key] = True
+            w, head = big.weights, big.edge_starts[:-1]
+            w0 = np.minimum.reduceat(w, head)
+            ok = (np.logical_and.reduceat(seen, first)
+                  & (w0 == np.maximum.reduceat(w, head)))
+            out[t3:][ok] = w0[ok]
         return out if out.any() else None
 
     def _sum(self, column: np.ndarray) -> np.ndarray:
@@ -315,54 +331,51 @@ class ComponentGroups:
 class _RoutedStack:
     """The one place that picks each component's route from the data.
 
-    A complete component of one weight ``w`` (``_complete_weights``) has
-    ``pinv(L) = (I - 11^T / size) / (w * size)`` and needs no solve. The
-    others take the dense route up to ``DENSE_SOLVER_MAX`` nodes, all of
-    them assembled in one pass and solved by one LU call per size
-    (``_lu_solve``), and deflated CG one by one above, each a grouping of
-    one. After ``keep_factors``, each of those keeps what its route reuses:
-    the Cholesky factor of ``L + shift 11^T``, factored in place (None when
-    Cholesky fails, as on a path with a 1e-20 weight: the component then
-    stays on the LU route), or its CG system. Every route's solutions are
-    recentered together, after the last is written. Kept solves equal
-    one-shot ones bit for bit by CG and to round-off by Cholesky.
+    Every route takes a run of the grouping's components. The open ones up
+    to ``DENSE_SOLVER_MAX`` nodes lead (``lu``, a ``_stack`` of them, None
+    when there are none): they are assembled in one pass and solved by one
+    LU call per size (``_lu_solve``) on their slice of the right-hand side.
+    The open ones above it follow, each solved alone by deflated CG, a
+    grouping of one. The candidates close the grouping: a complete one of
+    one weight ``w`` (``_complete_weights``) has ``pinv(L) = (I - 11^T /
+    size) / (w * size)`` and needs no solve, and one that is not complete
+    is solved alone, by LU (by CG above ``DENSE_SOLVER_MAX``).
+
+    After ``keep_factors``, every component not solved in closed form is
+    solved alone and keeps what its route reuses: the Cholesky factor of
+    ``L + shift 11^T``, factored in place (None when Cholesky fails, as on
+    a path with a 1e-20 weight: the component is then solved by LU), or
+    its CG system. Every route's solutions are recentered together, after
+    the last is written. Kept solves equal one-shot ones bit for bit by LU
+    and CG and to round-off by Cholesky.
     """
 
     def __init__(self, groups: ComponentGroups):
         self.groups = groups
-        self.w = groups._complete_weights()
-        sizes = groups.sizes
-        if self.w is None and (not len(sizes)
-                               or sizes[-1] <= DENSE_SOLVER_MAX):
-            self.lu, self.alone = None, []  # every component, one LU route
-            return
-        open_ = self._open()
-        big = sizes[open_] > DENSE_SOLVER_MAX
-        self.lu = open_[~big]
+        sizes, t = groups.sizes, groups.tail
+        d = int(np.searchsorted(sizes[:t], DENSE_SOLVER_MAX, side="right"))
+        self.lu = groups._stack(0, d) if d else None
+        w = groups._complete_weights()
+        self.w = None if w is None else w[t:]  # per candidate
+        failed = (range(t, len(sizes)) if w is None
+                  else (t + np.flatnonzero(self.w == 0)).tolist())
         # the components solved on their own: rows, grouping of one, and
         # what their solve reuses
         self.alone = [(self._rows(k), groups._stack(k, k + 1), None)
-                      for k in open_[big].tolist()]
+                      for k in [*range(d, t), *failed]]
 
     def _rows(self, k: int) -> slice:
         return slice(*self.groups.starts[k:k + 2].tolist())
 
-    def _open(self) -> np.ndarray:
-        """The components that are not solved in closed form."""
-        if self.w is None:
-            return np.arange(len(self.groups.sizes))
-        return np.flatnonzero(self.w == 0)
-
     def keep_factors(self) -> _RoutedStack:
-        open_ = self._open()
-        singles = [self.groups._stack(k, k + 1) for k in open_.tolist()]
-        kept = [_cholesky(single) if single.size <= DENSE_SOLVER_MAX
-                else _cg_system(single) for single in singles]
-        factored = np.array([reused is not None for reused in kept],
-                            dtype=bool)
-        self.alone = [(self._rows(k), single, reused) for k, single, reused
-                      in zip(open_.tolist(), singles, kept) if reused]
-        self.lu = open_[~factored]
+        d = 0 if self.lu is None else len(self.lu.sizes)
+        dense = [(self._rows(k), self.groups._stack(k, k + 1), None)
+                 for k in range(d)]
+        self.alone = [(rows, single, _cholesky(single)
+                       if single.size <= DENSE_SOLVER_MAX
+                       else _cg_system(single))
+                      for rows, single, _ in dense + self.alone]
+        self.lu = None
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -377,11 +390,13 @@ class _RoutedStack:
         flat = y.reshape(-1, y.shape[-1])
         for rows, single, reused in self.alone:
             flat[rows] = _solve_alone(single, flat[rows], reused)
-        if self.lu is None or len(self.lu):
-            _lu_solve(groups, flat, self.lu)
+        if self.lu is not None:
+            _lu_solve(self.lu, flat[:self.lu.size])
         if self.w is not None:
-            closed = np.where(self.w > 0, self.w * groups.sizes, 1.0)
-            flat /= np.repeat(closed, groups.sizes)[:, None]
+            t = groups.tail
+            sizes = groups.sizes[t:]
+            closed = np.where(self.w > 0, self.w * sizes, 1.0)
+            flat[groups.starts[t]:] /= np.repeat(closed, sizes)[:, None]
         _recenter(groups, flat)
         return y
 
@@ -389,9 +404,11 @@ class _RoutedStack:
 def _solve_alone(single: ComponentGroups, rhs: np.ndarray, reused):
     """One component's solve, not yet recentered: by CG above
     ``DENSE_SOLVER_MAX`` (``reused`` its kept system, if any), else by its
-    kept Cholesky factor."""
+    kept Cholesky factor, or by LU, in place, when it has none."""
     if single.size > DENSE_SOLVER_MAX:
         return _solve_cg(single, rhs, reused)
+    if reused is None:
+        return _lu_solve(single, rhs)
     return cho_solve(reused, rhs, check_finite=False)
 
 
@@ -461,11 +478,13 @@ def group_components(batch: ObservationBatch, node_count: int,
     positive: callers hand in ``batch.nonzero()``, so a chunk's zero
     weights are dropped once, by its caller.
 
-    Returns the components ordered by (size, smallest member), so each size
-    is one of the result's ``runs``; isolated nodes form size-1
-    components only with ``singletons``. Node ids ascend inside a component
-    and edges keep batch order. Each temporary is released once used, so
-    grouping holds a few values per node and per edge at a time.
+    Returns the components ordered by (closed-form candidate, size,
+    smallest member): the open ones by size, then the candidates
+    (``_closed_form_candidates``) by size, so each route of
+    ``_RoutedStack`` takes a run of them. Isolated nodes lead, as size-1
+    components, only with ``singletons``. Node ids ascend inside a
+    component and edges keep batch order. Each temporary is released once
+    used, so grouping holds a few values per node and per edge at a time.
     """
     m, n = batch.m, batch.n
     labels, n_comp = _component_labels(m, n, node_count)
@@ -475,18 +494,25 @@ def group_components(batch: ObservationBatch, node_count: int,
                                batch.weight,
                                np.array([node_count] * keep, dtype=np.int64))
     sizes = np.bincount(labels, minlength=n_comp)
-    # rank components by (size, label): labels ascend, so a stable sort by
-    # size gives that order
-    by_size = _stable_argsort(sizes, node_count + 1)
+    edge_label = labels[m]
+    counts = np.bincount(edge_label, minlength=n_comp)
+    cand = _closed_form_candidates(sizes, counts)
+    # rank components by (candidate, size, label): labels ascend, so a
+    # stable sort by the first two gives that order
+    by_key = _stable_argsort(sizes + (node_count + 1) * cand,
+                             2 * (node_count + 1))
     rank = np.empty(n_comp, dtype=np.int64)
-    rank[by_size] = np.arange(n_comp)
+    rank[by_key] = np.arange(n_comp)
     labels = rank[labels]  # each node's component rank
+    edge_label = rank[edge_label]
     del rank
-    sizes = sizes[by_size]
-    # isolated nodes lead; without singletons they are left out
+    sizes, counts = sizes[by_key], counts[by_key]
+    # isolated nodes lead, and no later size is below 2; without
+    # singletons they are left out
     skip = 0 if singletons else int(np.searchsorted(sizes, 2))
     nodes = _stable_argsort(labels, n_comp)
-    order = _stable_argsort(labels[m], n_comp)
+    order = _stable_argsort(edge_label, n_comp)
+    del edge_label
     position = labels  # each node's place in the grouped nodes
     position[nodes] = np.arange(-skip, node_count - skip)
     a, b = position[m[order]], position[n[order]]
@@ -495,7 +521,12 @@ def group_components(batch: ObservationBatch, node_count: int,
     del order
     if skip:  # a copy, so that the isolated nodes are not held
         nodes, sizes = nodes[skip:].copy(), sizes[skip:].copy()
-    return ComponentGroups(nodes, a, b, w, sizes)
+        counts = counts[skip:].copy()
+    groups = ComponentGroups(nodes, a, b, w, sizes)
+    # the cached properties, known here already
+    groups.edge_counts = counts
+    groups.tail = len(sizes) - np.count_nonzero(cand)
+    return groups
 
 
 def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
@@ -511,130 +542,92 @@ def build_laplacian(batch: ObservationBatch, node_count: int) -> list:
     return comps
 
 
-def _blocks(groups: ComponentGroups, comps=None) -> list:
-    """Per size, the components ``comps`` (all when None) as ``(size, c0,
-    c1, count, rows, cell)``: the run of components of that size, how many
-    of them are in ``comps``, their rows of the flattened nodes (a slice,
-    or an index array when others of that size lie between them) and where
-    their blocks start when the blocks of ``comps`` lie end to end."""
-    everyone = comps is None or len(comps) == len(groups.sizes)
-    starts = groups.starts
-    bounds = None if everyone else np.searchsorted(
-        comps, [c0 for _, c0, _ in groups.runs] + [len(groups.sizes)]).tolist()
-    out, cell = [], 0
-    for k, (size, c0, c1) in enumerate(groups.runs):
-        if everyone or bounds[k + 1] - bounds[k] == c1 - c0:
-            count, rows = c1 - c0, slice(int(starts[c0]), int(starts[c1]))
-        elif bounds[k + 1] == bounds[k]:
-            continue
-        else:
-            first = starts[comps[bounds[k]:bounds[k + 1]]]
-            count = len(first)
-            rows = (first[:, None] + np.arange(size)).reshape(-1)
-        out.append((size, c0, c1, count, rows, cell))
-        cell += count * size * size
-    return out
-
-
-def _waves(blocks: list, room: int) -> list:
-    """Consecutive blocks, each wave holding at most as many cells as the
-    largest block plus ``room`` (or one block)."""
-    if len(blocks) < 2:
-        return [blocks] if blocks else []
-    cells = [count * size * size for size, _, _, count, _, _ in blocks]
-    budget = max(cells) + room
+def _waves(groups: ComponentGroups, cells: np.ndarray, room: int) -> list:
+    """The grouping's size runs (``runs``) in consecutive waves, each
+    holding at most as many ``cells`` (one count per component) as the
+    largest run plus ``room`` (or one run)."""
+    runs = groups.runs
+    if len(runs) < 2:
+        return [runs] if runs else []
+    blocks = [int(cells[c0]) * (c1 - c0) for _, c0, c1 in runs]
+    budget = max(blocks) + room
     waves, held = [], None
-    for block, n in zip(blocks, cells):
+    for run, n in zip(runs, blocks):
         if held is None or held + n > budget:
             waves.append([])
             held = 0
-        waves[-1].append(block)
+        waves[-1].append(run)
         held += n
     return waves
 
 
-def _shifted_dense(groups: ComponentGroups, comps=None, room: int = 0):
-    """The one dense assembly: every component of ``comps`` (all when
-    None) as its ``L + shift 11^T``, nonsingular and equal to L on zero-sum
-    vectors. One pass of ``_laplacian_entries`` and one of ``_cell_halves``
-    serve every component; the matrices are then filled and handed out
-    wave by wave, each wave no larger than the largest size's block plus
-    ``room`` cells (``_waves``). Yields ``(A, blocks)``: a flat buffer of
-    size x size blocks in component order, and per size ``(size, count,
-    rows, cells)``, its components' rows and their slice of ``A``.
+def _shifted_dense(groups: ComponentGroups, room: int = 0):
+    """The one dense assembly: every component of ``groups`` as its ``L +
+    shift 11^T``, nonsingular and equal to L on zero-sum vectors. One pass
+    of ``_laplacian_entries`` and one of ``_cell_halves`` serve every
+    component; the matrices are then filled and handed out wave by wave,
+    each wave no larger than the largest size run's blocks plus ``room``
+    cells (``_waves``). Yields ``(A, blocks)``: a flat buffer of size x
+    size blocks in component order, and per size run ``(size, count, rows,
+    cells)``, its components' rows and their slice of ``A``.
     """
     rows, cols, w, degree, shift = _laplacian_entries(groups)
-    blocks = _blocks(groups, comps)
-    sizes = groups.sizes
+    sizes, starts = groups.sizes, groups.starts
     cells = sizes * sizes
-    skip = None
-    if comps is not None and len(comps) < len(sizes):
-        keep = np.zeros(len(sizes), dtype=bool)
-        keep[comps] = True
-        cells[~keep] = 0
-        skip = np.repeat(~keep, groups.edge_counts)
-    halves = _cell_halves(rows, cols,
-                          *_block_cells(groups, np.cumsum(cells) - cells))
-    waves = _waves(blocks, room)
+    first = np.cumsum(cells) - cells
+    halves = _cell_halves(rows, cols, *_block_cells(groups, first))
+    waves = _waves(groups, cells, room)
     if len(waves) > 1:  # kept for every wave, as int32 while the cells fit
         halves = [cell.astype(np.int32 if cells.sum() < 2**31 else np.int64)
                   for cell in halves]
     for wave in waves:
-        c0, c1, first = wave[0][1], wave[-1][2], wave[0][5]
+        c0, c1 = wave[0][1], wave[-1][2]
         e0, e1 = ((0, len(w)) if c1 - c0 == len(sizes) else
                   (int(groups.edge_starts[c0]), int(groups.edge_starts[c1])))
-        # measurements of components left out between the wave's own land
-        # in a first, spare cell
-        spare = int(sum(block[3] for block in wave) < c1 - c0)
-        if spare:
-            A = np.repeat(np.r_[0.0, shift[c0:c1]], np.r_[1, cells[c0:c1]])
-        else:
-            A = np.repeat(shift[c0:c1], cells[c0:c1])  # entries start at it
-        offset = first - spare  # the global cell at A[0]
+        A = np.repeat(shift[c0:c1], cells[c0:c1])  # entries start at it
+        offset = int(first[c0])  # the global cell at A[0]
         for cell in halves:
             local = cell[e0:e1] - offset if offset else cell[e0:e1]
-            if spare:
-                local[skip[e0:e1]] = 0
             np.subtract.at(A, local, w[e0:e1])
         out = []
-        for size, _, _, count, nodes, at in wave:
-            n = count * size * size
-            block = slice(at - offset, at - offset + n)
+        for size, r0, r1 in wave:
+            count, n0, n1 = r1 - r0, int(starts[r0]), int(starts[r1])
+            at = int(first[r0]) - offset
+            block = slice(at, at + count * size * size)
             A[block].reshape(count, size * size)[:, ::size + 1] += \
-                degree[nodes].reshape(count, size)
-            out.append((size, count, nodes, block))
+                degree[n0:n1].reshape(count, size)
+            out.append((size, count, slice(n0, n1), block))
         yield A, out
         del A, out  # released before the next wave is filled
 
 
-def _lu_solve(groups: ComponentGroups, flat: np.ndarray, comps=None) -> None:
-    """Overwrite the rows of ``flat`` of every component of ``comps`` (all
-    when None) with its solve against ``L + shift 11^T``, not yet
-    recentered: one assembly, then one LAPACK call per size, which solves
-    each matrix alone.
+def _lu_solve(groups: ComponentGroups, flat: np.ndarray) -> np.ndarray:
+    """Overwrite ``flat`` (one row per node of ``groups``) with every
+    component's solve against ``L + shift 11^T``, not yet recentered, and
+    return it: one assembly, then one LAPACK call per size run, which
+    solves each matrix alone.
 
-    A wave of the assembly may exceed the largest size's block by as many
+    A wave of the assembly may exceed the largest run's blocks by as many
     cells as ``flat`` has values: what a per-size solve held besides that
     block, the B(X)X rows its caller kept alive, was at least as large. So
     a small grouping is one wave, and a large one holds no more than the
     per-size solve did."""
     dim = flat.shape[1]
-    for A, blocks in _shifted_dense(groups, comps, flat.size):
+    for A, blocks in _shifted_dense(groups, flat.size):
         for size, count, rows, cells in blocks:
             flat[rows] = np.linalg.solve(
                 A[cells].reshape(count, size, size),
                 flat[rows].reshape(count, size, dim)).reshape(-1, dim)
         del A
+    return flat
 
 
 def _dense_min_norm(groups: ComponentGroups, rhs: np.ndarray) -> np.ndarray:
-    """LU min-norm solve of every component, whatever its route: the CG
-    fallback, and the reference the routes are tested against. ``rhs`` as
-    in ``_RoutedStack.solve``."""
+    """LU min-norm solve of every component, whatever its route: the
+    reference the routes are tested against. ``rhs`` as in
+    ``_RoutedStack.solve``."""
     y = np.array(rhs, dtype=np.float64)
-    flat = y.reshape(-1, y.shape[-1])
-    _lu_solve(groups, flat)
-    _recenter(groups, flat)
+    _recenter(groups, _lu_solve(groups, y.reshape(-1, y.shape[-1])))
     return y
 
 
@@ -665,8 +658,8 @@ def _solve_cg(single: ComponentGroups, rhs: np.ndarray,
               system=None) -> np.ndarray:
     """Deflated CG solve for a grouping of one, not yet recentered; ``rhs``
     is (size, dim). ``system`` is its ``_cg_system``, built here when not
-    given. Falls back to the dense min-norm solve if CG does not
-    converge."""
+    given. Falls back to LU (``_lu_solve`` on a copy of ``rhs``, not yet
+    recentered either) if CG does not converge."""
     p = single.size
     L, A, M = system or _cg_system(single)
     y = np.empty_like(rhs)
@@ -674,11 +667,11 @@ def _solve_cg(single: ComponentGroups, rhs: np.ndarray,
         b = rhs[:, col]
         sol, info = _cg(A, b, rtol=_CG_TOL, atol=0.0, maxiter=50 * p, M=M)
         if info != 0:
-            return _dense_min_norm(single, rhs)
+            return _lu_solve(single, rhs.copy())
         y[:, col] = sol
     resid = np.linalg.norm(L @ y - rhs)
     if resid > 1e-9 * max(np.linalg.norm(rhs), 1e-300):
-        return _dense_min_norm(single, rhs)
+        return _lu_solve(single, rhs.copy())
     return y
 
 

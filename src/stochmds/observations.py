@@ -22,7 +22,7 @@ class ObservationBatch:
     ``m``, ``n`` are 0-based node indices, ``delta`` the measured
     dissimilarities, ``weight`` the per-measurement weights in [0, 1].
     Zero-weight entries carry no information and are ignored by every
-    consumer.
+    consumer. The four arrays must have equal length (``ValueError``).
     """
 
     m: np.ndarray
@@ -35,6 +35,9 @@ class ObservationBatch:
         self.n = np.asarray(self.n, dtype=np.int64)
         self.delta = np.asarray(self.delta, dtype=np.float64)
         self.weight = np.asarray(self.weight, dtype=np.float64)
+        if not (self.m.shape[:1] == self.n.shape[:1] == self.delta.shape[:1]
+                == self.weight.shape[:1]):
+            raise ValueError("observation arrays must have equal length")
 
     def __len__(self) -> int:
         return self.m.shape[0]
@@ -65,8 +68,6 @@ class ObservationBatch:
         generated batches are correct by construction. A pair measured more
         than once is valid: each measurement counts on its own.
         """
-        if not (len(self.m) == len(self.n) == len(self.delta) == len(self.weight)):
-            raise ValueError("observation arrays must have equal length")
         if np.any(self.m == self.n):
             raise ValueError("self-loop observation (m == n)")
         if node_count is not None:

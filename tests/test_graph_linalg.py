@@ -240,14 +240,17 @@ class TestConnectedComponents:
 
 
 def size_stacks(groups):
-    """A grouping's components as one grouping per size, in order."""
+    """A grouping's components as one grouping per run of one size, in
+    order."""
     return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
 
 
 def reference_stacks(m, n, w, node_count, singletons):
-    """``group_components`` by union-find and Python lists: per size,
-    ascending, components by smallest member, each component's nodes
-    ascending and its edges in batch order, in flattened local ids."""
+    """``group_components`` by union-find and Python lists: per run of one
+    size, the open components (fewer measurements than pairs of nodes) by
+    size, ascending, then the candidates (as many) by size, ascending;
+    components by smallest member, each component's nodes ascending and its
+    edges in batch order, in flattened local ids."""
     parent = list(range(node_count))
 
     def find(v):
@@ -261,13 +264,17 @@ def reference_stacks(m, n, w, node_count, singletons):
     members = {}
     for v in range(node_count):
         members.setdefault(find(v), []).append(v)
-    comps = sorted(members.values(), key=lambda c: (len(c), c[0]))
-    by_size = {}
-    for comp in comps:
+
+    def key(comp):
+        p, count = len(comp), sum(find(a) == find(comp[0]) for a in m)
+        return (p > 1 and count == p * (p - 1) // 2, p, comp[0])
+
+    by_run = {}
+    for comp in sorted(members.values(), key=key):
         if len(comp) > 1 or singletons:
-            by_size.setdefault(len(comp), []).append(comp)
+            by_run.setdefault(key(comp)[:2], []).append(comp)
     out = []
-    for size, group in by_size.items():
+    for (_, size), group in by_run.items():
         place = {v: k * size + i for k, comp in enumerate(group)
                  for i, v in enumerate(comp)}
         edges = [(place[a], place[b], x) for comp in group
@@ -299,8 +306,8 @@ class TestGroupComponents:
         got = [(s.nodes.ravel().tolist(), s.a.tolist(), s.b.tolist(),
                 s.weights.tolist()) for s in stacks]
         assert got == want
-        sizes = [int(s.sizes[0]) for s in stacks]
-        assert sizes == sorted(set(sizes))
+        runs = [(s.tail == 0, int(s.sizes[0])) for s in stacks]
+        assert runs == sorted(set(runs))
 
 
 class TestStableArgsort:
@@ -362,10 +369,34 @@ class TestSolveMinNorm:
         rhs -= rhs.mean(axis=0)
         direct = _dense_min_norm(stack, rhs)
         cg_calls = spy(monkeypatch, "_solve_cg")
-        fallbacks = spy(monkeypatch, "_dense_min_norm")
+        fallbacks = spy(monkeypatch, "_lu_solve")
         iterative = graph_linalg._solve_cg(stack, rhs)
         assert len(cg_calls) >= 1 and not fallbacks  # CG converged itself
         np.testing.assert_allclose(iterative, direct, atol=1e-8)
+
+    @pytest.mark.parametrize("info", [1, 0], ids=["no-convergence",
+                                                  "residual"])
+    def test_cg_fallback_recentered_once(self, info, monkeypatch):
+        """When CG stops short (``info`` != 0) or its residual is too
+        large, the component is solved by LU and recentered once, as the
+        dense reference solves it, bit for bit."""
+        rng = np.random.default_rng(10)
+        p = DENSE_SOLVER_MAX + 8
+        tree = np.arange(1, p)  # a random spanning tree and p extra pairs
+        m = np.concatenate([tree, rng.integers(0, p, p)])
+        n = np.concatenate([[rng.integers(0, v) for v in tree],
+                            rng.integers(0, p, p)])
+        keep = m != n
+        stack = build_laplacian(ObservationBatch(
+            m[keep], n[keep], np.ones(keep.sum()),
+            rng.uniform(0.1, 1.0, keep.sum())), p)[0]
+        rhs = rng.standard_normal((p, 2))
+        rhs -= rhs.mean(axis=0)
+        monkeypatch.setattr(graph_linalg, "_cg",
+                            lambda A, b, **kw: (np.zeros_like(b), info))
+        fallbacks = spy(monkeypatch, "_lu_solve")
+        assert np.array_equal(stack.solve(rhs), _dense_min_norm(stack, rhs))
+        assert len(fallbacks) == 2  # the fallback, then the reference
 
     def test_low_weight_warning(self):
         """A weight below eps_w is clamped up, with a warning, before the
@@ -464,9 +495,10 @@ class TestCompleteClosedForm:
             for i, j in pairs:
                 entries.append((k * size + i, k * size + j, 1.0,
                                 weight or rng.uniform(0.5, 1.0)))
-        [stack] = size_stacks(group_components(batch(entries), 5 * size))
+        # the open components lead, then the candidates
+        stack = group_components(batch(entries), 5 * size)
         np.testing.assert_array_equal(stack._complete_weights(),
-                                      [1.0, 0.5, 0.0, 1.0, 0.0])
+                                      [0.0, 0.0, 1.0, 0.5, 1.0])
         rhs = zero_sum_rhs(rng, 5, size)
         calls = spy(monkeypatch, "_shifted_dense")
         got = stack.solve(rhs)
@@ -616,14 +648,14 @@ class TestFactoredStack:
             for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
                 entries.append((k * size + i, k * size + j, 1.0,
                                 weight or rng.uniform(0.2, 1.0)))
-        [stack] = size_stacks(group_components(batch(entries), 4 * size))
+        stack = group_components(batch(entries), 4 * size)
         factored = _RoutedStack(stack).keep_factors()
         assert len(factored.alone) == 2  # the two incomplete components
         calls = spy(monkeypatch, "_shifted_dense")
         for _ in range(3):  # reused, never refactored
             rhs = zero_sum_rhs(rng, 4, size)
             got, want = factored.solve(rhs), stack.solve(rhs)
-            for k in (0, 2):
+            for k in (2, 3):  # the complete ones, after the open ones
                 assert np.array_equal(got[k], want[k])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert len(calls) == 3  # the one-shot solves only
@@ -635,7 +667,8 @@ class TestFactoredStack:
         [stack] = size_stacks(group_components(
             batch([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1e-20)]), 3))
         factored = _RoutedStack(stack).keep_factors()
-        assert not factored.alone and factored.lu.tolist() == [0]
+        [(_, _, reused)] = factored.alone
+        assert reused is None and factored.lu is None
         rhs = zero_sum_rhs(np.random.default_rng(36), 1, 3)
         assert np.array_equal(factored.solve(rhs), stack.solve(rhs))
 
@@ -737,35 +770,41 @@ def plain_solve(p, edges, rhs):
 
 @st.composite
 def groupings(draw):
-    """Components of mixed sizes 2-40, open ones (a random tree, extra
-    pairs, some pairs measured twice) and complete ones at one weight,
-    each complete one with an open twin of its size; maybe one open
-    component above ``DENSE_SOLVER_MAX``."""
+    """Components of mixed sizes 2-40: open ones (a random tree, extra
+    pairs, some pairs measured twice), complete ones at one weight and
+    near-complete ones of three nodes or more (as many measurements as
+    pairs at one weight, one pair measured twice and one missing), each
+    complete or near-complete one with an open twin of its size; maybe one
+    open component above ``DENSE_SOLVER_MAX``."""
     sizes = draw(st.lists(st.integers(2, 40), min_size=1, max_size=7))
-    complete = draw(st.lists(st.booleans(), min_size=len(sizes),
-                             max_size=len(sizes)))
-    sizes += [s for s, c in zip(sizes, complete) if c]
-    complete += [False] * (len(sizes) - len(complete))
+    kinds = draw(st.lists(st.sampled_from(["open", "complete", "near"]),
+                          min_size=len(sizes), max_size=len(sizes)))
+    sizes = [max(s, 3) if k == "near" else s for s, k in zip(sizes, kinds)]
+    sizes += [s for s, k in zip(sizes, kinds) if k != "open"]
+    kinds += ["open"] * (len(sizes) - len(kinds))
     if draw(st.integers(0, 3)) == 0:
         sizes.append(DENSE_SOLVER_MAX + 8)
-        complete.append(False)
-    return (sizes, complete, draw(st.sampled_from([1, 2, 3])),
+        kinds.append("open")
+    return (sizes, kinds, draw(st.sampled_from([1, 2, 3])),
             draw(st.integers(0, 2**32 - 1)))
 
 
-def grouping_instance(sizes, complete, seed):
-    """A batch of the given components over shuffled node ids, in random
-    measurement order and orientation, and per component, keyed by its
-    smallest id, (sorted ids, local measurements in batch order)."""
+def grouping_instance(sizes, kinds, seed):
+    """A batch of the given components (``groupings``' kinds) over shuffled
+    node ids, in random measurement order and orientation, and per
+    component, keyed by its smallest id, (sorted ids, local measurements
+    in batch order)."""
     rng = np.random.default_rng(seed)
     ids = rng.permutation(sum(sizes))
     starts = np.cumsum([0, *sizes])
     rows = []
-    for size, full, nodes in zip(sizes, complete,
-                                 np.split(ids, starts[1:-1])):
-        if full:
+    for size, kind, nodes in zip(sizes, kinds, np.split(ids, starts[1:-1])):
+        if kind != "open":
             iu, ju = np.triu_indices(size, k=1)
             pairs, w = list(zip(iu.tolist(), ju.tolist())), rng.uniform(0.1, 2)
+            if kind == "near":  # the star from node 0 stays, so it holds
+                pairs.pop(int(rng.integers(size - 1, len(pairs))))
+                pairs.append(pairs[int(rng.integers(len(pairs)))])
             weights = [w] * len(pairs)
         else:
             pairs = [(int(rng.integers(0, v)), v) for v in range(1, size)]
@@ -796,8 +835,8 @@ class TestGroupingAgainstPlainReference:
     @settings(max_examples=40, deadline=None)
     @given(groupings())
     def test_assembly_and_solve(self, case):
-        sizes, complete, dim, seed = case
-        batch, comps = grouping_instance(sizes, complete, seed)
+        sizes, kinds, dim, seed = case
+        batch, comps = grouping_instance(sizes, kinds, seed)
         groups = group_components(batch, sum(sizes))
         assert sorted(groups.sizes.tolist()) == sorted(sizes)
         starts = groups.starts.tolist()
@@ -807,24 +846,25 @@ class TestGroupingAgainstPlainReference:
             assert groups.nodes[starts[k]:starts[k + 1]].tolist() == \
                 nodes.tolist()
             owner[k] = (len(nodes), edges)
-        # the one assembly, of every component below the dense limit and
-        # of the open ones alone (complete twins left out between them)
-        small = groups.sizes <= DENSE_SOLVER_MAX
-        w = groups._complete_weights()
-        for comps in (np.flatnonzero(small),
-                      np.flatnonzero(small & ((w == 0) if w is not None
-                                              else True))):
-            assembled = []
-            for A, blocks in graph_linalg._shifted_dense(groups, comps):
+        # the one assembly, of the open components up to the dense limit,
+        # which lead, and of the candidates, which close the grouping
+        t = groups.tail
+        assert t == kinds.count("open")
+        w = groups._complete_weights()  # the near-complete ones are not
+        assert (0 if w is None else np.count_nonzero(w)) == \
+            kinds.count("complete")
+        d = int(np.searchsorted(groups.sizes[:t], DENSE_SOLVER_MAX, "right"))
+        for c0, c1 in ((0, d), (t, len(groups.sizes))):
+            part, assembled = groups._stack(c0, c1), []
+            for A, blocks in graph_linalg._shifted_dense(part):
                 for size, count, rows, cells in blocks:
-                    first = (np.arange(rows.start, rows.stop, size)
-                             if isinstance(rows, slice) else rows[::size])
-                    for k, block in zip(np.searchsorted(starts, first),
+                    first = np.arange(rows.start, rows.stop, size)
+                    for k, block in zip(np.searchsorted(part.starts, first),
                                         A[cells].reshape(count, size, size)):
                         assert np.array_equal(block,
-                                              plain_component(*owner[k]))
-                        assembled.append(k)
-            assert assembled == comps.tolist()
+                                              plain_component(*owner[c0 + k]))
+                        assembled.append(c0 + k)
+            assert assembled == list(range(c0, c1))
         # the routed solve
         rng = np.random.default_rng(seed)
         rhs = rng.standard_normal((len(groups.nodes), dim))
@@ -845,10 +885,10 @@ class TestGroupingAgainstPlainReference:
         """``_stack(c0, c1)`` over a range of components that crosses a
         change of size has the whole grouping's Laplacian entries and
         solves of those components, bit for bit."""
-        sizes, complete, dim, seed = case
+        sizes, kinds, dim, seed = case
         if len(set(sizes)) == 1:  # a second size, for the cut to cross
-            sizes, complete = sizes + [sizes[0] + 1], complete + [False]
-        batch, _ = grouping_instance(sizes, complete, seed)
+            sizes, kinds = sizes + [sizes[0] + 1], kinds + ["open"]
+        batch, _ = grouping_instance(sizes, kinds, seed)
         groups = group_components(batch, sum(sizes))
         edge = data.draw(st.sampled_from([c for _, c, _ in groups.runs[1:]]))
         c0 = data.draw(st.integers(0, edge - 1))
@@ -871,6 +911,36 @@ class TestGroupingAgainstPlainReference:
                               groups.solve(rhs)[n0:n1])
 
 
+class TestRouteRuns:
+    """Every route takes a run of components and writes over its rows of
+    the right-hand side in place."""
+
+    def test_lu_route_solves_a_slice(self, monkeypatch):
+        """The open components lead and the LU route solves their rows,
+        the leading slice of the right-hand side, with no gather; a
+        near-complete candidate is solved alone on its own slice."""
+        sizes = [4, 6, 9, 5, 5, 3]
+        kinds = ["open", "open", "open", "complete", "near", "complete"]
+        batch, _ = grouping_instance(sizes, kinds, 5)
+        groups = group_components(batch, sum(sizes))
+        rhs = np.random.default_rng(5).standard_normal((groups.size, 2))
+        rhs -= groups._spread(groups._means(rhs))
+        want = groups.solve(rhs)
+        calls = spy(monkeypatch, "_lu_solve")
+        y = rhs.copy()
+        _RoutedStack(groups).solve_in_place(y)
+        assert np.array_equal(y, want)
+        t, starts = groups.tail, groups.starts.tolist()
+        [near] = t + np.flatnonzero(groups._complete_weights()[t:] == 0)
+        spans = []
+        for part, flat in calls:
+            assert flat.base is y
+            first = (flat.ctypes.data - y.ctypes.data) // y.strides[0]
+            spans.append((first, first + len(flat), len(part.sizes)))
+        assert sorted(spans) == [(0, starts[t], t),
+                                 (starts[near], starts[near + 1], 1)]
+
+
 class TestSummationOrder:
     """Every per-component sum is taken in row order, as a plain loop over
     the component's rows takes it, whatever numpy's own reductions do.
@@ -882,7 +952,7 @@ class TestSummationOrder:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("method", ["_sum", "_means"])
     def test_sums_and_means(self, sizes, dim, method):
-        batch, _ = grouping_instance(sizes, [False] * len(sizes), dim)
+        batch, _ = grouping_instance(sizes, ["open"] * len(sizes), dim)
         groups = group_components(batch, sum(sizes))
         v = np.random.default_rng(dim).standard_normal((sum(sizes), dim))
         if method == "_sum":
@@ -899,7 +969,7 @@ class TestSummationOrder:
     @pytest.mark.parametrize("sizes", [[40] * 4, [9, 9, 17, 33, 33, 60]],
                              ids=["one-size", "mixed"])
     def test_degree_sums(self, sizes):
-        batch, _ = grouping_instance(sizes, [False] * len(sizes), 4)
+        batch, _ = grouping_instance(sizes, ["open"] * len(sizes), 4)
         groups = group_components(batch, sum(sizes))
         *_, degree, shift = _laplacian_entries(groups)
         degree = degree.reshape(-1)

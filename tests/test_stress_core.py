@@ -374,16 +374,19 @@ class TestClosedFormBesideDense:
             assert np.array_equal(got[rows], alone[rows])
 
 
+public_updates = pytest.mark.parametrize("update", [
+    smacof_iterate,
+    lambda X, b: stochastic_step(X, b, StepConfig()),
+    stress,
+    lambda X, b: sgd_step(X, b, 0.1),
+], ids=["smacof_iterate", "stochastic_step", "stress", "sgd_step"])
+
+
 class TestBatchIndices:
     """The public updates reject node ids outside [0, N), as
     ``run_batch_smacof`` does, instead of wrapping -1 to N - 1."""
 
-    @pytest.mark.parametrize("update", [
-        smacof_iterate,
-        lambda X, b: stochastic_step(X, b, StepConfig()),
-        stress,
-        lambda X, b: sgd_step(X, b, 0.1),
-    ], ids=["smacof_iterate", "stochastic_step", "stress", "sgd_step"])
+    @public_updates
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_out_of_range_id_rejected(self, update, bad):
         X = np.random.default_rng(39).standard_normal((4, 2))
@@ -391,6 +394,23 @@ class TestBatchIndices:
                                            (1, 2, 1.0, 1.0)])
         with pytest.raises(ValueError, match="node index out of range"):
             update(X, b)
+
+
+class TestBatchLengths:
+    """A batch whose four arrays differ in length is rejected when it is
+    built, so no update broadcasts a short array over the others."""
+
+    @public_updates
+    @pytest.mark.parametrize("arrays", [
+        ([0, 1], [1, 2], [1.0], [1.0, 1.0]),
+        ([0, 1], [1, 2], [1.0, 1.0], [1.0]),
+        ([0, 1], [1], [1.0, 1.0], [1.0, 1.0]),
+        ([0, 1], [1, 2], 1.0, [1.0, 1.0]),
+    ], ids=["one-delta", "one-weight", "one-n", "scalar-delta"])
+    def test_unequal_lengths_rejected(self, update, arrays):
+        X = np.random.default_rng(40).standard_normal((3, 2))
+        with pytest.raises(ValueError, match="equal length"):
+            update(X, ObservationBatch(*arrays))
 
 
 def _component_instance(rng, sizes, isolated, zero_edges):
