@@ -8,7 +8,10 @@ batch order; the batch and incremental rules group the batch with
 their rows of that in one pass (``graph_linalg._RoutedStack``). The
 incremental rule blends that solution with the previous coordinates through
 the step size ``mu``, over all grouped rows at once; each component's
-center is preserved exactly.
+center is preserved exactly. Every stress, B(X)X and gradient takes its
+edges by one rule: ``_column_diffs`` draws x_m - x_n a column at a time, in
+batch order, and ``_squared_lengths`` adds the squared columns in column
+order, so no (E, dim) difference array is formed.
 
 A batch-majorization run iterates on one fixed batch, so it builds a
 ``_BatchPlan`` once: the batch grouped, routed and factored, and three work
@@ -47,8 +50,7 @@ def stress(X: np.ndarray, batch: ObservationBatch) -> float:
 
 def _stress(X: np.ndarray, batch: ObservationBatch) -> float:
     """``stress`` without the id check, for batches the engine checked."""
-    diff = np.take(X, batch.m, axis=0) - np.take(X, batch.n, axis=0)
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    d = np.sqrt(_squared_lengths(X, batch.m, batch.n))
     return _misfit(d, batch._live_delta(), batch.weight, out=d)
 
 
@@ -61,29 +63,52 @@ def _misfit(d, delta, w, out) -> float:
     return float(np.sum(out))
 
 
-def _regularized_coeffs(X, m, n, w, delta, eps_x):
+def _column_diffs(X, m, n, s=None, t=None):
+    """Yield x_m - x_n for each column of X in turn, in batch order, in the
+    work vector ``s`` (``t`` takes the x_n gather), so a caller uses each
+    column up before it draws the next. Ids must be checked already: the
+    gathers clip instead of raising, and so need no buffer."""
+    if s is None:
+        s, t = np.empty(len(m)), np.empty(len(m))
+    for col in range(X.shape[1]):
+        x = np.ascontiguousarray(X[:, col], dtype=np.float64)
+        x.take(m, out=s, mode="clip")
+        x.take(n, out=t, mode="clip")
+        s -= t
+        yield s
+
+
+def _squared_lengths(X, m, n, out=None, s=None, t=None) -> np.ndarray:
+    """||x_m - x_n||^2 per measurement, in ``out``: the squared columns of
+    ``_column_diffs`` added in column order. This is the module's one
+    edge-length rule."""
+    out = np.empty(len(m)) if out is None else out
+    out.fill(0.0)
+    for d in _column_diffs(X, m, n, s, t):
+        d *= d
+        out += d
+    return out
+
+
+def _regularized_coeffs(X, m, n, w, delta, eps_x) -> np.ndarray:
     """Edge coefficients w*delta / sqrt(||x_m - x_n||^2 + eps_x).
 
     At eps_x == 0 coincident endpoints get coefficient 0 (the classical
     majorization matrix guard).
     """
-    diff = np.take(X, m, axis=0) - np.take(X, n, axis=0)
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = _squared_lengths(X, m, n)
     if eps_x > 0:
-        return w * delta / np.sqrt(d2 + eps_x), diff
-    coef = np.divide(w * delta, np.sqrt(d2), out=np.zeros_like(d2),
+        return w * delta / np.sqrt(d2 + eps_x)
+    return np.divide(w * delta, np.sqrt(d2), out=np.zeros_like(d2),
                      where=d2 > 0)
-    return coef, diff
 
 
-def _b_times_x(X, m, n, coef, diffs) -> np.ndarray:
-    """B(X) X from B(X)'s edge coefficients ``coef`` and the columns of
-    x_m - x_n, ``diffs``, both in batch order. Row i sums
-    +-coef * (x_m - x_n) over its measurements in batch order, whatever
-    else the batch holds. Each column is overwritten, and used up before
-    the next is drawn, so ``diffs`` may yield one work vector each time."""
+def _b_times_x(X, m, n, coef, s=None, t=None) -> np.ndarray:
+    """B(X) X from B(X)'s edge coefficients ``coef``, in batch order, over
+    the columns of ``_column_diffs`` (in ``s`` and ``t`` if given). Row i
+    sums +-coef * (x_m - x_n) over its measurements in batch order."""
     out = np.empty(X.shape)
-    for col, d in enumerate(diffs):
+    for col, d in enumerate(_column_diffs(X, m, n, s, t)):
         d *= coef
         sums = np.bincount(m, weights=d, minlength=len(X))
         sums -= np.bincount(n, weights=d, minlength=len(X))
@@ -108,9 +133,8 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
     _validate_batch_indices(batch, X.shape[0])
     live = batch.nonzero()
     Xn = np.array(X, dtype=np.float64, copy=True)
-    coef, diff = _regularized_coeffs(Xn, live.m, live.n, live.weight,
-                                     live.delta, 0.0)
-    bx = _b_times_x(Xn, live.m, live.n, coef, diff.T)
+    bx = _b_times_x(Xn, live.m, live.n, _regularized_coeffs(
+        Xn, live.m, live.n, live.weight, live.delta, 0.0))
     groups = group_components(live, X.shape[0])
     Xn[groups.nodes] = groups.solve(np.take(bx, groups.nodes, axis=0))
     return Xn
@@ -129,19 +153,18 @@ class _BatchPlan:
     plan groups it once and keeps its ``_RoutedStack``, factored per
     component.
     It also owns three work vectors of one value per measurement, in batch
-    order: the coefficients w * delta / d of B(X), and two scratch vectors
-    for per-column gathers (no (E, dim) difference array is kept).
+    order: the coefficients w * delta / d of B(X), and the two that
+    ``_column_diffs`` gathers columns into.
 
     ``iterate`` is ``smacof_iterate`` with all that reused. The stress of X
     and the coefficients of B(X) come from the same edge lengths, so when
     ``iterate`` returns a finite X' it has already measured X': a run takes
     ``stress_at(X')`` at no cost and the next iterate starts from the kept
-    coefficients. Edge lengths are reduced as ``stress`` reduces them (sums
-    of squared columns at dim <= 2, the same ``einsum`` above), and every
-    node sums its edges in batch order, as per component, so iterates and
-    stresses equal the plain ones bit for bit except on dense components,
-    whose Cholesky solve differs from LU at round-off. X' must not be
-    changed in place while the plan is in use.
+    coefficients. Edge lengths come from ``_squared_lengths`` and B(X)X from
+    ``_b_times_x``, as in ``stress`` and ``smacof_iterate``, so stresses
+    equal the plain ones bit for bit at every dim, and so do iterates except
+    on dense components, whose Cholesky solve differs from LU at round-off.
+    X' must not be changed in place while the plan is in use.
     """
 
     def __init__(self, batch: ObservationBatch, node_count: int):
@@ -160,31 +183,11 @@ class _BatchPlan:
             self._measure(X)
         return self._stress
 
-    def _diff(self, x: np.ndarray) -> np.ndarray:
-        """``x[m] - x[n]`` for one column, in ``self.s``."""
-        b, x = self.batch, np.ascontiguousarray(x)
-        # indices are checked once in __init__, so no buffered 'raise' mode
-        np.take(x, b.m, out=self.s, mode="clip")
-        np.take(x, b.n, out=self.t, mode="clip")
-        self.s -= self.t
-        return self.s
-
     def _measure(self, X: np.ndarray) -> None:
         """Edge lengths of X: its stress, and B(X)'s coefficients kept in
         ``coef``."""
         b, coef = self.batch, self.coef
-        if X.shape[1] > 2:
-            diff = np.take(X, b.m, axis=0)
-            diff -= np.take(X, b.n, axis=0)
-            np.einsum("ij,ij->i", diff, diff, out=coef)
-            del diff
-        else:
-            coef.fill(0.0)
-            for col in range(X.shape[1]):
-                sq = self._diff(X[:, col])
-                sq *= sq
-                coef += sq
-        np.sqrt(coef, out=coef)
+        np.sqrt(_squared_lengths(X, b.m, b.n, coef, self.s, self.t), out=coef)
         self._stress = _misfit(coef, self.delta, b.weight, out=self.s)
         # coincident endpoints keep coefficient 0, as in _regularized_coeffs;
         # zero-weight rows get 0 * 0 / d
@@ -196,8 +199,7 @@ class _BatchPlan:
         if X is not self._at:
             self._measure(X)
         b = self.batch
-        bx = _b_times_x(X, b.m, b.n, self.coef,
-                        (self._diff(X[:, col]) for col in range(X.shape[1])))
+        bx = _b_times_x(X, b.m, b.n, self.coef, self.s, self.t)
         Xn = np.array(X, dtype=np.float64, copy=True)
         nodes = self.routes.groups.nodes
         Xn[nodes] = self.routes.solve_in_place(np.take(bx, nodes, axis=0))
@@ -265,10 +267,9 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
         return
     live = batch.nonzero()
     X = np.take(Xn, nodes, axis=0)
-    coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
-                                     live.delta, cfg.eps_x)
-    bx = _b_times_x(X, live.m, live.n, coef, diff.T)
-    del X, coef, diff
+    bx = _b_times_x(X, live.m, live.n, _regularized_coeffs(
+        X, live.m, live.n, live.weight, live.delta, cfg.eps_x))
+    del X
     groups = group_components(live, len(nodes))
     del live
     if not len(groups.sizes):
@@ -326,14 +327,10 @@ def _sgd_step(X: np.ndarray, batch: ObservationBatch,
               mu: float) -> np.ndarray:
     """``sgd_step`` on a batch whose ids are checked already."""
     live = batch.nonzero()
-    Xn = np.array(X, dtype=np.float64, copy=True)
-    coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
-                                     live.delta, eps_x=0.0)
+    coef = _regularized_coeffs(X, live.m, live.n, live.weight, live.delta,
+                               eps_x=0.0)
     # rows of (B - L) X: sum over edges of (w*delta/d - w) * (x_m - x_n)
-    contrib = (coef - live.weight)[:, None] * diff
-    np.add.at(Xn, live.m, mu * contrib)
-    np.add.at(Xn, live.n, -mu * contrib)
-    return Xn
+    return X + mu * _b_times_x(X, live.m, live.n, coef - live.weight)
 
 
 def upsilon(N: int, p: int) -> float:
@@ -369,7 +366,7 @@ def closed_form_b_average(
     if expected_deltas.shape != (N, N):
         raise ValueError("expected_deltas must be an N x N matrix")
 
-    d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    d2 = _squared_lengths(X, *np.divmod(np.arange(N * N), N)).reshape(N, N)
     np.fill_diagonal(d2, 1.0)  # diagonal never used
     norm = np.sqrt(d2 + eps_x)
     scaled = expected_deltas / norm

@@ -53,11 +53,12 @@ def random_connected_graph(rng, p, w_lo, w_hi=1.0):
     for v in range(1, p):
         u = int(rng.integers(0, v))
         edges.append((u, v))
+    tree = set(edges)  # the extra pairs are distinct; only the tree repeats
     iu, ju = np.triu_indices(p, k=1)
     extra = rng.random(len(iu)) < 0.3
-    for u, v in zip(iu[extra], ju[extra]):
-        if (u, v) not in edges:
-            edges.append((int(u), int(v)))
+    for u, v in zip(iu[extra].tolist(), ju[extra].tolist()):
+        if (u, v) not in tree:
+            edges.append((u, v))
     w = rng.uniform(w_lo, w_hi, size=len(edges))
     return batch([(u, v, 1.0, wk) for (u, v), wk in zip(edges, w)])
 

@@ -103,7 +103,7 @@ class TestStress:
 def b_epsilon_dense(X, b, eps_x):
     """Dense B^eps(X) of a batch: the Laplacian of the regularized edge
     coefficients, with exact zero row sums."""
-    coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, eps_x)
+    coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, eps_x)
     B = np.zeros((len(X), len(X)))
     np.add.at(B, (b.m, b.n), -coef)
     np.add.at(B, (b.n, b.m), -coef)
@@ -113,16 +113,15 @@ def b_epsilon_dense(X, b, eps_x):
 
 def b_times_x(X, b, eps_x):
     """B^eps(X) X of a batch, as the updates form it."""
-    coef, diff = _regularized_coeffs(X, b.m, b.n, b.weight,
-                                     b._live_delta(), eps_x)
-    return _b_times_x(X, b.m, b.n, coef, diff.T)
+    coef = _regularized_coeffs(X, b.m, b.n, b.weight, b._live_delta(), eps_x)
+    return _b_times_x(X, b.m, b.n, coef)
 
 
 class TestBEpsilonMatrix:
     def test_hand_value(self):
         X = np.array([[0.0, 0.0], [3.0, 0.0]])
         b = ObservationBatch.from_entries([(0, 1, 2.0, 1.0)])
-        coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
+        coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
         np.testing.assert_allclose(coef, [2 / 3], rtol=1e-15)
         np.testing.assert_allclose(
             b_times_x(X, b, 0.0),
@@ -131,10 +130,10 @@ class TestBEpsilonMatrix:
     def test_coincident_points_guarded(self):
         X = np.zeros((2, 2))
         b = ObservationBatch.from_entries([(0, 1, 1.0, 1.0)])
-        coef, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 1e-8)
+        coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 1e-8)
         np.testing.assert_allclose(coef, [1e4], rtol=1e-12)
         # the eps_x = 0 guard zeroes the coincident entry entirely
-        coef0, _ = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
+        coef0 = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, 0.0)
         assert coef0.tolist() == [0.0]
 
     def test_zero_weight_entry_absent(self):
@@ -564,9 +563,9 @@ def _per_stack_update(Xn, batch, cfg, nodes):
     mu = cfg.mu
     live = batch.nonzero()
     X = np.take(Xn, nodes, axis=0)
-    coef, diff = _regularized_coeffs(X, live.m, live.n, live.weight,
-                                     live.delta, cfg.eps_x)
-    bx = _b_times_x(X, live.m, live.n, coef, diff.T)
+    coef = _regularized_coeffs(X, live.m, live.n, live.weight, live.delta,
+                               cfg.eps_x)
+    bx = _b_times_x(X, live.m, live.n, coef)
     for stack in size_stacks(group_components(live, len(nodes))):
         count, size = len(stack.sizes), int(stack.sizes[0])
         local = stack.nodes.reshape(count, size)
@@ -671,15 +670,22 @@ class TestChunkKernelAgainstPerStack:
         assert solved == sorted(dense) and len(dense) > 15
 
 
+def _squares_in_order(diff):
+    """Row sums of diff**2, the squared columns added in column order."""
+    d2 = np.zeros(len(diff))
+    for col in diff.T:
+        d2 += col * col
+    return d2
+
+
 def _stress_fancy(X, batch):
-    diff = X[batch.m] - X[batch.n]
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    d = np.sqrt(_squares_in_order(X[batch.m] - X[batch.n]))
     return float(np.sum(batch.weight * (batch.delta - d) ** 2))
 
 
 def _coeffs_fancy(X, m, n, w, delta, eps_x):
     diff = X[m] - X[n]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = _squares_in_order(diff)
     if eps_x > 0:
         return w * delta / np.sqrt(d2 + eps_x), diff
     coef = np.zeros_like(d2)
@@ -700,9 +706,9 @@ def _b_times_x_fancy(X, m, n, w, delta, eps_x):
 
 
 class TestGathersBitIdentical:
-    """The stress and B(X)X kernels gather rows with ``np.take``; they must
-    equal plain fancy-index copies bit for bit, coincident endpoints and
-    zero-weight edges included."""
+    """The stress and B(X)X kernels gather one column at a time with
+    ``take``; they must equal plain fancy-index copies bit for bit,
+    coincident endpoints and zero-weight edges included."""
 
     @staticmethod
     def instance(rng, count, size, dim):
@@ -731,24 +737,82 @@ class TestGathersBitIdentical:
             X, b = self.instance(rng, count, size, dim)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                coef, diff = _regularized_coeffs(
+                coef = _regularized_coeffs(
                     X, b.m, b.n, b.weight, b.delta, eps_x)
-                got_bx = _b_times_x(X, b.m, b.n, coef, diff.copy().T)
-                # the batch plan gathers one column at a time instead
-                cols = (np.take(X[:, c], b.m) - np.take(X[:, c], b.n)
-                        for c in range(dim))
-                assert np.array_equal(_b_times_x(X, b.m, b.n, coef, cols),
+                got_bx = _b_times_x(X, b.m, b.n, coef)
+                # the batch plan passes its own work vectors instead
+                work = np.full(len(b), np.nan), np.full(len(b), np.nan)
+                assert np.array_equal(_b_times_x(X, b.m, b.n, coef, *work),
                                       got_bx)
-            want_coef, want_diff = _coeffs_fancy(
+            want_coef, diff = _coeffs_fancy(
                 X, b.m, b.n, b.weight, b.delta, eps_x)
             assert np.array_equal(coef, want_coef)
-            assert np.array_equal(diff, want_diff)
             assert np.array_equal(got_bx, _b_times_x_fancy(
                 X, b.m, b.n, b.weight, b.delta, eps_x))
             if eps_x == 0.0:  # coincident endpoints: coefficient exactly 0
                 coincident = np.all(diff == 0, axis=1)
                 assert coincident.any() and np.all(coef[coincident] == 0.0)
             assert stress(X, b) == _stress_fancy(X, b)
+
+
+def _per_edge_squares(X, m, n):
+    """||x_m - x_n||^2 one measurement at a time in Python floats: from
+    0.0, each column's squared difference added in column order."""
+    out = np.empty(len(m))
+    for k, (i, j) in enumerate(zip(m.tolist(), n.tolist())):
+        d2 = 0.0
+        for a, b in zip(X[i].tolist(), X[j].tolist()):
+            d2 += (a - b) * (a - b)
+        out[k] = d2
+    return out
+
+
+def _per_edge_b_times_x(X, m, n, coef):
+    """B(X)X one measurement at a time: +coef * (x_m - x_n) into row m and
+    the same into row n's own sum, each row's sums taken in batch order,
+    then the two sums subtracted."""
+    plus, minus = np.zeros(X.shape), np.zeros(X.shape)
+    for i, j, c in zip(m.tolist(), n.tolist(), coef.tolist()):
+        for col in range(X.shape[1]):
+            v = c * (float(X[i, col]) - float(X[j, col]))
+            plus[i, col] += v
+            minus[j, col] += v
+    return plus - minus
+
+
+class TestOneEdgeLengthRule:
+    """Every stress, coefficient and B(X)X in ``stress_core`` takes its
+    edge lengths from one rule, the squared columns added in column order;
+    each must equal a plain per-measurement loop that does that, bit for
+    bit, at every dim. Deltas lie within 1% of the lengths, so a length
+    off by one ulp shows in the stress too."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
+    def test_matches_per_edge_loop(self, dim, eps_x):
+        rng = np.random.default_rng([43, dim])
+        X, b = TestGathersBitIdentical.instance(rng, 4, 40, dim)
+        X *= rng.uniform(0.1, 10.0, dim)
+        d2 = _per_edge_squares(X, b.m, b.n)
+        delta = np.sqrt(d2) * rng.uniform(0.99, 1.01, len(b))
+        b = ObservationBatch(b.m, b.n, np.where(d2 > 0, delta, 0.1), b.weight)
+        live = b.weight > 0
+        want_stress = float(np.sum(
+            b.weight * (np.where(live, b.delta, 0.0) - np.sqrt(d2)) ** 2))
+        assert stress(X, b) == want_stress
+        plan = stress_core._BatchPlan(b, len(X))
+        assert plan.stress_at(X) == want_stress
+        if eps_x > 0:
+            want_coef = b.weight * b.delta / np.sqrt(d2 + eps_x)
+        else:
+            want_coef = np.zeros(len(b))
+            pos = d2 > 0
+            want_coef[pos] = b.weight[pos] * b.delta[pos] / np.sqrt(d2[pos])
+            assert np.array_equal(plan.coef, want_coef)
+        coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, eps_x)
+        assert np.array_equal(coef, want_coef)
+        assert np.array_equal(_b_times_x(X, b.m, b.n, coef),
+                              _per_edge_b_times_x(X, b.m, b.n, want_coef))
 
 
 class TestSpeStep:
@@ -821,6 +885,34 @@ class TestSgdStep:
                 Xm[i, k] -= h
                 grad[i, k] = (stress(Xp, b) - stress(Xm, b)) / (2 * h)
         np.testing.assert_allclose(direction, -0.5 * grad, atol=1e-5)
+
+    def test_matches_per_edge_gradient(self):
+        """X + mu * sum over measurements of (w*delta/d - w)(x_m - x_n),
+        with pairs measured twice (both ways round), coincident endpoints
+        (no term) and zero weights (dropped, delta NaN or finite)."""
+        rng = np.random.default_rng(27)
+        for dim in (1, 2, 3):
+            X = rng.standard_normal((9, dim))
+            X[4] = X[3]
+            entries = [(int(a), int(b), rng.random() + 0.2,
+                        rng.uniform(0.05, 1.0))
+                       for a, b in rng.choice(9, size=(20, 2))]
+            entries += [(1, 2, 0.8, 0.5), (2, 1, 1.3, 0.7), (1, 2, 0.9, 0.2),
+                        (3, 4, 1.0, 1.0), (4, 3, 2.0, 0.3),
+                        (5, 6, np.nan, 0.0), (6, 7, 1.5, 0.0)]
+            b = ObservationBatch.from_entries(entries)
+            mu = 0.3
+            want = X.copy()
+            for m, n, delta, w in entries:
+                diff = X[m] - X[n]
+                d = float(np.sqrt(np.sum(diff * diff)))
+                if w == 0.0 or d == 0.0:
+                    continue
+                step = mu * (w * delta / d - w) * diff
+                want[m] += step
+                want[n] -= step
+            np.testing.assert_allclose(sgd_step(X, b, mu), want, rtol=0,
+                                       atol=1e-12)
 
     def test_nonfinite_flagged(self):
         X = np.array([[-1e308, 0.0], [1e308, 0.0]])  # difference overflows
