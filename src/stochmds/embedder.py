@@ -24,7 +24,7 @@ from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import SamplerConfig, assign_weights, _cluster_sizes, \
     _decode_pairs, _pair_count, _shuffled_nodes
-# _stress, _sgd_step and _stochastic_step skip the id check: every batch
+# _stress, _sgd_step and _damped_update skip the id check: every batch
 # they get here is checked already or built in range
 from .stress_core import (
     averaged_step,
@@ -35,8 +35,8 @@ from .stress_core import (
     _BatchPlan,
     _check_cluster_size,
     _damped_update,
+    _on_touched_rows,
     _sgd_step,
-    _stochastic_step,
     _stress,
 )
 
@@ -247,34 +247,29 @@ def run_batch_smacof(batch: ObservationBatch, init: np.ndarray,
                     evaluated_pairs=len(batch))
 
 
-# a chunk of the slot kernel is a run of consecutive clusters (at least one)
-# whose cost, nodes plus twice the pairs they measure (a pair takes about
-# twice a node's working memory), stays within N // _CHUNK_DIVISOR, a fixed
-# share of the embedding at any sampling density, or within _CHUNK_FLOOR
-# when that is larger, so a small slot (the 100-node reference run costs
-# 4 x (25 + 2 x 105) = 940) is one chunk. Fewer, larger chunks make fewer
-# per-stack solves: at 8, an N = 40,000, p = 100, q = 50 slot is 16 chunks
-# and peaks at about 2.65 embeddings, in a chunk's dense assembly and LU
-# solve, the run's embedding, its next iterate and the slot's permutation
-# included
+# a chunk's cost, nodes plus twice the pairs they measure (a pair takes
+# about twice a node's working memory), stays within N // _CHUNK_DIVISOR, a
+# fixed share of the embedding at any sampling density, or _CHUNK_FLOOR if
+# larger, so a small slot (the 100-node reference run costs
+# 4 x (25 + 2 x 105) = 940) is one chunk. At 8, an N = 40,000, p = 100,
+# q = 50 slot is 16 chunks and peaks at about 2.65 embeddings, in a chunk's
+# dense assembly and LU solve, with the embedding, the slot's rollback and
+# its permutation
 _CHUNK_DIVISOR = 8
 _CHUNK_FLOOR = 1024
 
 
 def _chunk_limit(node_count: int) -> int:
-    """Cost bound of one chunk of a slot over ``node_count`` nodes."""
     return max(node_count // _CHUNK_DIVISOR, _CHUNK_FLOOR)
 
 
 def _slot_plan(node_count: int, sampler: SamplerConfig) -> list:
     """The chunks of every sampled slot of a run over ``node_count`` nodes,
     as ``(span, sizes, counts)``: the chunk's slice of the slot's node
-    permutation, and its clusters' sizes and the pairs each measures (the
-    sampler's request, clamped with one warning per size to the pairs the
-    size has). A chunk is consecutive clusters whose nodes plus twice
-    their pairs stay within ``_chunk_limit(node_count)``, or one larger
-    cluster. A p above ``node_count`` raises ``ValueError``.
-    """
+    permutation, its clusters' sizes and the pairs each measures (the
+    request, clamped with one warning per size). A chunk is consecutive
+    clusters within ``_chunk_limit``, or one larger cluster. A p above
+    ``node_count`` raises ``ValueError``."""
     p = sampler.p
     sizes = _cluster_sizes(node_count, p)
     counts = [_pair_count(p, sampler.q, sampler.fraction)] * len(sizes)
@@ -323,33 +318,41 @@ def _sample_chunk(provider, nodes: np.ndarray, sizes: list, counts: list,
     return ObservationBatch(m, n, delta, w)
 
 
-def _apply_slot(Xn, provider, plan: list, sampler: SamplerConfig,
-                rng: np.random.Generator, noise_sigma: float,
-                step: StepConfig, mu: float, mode: str) -> int:
-    """Sample and apply one slot chunk by chunk, updating Xn in place.
-
-    The slot shuffles the nodes (the draw ``partition_nodes`` makes) and
-    cuts the permutation by the run's ``_slot_plan``: each chunk is a
-    slice of it, sampled, fetched, grouped and solved in one pass, and
-    released before the next is sampled.
-    Clusters touch disjoint rows and each update reads only the slot-start
-    values of its own rows, so the result equals the per-cluster update
-    while holding only one chunk's measurements at a time.
-    """
-    perm = _shuffled_nodes(len(Xn), rng)
-    pairs = 0
-    cfg = replace(step, mu=mu)
+def _sampled_chunks(provider, perm: np.ndarray, plan: list,
+                    sampler: SamplerConfig, rng: np.random.Generator,
+                    noise_sigma: float, eps_w: float, clamp: bool):
+    """The chunks ``(nodes, local batch)`` of a sampled slot: its node
+    permutation cut by the run's ``_slot_plan``, each drawn when asked."""
     for span, sizes, counts in plan:
         nodes = perm[span]
-        batch = _sample_chunk(provider, nodes, sizes, counts, sampler, rng,
-                              noise_sigma, step.eps_w, clamp=(mode != "sgd"))
+        yield nodes, _sample_chunk(provider, nodes, sizes, counts, sampler,
+                                   rng, noise_sigma, eps_w, clamp)
+
+
+def _apply_slot(X: np.ndarray, chunks, cfg: StepConfig,
+                mode: str) -> int | None:
+    """Apply a slot's chunks ``(nodes, local batch)`` in place on X, each
+    released before the next is drawn, and return their pairs, or None at
+    the first chunk whose rows went non-finite. Chunks touch disjoint rows
+    and read only their own, so this equals the per-cluster update."""
+    pairs = 0
+    for nodes, local in chunks:
         if mode == "sgd":
-            Xn[nodes] = _sgd_step(Xn[nodes], batch, mu)
+            X[nodes] = Xc = _sgd_step(X[nodes], local, cfg.mu)
+            finite = _all_finite(Xc)
         else:
-            _damped_update(Xn, batch, cfg, nodes)
-        pairs += len(batch)
-        del batch  # released before the next chunk is sampled
+            finite = _damped_update(X, local, cfg, nodes)
+        if not finite:
+            return None
+        pairs += len(local)
+        del local
     return pairs
+
+
+def _check_noise_sigma(noise_sigma: float) -> None:
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(
+            f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
 
 
 def run_stochastic(
@@ -377,23 +380,26 @@ def run_stochastic(
     The first record (t = 0) holds the evaluation of the initial
     configuration.
 
-    A sampled run plans its slots once, before the first (``_slot_plan``,
-    so a p above N raises ``ValueError`` even for zero slots). Each slot
-    cuts one node permutation into clusters, and those into chunks of
-    consecutive clusters whose nodes plus twice their pairs stay within
-    N // ``_CHUNK_DIVISOR`` or ``_CHUNK_FLOOR``, whichever is larger. A
-    chunk is drawn, fetched, grouped into components and solved in one
-    pass before the next is sampled, so working memory stays a small
-    multiple of the embedding at any sampling density, and a small slot is
-    one chunk.
-    Streamed batches are checked once, with ``ObservationBatch.validate``,
-    and a bad one raises ``ValueError``. A non-finite iterate stops the run
-    with status ``diverged`` in every mode (and so does a blown-up ``sgd``
-    iterate); the final embedding is the last finite one.
+    The schedule gives each slot's mu in place of ``step.mu``; only
+    ``eps_x`` and ``eps_w`` are read from ``step``. A bad streamed batch
+    (checked once, by ``ObservationBatch.validate``), a non-finite
+    ``init``, a negative or non-finite ``noise_sigma`` and a p above N
+    (``_slot_plan``, made before the first slot) raise ``ValueError``.
+
+    Every slot is the rows it may touch plus chunks ``(nodes, local
+    batch)`` applied in place by ``_apply_slot``: a sampled slot's node
+    permutation cut into chunks of clusters, each drawn, solved and
+    released before the next; or a streamed batch as one chunk on its rows
+    (``stress_core._on_touched_rows``; weights clamped up to ``eps_w``
+    unless the mode is ``sgd``), at a cost linear in the batch, not in N.
+    A chunk gone non-finite, or a blown-up ``sgd`` iterate, restores the
+    rows saved before the slot's first chunk and stops the run
+    ``diverged``: the final embedding is the last finite one.
     """
     step = step or StepConfig()
     if mode not in ("stochastic", "sgd"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_noise_sigma(noise_sigma)
     streaming = sampler is None
     if streaming:
         stream = iter(source)
@@ -406,11 +412,14 @@ def run_stochastic(
 
     X = np.array(init, dtype=np.float64, copy=True)
     n = X.shape[0]
+    if not _all_finite(X):
+        raise ValueError("init must be finite")
     s0, sn0 = evaluator.stress(X)
     records = [_record(0, s0, sn0, 0.0, 0.0, 0)]
     embeds = [X.copy()] if record_embeddings else None
     status = "ok"
-    center0 = np.linalg.norm(X - X.mean(axis=0))
+    if mode == "sgd":
+        blowup = 1e6 * max(np.linalg.norm(X - X.mean(axis=0)), 1.0)
 
     for t in range(1, slots + 1):
         t0 = time.perf_counter()
@@ -421,28 +430,26 @@ def run_stochastic(
             except StopIteration:
                 status = "truncated"
                 break
-            evaluator = _EvalSet(batch)
-            if mode == "sgd":
-                Xn = _sgd_step(X, batch, mu)
-            else:
-                Xn = _stochastic_step(X, batch, replace(step, mu=mu))
-            pairs = len(batch)
+            rows, local = _on_touched_rows(
+                batch, None if mode == "sgd" else step.eps_w)
+            chunks = [(rows, local)]
+            evaluator = _EvalSet(replace(local, weight=batch.weight))
         else:
-            Xn = np.array(X, copy=True)
-            pairs = _apply_slot(Xn, source, plan, sampler,
-                                substream(seed, "partition", t), noise_sigma,
-                                step, mu, mode)
-
-        diverged = not _all_finite(Xn)
-        if mode == "sgd" and not diverged:
-            jn = np.linalg.norm(Xn - Xn.mean(axis=0))
-            diverged = jn > 1e6 * max(center0, 1.0)
-        if diverged:
+            rng = substream(seed, "partition", t)
+            rows = _shuffled_nodes(n, rng)
+            chunks = _sampled_chunks(source, rows, plan, sampler, rng,
+                                     noise_sigma, step.eps_w,
+                                     clamp=(mode != "sgd"))
+        saved = X[rows]  # the slot's rollback
+        pairs = _apply_slot(X, chunks, replace(step, mu=mu), mode)
+        if pairs is None or (mode == "sgd" and
+                             np.linalg.norm(X - X.mean(axis=0)) > blowup):
+            X[rows] = saved
             status = "diverged"
             break
-        X = Xn
+        del saved
 
-        s, sn = evaluator.stress(X)
+        s, sn = evaluator.stress(X[rows] if streaming else X)
         wall = (time.perf_counter() - t0) * 1e3
         records.append(_record(t, s, sn, mu, wall, pairs))
         if record_embeddings:
@@ -491,6 +498,7 @@ def run_averaged_oracle(
     step = step or StepConfig()
     if mode not in ("empirical", "closed_form"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_noise_sigma(noise_sigma)
     X = np.array(init, dtype=np.float64, copy=True)
     n = X.shape[0]
 
@@ -533,11 +541,15 @@ def run_averaged_oracle(
         else:
             acc = np.zeros_like(X)
             pairs = 0
+            cfg = replace(step, mu=mu)
             for s_ix in range(averaging_samples):
                 Xs = X.copy()
-                pairs += _apply_slot(Xs, source, plan, sampler,
-                                     substream(seed, "oracle", t, s_ix),
-                                     noise_sigma, step, mu, "stochastic")
+                rng = substream(seed, "oracle", t, s_ix)
+                chunks = _sampled_chunks(provider, _shuffled_nodes(n, rng),
+                                         plan, sampler, rng, noise_sigma,
+                                         step.eps_w, clamp=True)
+                # a sample stopped at a non-finite chunk (None) wrote it
+                pairs += _apply_slot(Xs, chunks, cfg, "stochastic") or 0
                 acc += Xs
             Xn = acc / averaging_samples
         if not _all_finite(Xn):

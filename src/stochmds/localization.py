@@ -81,6 +81,17 @@ class ProtocolConfig:
     timeout_prob: float = 0.0
     eps_x: float = 1e-8
 
+    def __post_init__(self):  # the ranges the localize command checks
+        inf = math.inf
+        for name, lo, hi in (
+                ("mu", 0, 1), ("mean_cluster_size", 1, inf),
+                ("min_neighbors", 0, inf), ("max_members", 1, inf),
+                ("noise_sigma", 0, inf), ("timeout_prob", 0, 1),
+                ("eps_x", 0, inf)):
+            v = getattr(self, name)
+            if not (lo <= v <= hi and math.isfinite(v)):
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+
     @property
     def head_prob(self) -> float:
         return 1.0 / self.mean_cluster_size

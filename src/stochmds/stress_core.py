@@ -226,26 +226,28 @@ def stochastic_step(X: np.ndarray, batch: ObservationBatch,
     X's rows raise ``ValueError``.
     """
     _validate_batch_indices(batch, X.shape[0])
-    return _stochastic_step(X, batch, cfg)
-
-
-def _stochastic_step(X: np.ndarray, batch: ObservationBatch,
-                     cfg: StepConfig) -> np.ndarray:
-    """``stochastic_step`` on a batch whose ids are checked already."""
     Xn = np.array(X, dtype=np.float64, copy=True)
-    # renumbered onto the rows it touches; np.unique keeps id order, so the
-    # update equals the one over all N rows bit for bit
-    nodes, ids = np.unique(np.r_[batch.m, batch.n], return_inverse=True)
-    local = ObservationBatch(*np.split(ids, 2), batch.delta,
-                             clamp_weights(batch.weight, cfg.eps_w))
+    nodes, local = _on_touched_rows(batch, cfg.eps_w)
     _damped_update(Xn, local, cfg, nodes)
     return Xn
 
 
+def _on_touched_rows(batch: ObservationBatch, eps_w: float | None = None):
+    """``(nodes, local)``: the batch's sorted distinct ids, and the batch
+    on them, nonzero weights below ``eps_w`` clamped up unless it is None.
+    np.unique keeps id order, so an update of ``local`` on ``nodes``
+    equals the one over all N rows bit for bit."""
+    nodes, ids = np.unique(np.r_[batch.m, batch.n], return_inverse=True)
+    weight = batch.weight if eps_w is None else \
+        clamp_weights(batch.weight, eps_w)
+    return nodes, ObservationBatch(*np.split(ids, 2), batch.delta, weight)
+
+
 def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
-                   nodes: np.ndarray) -> None:
+                   nodes: np.ndarray) -> bool:
     """Apply the incremental update in place to the rows ``nodes`` of
-    ``Xn``, which batch ids index, at a cost linear in the batch.
+    ``Xn``, which batch ids index, at a cost linear in the batch, and
+    report whether the rows it wrote are finite.
 
     Weights are used as given: 0 (ignored; a timed-out localization star
     rides at 0) or at least ``cfg.eps_w``; zero weights are dropped here,
@@ -253,18 +255,15 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     any is written, and components own disjoint rows, so every row is
     updated from its current value.
 
-    After grouping, the chunk is one pass, not one per size: the grouped
-    rows of B^eps(X)X are gathered once and solved in place
-    (``_RoutedStack.solve_in_place``), and the blend takes every
-    component's center at once (``ComponentGroups._means``, the solve
-    layer's one summation rule) and is written over the gathered rows in
-    the per-stack order of operations, so the result is the same bit for
-    bit. The gathered rows, the edge coefficients and B^eps(X)X are
-    released as soon as they are used.
+    After grouping, the chunk is one pass: the grouped rows of B^eps(X)X
+    are solved in place (``_RoutedStack.solve_in_place``), and the blend
+    takes every component's center at once (``ComponentGroups._means``)
+    and is written in the per-stack order of operations, so the result is
+    the same bit for bit. Temporaries are released as soon as used.
     """
     mu = cfg.mu
     if mu == 0.0:
-        return
+        return True
     live = batch.nonzero()
     X = np.take(Xn, nodes, axis=0)
     bx = _b_times_x(X, live.m, live.n, _regularized_coeffs(
@@ -273,7 +272,7 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     groups = group_components(live, len(nodes))
     del live
     if not len(groups.sizes):
-        return
+        return True
     y = np.take(bx, groups.nodes, axis=0)
     del bx
     _RoutedStack(groups).solve_in_place(y)
@@ -287,6 +286,7 @@ def _damped_update(Xn: np.ndarray, batch: ObservationBatch, cfg: StepConfig,
     y *= mu
     Xc += y
     Xn[rows] = Xc
+    return _all_finite(Xc)
 
 
 def spe_step(xi: np.ndarray, xj: np.ndarray, delta: float, mu: float):

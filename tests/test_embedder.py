@@ -32,8 +32,8 @@ from stochmds.embedder import _CHUNK_DIVISOR, _CHUNK_FLOOR, _chunk_limit, \
     _slot_plan, _usable_pairs, estimate_scale
 from stochmds.graph_linalg import DENSE_SOLVER_MAX
 from stochmds.rng import substream
-from stochmds.sampling import _sample_local_pairs, assign_weights, \
-    partition_nodes
+from stochmds.sampling import _sample_local_pairs, _shuffled_nodes, \
+    assign_weights, partition_nodes
 
 
 def planar_provider(n, seed=0, side=10.0):
@@ -381,6 +381,37 @@ class TestRunStochastic:
                                MuSchedule.constant(0.1), None, slots=1,
                                mode=mode)
 
+    @pytest.mark.parametrize("noise_sigma", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("run", ["sampled", "streamed", "oracle"])
+    def test_bad_noise_sigma_rejected(self, run, noise_sigma):
+        """A negative or non-finite noise level raises before the first
+        slot, even for a streamed run, which adds no noise."""
+        provider, _ = planar_provider(12)
+        init = random_init(12, 2, np.random.default_rng(0), 10.0)
+        sampler = SamplerConfig(p=4, q=3, seed=0)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            if run == "oracle":
+                run_averaged_oracle(provider, init, 0.1, 1, sampler,
+                                    noise_sigma=noise_sigma)
+            else:
+                source = provider if run == "sampled" else \
+                    iter([full_batch_from(init)])
+                run_stochastic(source, init, MuSchedule.constant(0.1),
+                               sampler if run == "sampled" else None, 1,
+                               noise_sigma=noise_sigma)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_nonfinite_init_rejected(self, streaming):
+        """A slot checks only the rows it writes, so a non-finite start is
+        rejected before the first slot."""
+        provider, coords = planar_provider(12)
+        init = random_init(12, 2, np.random.default_rng(0), 10.0)
+        init[5, 1] = np.nan
+        source = iter([full_batch_from(coords)]) if streaming else provider
+        sampler = None if streaming else SamplerConfig(p=4, q=3, seed=0)
+        with pytest.raises(ValueError, match="init"):
+            run_stochastic(source, init, MuSchedule.constant(0.1), sampler, 1)
+
     def test_spe_mode_rejected(self):
         """SPE is the stochastic mode with p = 2, not a mode of its own."""
         provider, _ = planar_provider(10)
@@ -715,9 +746,11 @@ class TestSlotKernel:
         plan = embedder._slot_plan(n, sampler)
 
         def slot(t, Xn):
-            embedder._apply_slot(Xn, provider, plan, sampler,
-                                 substream(sampler.seed, "partition", t), 0.1,
-                                 StepConfig(), 0.1, "stochastic")
+            rng = substream(sampler.seed, "partition", t)
+            chunks = embedder._sampled_chunks(
+                provider, _shuffled_nodes(n, rng), plan, sampler, rng, 0.1,
+                StepConfig().eps_w, clamp=True)
+            embedder._apply_slot(Xn, chunks, StepConfig(mu=0.1), "stochastic")
 
         slot(0, init.copy())
         Xn = init.copy()
@@ -728,6 +761,142 @@ class TestSlotKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1.05 * 47.8 * init.nbytes
+
+
+class _PoisonedAfter:
+    """``base``'s dissimilarities for its first ``lookups`` calls, then the
+    largest float for every pair, which overflows the update of whatever
+    chunk measures them."""
+
+    def __init__(self, base, lookups):
+        self.base, self.left, self.node_count = base, lookups, base.node_count
+
+    def pairs(self, a, b):
+        self.left -= 1
+        d = self.base.pairs(a, b)
+        return d if self.left >= 0 else np.full(len(d), np.finfo(float).max)
+
+
+def _streamed_batches(rng, n, touched, count):
+    """``count`` batches over ``touched`` random nodes of ``n``, each taking
+    all their pairs, with zero weights (a NaN delta among them) and
+    weights below the default eps_w."""
+    batches = []
+    for _ in range(count):
+        nodes = rng.choice(n, touched, replace=False)
+        a, b = np.triu_indices(touched, k=1)
+        delta = rng.uniform(1.0, 10.0, len(a))
+        w = rng.uniform(0.1, 1.0, len(a))
+        w[1::7] = 1e-5
+        w[::5], delta[::10] = 0.0, np.nan
+        batches.append(ObservationBatch(nodes[a], nodes[b], delta, w))
+    return batches
+
+
+class TestOneSlotForm:
+    """Every slot is the rows it may touch plus chunks applied in place; a
+    non-finite chunk restores those rows."""
+
+    @pytest.mark.parametrize("mode", ["sgd", "stochastic"])
+    def test_streamed_slot_matches_public_step(self, mode):
+        """A streamed slot gives what the public full-N step gives, bit for
+        bit, on the rows its batch touches, and leaves every other row's
+        bytes as they were. sgd takes the weights as given; the
+        stochastic rule clamps them up to eps_w."""
+        n, mu = 40, 0.05
+        rng = np.random.default_rng(13)
+        init = random_init(n, 2, rng, 10.0)
+        batches = _streamed_batches(rng, n, 8, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # weights clamped up
+            trace = run_stochastic(batches, init, MuSchedule.constant(mu),
+                                   None, 3, mode=mode, record_embeddings=True)
+            assert trace.status == "ok"
+            for t, batch in enumerate(batches, 1):
+                before, after = trace.embeddings[t - 1], trace.embeddings[t]
+                want = sgd_step(before, batch, mu) if mode == "sgd" else \
+                    stochastic_step(before, batch, StepConfig(mu=mu))
+                touched = np.zeros(n, dtype=bool)
+                touched[batch.m] = touched[batch.n] = True
+                assert after[touched].tobytes() == want[touched].tobytes()
+                assert after[~touched].tobytes() == before[~touched].tobytes()
+                assert not np.array_equal(after, before)
+
+    @pytest.mark.parametrize("mode", ["sgd", "stochastic"])
+    def test_nonfinite_later_chunk_restores_the_slot(self, mode,
+                                                     monkeypatch):
+        """Slot 2 of a run is cut into six chunks (a small chunk floor)
+        and its third chunk on measures overflowing dissimilarities. The
+        first two chunks were applied in place, so the run's final
+        embedding is the rollback: X before slot 2, bit for bit."""
+        monkeypatch.setattr(embedder, "_CHUNK_FLOOR", 50)
+        n = 60
+        base, _ = planar_provider(n, seed=14, side=100.0)
+        sampler = SamplerConfig(p=5, fraction=1.0, seed=15)
+        assert len(_slot_plan(n, sampler)) == 6
+        # one lookup for the (empty) evaluation set, six for slot 1, two
+        # for slot 2
+        provider = _PoisonedAfter(base, 1 + 6 + 2)
+        init = random_init(n, 2, np.random.default_rng(16), 100.0)
+        with np.errstate(all="ignore"):
+            trace = run_stochastic(provider, init, MuSchedule.constant(0.5),
+                                   sampler, 3, mode=mode, eval_pairs=0,
+                                   record_embeddings=True)
+        assert trace.status == "diverged"
+        assert len(trace.records) == len(trace.embeddings) == 2
+        assert trace.final.tobytes() == trace.embeddings[1].tobytes()
+        assert not np.array_equal(trace.final, init)
+
+    def test_oracle_nonfinite_sample_diverges(self, monkeypatch):
+        """The oracle averages each sample on its own copy: a sample whose
+        later chunk goes non-finite makes the mean non-finite, so the run
+        stops ``diverged`` with the last finite mean, as before."""
+        monkeypatch.setattr(embedder, "_CHUNK_FLOOR", 50)
+        n = 60
+        base, _ = planar_provider(n, seed=17, side=100.0)
+        sampler = SamplerConfig(p=5, fraction=1.0, seed=18)
+        # the evaluation set, slot 1's three samples of six chunks, and
+        # slot 2's first sample and two chunks of its second
+        provider = _PoisonedAfter(base, 1 + 3 * 6 + 6 + 2)
+        init = random_init(n, 2, np.random.default_rng(19), 100.0)
+        with np.errstate(all="ignore"):
+            trace = run_averaged_oracle(
+                provider, init - init.mean(axis=0), 0.5, 3, sampler,
+                averaging_samples=3, eval_pairs=0, record_embeddings=True)
+        assert trace.status == "diverged"
+        assert len(trace.records) == len(trace.embeddings) == 2
+        assert trace.final.tobytes() == trace.embeddings[1].tobytes()
+
+    def test_streamed_slot_memory_is_linear_in_the_batch(self):
+        """Two streamed slots of 25-node batches at N = 200,000, with the
+        embeddings not recorded, allocate less than 5% of the embedding
+        from the first slot's start on: no copy of X, no scan of its rows.
+        The schedule resets the peak when the first slot asks for mu."""
+        n = 200_000
+        rng = np.random.default_rng(20)
+        init = random_init(n, 2, rng, 100.0)
+        batches = _streamed_batches(rng, n, 25, 2)
+
+        class PeakFromFirstSlot:
+            start = None
+
+            def mu_at(self, t):
+                if t == 0:
+                    tracemalloc.reset_peak()
+                    self.start = tracemalloc.get_traced_memory()[0]
+                return 0.1
+
+        schedule = PeakFromFirstSlot()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # weights clamped up
+                trace = run_stochastic(batches, init, schedule, None, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.status == "ok" and len(trace.records) == 3
+        assert peak - schedule.start < 0.05 * init.nbytes
 
 
 class TestRunAveragedOracle:

@@ -1,5 +1,6 @@
 """Mobile-network simulator: deployment, mobility, protocol, alignment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from stochmds import (
     stochastic_step,
 )
 from stochmds import localization
-from stochmds.cli import EXIT_CONFIG, main
+from stochmds.cli import CONFIG_KEYS, EXIT_CONFIG, main
 from stochmds.localization import init_velocities, perturb_estimates
 from stochmds.rng import substream
 
@@ -113,6 +114,39 @@ class TestMeasure:
         state = deploy_network(30, 0, substream(7, "deploy"))
         batch = measure_distances(state, 5.0, substream(7, "measure", 0))
         assert np.all(batch.delta > 0)
+
+
+# values outside each protocol field's range, those reported to fail late
+# or not at all first
+_BAD_PROTOCOL = {
+    "mu": (1.5, -0.1, math.nan),
+    "mean_cluster_size": (0, 0.5, math.inf, math.nan),
+    "min_neighbors": (-1,),
+    "max_members": (0, -2),
+    "noise_sigma": (-1.0, math.inf, math.nan),
+    "timeout_prob": (-1, 1.01, math.nan),
+    "eps_x": (-1e-12, math.inf, math.nan),
+}
+
+
+class TestProtocolConfig:
+    """Each field is checked where the config is made, against the range
+    the ``localize`` command gives it in ``cli.CONFIG_KEYS``."""
+
+    def test_every_field_has_a_case(self):
+        assert sorted(_BAD_PROTOCOL) == sorted(
+            f.name for f in dataclasses.fields(ProtocolConfig))
+
+    @pytest.mark.parametrize("name", sorted(_BAD_PROTOCOL))
+    def test_field_outside_cli_range_rejected(self, name):
+        lo, hi = CONFIG_KEYS[name][1]
+        ProtocolConfig(**{name: lo})
+        if hi < math.inf:
+            ProtocolConfig(**{name: hi})
+        for value in _BAD_PROTOCOL[name]:
+            assert not (lo <= value <= hi and math.isfinite(value))
+            with pytest.raises(ValueError, match=name):
+                ProtocolConfig(**{name: value})
 
 
 class TestProtocolRound:
