@@ -177,14 +177,6 @@ def _parse_table(lines, node_count):
             len(keys) - len(starts))
 
 
-def serialize_edge_list(batch: ObservationBatch) -> str:
-    lines = [
-        f"{int(m)}\t{int(n)}\t{float(d)!r}\t{float(w)!r}"
-        for m, n, d, w in zip(batch.m, batch.n, batch.delta, batch.weight)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # providers
 

@@ -295,9 +295,11 @@ def _sample_chunk(provider, nodes: np.ndarray, sizes: list, counts: list,
                   clamp: bool) -> ObservationBatch:
     """Sample consecutive clusters of ``nodes``, of the given ``sizes`` and
     pair ``counts``, as one batch whose ids index ``nodes``. Each cluster
-    draws its pairs (as ``sampling._sample_local_pairs`` does), then their
-    noise, from the slot's stream in cluster order, so the measurements
-    never depend on the chunking; the chunk's pairs decode in one call."""
+    draws its pairs, then their noise, from the slot's stream in cluster
+    order, so the measurements never depend on the chunking; the chunk's
+    pairs decode in one call. ``sample_local_pairs`` and
+    ``per_cluster_slot`` in ``tests/reference.py`` are its plain
+    reference: one draw and one update per cluster."""
     ends = list(accumulate(counts))
     k = np.empty(ends[-1], dtype=np.int64)
     noise = np.empty(len(k)) if noise_sigma > 0 else None

@@ -15,6 +15,9 @@ callers have stripped the batch of zero weights
 (``_component_labels``, after Shiloach and Vishkin): each pass hooks every
 edge's larger root onto the smaller and jumps pointers until each node
 points at its root, so the roots end up the components' smallest members.
+Every two passes at least halve the trees of each component, so labelling
+n nodes takes at most 2 ceil(log2 n) passes that hook, and one that finds
+nothing left to hook.
 Its stable sorts take 16-bit keys whenever the keys fit, which numpy
 radix-sorts. A grouping is solved in one pass (``_RoutedStack``), whatever
 its number of sizes, and every route takes a run of its components:
@@ -64,7 +67,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.csgraph import connected_components as _cs_components
 from scipy.sparse.linalg import cg as _cg
 
 from .observations import ObservationBatch, _validate_batch_indices
@@ -83,12 +85,6 @@ DENSE_SOLVER_MAX = 512
 _CG_TOL = 1e-12   # relative residual that CG iterates to
 
 
-def _label_passes(node_count: int) -> int:
-    """How many hooking passes ``_component_labels`` takes before it hands
-    the graph to csgraph."""
-    return 4 + 2 * int(np.ceil(np.log2(node_count + 1)))
-
-
 def _component_labels(m, n, node_count):
     """Connected-component label per node under positive-weight adjacency.
 
@@ -103,14 +99,19 @@ def _component_labels(m, n, node_count):
     moved: the loop ends when hooking moves none, that is when the ends of
     every edge share a root. Each tree is then a component and its root its
     smallest member. A pass holds two values per edge, the roots of its
-    ends. Falls back to the csgraph routine if an edge pattern outlasts
-    ``_label_passes``.
+    ends.
+
+    The loop ends within 2 ceil(log2 n) + 1 passes on n nodes. A root that
+    neither hooks nor is hooked onto in a pass is smaller than the roots of
+    the trees next to its own, and each of those hooked onto a root smaller
+    still; so it hooks in the next pass, unless its tree is already its
+    component. Every tree of a component that still has two therefore joins
+    another within two passes, which at least halves their number.
     """
     if len(m) == 0:
         return np.arange(node_count), node_count
     labels = np.arange(node_count)
     total = labels.sum()
-    passes = _label_passes(node_count)
     lm, ln = labels.take(m), labels.take(n)  # the root of each edge's ends
     while True:
         np.minimum.at(labels, lm, ln)
@@ -118,9 +119,6 @@ def _component_labels(m, n, node_count):
         hooked = labels.sum()
         if hooked == total:  # every edge within a tree
             break
-        if not passes:
-            return _csgraph_labels(m, n, node_count)
-        passes -= 1
         total = hooked
         while True:
             up = labels.take(labels)
@@ -140,19 +138,6 @@ def _component_labels(m, n, node_count):
     del roots
     ids -= 1
     return ids[labels], int(ids[-1]) + 1
-
-
-def _csgraph_labels(m, n, node_count):
-    """``_component_labels`` by scipy's csgraph routine."""
-    ones = np.ones(len(m))
-    adj = sp.csr_matrix(
-        (np.concatenate([ones, ones]),
-         (np.concatenate([m, n]), np.concatenate([n, m]))),
-        shape=(node_count, node_count),
-    )
-    # scipy numbers components in order of their smallest member
-    n_comp, labels = _cs_components(adj, directed=False)
-    return labels.astype(np.int64, copy=False), n_comp
 
 
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -620,15 +605,6 @@ def _lu_solve(groups: ComponentGroups, flat: np.ndarray) -> np.ndarray:
                 flat[rows].reshape(count, size, dim)).reshape(-1, dim)
         del A
     return flat
-
-
-def _dense_min_norm(groups: ComponentGroups, rhs: np.ndarray) -> np.ndarray:
-    """LU min-norm solve of every component, whatever its route: the
-    reference the routes are tested against. ``rhs`` as in
-    ``_RoutedStack.solve``."""
-    y = np.array(rhs, dtype=np.float64)
-    _recenter(groups, _lu_solve(groups, y.reshape(-1, y.shape[-1])))
-    return y
 
 
 def _cholesky(single: ComponentGroups):

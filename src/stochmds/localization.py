@@ -14,6 +14,7 @@ translation/rotation/reflection ambiguity of the relative estimates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,10 @@ class ProtocolConfig:
             v = getattr(self, name)
             if not (lo <= v <= hi and math.isfinite(v)):
                 raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+        for name in ("min_neighbors", "max_members"):  # they cut arrays
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
 
     @property
     def head_prob(self) -> float:

@@ -122,9 +122,10 @@ class StepConfig:
     ``mu`` is the step size / forgetting factor, ``eps_x`` the squared-distance
     regularizer that keeps the update matrix bounded near coincident points,
     and ``eps_w`` the smallest admissible nonzero weight, which keeps the
-    Laplacian conditioning guarantee: ``stochastic_step``, where outside
-    batches enter, clamps smaller ones up; the engine's own batches never
-    carry them.
+    Laplacian conditioning guarantee. Smaller ones are clamped up wherever
+    outside batches enter: in ``stochastic_step``, and in a streamed slot of
+    ``run_stochastic`` (``stress_core._on_touched_rows``). The engine's own
+    batches never carry them.
     """
 
     mu: float = 0.1

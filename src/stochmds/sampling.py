@@ -120,29 +120,6 @@ def _pair_count(size: int, q: int | None = None,
     return q
 
 
-def _sample_local_pairs(
-    size: int,
-    rng: np.random.Generator,
-    q: int | None = None,
-    fraction: float | None = None,
-):
-    """Uniform random subset of pairs over ``size`` items, as local index
-    arrays ``(a, b)`` with ``a < b``. Requests beyond the number of available
-    pairs are clamped with a warning.
-
-    The subset is one ``rng.choice(..., replace=False, shuffle=False)``
-    draw of pair indices: numpy's Floyd draw, or, for a request of more
-    than a twentieth of over 10,000 pairs, a partial shuffle of the index
-    range's tail. Floyd's draw costs time in the pairs drawn, not in the
-    size*(size-1)/2 available. The pairs come in no particular order.
-    """
-    if size < 2:
-        raise ValueError("cluster must have at least 2 nodes")
-    q = _pair_count(size, q, fraction)
-    k = rng.choice(size * (size - 1) // 2, q, replace=False, shuffle=False)
-    return _decode_pairs(k, size)
-
-
 def assign_weights(delta: np.ndarray, scheme: str = "unity",
                    eps_w: float = 1e-3,
                    clamp: bool = True) -> np.ndarray:

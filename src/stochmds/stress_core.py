@@ -136,7 +136,8 @@ def smacof_iterate(X: np.ndarray, batch: ObservationBatch,
     bx = _b_times_x(Xn, live.m, live.n, _regularized_coeffs(
         Xn, live.m, live.n, live.weight, live.delta, 0.0))
     groups = group_components(live, X.shape[0])
-    Xn[groups.nodes] = groups.solve(np.take(bx, groups.nodes, axis=0))
+    Xn[groups.nodes] = _RoutedStack(groups).solve_in_place(
+        np.take(bx, groups.nodes, axis=0))
     return Xn
 
 

@@ -21,11 +21,12 @@ from stochmds.data_io import (
     open_dense_matrix,
     parse_edge_list,
     read_embedding,
-    serialize_edge_list,
     write_embedding,
 )
 from stochmds.observations import ObservationBatch
 from stochmds.sampling import assign_weights
+
+from reference import line_loop_parse, serialize_edge_list
 
 
 class TestParseEdgeList:
@@ -153,13 +154,7 @@ def _outcome(parse):
 
 def _loop(text, node_count):
     """What the line loop alone gives for ``text``."""
-    def parse():
-        batch, dupes = data_io._parse_lines(
-            data_io._read_lines(io.StringIO(text)), node_count)
-        if dupes:
-            warnings.warn(f"{dupes} duplicate pair(s); last occurrence wins")
-        return batch
-    return _outcome(parse)
+    return _outcome(lambda: line_loop_parse(text, node_count))
 
 
 def _assert_same_outcome(got, want):

@@ -32,8 +32,10 @@ from stochmds.embedder import _CHUNK_DIVISOR, _CHUNK_FLOOR, _chunk_limit, \
     _slot_plan, _usable_pairs, estimate_scale
 from stochmds.graph_linalg import DENSE_SOLVER_MAX
 from stochmds.rng import substream
-from stochmds.sampling import _sample_local_pairs, _shuffled_nodes, \
-    assign_weights, partition_nodes
+from stochmds.sampling import _shuffled_nodes, partition_nodes
+
+from reference import greedy_chunks, per_cluster_slot, plain_batch_run, \
+    sample_local_pairs
 
 
 def planar_provider(n, seed=0, side=10.0):
@@ -130,25 +132,6 @@ class TestRunBatchSmacof:
         assert trace.records[-1]["stress_norm"] < 1e-6
 
 
-def _plain_batch_run(batch, init, tol, max_iters):
-    """``run_batch_smacof`` as a loop of one-shot iterates and ``stress``
-    calls: the reference for its batch plan."""
-    X = init.copy()
-    prev = stress(X, batch)
-    stresses = [prev]
-    for _ in range(max_iters):
-        Xn = smacof_iterate(X, batch)
-        if not np.all(np.isfinite(Xn)):
-            break
-        X = Xn
-        cur = stress(X, batch)
-        stresses.append(cur)
-        if (prev - cur) < tol * max(prev, 1e-300):
-            break
-        prev = cur
-    return X, stresses
-
-
 def _batch_of_components(rng, sizes, complete, isolated=2, dead=4):
     """One batch holding a component per size, on shuffled node ids with
     random orientation and edge order: complete graphs at one weight per
@@ -194,7 +177,7 @@ class TestBatchPlan:
                             lambda *a: dense.append(a))
         trace = run_batch_smacof(batch, init, tol=0.0, max_iters=12)
         assert not dense  # every component took the closed form
-        want_X, want_s = _plain_batch_run(batch, init, 0.0, 12)
+        want_X, want_s = plain_batch_run(batch, init, 0.0, 12)
         assert np.array_equal(trace.final, want_X)
         assert np.array_equal(trace.stresses(), want_s)
         assert np.all(np.isfinite(trace.stresses()))
@@ -204,7 +187,7 @@ class TestBatchPlan:
         n, batch = _batch_of_components(rng, [30, 12, 12, 6], complete=False)
         init = random_init(n, 2, rng, 3.0)
         trace = run_batch_smacof(batch, init, tol=1e-9, max_iters=30)
-        want_X, want_s = _plain_batch_run(batch, init, 1e-9, 30)
+        want_X, want_s = plain_batch_run(batch, init, 1e-9, 30)
         assert len(trace.records) == len(want_s)
         np.testing.assert_allclose(trace.final, want_X, rtol=0,
                                    atol=1e-12 * np.abs(want_X).max())
@@ -222,7 +205,7 @@ class TestBatchPlan:
         trace = run_batch_smacof(batch, init, tol=0.0, max_iters=4)
         assert len(trace.records) == 5
         assert len(built) == 1 and built[0].size == size
-        want_X, want_s = _plain_batch_run(batch, init, 0.0, 4)
+        want_X, want_s = plain_batch_run(batch, init, 0.0, 4)
         assert len(built) == 1 + 4  # the plain loop builds it per iterate
         assert np.array_equal(trace.final, want_X)
         assert np.array_equal(trace.stresses(), want_s)
@@ -475,27 +458,6 @@ class TestRunStochastic:
         assert provider.lookups >= lookups_for_eval
 
 
-def _per_cluster_slot(X, provider, clusters, sampler, rng, noise_sigma,
-                      cfg, mode):
-    """Reference for the slot kernel: one mini-batch and one update per
-    cluster, drawn from the slot's stream in cluster order."""
-    Xn = X.copy()
-    for cluster in clusters:
-        a, b = _sample_local_pairs(len(cluster), rng, q=sampler.q,
-                                   fraction=sampler.fraction)
-        delta = provider.pairs(cluster[a], cluster[b])
-        if noise_sigma > 0:
-            delta = delta + noise_sigma * rng.standard_normal(len(delta))
-        w = assign_weights(delta, sampler.scheme, eps_w=cfg.eps_w,
-                           clamp=(mode != "sgd"))
-        mini = ObservationBatch(a, b, delta, w)
-        if mode == "sgd":
-            Xn[cluster] = sgd_step(Xn[cluster], mini, cfg.mu)
-        else:
-            Xn[cluster] = stochastic_step(Xn[cluster], mini, cfg)
-    return Xn
-
-
 def _clusters_per_chunk(node_count, sampler):
     """The number of clusters in each chunk of the slot plan."""
     with warnings.catch_warnings():
@@ -510,21 +472,6 @@ def _chunks(clusters, sampler, limit):
     assert _chunk_limit(node_count) == limit
     ends = np.cumsum(_clusters_per_chunk(node_count, sampler))
     return [clusters[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
-
-
-def _greedy_chunks(sizes, counts, limit):
-    """Reference chunking: consecutive clusters, cut before a cluster that
-    would take the chunk's nodes plus twice its pairs over ``limit``; a
-    chunk holds at least one cluster. Returns the clusters per chunk."""
-    runs, total = [], 0
-    for size, count in zip(sizes, counts):
-        cost = size + 2 * count
-        if not runs or total + cost > limit:
-            runs.append(0)
-            total = 0
-        runs[-1] += 1
-        total += cost
-    return runs
 
 
 # "spe" is the stochastic rule at p = 2, the paper's SPE case. A p = 2
@@ -599,7 +546,7 @@ class TestSlotKernel:
             for t in range(1, len(trace.embeddings)):
                 rng = substream(sampler.seed, "partition", t)
                 part = partition_nodes(n, p, rng)
-                X = _per_cluster_slot(X, provider, part, sampler, rng,
+                X = per_cluster_slot(X, provider, part, sampler, rng,
                                       noise_sigma, StepConfig(mu=mu), mode)
                 assert np.array_equal(trace.embeddings[t], X)
         assert len(trace.embeddings) == slots + 1 or trace.status == "diverged"
@@ -652,11 +599,11 @@ class TestSlotKernel:
             warnings.simplefilter("ignore")  # q clamped
             plan = _slot_plan(n, sampler)
             clusters = partition_nodes(n, p, np.random.default_rng(0))
-            counts = [len(_sample_local_pairs(
+            counts = [len(sample_local_pairs(
                 len(c), np.random.default_rng(0), **kw)[0]) for c in clusters]
         perm = np.random.default_rng(0).permutation(n)
         sizes = [len(c) for c in clusters]
-        runs = _greedy_chunks(sizes, counts, _chunk_limit(n))
+        runs = greedy_chunks(sizes, counts, _chunk_limit(n))
         assert [len(chunk_sizes) for _, chunk_sizes, _ in plan] == runs
         first = 0
         for (span, chunk_sizes, chunk_counts), run in zip(plan, runs):
@@ -922,7 +869,7 @@ class TestRunAveragedOracle:
                 for t in range(1, slots + 1):
                     draw_rng = substream(21, "oracle", t, 0)
                     part = partition_nodes(n, p, draw_rng)
-                    X = _per_cluster_slot(X, provider, part, sampler,
+                    X = per_cluster_slot(X, provider, part, sampler,
                                           draw_rng, noise_sigma, cfg,
                                           "stochastic")
                     assert np.array_equal(trace.embeddings[t], X), \

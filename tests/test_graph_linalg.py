@@ -5,6 +5,7 @@ connected component; the tests read node ids from ``nodes``, degrees from
 ``_laplacian_entries`` and dense matrices from ``_sparse``, the assembly the
 CG solve and ``algebraic_connectivity`` run on."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,11 @@ from stochmds import ObservationBatch, StepConfig, algebraic_connectivity, \
     build_laplacian, smacof_iterate, stochastic_step
 from stochmds import graph_linalg
 from stochmds.graph_linalg import DENSE_SOLVER_MAX, _RoutedStack, \
-    _component_labels, _dense_min_norm, _laplacian_entries, _sparse, \
-    _stable_argsort, group_components
+    _component_labels, _laplacian_entries, _sparse, _stable_argsort, \
+    group_components
+
+from reference import dense_min_norm, plain_component, plain_solve, \
+    reference_stacks, sequential_sum, size_stacks, union_find_labels
 
 
 def batch(entries):
@@ -27,11 +31,6 @@ def batch(entries):
 def dense(single):
     """A grouping of one's Laplacian as an array."""
     return _sparse(single)[0].toarray()
-
-
-def min_norm(single, rhs):
-    """Min-norm solve of one component, as every update does it."""
-    return single.solve(rhs)
 
 
 def spy(monkeypatch, name):
@@ -127,27 +126,6 @@ class TestBuildLaplacian:
         assert sizes == [1, 2]
 
 
-def union_find_labels(m, n, node_count):
-    """Component labels by a plain union-find, numbered in order of each
-    component's smallest member, and their count."""
-    parent = list(range(node_count))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in zip(m, n):
-        parent[find(a)] = find(b)
-    smallest = {}
-    for v in range(node_count):
-        smallest.setdefault(find(v), v)  # v ascends: first is smallest
-    rank = {root: k for k, root in
-            enumerate(sorted(smallest, key=smallest.get))}
-    return [rank[find(v)] for v in range(node_count)], len(rank)
-
-
 @st.composite
 def label_graphs(draw):
     """Edges among shuffled node ids, in random order and orientation:
@@ -182,6 +160,21 @@ def label_graphs(draw):
     return m, n, node_count
 
 
+class _CountingNumpy:
+    """numpy, but for ``minimum.at``, whose calls it counts."""
+
+    def __init__(self):
+        self.calls = 0
+        self.minimum = self
+
+    def at(self, *args):
+        self.calls += 1
+        return np.minimum.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestConnectedComponents:
     @staticmethod
     def components(b, n):
@@ -206,84 +199,53 @@ class TestConnectedComponents:
     @given(label_graphs())
     def test_labels_match_union_find(self, graph):
         """Root hooking labels every node as a plain union-find does,
-        numbered by smallest member, within its pass bound (csgraph is
-        never reached)."""
+        numbered by smallest member."""
         m, n, node_count = graph
-        with mock.patch.object(graph_linalg, "_cs_components",
-                               wraps=graph_linalg._cs_components) as cs:
-            labels, count = _component_labels(m, n, node_count)
-        assert cs.call_count == 0
+        labels, count = _component_labels(m, n, node_count)
         want, want_count = union_find_labels(m.tolist(), n.tolist(),
                                              node_count)
         assert labels.tolist() == want and count == want_count
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_csgraph_fallback_matches_union_find(self, seed, monkeypatch):
-        """With one hooking pass allowed, a path through nodes in random
-        order outlasts the pass limit; the csgraph fallback must then give
-        the same labels as a plain union-find, ordered by smallest member."""
-        calls = spy(monkeypatch, "_cs_components")
-        monkeypatch.setattr(graph_linalg, "_label_passes", lambda count: 1)
-        node_count = 300
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(node_count)
-        path, other = perm[:200], perm[200:260]  # perm[260:] stay isolated
-        tree_parent = other[[int(rng.integers(0, k)) for k in
-                             range(1, len(other))]]
-        m = np.concatenate([path[:-1], other[1:]])
-        n = np.concatenate([path[1:], tree_parent])
+    @pytest.mark.parametrize("node_count", [2, 3, 1000, 20_000])
+    @pytest.mark.parametrize("kind", ["random-path", "alternating-path",
+                                      "star", "random-tree"])
+    def test_passes_within_halving_bound(self, kind, node_count,
+                                         monkeypatch):
+        """Every two hooking passes at least halve a component's trees, so
+        the loop ends within 2 ceil(log2 N) + 1 passes (the last finds
+        nothing to hook), on paths through random ids and through ids
+        alternating low and high, a star whose centre has the largest id,
+        and random trees relabelled at random.
+        The labels are the union-find's. Passes are counted through a
+        stand-in for the module's numpy: each makes two ``np.minimum.at``
+        calls."""
+        rng = np.random.default_rng([node_count, len(kind)])
+        ids = np.arange(node_count)
+        if kind == "random-path":
+            order = rng.permutation(node_count)
+            m, n = order[:-1], order[1:]
+        elif kind == "alternating-path":
+            order = np.empty(node_count, dtype=np.int64)
+            order[0::2] = ids[:(node_count + 1) // 2]
+            order[1::2] = ids[::-1][:node_count // 2]
+            m, n = order[:-1], order[1:]
+        elif kind == "star":
+            m, n = np.full(node_count - 1, node_count - 1), ids[:-1]
+        else:
+            parent = [int(rng.integers(0, v)) for v in range(1, node_count)]
+            relabel = rng.permutation(node_count)
+            m, n = relabel[1:], relabel[parent]
+        flip = rng.random(len(m)) < 0.5
+        m, n = np.where(flip, n, m), np.where(flip, m, n)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(graph_linalg, "np", counting)
         labels, count = _component_labels(m, n, node_count)
-        assert len(calls) == 1
+        assert counting.calls % 2 == 0
+        assert 1 <= counting.calls // 2 <= \
+            2 * math.ceil(math.log2(node_count)) + 1
         want, want_count = union_find_labels(m.tolist(), n.tolist(),
                                              node_count)
-        assert count == want_count == 2 + (node_count - 260)
-        assert labels.tolist() == want
-
-
-def size_stacks(groups):
-    """A grouping's components as one grouping per run of one size, in
-    order."""
-    return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
-
-
-def reference_stacks(m, n, w, node_count, singletons):
-    """``group_components`` by union-find and Python lists: per run of one
-    size, the open components (fewer measurements than pairs of nodes) by
-    size, ascending, then the candidates (as many) by size, ascending;
-    components by smallest member, each component's nodes ascending and its
-    edges in batch order, in flattened local ids."""
-    parent = list(range(node_count))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in zip(m, n):
-        parent[find(a)] = find(b)
-    members = {}
-    for v in range(node_count):
-        members.setdefault(find(v), []).append(v)
-
-    def key(comp):
-        p, count = len(comp), sum(find(a) == find(comp[0]) for a in m)
-        return (p > 1 and count == p * (p - 1) // 2, p, comp[0])
-
-    by_run = {}
-    for comp in sorted(members.values(), key=key):
-        if len(comp) > 1 or singletons:
-            by_run.setdefault(key(comp)[:2], []).append(comp)
-    out = []
-    for (_, size), group in by_run.items():
-        place = {v: k * size + i for k, comp in enumerate(group)
-                 for i, v in enumerate(comp)}
-        edges = [(place[a], place[b], x) for comp in group
-                 for a, b, x in zip(m, n, w) if a in comp]
-        out.append(([v for comp in group for v in comp],
-                    [e[0] for e in edges], [e[1] for e in edges],
-                    [e[2] for e in edges]))
-    return out
+        assert count == want_count == 1 and labels.tolist() == want
 
 
 class TestGroupComponents:
@@ -330,12 +292,12 @@ class TestStableArgsort:
 class TestSolveMinNorm:
     def test_two_node_system(self):
         lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]
-        y = min_norm(lap, np.array([[1.0], [-1.0]]))
+        y = lap.solve(np.array([[1.0], [-1.0]]))
         np.testing.assert_allclose(y, [[0.5], [-0.5]], atol=1e-12)
 
     def test_zero_rhs(self):
         lap = build_laplacian(batch([(0, 1, 1.0, 1.0)]), 2)[0]
-        y = min_norm(lap, np.zeros((2, 3)))
+        y = lap.solve(np.zeros((2, 3)))
         np.testing.assert_array_equal(y, np.zeros((2, 3)))
 
     def test_matches_dense_pinv(self):
@@ -346,7 +308,7 @@ class TestSolveMinNorm:
             rhs = rng.standard_normal((p, 2))
             rhs -= rhs.mean(axis=0)
             want = np.linalg.pinv(dense(lap)) @ rhs
-            got = min_norm(lap, rhs)
+            got = lap.solve(rhs)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_residual_and_centering_contract(self):
@@ -356,7 +318,7 @@ class TestSolveMinNorm:
             lap = build_laplacian(random_connected_graph(rng, p, 0.01), p)[0]
             rhs = rng.standard_normal((p, 3))
             rhs -= rhs.mean(axis=0)
-            y = min_norm(lap, rhs)
+            y = lap.solve(rhs)
             resid = np.linalg.norm(dense(lap) @ y - rhs)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
             assert np.abs(y.sum(axis=0)).max() <= 1e-9 * np.abs(y).sum()
@@ -368,7 +330,7 @@ class TestSolveMinNorm:
         assert stack._complete_weights() is None
         rhs = rng.standard_normal((p, 2))
         rhs -= rhs.mean(axis=0)
-        direct = _dense_min_norm(stack, rhs)
+        direct = dense_min_norm(stack, rhs)
         cg_calls = spy(monkeypatch, "_solve_cg")
         fallbacks = spy(monkeypatch, "_lu_solve")
         iterative = graph_linalg._solve_cg(stack, rhs)
@@ -396,7 +358,7 @@ class TestSolveMinNorm:
         monkeypatch.setattr(graph_linalg, "_cg",
                             lambda A, b, **kw: (np.zeros_like(b), info))
         fallbacks = spy(monkeypatch, "_lu_solve")
-        assert np.array_equal(stack.solve(rhs), _dense_min_norm(stack, rhs))
+        assert np.array_equal(stack.solve(rhs), dense_min_norm(stack, rhs))
         assert len(fallbacks) == 2  # the fallback, then the reference
 
     def test_low_weight_warning(self):
@@ -465,7 +427,7 @@ class TestCompleteClosedForm:
         # has condition ~ 1 / (w * size)), so it is held to 1e-12 only
         # where it is itself that accurate
         if weight >= 0.01:
-            np.testing.assert_allclose(got, _dense_min_norm(stack, rhs),
+            np.testing.assert_allclose(got, dense_min_norm(stack, rhs),
                                        rtol=0, atol=1e-12)
 
     def test_above_dense_limit_needs_no_cg(self, monkeypatch):
@@ -478,7 +440,7 @@ class TestCompleteClosedForm:
         stack = complete_stack(rng, 1, size, 1.0)
         rhs = zero_sum_rhs(rng, 1, size)
         np.testing.assert_allclose(stack.solve(rhs),
-                                   _dense_min_norm(stack, rhs),
+                                   dense_min_norm(stack, rhs),
                                    rtol=0, atol=1e-12)
 
     def test_route_is_per_component(self, monkeypatch):
@@ -719,54 +681,6 @@ class TestAlgebraicConnectivity:
             lap = build_laplacian(random_connected_graph(rng, p, eps_w), p)[0]
             a = algebraic_connectivity(lap)
             assert a >= 2 * eps_w / (p - 1) ** 2 - 1e-12
-
-
-def sequential_sum(rows):
-    """``rows.sum(axis=0)``, added one row at a time in row order,
-    starting from 0."""
-    total = np.zeros(rows.shape[1:])
-    for row in rows:
-        total += row
-    return total
-
-
-def plain_component(p, edges):
-    """One component's ``L + shift 11^T`` entry by entry: the shift, then
-    -w at every (i, j) in measurement order, then at every (j, i), then the
-    degree, each end's sum taken in measurement order; the shift sums the
-    degrees in node order."""
-    ends = np.zeros((2, p))
-    for i, j, w in edges:
-        ends[0, i] += w
-    for i, j, w in edges:
-        ends[1, j] += w
-    degree = ends[0] + ends[1]
-    L = np.full((p, p), max(sequential_sum(degree) / p, 1.0) / p)
-    for i, j, w in edges:
-        L[i, j] -= w
-    for i, j, w in edges:
-        L[j, i] -= w
-    L[np.arange(p), np.arange(p)] += degree
-    return L
-
-
-def plain_solve(p, edges, rhs):
-    """One component's min-norm solve by the route a plain reading of its
-    measurements picks: closed form when every pair is measured once at one
-    weight, CG above ``DENSE_SOLVER_MAX``, else one LU solve."""
-    pairs = [(min(i, j), max(i, j)) for i, j, _ in edges]
-    weights = {w for _, _, w in edges}
-    complete = (len(pairs) == p * (p - 1) // 2 == len(set(pairs))
-                and all(i != j for i, j in pairs) and len(weights) == 1)
-    if complete:
-        y = rhs / (weights.pop() * p)
-    elif p > DENSE_SOLVER_MAX:
-        a, b, w = (np.array(col) for col in zip(*edges))
-        y = graph_linalg._solve_cg(graph_linalg.ComponentGroups(
-            np.arange(p), a, b, w, np.array([p])), rhs)
-    else:
-        y = np.linalg.solve(plain_component(p, edges), rhs)
-    return y - sequential_sum(y) / p
 
 
 @st.composite

@@ -148,6 +148,17 @@ class TestProtocolConfig:
             with pytest.raises(ValueError, match=name):
                 ProtocolConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0])
+    @pytest.mark.parametrize("name", ["min_neighbors", "max_members"])
+    def test_count_must_be_an_integer(self, name, value):
+        """The two counts cut arrays in a round, so a float one would raise
+        TypeError there; the ``localize`` command types them as integers
+        too."""
+        assert CONFIG_KEYS[name][0] is int
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProtocolConfig(**{name: value})
+        assert getattr(ProtocolConfig(**{name: np.int64(3)}), name) == 3
+
 
 class TestProtocolRound:
     def test_sparse_head_aborts(self):

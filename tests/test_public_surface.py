@@ -1,5 +1,6 @@
 """The package's public surface: ``__all__`` lists, root imports and the
-names the README points readers to agree with each other."""
+names the README points readers to agree with each other, and every
+definition in the package is exported or called."""
 
 import ast
 import importlib
@@ -44,3 +45,41 @@ def test_readme_lower_level_pieces_resolve():
     assert names
     missing = [n for n in names if not hasattr(stochmds, n)]
     assert not missing, f"README names {missing} that stochmds lacks"
+
+
+def _names_used(node):
+    """The names ``node``'s AST uses: names read, attributes taken and
+    names imported. Docstrings are strings, so the names they mention do
+    not count."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_definition_is_exported_or_called():
+    """Every module-level function or class in the package is in its
+    module's ``__all__`` or is named somewhere in the package outside its
+    own definition: the library keeps only what it exports and what its
+    drivers call. The tests' plain references live in
+    ``tests/reference.py``."""
+    tops = [(p.stem, top) for p in sorted(PACKAGE.glob("*.py"))
+            for top in ast.parse(p.read_text()).body]
+    uses = [(top, _names_used(top)) for _, top in tops]
+    unused = []
+    for stem, top in tops:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        module = importlib.import_module(
+            "stochmds" if stem == "__init__" else f"stochmds.{stem}")
+        if top.name in getattr(module, "__all__", ()):
+            continue
+        if not any(top.name in names for other, names in uses
+                   if other is not top):
+            unused.append(f"{stem}.{top.name}")
+    assert not unused, f"defined but neither exported nor called: {unused}"

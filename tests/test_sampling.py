@@ -7,8 +7,9 @@ import pytest
 from scipy.stats import chi2
 
 from stochmds import SamplerConfig, assign_weights, partition_nodes
+from stochmds.embedder import _sample_chunk
 from stochmds.rng import substream
-from stochmds.sampling import _decode_pairs, _sample_local_pairs
+from stochmds.sampling import _decode_pairs, _pair_count
 
 
 class TestSamplerConfig:
@@ -147,19 +148,38 @@ class TestPairDecode:
         np.testing.assert_array_equal(b, b_want[keep])
 
 
+class _Unit:
+    """A provider that measures every pair at 1."""
+
+    def pairs(self, m, n):
+        return np.ones(len(m))
+
+
+def _cluster_pairs(size, rng, q=None, fraction=None):
+    """One cluster's pairs as a slot draws them: ``_sample_chunk`` on a
+    chunk of that one cluster, noiseless, as local ids ``(a, b)``."""
+    count = _pair_count(size, q, fraction)
+    sampler = SamplerConfig(p=size, q=count)
+    batch = _sample_chunk(_Unit(), np.arange(size), [size], [count], sampler,
+                          rng, 0.0, 1e-3, clamp=True)
+    return batch.m, batch.n
+
+
 class TestSampleClusterEdges:
+    """The per-cluster pair draw of ``embedder._sample_chunk``."""
+
     def test_full_fraction_gives_all_pairs(self):
-        a, b = _sample_local_pairs(3, substream(0, "edges", 0), fraction=1.0)
+        a, b = _cluster_pairs(3, substream(0, "edges", 0), fraction=1.0)
         assert set(zip(a.tolist(), b.tolist())) == {(0, 1), (0, 2), (1, 2)}
 
     def test_single_pair_cluster(self):
-        a, b = _sample_local_pairs(2, substream(0, "edges", 0), q=1)
+        a, b = _cluster_pairs(2, substream(0, "edges", 0), q=1)
         assert (a.tolist(), b.tolist()) == ([0], [1])
 
     def test_no_duplicates_or_self_loops(self):
         rng = substream(1, "edges", 0)
         for _ in range(100):
-            a, b = _sample_local_pairs(8, rng, q=12)
+            a, b = _cluster_pairs(8, rng, q=12)
             assert len(set(zip(a.tolist(), b.tolist()))) == len(a) == 12
             assert np.all(a < b)
 
@@ -169,7 +189,7 @@ class TestSampleClusterEdges:
         draws = 10_000
         rng = substream(2, "edges", 0)
         for _ in range(draws):
-            a, b = _sample_local_pairs(3, rng, q=1)
+            a, b = _cluster_pairs(3, rng, q=1)
             counts[(int(a[0]), int(b[0]))] += 1
         expected = draws / 3
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -184,7 +204,7 @@ class TestSampleClusterEdges:
     def test_draw_is_a_set_of_pairs(self, size, q):
         rng = substream(3, "edges", size)
         for _ in range(20):
-            a, b = _sample_local_pairs(size, rng, q=q)
+            a, b = _cluster_pairs(size, rng, q=q)
             assert len(a) == q
             assert len(set(zip(a.tolist(), b.tolist()))) == q
             assert np.all((0 <= a) & (a < b) & (b < size))
@@ -197,7 +217,7 @@ class TestSampleClusterEdges:
         draws = 20_000
         rng = substream(4, "edges", 0)
         for _ in range(draws):
-            a, b = _sample_local_pairs(4, rng, q=3)
+            a, b = _cluster_pairs(4, rng, q=3)
             subsets[frozenset(zip(a.tolist(), b.tolist()))] += 1
         assert len(subsets) == 20
         expected = draws / 20
@@ -213,7 +233,7 @@ class TestSampleClusterEdges:
         counts = np.zeros((size, size), dtype=np.int64)
         rng = substream(5, "edges", size)
         for _ in range(draws):
-            a, b = _sample_local_pairs(size, rng, q=q)
+            a, b = _cluster_pairs(size, rng, q=q)
             counts[a, b] += 1
         counts = counts[np.triu_indices(size, k=1)]
         expected = draws * q / total
@@ -221,9 +241,8 @@ class TestSampleClusterEdges:
         assert stat < chi2.ppf(0.999, total - 1)
 
     def test_oversized_request_clamped(self):
-        with pytest.warns(UserWarning):
-            a, _ = _sample_local_pairs(3, substream(0, "edges", 0), q=10)
-        assert len(a) == 3
+        with pytest.warns(UserWarning, match="q=10 clamped to 3"):
+            assert _pair_count(3, q=10) == 3
 
 
 class TestAssignWeights:

@@ -27,6 +27,10 @@ from stochmds.sampling import SamplerConfig
 from stochmds.stress_core import _b_times_x, _damped_update, \
     _regularized_coeffs
 
+from reference import b_epsilon_dense, per_edge_b_times_x, \
+    per_edge_squares, per_edge_stress, per_stack_update, reference_solution, \
+    size_stacks
+
 
 def full_batch(X, weights=None, deltas=None):
     n = len(X)
@@ -79,7 +83,7 @@ class TestStress:
         finite = ObservationBatch(b.m, b.n, b.delta,
                                   np.where(np.arange(len(b)) % 3, b.weight,
                                            0.0))
-        assert stress(X, finite) == _stress_fancy(X, finite)
+        assert stress(X, finite) == per_edge_stress(X, finite)
         assert finite.total_weighted_delta_sq() == float(
             np.sum(finite.weight * finite.delta**2))
 
@@ -98,17 +102,6 @@ class TestStress:
         R = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
         assert stress(X @ R, b) == pytest.approx(stress(X, b), rel=1e-10)
-
-
-def b_epsilon_dense(X, b, eps_x):
-    """Dense B^eps(X) of a batch: the Laplacian of the regularized edge
-    coefficients, with exact zero row sums."""
-    coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, eps_x)
-    B = np.zeros((len(X), len(X)))
-    np.add.at(B, (b.m, b.n), -coef)
-    np.add.at(B, (b.n, b.m), -coef)
-    B[np.diag_indices_from(B)] = -B.sum(axis=1)
-    return B
 
 
 def b_times_x(X, b, eps_x):
@@ -446,33 +439,6 @@ def _component_instance(rng, sizes, isolated, zero_edges):
     return n, comps, ObservationBatch.from_entries(entries)
 
 
-def _reference_solution(X, comps, batch, eps_x):
-    """pinv(L_C) B^eps(X_C) X_C per component from dense matrices, with
-    every measurement adding its own entry."""
-    out = {}
-    live = batch.nonzero()
-    for nodes in comps:
-        p = len(nodes)
-        local = {int(v): k for k, v in enumerate(nodes)}
-        L = np.zeros((p, p))
-        B = np.zeros((p, p))
-        Xc = X[nodes]
-        for m, n, d, w in zip(live.m, live.n, live.delta, live.weight):
-            if int(m) not in local:
-                continue
-            i, j = local[int(m)], local[int(n)]
-            dist2 = float(np.sum((Xc[i] - Xc[j]) ** 2))
-            coef = w * d / np.sqrt(dist2 + eps_x)
-            L[i, j] -= w
-            L[j, i] -= w
-            B[i, j] -= coef
-            B[j, i] -= coef
-        np.fill_diagonal(L, -L.sum(axis=1))
-        np.fill_diagonal(B, -B.sum(axis=1))
-        out[tuple(nodes)] = np.linalg.pinv(L) @ B @ Xc
-    return out
-
-
 @st.composite
 def component_batches(draw):
     """Sizes with a repeated size, a one-off size and random extras, plus
@@ -501,7 +467,7 @@ class TestComponentLayerReference:
         cfg = StepConfig(mu=mu, eps_x=1e-8)
         got = stochastic_step(X, batch, cfg)
         want = X.copy()
-        for nodes, sol in _reference_solution(X, comps, batch, 1e-8).items():
+        for nodes, sol in reference_solution(X, comps, batch, 1e-8).items():
             Xc = X[list(nodes)]
             want[list(nodes)] = ((1 - mu) * Xc + mu * Xc.mean(axis=0)
                                  + mu * sol)
@@ -517,7 +483,7 @@ class TestComponentLayerReference:
         X = rng.standard_normal((n, 2)) * 3
         got = smacof_iterate(X, batch)
         want = X.copy()
-        for nodes, sol in _reference_solution(X, comps, batch, 0.0).items():
+        for nodes, sol in reference_solution(X, comps, batch, 0.0).items():
             want[list(nodes)] = sol
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -537,11 +503,11 @@ class TestComponentLayerReference:
         want_smacof = X.copy()
         want_step = X.copy()
         mu = 0.4
-        for nodes, sol in _reference_solution(X, comps, batch, 1e-8).items():
+        for nodes, sol in reference_solution(X, comps, batch, 1e-8).items():
             Xc = X[list(nodes)]
             want_step[list(nodes)] = ((1 - mu) * Xc + mu * Xc.mean(axis=0)
                                       + mu * sol)
-        for nodes, sol in _reference_solution(X, comps, batch, 0.0).items():
+        for nodes, sol in reference_solution(X, comps, batch, 0.0).items():
             want_smacof[list(nodes)] = sol
         np.testing.assert_allclose(
             stochastic_step(X, batch, StepConfig(mu=mu, eps_x=1e-8)),
@@ -549,35 +515,6 @@ class TestComponentLayerReference:
         np.testing.assert_allclose(smacof_iterate(X, batch), want_smacof,
                                    rtol=1e-9, atol=1e-9)
         assert len(cg_calls) >= 2  # one per update
-
-
-def size_stacks(groups):
-    """A grouping's components as one grouping per size, in order."""
-    return [groups._stack(c0, c1) for _, c0, c1 in groups.runs]
-
-
-def _per_stack_update(Xn, batch, cfg, nodes):
-    """The update one size-stack at a time: each stack's own route,
-    solve, center and blend, as the kernel applied it before it took a
-    whole chunk in one pass."""
-    mu = cfg.mu
-    live = batch.nonzero()
-    X = np.take(Xn, nodes, axis=0)
-    coef = _regularized_coeffs(X, live.m, live.n, live.weight, live.delta,
-                               cfg.eps_x)
-    bx = _b_times_x(X, live.m, live.n, coef)
-    for stack in size_stacks(group_components(live, len(nodes))):
-        count, size = len(stack.sizes), int(stack.sizes[0])
-        local = stack.nodes.reshape(count, size)
-        rows = nodes[local]
-        Xc = np.take(Xn, rows, axis=0)
-        y = stack.solve(np.take(bx, local, axis=0))
-        # each center summed one row at a time, in row order
-        center = np.zeros((count, 1, Xc.shape[2]))
-        for k in range(size):
-            center[:, 0] += Xc[:, k]
-        center /= size
-        Xn[rows] = (1.0 - mu) * Xc + mu * center + mu * y
 
 
 def _star_batch(rng, node_count, stars):
@@ -620,7 +557,7 @@ class TestChunkKernelAgainstPerStack:
             cfg = StepConfig(mu=0.3, eps_x=1e-8)
             got, want = X.copy(), X.copy()
             _damped_update(got, batch, cfg, nodes)
-            _per_stack_update(want, batch, cfg, nodes)
+            per_stack_update(want, batch, cfg, nodes)
             assert np.array_equal(got, want)
             assert not np.array_equal(got, X)
 
@@ -633,7 +570,7 @@ class TestChunkKernelAgainstPerStack:
         cfg = StepConfig(mu=0.5, eps_x=1e-8)
         got, want = X.copy(), X.copy()
         _damped_update(got, batch, cfg, nodes)
-        _per_stack_update(want, batch, cfg, nodes)
+        per_stack_update(want, batch, cfg, nodes)
         assert np.array_equal(got, want)
 
     def test_large_chunk_assembles_once_and_solves_once_per_size(
@@ -670,45 +607,14 @@ class TestChunkKernelAgainstPerStack:
         assert solved == sorted(dense) and len(dense) > 15
 
 
-def _squares_in_order(diff):
-    """Row sums of diff**2, the squared columns added in column order."""
-    d2 = np.zeros(len(diff))
-    for col in diff.T:
-        d2 += col * col
-    return d2
-
-
-def _stress_fancy(X, batch):
-    d = np.sqrt(_squares_in_order(X[batch.m] - X[batch.n]))
-    return float(np.sum(batch.weight * (batch.delta - d) ** 2))
-
-
-def _coeffs_fancy(X, m, n, w, delta, eps_x):
-    diff = X[m] - X[n]
-    d2 = _squares_in_order(diff)
-    if eps_x > 0:
-        return w * delta / np.sqrt(d2 + eps_x), diff
-    coef = np.zeros_like(d2)
-    pos = d2 > 0
-    coef[pos] = (w[pos] * delta[pos]) / np.sqrt(d2[pos])
-    return coef, diff
-
-
-def _b_times_x_fancy(X, m, n, w, delta, eps_x):
-    coef, diff = _coeffs_fancy(X, m, n, w, delta, eps_x)
-    contrib = coef[:, None] * diff
-    out = np.empty_like(X)
-    for col in range(X.shape[1]):
-        out[:, col] = (
-            np.bincount(m, weights=contrib[:, col], minlength=len(X))
-            - np.bincount(n, weights=contrib[:, col], minlength=len(X)))
-    return out
-
-
-class TestGathersBitIdentical:
-    """The stress and B(X)X kernels gather one column at a time with
-    ``take``; they must equal plain fancy-index copies bit for bit,
-    coincident endpoints and zero-weight edges included."""
+class TestOneEdgeLengthRule:
+    """Every stress, coefficient and B(X)X in ``stress_core`` takes its
+    edge lengths from one rule, the squared columns added in column order,
+    each column gathered with ``take``; each must equal a plain
+    per-measurement loop that does that, bit for bit, at every dim,
+    coincident endpoints and zero-weight edges included, and warn of
+    nothing. Deltas lie within 1% of the lengths, so a length off by one
+    ulp shows in the stress too."""
 
     @staticmethod
     def instance(rng, count, size, dim):
@@ -729,90 +635,44 @@ class TestGathersBitIdentical:
         return X.reshape(-1, dim), ObservationBatch(
             np.array(m), np.array(n), rng.random(len(m)) + 0.2, w)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
-    def test_matches_fancy_index(self, dim, eps_x):
-        rng = np.random.default_rng(40 + dim)
-        for count, size in [(1, 2), (1, 9), (4, 5), (3, 30)]:
+    def test_matches_per_edge_loop(self, dim, eps_x):
+        rng = np.random.default_rng([43, dim])
+        for count, size in [(4, 40), (1, 2), (1, 9), (4, 5), (3, 30)]:
             X, b = self.instance(rng, count, size, dim)
+            X *= rng.uniform(0.1, 10.0, dim)
+            d2 = per_edge_squares(X, b.m, b.n)
+            delta = np.sqrt(d2) * rng.uniform(0.99, 1.01, len(b))
+            b = ObservationBatch(b.m, b.n, np.where(d2 > 0, delta, 0.1),
+                                 b.weight)
+            want_stress = per_edge_stress(X, b)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                coef = _regularized_coeffs(
-                    X, b.m, b.n, b.weight, b.delta, eps_x)
+                assert stress(X, b) == want_stress
+                plan = stress_core._BatchPlan(b, len(X))
+                assert plan.stress_at(X) == want_stress
+                coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta,
+                                           eps_x)
                 got_bx = _b_times_x(X, b.m, b.n, coef)
                 # the batch plan passes its own work vectors instead
                 work = np.full(len(b), np.nan), np.full(len(b), np.nan)
                 assert np.array_equal(_b_times_x(X, b.m, b.n, coef, *work),
                                       got_bx)
-            want_coef, diff = _coeffs_fancy(
-                X, b.m, b.n, b.weight, b.delta, eps_x)
-            assert np.array_equal(coef, want_coef)
-            assert np.array_equal(got_bx, _b_times_x_fancy(
-                X, b.m, b.n, b.weight, b.delta, eps_x))
-            if eps_x == 0.0:  # coincident endpoints: coefficient exactly 0
-                coincident = np.all(diff == 0, axis=1)
+            if eps_x > 0:
+                want_coef = b.weight * b.delta / np.sqrt(d2 + eps_x)
+            else:
+                want_coef = np.zeros(len(b))
+                pos = d2 > 0
+                want_coef[pos] = \
+                    b.weight[pos] * b.delta[pos] / np.sqrt(d2[pos])
+                assert np.array_equal(plan.coef, want_coef)
+                # coincident endpoints: coefficient exactly 0
+                coincident = np.all(X[b.m] == X[b.n], axis=1)
                 assert coincident.any() and np.all(coef[coincident] == 0.0)
-            assert stress(X, b) == _stress_fancy(X, b)
-
-
-def _per_edge_squares(X, m, n):
-    """||x_m - x_n||^2 one measurement at a time in Python floats: from
-    0.0, each column's squared difference added in column order."""
-    out = np.empty(len(m))
-    for k, (i, j) in enumerate(zip(m.tolist(), n.tolist())):
-        d2 = 0.0
-        for a, b in zip(X[i].tolist(), X[j].tolist()):
-            d2 += (a - b) * (a - b)
-        out[k] = d2
-    return out
-
-
-def _per_edge_b_times_x(X, m, n, coef):
-    """B(X)X one measurement at a time: +coef * (x_m - x_n) into row m and
-    the same into row n's own sum, each row's sums taken in batch order,
-    then the two sums subtracted."""
-    plus, minus = np.zeros(X.shape), np.zeros(X.shape)
-    for i, j, c in zip(m.tolist(), n.tolist(), coef.tolist()):
-        for col in range(X.shape[1]):
-            v = c * (float(X[i, col]) - float(X[j, col]))
-            plus[i, col] += v
-            minus[j, col] += v
-    return plus - minus
-
-
-class TestOneEdgeLengthRule:
-    """Every stress, coefficient and B(X)X in ``stress_core`` takes its
-    edge lengths from one rule, the squared columns added in column order;
-    each must equal a plain per-measurement loop that does that, bit for
-    bit, at every dim. Deltas lie within 1% of the lengths, so a length
-    off by one ulp shows in the stress too."""
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
-    def test_matches_per_edge_loop(self, dim, eps_x):
-        rng = np.random.default_rng([43, dim])
-        X, b = TestGathersBitIdentical.instance(rng, 4, 40, dim)
-        X *= rng.uniform(0.1, 10.0, dim)
-        d2 = _per_edge_squares(X, b.m, b.n)
-        delta = np.sqrt(d2) * rng.uniform(0.99, 1.01, len(b))
-        b = ObservationBatch(b.m, b.n, np.where(d2 > 0, delta, 0.1), b.weight)
-        live = b.weight > 0
-        want_stress = float(np.sum(
-            b.weight * (np.where(live, b.delta, 0.0) - np.sqrt(d2)) ** 2))
-        assert stress(X, b) == want_stress
-        plan = stress_core._BatchPlan(b, len(X))
-        assert plan.stress_at(X) == want_stress
-        if eps_x > 0:
-            want_coef = b.weight * b.delta / np.sqrt(d2 + eps_x)
-        else:
-            want_coef = np.zeros(len(b))
-            pos = d2 > 0
-            want_coef[pos] = b.weight[pos] * b.delta[pos] / np.sqrt(d2[pos])
-            assert np.array_equal(plan.coef, want_coef)
-        coef = _regularized_coeffs(X, b.m, b.n, b.weight, b.delta, eps_x)
-        assert np.array_equal(coef, want_coef)
-        assert np.array_equal(_b_times_x(X, b.m, b.n, coef),
-                              _per_edge_b_times_x(X, b.m, b.n, want_coef))
+            assert np.array_equal(coef, want_coef)
+            assert np.array_equal(got_bx,
+                                  per_edge_b_times_x(X, b.m, b.n, want_coef))
 
 
 class TestSpeStep:
