@@ -191,6 +191,49 @@ def per_edge_b_times_x(X, m, n, coef):
     return plus - minus
 
 
+def fancy_index_squares(X, m, n):
+    """||x_m - x_n||^2 from whole fancy-index copies ``X[m] - X[n]``: from
+    zeros, each column's squares added in column order."""
+    diff = X[m] - X[n]
+    d2 = np.zeros(len(diff))
+    for col in diff.T:
+        d2 += col * col
+    return d2
+
+
+def fancy_index_coeffs(X, m, n, w, delta, eps_x):
+    """Checks ``stress_core._regularized_coeffs`` against fancy-index
+    copies: w delta / sqrt(d^2 + eps_x), or, at eps_x 0, w delta / d with 0
+    where the endpoints coincide."""
+    d2 = fancy_index_squares(X, m, n)
+    if eps_x > 0:
+        return w * delta / np.sqrt(d2 + eps_x)
+    coef = np.zeros_like(d2)
+    pos = d2 > 0
+    coef[pos] = (w[pos] * delta[pos]) / np.sqrt(d2[pos])
+    return coef
+
+
+def fancy_index_b_times_x(X, m, n, coef):
+    """Checks ``stress_core._b_times_x`` against fancy-index copies: the
+    edge terms coef * (x_m - x_n) summed into rows m and n by ``bincount``
+    one column at a time, the n sums subtracted from the m sums."""
+    contrib = coef[:, None] * (X[m] - X[n])
+    out = np.empty_like(X)
+    for col in range(X.shape[1]):
+        out[:, col] = (
+            np.bincount(m, weights=contrib[:, col], minlength=len(X))
+            - np.bincount(n, weights=contrib[:, col], minlength=len(X)))
+    return out
+
+
+def fancy_index_stress(X, batch):
+    """Checks ``stress`` against fancy-index copies, for batches whose
+    deltas are all finite."""
+    d = np.sqrt(fancy_index_squares(X, batch.m, batch.n))
+    return float(np.sum(batch.weight * (batch.delta - d) ** 2))
+
+
 def b_epsilon_dense(X, b, eps_x):
     """Checks ``stress_core._b_times_x`` as a matrix: the dense B^eps(X) of
     a batch, the Laplacian of the regularized edge coefficients, with exact

@@ -27,7 +27,8 @@ from stochmds.sampling import SamplerConfig
 from stochmds.stress_core import _b_times_x, _damped_update, \
     _regularized_coeffs
 
-from reference import b_epsilon_dense, per_edge_b_times_x, \
+from reference import b_epsilon_dense, fancy_index_b_times_x, \
+    fancy_index_coeffs, fancy_index_stress, per_edge_b_times_x, \
     per_edge_squares, per_edge_stress, per_stack_update, reference_solution, \
     size_stacks
 
@@ -607,6 +608,52 @@ class TestChunkKernelAgainstPerStack:
         assert solved == sorted(dense) and len(dense) > 15
 
 
+def edge_instance(rng, count, size, dim):
+    """``count * size`` rows and a batch of random measurements within each
+    block of ``size`` rows, with a zero-weight edge and, per block, two
+    coincident endpoints (its rows 0 and 1) measured against each other."""
+    X = rng.standard_normal((count, size, dim))
+    X[:, 1] = X[:, 0]
+    m, n = [], []
+    for k in range(count):
+        pairs = rng.choice(size, size=(3 * size, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        m += [k * size] + (k * size + pairs[:, 0]).tolist()
+        n += [k * size + 1] + (k * size + pairs[:, 1]).tolist()
+    w = rng.uniform(0.05, 1.0, len(m))
+    w[len(m) // 2] = 0.0
+    return X.reshape(-1, dim), ObservationBatch(
+        np.array(m), np.array(n), rng.random(len(m)) + 0.2, w)
+
+
+class TestGathersBitIdentical:
+    """The stress and B(X)X kernels gather one column at a time with
+    ``take``; they must equal plain fancy-index copies bit for bit,
+    coincident endpoints and zero-weight edges included."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
+    def test_matches_fancy_index(self, dim, eps_x):
+        rng = np.random.default_rng(40 + dim)
+        for count, size in [(1, 2), (1, 9), (4, 5), (3, 30)]:
+            X, b = edge_instance(rng, count, size, dim)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                coef = _regularized_coeffs(
+                    X, b.m, b.n, b.weight, b.delta, eps_x)
+                got_bx = _b_times_x(X, b.m, b.n, coef)
+                got_stress = stress(X, b)
+            want_coef = fancy_index_coeffs(
+                X, b.m, b.n, b.weight, b.delta, eps_x)
+            assert np.array_equal(coef, want_coef)
+            assert np.array_equal(
+                got_bx, fancy_index_b_times_x(X, b.m, b.n, want_coef))
+            if eps_x == 0.0:  # coincident endpoints: coefficient exactly 0
+                coincident = np.all(X[b.m] == X[b.n], axis=1)
+                assert coincident.any() and np.all(coef[coincident] == 0.0)
+            assert got_stress == fancy_index_stress(X, b)
+
+
 class TestOneEdgeLengthRule:
     """Every stress, coefficient and B(X)X in ``stress_core`` takes its
     edge lengths from one rule, the squared columns added in column order,
@@ -616,31 +663,12 @@ class TestOneEdgeLengthRule:
     nothing. Deltas lie within 1% of the lengths, so a length off by one
     ulp shows in the stress too."""
 
-    @staticmethod
-    def instance(rng, count, size, dim):
-        """``count * size`` rows and a batch of random measurements within
-        each block of ``size`` rows, with a zero-weight edge and, per block,
-        two coincident endpoints (its rows 0 and 1) measured against each
-        other."""
-        X = rng.standard_normal((count, size, dim))
-        X[:, 1] = X[:, 0]
-        m, n = [], []
-        for k in range(count):
-            pairs = rng.choice(size, size=(3 * size, 2))
-            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-            m += [k * size] + (k * size + pairs[:, 0]).tolist()
-            n += [k * size + 1] + (k * size + pairs[:, 1]).tolist()
-        w = rng.uniform(0.05, 1.0, len(m))
-        w[len(m) // 2] = 0.0
-        return X.reshape(-1, dim), ObservationBatch(
-            np.array(m), np.array(n), rng.random(len(m)) + 0.2, w)
-
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("eps_x", [0.0, 1e-8])
     def test_matches_per_edge_loop(self, dim, eps_x):
         rng = np.random.default_rng([43, dim])
         for count, size in [(4, 40), (1, 2), (1, 9), (4, 5), (3, 30)]:
-            X, b = self.instance(rng, count, size, dim)
+            X, b = edge_instance(rng, count, size, dim)
             X *= rng.uniform(0.1, 10.0, dim)
             d2 = per_edge_squares(X, b.m, b.n)
             delta = np.sqrt(d2) * rng.uniform(0.99, 1.01, len(b))
