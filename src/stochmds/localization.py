@@ -9,6 +9,13 @@ Locks last until the round ends (timed-out stars included), so the stars of
 one round are disjoint, and one incremental update applies every completed
 star at once. Anchor nodes periodically resolve the
 translation/rotation/reflection ambiguity of the relative estimates.
+
+``_partition_stars`` forms a round's stars, head by head, and draws
+nothing; the round then draws each star's noise, then its timeout, in star
+order. Every range here comes from one rule: the squared coordinate
+columns added in column order, then ``np.sqrt``, as
+``stress_core._squared_lengths`` measures edges. The partition takes each
+head's range row by it, and ``measure_distances`` every in-range pair's.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from scipy.spatial import cKDTree
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import assign_weights
-from .stress_core import _damped_update
+from .stress_core import _damped_update, _squared_lengths
 from .embedder import run_batch_smacof
 
 __all__ = [
@@ -204,7 +211,8 @@ def step_mobility(state: MobileNetworkState, cfg: MobilityConfig,
 
 def measure_distances(state: MobileNetworkState, noise_sigma: float,
                       rng: np.random.Generator) -> ObservationBatch:
-    """Noisy ranges for every pair within the communication radius.
+    """Noisy ranges for every pair within the communication radius, by the
+    module's one range rule (``_squared_lengths``, then ``np.sqrt``).
 
     Nonpositive noisy measurements are discarded (weight zero drops them).
     """
@@ -213,12 +221,71 @@ def measure_distances(state: MobileNetworkState, noise_sigma: float,
     if pairs.size == 0:
         return ObservationBatch.empty()
     m, n = pairs[:, 0], pairs[:, 1]
-    d = np.linalg.norm(state.positions[m] - state.positions[n], axis=1)
+    d = np.sqrt(_squared_lengths(state.positions, m, n))
     if noise_sigma > 0:
         d = d + noise_sigma * rng.standard_normal(len(d))
     keep = d > 0
     return ObservationBatch(m[keep], n[keep], d[keep],
                             np.ones(int(keep.sum())))
+
+
+def _partition_stars(positions: np.ndarray, declares: np.ndarray,
+                     locked: np.ndarray, radius: float, min_neighbors: int,
+                     max_members: int) -> tuple:
+    """A round's stars, formed head by head in ``declares`` order.
+
+    A head that an earlier star locked does not run. Each running head
+    solicits the unlocked non-head nodes within ``radius``; with fewer than
+    ``min_neighbors`` it aborts, else its star is the head and the
+    ``max_members`` nearest, ties in node order, all locked through
+    ``locked`` as the star is formed. A head's range row is its squared
+    coordinate differences added in column order, then ``np.sqrt``: the
+    rule of ``stress_core._squared_lengths``. The partition draws nothing
+    and holds O(N) per head.
+
+    Returns ``(nodes, sizes, ranges, log)``: the stars laid end to end,
+    each head then its members; each star's size; the head-to-member ranges
+    in the same order; and a ``RoundLog`` holding the solicitation,
+    response and abort counts.
+    """
+    log = RoundLog()
+    first, *rest = np.ascontiguousarray(positions.T, dtype=np.float64)
+    d, s = np.empty(len(first)), np.empty(len(first))
+    near = np.empty(len(first), dtype=bool)
+    stars, ranges = [], []
+    for head in declares.tolist():
+        if locked[head]:
+            continue  # captured by an earlier star this round
+        # solicit members among available nodes in range; a response is the
+        # join message carrying the member's current estimate, so completed
+        # stars cost exactly one response per member
+        log.solicitations += 1
+        np.subtract(first, first[head], out=d)
+        d *= d
+        for col in rest:
+            np.subtract(col, col[head], out=s)
+            s *= s
+            d += s
+        np.sqrt(d, out=d)
+        d[head] = -1.0  # in range, and first in the star's order
+        np.less_equal(d, radius, out=near)
+        near &= ~locked
+        candidates = near.nonzero()[0]  # the head among them
+        if len(candidates) - 1 < min_neighbors:
+            log.responses += len(candidates) - 1
+            log.clusters_aborted += 1
+            continue
+        dist = d[candidates]
+        order = dist.argsort(kind="stable")[:max_members + 1]
+        star = candidates[order]
+        log.responses += len(star) - 1
+        locked[star] = True
+        stars.append(star)
+        ranges.append(dist[order[1:]])
+    sizes = np.array([len(star) for star in stars], dtype=np.intp)
+    if not stars:
+        return np.empty(0, dtype=np.intp), sizes, np.empty(0), log
+    return np.concatenate(stars), sizes, np.concatenate(ranges), log
 
 
 def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
@@ -228,67 +295,48 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
 
     Returns (state, batch, log) where ``batch`` concatenates all star
     measurements taken this round, timed-out stars included, at unity
-    weight. A star's locks last until the round ends, so no node joins two
-    stars of one round; then every lock the round took is released (locks
-    held on entry stay held). One batched update applies every star in
-    place to ``state.estimates``, a timed-out star at weight 0, so it does
-    not move. Members and ranges depend only on the true positions, so this
-    equals applying the stars one after another.
+    weight. ``_partition_stars`` forms the stars; a star's locks last until
+    the round ends, so no node joins two stars of one round; then every
+    lock the round took is released (locks held on entry stay held). Each
+    star then draws its range noise, then its timeout, in star order. One
+    batched update applies every star in place to ``state.estimates``, a
+    timed-out star at weight 0, so it does not move. Members and ranges
+    depend only on the true positions, so this equals applying the stars
+    one after another.
     """
-    log = RoundLog()
-    locked = state.locked
-
     declares = np.flatnonzero(rng.random(state.node_count) < cfg.head_prob)
-    stars = []  # (head then members, ranges, weight: 0 if timed out)
-
-    for head in declares.tolist():
-        if locked[head]:
-            continue  # captured by an earlier cluster this round
-        # solicit members among available nodes in range; a response is the
-        # join message carrying the member's current estimate, so completed
-        # clusters cost exactly one response per member
-        log.solicitations += 1
-        dist = np.linalg.norm(state.positions - state.positions[head], axis=1)
-        candidates = np.flatnonzero(
-            (dist <= state.comm_radius) & ~locked)
-        candidates = candidates[candidates != head]
-        if len(candidates) < cfg.min_neighbors:
-            log.responses += len(candidates)
-            log.clusters_aborted += 1
-            continue
-        order = np.argsort(dist[candidates], kind="stable")
-        members = candidates[order[:cfg.max_members]]
-        log.responses += len(members)
-
-        star = np.r_[head, members]
-        locked[star] = True
-
-        meas = dist[members]  # star measurements head <-> member
-        if cfg.noise_sigma > 0:
-            meas = meas + cfg.noise_sigma * rng.standard_normal(len(members))
-
-        timed_out = cfg.timeout_prob > 0 and rng.random() < cfg.timeout_prob
-        log.results += 1  # result broadcast is transmitted either way
-        if timed_out:
-            log.clusters_timeout += 1
-        else:
-            log.clusters_completed += 1
-            log.updated_nodes += len(members) + 1
-        stars.append((star, meas, 0.0 if timed_out else 1.0))
-
-    if not stars:  # no head locked anything
+    nodes, sizes, delta, log = _partition_stars(
+        state.positions, declares, state.locked, state.comm_radius,
+        cfg.min_neighbors, cfg.max_members)
+    if not len(sizes):  # no head locked anything
         return state, ObservationBatch.empty(), log
-    stars, ranges, ride = zip(*stars)
-    nodes, delta = np.concatenate(stars), np.concatenate(ranges)
     # S4: release every lock this round took: the nodes of its stars
-    locked[nodes] = False
+    state.locked[nodes] = False
+
+    counts = sizes - 1
+    noise = np.zeros(len(delta))
+    ride = np.ones(len(sizes))  # 0 for a star that timed out
+    if cfg.timeout_prob > 0:  # each star's noise, then its timeout draw
+        ends = np.cumsum(counts).tolist()
+        for j, (a, b) in enumerate(zip([0] + ends, ends)):
+            if cfg.noise_sigma > 0:
+                rng.standard_normal(out=noise[a:b])
+            if rng.random() < cfg.timeout_prob:
+                ride[j] = 0.0
+    elif cfg.noise_sigma > 0:  # nothing drawn between stars: one draw
+        rng.standard_normal(out=noise)
+    delta += cfg.noise_sigma * noise
+    log.results = len(sizes)  # result broadcast is transmitted either way
+    log.clusters_completed = int(ride.sum())
+    log.clusters_timeout = len(sizes) - log.clusters_completed
+    log.updated_nodes = int(sizes @ ride)
 
     # the stars in local ids: each head, then its members
-    sizes = np.array([len(star) for star in stars])
-    heads = np.cumsum(sizes) - sizes
-    m, k = np.repeat(heads, sizes - 1), np.delete(np.arange(len(nodes)), heads)
+    star = np.repeat(np.arange(len(sizes)), counts)
+    m = (np.cumsum(sizes) - sizes)[star]
+    k = star + np.arange(1, len(star) + 1)
     unity = assign_weights(delta, "unity")
-    local = ObservationBatch(m, k, delta, unity * np.repeat(ride, sizes - 1))
+    local = ObservationBatch(m, k, delta, unity * ride[star])
     _damped_update(state.estimates, local,
                    StepConfig(mu=cfg.mu, eps_x=cfg.eps_x), nodes)
     return state, ObservationBatch(nodes[m], nodes[k], delta, unity), log

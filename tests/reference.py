@@ -382,6 +382,46 @@ def plain_batch_run(batch, init, tol, max_iters):
 
 
 # ---------------------------------------------------------------------------
+# localization: a round's stars
+
+
+def per_head_stars(positions, declares, locked, radius, min_neighbors,
+                   max_members):
+    """Checks ``localization._partition_stars``: the round's head loop one
+    head at a time, each head's ranges one ``np.linalg.norm`` row over all
+    nodes, each star's locks written through ``locked`` as it is formed.
+    Returns the stars laid end to end (each head, then its members), their
+    sizes, their head-to-member ranges and the solicitation, response and
+    abort counts."""
+    solicitations = responses = aborted = 0
+    stars, ranges = [], []
+    for head in declares.tolist():
+        if locked[head]:
+            continue  # captured by an earlier star
+        solicitations += 1
+        dist = np.linalg.norm(positions - positions[head], axis=1)
+        candidates = np.flatnonzero((dist <= radius) & ~locked)
+        candidates = candidates[candidates != head]
+        if len(candidates) < min_neighbors:
+            responses += len(candidates)
+            aborted += 1
+            continue
+        order = np.argsort(dist[candidates], kind="stable")
+        members = candidates[order[:max_members]]
+        responses += len(members)
+        star = np.r_[head, members]
+        locked[star] = True
+        stars.append(star)
+        ranges.append(dist[members])
+    sizes = np.array([len(star) for star in stars], dtype=np.intp)
+    if not stars:
+        return (np.empty(0, dtype=np.intp), sizes, np.empty(0),
+                (solicitations, responses, aborted))
+    return (np.concatenate(stars), sizes, np.concatenate(ranges),
+            (solicitations, responses, aborted))
+
+
+# ---------------------------------------------------------------------------
 # data_io: edge lists
 
 

@@ -35,7 +35,6 @@ from stochmds import (
     spe_step,
     steady_state_stats,
     stochastic_step,
-    stress,
 )
 from stochmds.cli import bench_scaling, main
 from stochmds.data_io import FeatureProvider

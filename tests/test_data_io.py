@@ -15,7 +15,6 @@ from stochmds.data_io import (
     EdgeListProvider,
     FeatureProvider,
     FingerprintProvider,
-    MatrixProvider,
     load_fingerprints,
     load_vectors,
     open_dense_matrix,

@@ -24,6 +24,8 @@ from stochmds.cli import CONFIG_KEYS, EXIT_CONFIG, main
 from stochmds.localization import init_velocities, perturb_estimates
 from stochmds.rng import substream
 
+from reference import per_head_stars
+
 
 class TestDeploy:
     def test_region_and_radius(self):
@@ -236,10 +238,66 @@ class TestProtocolRound:
         assert np.linalg.norm(state.estimates - state.positions) < truth_err0
 
 
+def _star_case(seed: int, n: int = 60):
+    """Positions, declared heads and entry locks for one partition. Two
+    thirds of the nodes sit on the points of a 6 x 6 integer grid, so
+    nodes coincide and many ranges tie exactly; the rest are off the
+    grid. A fifth of the nodes are locked on entry, some heads among them.
+    Odd seeds declare the heads in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    positions = rng.integers(0, 6, size=(n, 2)).astype(np.float64)
+    positions[: n // 3] += rng.random((n // 3, 2))
+    declares = np.flatnonzero(rng.random(n) < 0.3)
+    if seed % 2:
+        declares = rng.permutation(declares)
+    return positions, declares, rng.random(n) < 0.2
+
+
+class TestPartitionStars:
+    """``_partition_stars`` forms the same stars, ranges, locks and counts
+    as the plain head loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("min_neighbors, max_members", [
+        (5, 10), (0, 10), (61, 10), (0, 1), (2, 60), (0, 67)])
+    def test_matches_per_head_reference(self, seed, min_neighbors,
+                                        max_members):
+        positions, declares, entry = _star_case(seed)
+        got_locked, want_locked = entry.copy(), entry.copy()
+        nodes, sizes, ranges, log = localization._partition_stars(
+            positions, declares, got_locked, 2.5, min_neighbors, max_members)
+        want = per_head_stars(positions, declares, want_locked, 2.5,
+                              min_neighbors, max_members)
+        for got, ref in zip((nodes, sizes, ranges), want):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(got_locked, want_locked)
+        assert (log.solicitations, log.responses,
+                log.clusters_aborted) == want[3]
+        # stars form unless every running head must abort
+        assert (len(sizes) > 0) == (min_neighbors <= len(positions))
+
+    def test_cases_hold_ties_and_entry_locks(self):
+        """The cases above hold what a tie order or a lock check could get
+        wrong: coincident nodes, equal ranges within one star, and heads
+        locked on entry."""
+        ties = coincident = locked_heads = 0
+        for seed in range(4):
+            positions, declares, entry = _star_case(seed)
+            coincident += len(np.unique(positions, axis=0)) < len(positions)
+            locked_heads += int(entry[declares].sum())
+            nodes, sizes, ranges, _ = localization._partition_stars(
+                positions, declares, entry.copy(), 2.5, 0, 60)
+            for star in np.split(ranges, np.cumsum(sizes - 1)[:-1]):
+                ties += len(np.unique(star)) < len(star)
+        assert coincident == 4 and ties > 0 and locked_heads > 0
+
+
 def _moving_rounds(seed: int, node_count: int, rounds: int,
                    cfg: ProtocolConfig):
-    """Yield (t, estimates before, state, batch, log) for each round of a
-    perturbed network under default mobility."""
+    """Yield (t, estimates before, state, batch, log, the round's generator
+    after the round) for each round of a perturbed network under default
+    mobility."""
     state = deploy_network(node_count, 0, substream(seed, "deploy"))
     mobility = MobilityConfig()
     init_velocities(state, mobility.sigma_v, substream(seed, "mobility", 0))
@@ -248,9 +306,9 @@ def _moving_rounds(seed: int, node_count: int, rounds: int,
     for t in range(1, rounds + 1):
         step_mobility(state, mobility, mob_rng)
         before = state.estimates.copy()
-        _, batch, log = protocol_round(state, substream(seed, "protocol", t),
-                                       cfg)
-        yield t, before, state, batch, log
+        rng = substream(seed, "protocol", t)
+        _, batch, log = protocol_round(state, rng, cfg)
+        yield t, before, state, batch, log, rng
 
 
 def _stars(batch: ObservationBatch) -> list:
@@ -269,8 +327,8 @@ class TestRoundIsOneSlot:
 
     def test_no_node_in_two_stars_of_a_round(self):
         stars = 0
-        for t, _, state, batch, log in _moving_rounds(21, 200, 50,
-                                                      ProtocolConfig()):
+        for t, _, state, batch, log, _ in _moving_rounds(21, 200, 50,
+                                                         ProtocolConfig()):
             heads = np.unique(batch.m)
             nodes = np.concatenate([heads, batch.n])
             assert len(np.unique(nodes)) == len(nodes), f"round {t}"
@@ -293,7 +351,8 @@ class TestRoundIsOneSlot:
         monkeypatch.setattr(localization, "_damped_update", spy)
         cfg = ProtocolConfig(timeout_prob=0.5, noise_sigma=0.0)
         timed_out = 0
-        for t, before, state, batch, log in _moving_rounds(23, 200, 30, cfg):
+        for t, before, state, batch, log, _ in _moving_rounds(23, 200, 30,
+                                                              cfg):
             [(update, nodes)] = updates
             updates.clear()
             assert np.array_equal(nodes[update.m], batch.m)
@@ -318,13 +377,15 @@ class TestRoundIsOneSlot:
         then its timeout draw. Timed-out stars stay locked but do not move.
         With ``min_neighbors=0`` and many heads, a head whose neighbors are
         all locked makes a zero-member star, which measures nothing and must
-        not move."""
+        not move. The replay ends where the round's generator does: forming
+        the stars draws nothing, and no star draws more."""
         cfg = ProtocolConfig(timeout_prob=timeout_prob,
                              min_neighbors=min_neighbors,
                              mean_cluster_size=cluster_size)
         step = StepConfig(mu=cfg.mu, eps_x=cfg.eps_x)
         timed_out = empty = 0
-        for t, before, state, batch, log in _moving_rounds(22, 200, 50, cfg):
+        for t, before, state, batch, log, drawn in _moving_rounds(22, 200, 50,
+                                                                  cfg):
             rng = substream(22, "protocol", t)
             rng.random(state.node_count)  # head declarations
             want = before.copy()
@@ -345,6 +406,8 @@ class TestRoundIsOneSlot:
                 want[cluster] = stochastic_step(want[cluster], star, step)
             np.testing.assert_allclose(state.estimates, want, rtol=0,
                                        atol=1e-12, err_msg=f"round {t}")
+            assert rng.bit_generator.state == drawn.bit_generator.state, \
+                f"round {t}"
             empty += log.clusters_completed + log.clusters_timeout - len(stars)
         assert timed_out > 0 if timeout_prob > 0 else empty > 0
 

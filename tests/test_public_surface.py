@@ -83,3 +83,35 @@ def test_every_definition_is_exported_or_called():
                    if other is not top):
             unused.append(f"{stem}.{top.name}")
     assert not unused, f"defined but neither exported nor called: {unused}"
+
+
+TESTS = ROOT / "tests"
+
+
+def _unused_imports(tree):
+    """The names ``tree``'s imports bind that no ``ast.Name`` in it reads:
+    ``import a.b`` binds ``a``, ``from a import b as c`` binds ``c``.
+    ``__future__`` imports bind nothing."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("import os, numpy.linalg\nfrom a import b, c as d\n"
+                     "from __future__ import annotations\nos.sep, d\n")
+    assert _unused_imports(tree) == ["b", "numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_test_module_uses_every_import(path):
+    """A test module imports only names it uses."""
+    unused = _unused_imports(ast.parse(path.read_text()))
+    assert not unused, f"{path.name} imports {unused} and never uses them"
