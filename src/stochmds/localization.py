@@ -12,10 +12,11 @@ translation/rotation/reflection ambiguity of the relative estimates.
 
 ``_partition_stars`` forms a round's stars, head by head, and draws
 nothing; the round then draws each star's noise, then its timeout, in star
-order. Every range here comes from one rule: the squared coordinate
-columns added in column order, then ``np.sqrt``, as
-``stress_core._squared_lengths`` measures edges. The partition takes each
-head's range row by it, and ``measure_distances`` every in-range pair's.
+order. Every range here comes from stress_core's one edge-length rule
+(``_add_squares``: the squared coordinate columns added in column order),
+then ``np.sqrt``: the partition takes each head's range row from
+``_squared_lengths_from``, and ``measure_distances`` every in-range pair's
+from ``_squared_lengths``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from scipy.spatial import cKDTree
 from .observations import ObservationBatch, StepConfig
 from .rng import substream
 from .sampling import assign_weights
-from .stress_core import _damped_update, _squared_lengths
+from .stress_core import _damped_update, _squared_lengths, \
+    _squared_lengths_from
 from .embedder import run_batch_smacof
 
 __all__ = [
@@ -211,8 +213,8 @@ def step_mobility(state: MobileNetworkState, cfg: MobilityConfig,
 
 def measure_distances(state: MobileNetworkState, noise_sigma: float,
                       rng: np.random.Generator) -> ObservationBatch:
-    """Noisy ranges for every pair within the communication radius, by the
-    module's one range rule (``_squared_lengths``, then ``np.sqrt``).
+    """Noisy ranges for every pair within the communication radius, their
+    true lengths from ``stress_core._squared_lengths``, then ``np.sqrt``.
 
     Nonpositive noisy measurements are discarded (weight zero drops them).
     """
@@ -238,10 +240,9 @@ def _partition_stars(positions: np.ndarray, declares: np.ndarray,
     solicits the unlocked non-head nodes within ``radius``; with fewer than
     ``min_neighbors`` it aborts, else its star is the head and the
     ``max_members`` nearest, ties in node order, all locked through
-    ``locked`` as the star is formed. A head's range row is its squared
-    coordinate differences added in column order, then ``np.sqrt``: the
-    rule of ``stress_core._squared_lengths``. The partition draws nothing
-    and holds O(N) per head.
+    ``locked`` as the star is formed. A head's range row is
+    ``stress_core._squared_lengths_from``, then ``np.sqrt``. The partition
+    draws nothing and holds O(N) per head.
 
     Returns ``(nodes, sizes, ranges, log)``: the stars laid end to end,
     each head then its members; each star's size; the head-to-member ranges
@@ -249,9 +250,9 @@ def _partition_stars(positions: np.ndarray, declares: np.ndarray,
     response and abort counts.
     """
     log = RoundLog()
-    first, *rest = np.ascontiguousarray(positions.T, dtype=np.float64)
-    d, s = np.empty(len(first)), np.empty(len(first))
-    near = np.empty(len(first), dtype=bool)
+    cols = np.ascontiguousarray(positions.T, dtype=np.float64)
+    d, s = np.empty(len(positions)), np.empty(len(positions))
+    near = np.empty(len(positions), dtype=bool)
     stars, ranges = [], []
     for head in declares.tolist():
         if locked[head]:
@@ -260,13 +261,7 @@ def _partition_stars(positions: np.ndarray, declares: np.ndarray,
         # join message carrying the member's current estimate, so completed
         # stars cost exactly one response per member
         log.solicitations += 1
-        np.subtract(first, first[head], out=d)
-        d *= d
-        for col in rest:
-            np.subtract(col, col[head], out=s)
-            s *= s
-            d += s
-        np.sqrt(d, out=d)
+        np.sqrt(_squared_lengths_from(cols, head, d, s), out=d)
         d[head] = -1.0  # in range, and first in the star's order
         np.less_equal(d, radius, out=near)
         near &= ~locked
@@ -316,15 +311,12 @@ def protocol_round(state: MobileNetworkState, rng: np.random.Generator,
     counts = sizes - 1
     noise = np.zeros(len(delta))
     ride = np.ones(len(sizes))  # 0 for a star that timed out
-    if cfg.timeout_prob > 0:  # each star's noise, then its timeout draw
-        ends = np.cumsum(counts).tolist()
-        for j, (a, b) in enumerate(zip([0] + ends, ends)):
-            if cfg.noise_sigma > 0:
-                rng.standard_normal(out=noise[a:b])
-            if rng.random() < cfg.timeout_prob:
-                ride[j] = 0.0
-    elif cfg.noise_sigma > 0:  # nothing drawn between stars: one draw
-        rng.standard_normal(out=noise)
+    ends = np.cumsum(counts).tolist()
+    for j, (a, b) in enumerate(zip([0] + ends, ends)):
+        if cfg.noise_sigma > 0:  # each star's noise, then its timeout draw
+            rng.standard_normal(out=noise[a:b])
+        if cfg.timeout_prob > 0 and rng.random() < cfg.timeout_prob:
+            ride[j] = 0.0
     delta += cfg.noise_sigma * noise
     log.results = len(sizes)  # result broadcast is transmitted either way
     log.clusters_completed = int(ride.sum())

@@ -10,8 +10,9 @@ incremental rule blends that solution with the previous coordinates through
 the step size ``mu``, over all grouped rows at once; each component's
 center is preserved exactly. Every stress, B(X)X and gradient takes its
 edges by one rule: ``_column_diffs`` draws x_m - x_n a column at a time, in
-batch order, and ``_squared_lengths`` adds the squared columns in column
-order, so no (E, dim) difference array is formed.
+batch order, and ``_add_squares`` adds the squared columns in column order,
+so no (E, dim) difference array is formed. ``_squared_lengths_from`` takes
+one node's lengths to every node by the same ``_add_squares``.
 
 A batch-majorization run iterates on one fixed batch, so it builds a
 ``_BatchPlan`` once: the batch grouped, routed and factored, and three work
@@ -78,16 +79,36 @@ def _column_diffs(X, m, n, s=None, t=None):
         yield s
 
 
-def _squared_lengths(X, m, n, out=None, s=None, t=None) -> np.ndarray:
-    """||x_m - x_n||^2 per measurement, in ``out``: the squared columns of
-    ``_column_diffs`` added in column order. This is the module's one
-    edge-length rule."""
-    out = np.empty(len(m)) if out is None else out
+def _add_squares(diffs, out) -> np.ndarray:
+    """The module's one edge-length rule: the squares of the difference
+    columns ``diffs`` yields, added into ``out`` in column order."""
     out.fill(0.0)
-    for d in _column_diffs(X, m, n, s, t):
+    for d in diffs:
         d *= d
         out += d
     return out
+
+
+def _squared_lengths(X, m, n, out=None, s=None, t=None) -> np.ndarray:
+    """||x_m - x_n||^2 per measurement, in ``out``: ``_add_squares`` over
+    the columns of ``_column_diffs``."""
+    out = np.empty(len(m)) if out is None else out
+    return _add_squares(_column_diffs(X, m, n, s, t), out)
+
+
+def _diffs_from(cols, i, s):
+    """Yield x_j - x_i for every row j, one coordinate column of ``cols``
+    (contiguous float64 rows, one per dimension) at a time, in the work
+    vector ``s``."""
+    for x in cols:
+        np.subtract(x, x[i], out=s)
+        yield s
+
+
+def _squared_lengths_from(cols, i, out, s) -> np.ndarray:
+    """||x_j - x_i||^2 for every row j, in ``out``: ``_add_squares`` over
+    the columns of ``_diffs_from``."""
+    return _add_squares(_diffs_from(cols, i, s), out)
 
 
 def _regularized_coeffs(X, m, n, w, delta, eps_x) -> np.ndarray:

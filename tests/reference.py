@@ -156,9 +156,10 @@ def dense_min_norm(groups, rhs):
 
 
 def per_edge_squares(X, m, n):
-    """Checks ``stress_core._squared_lengths``: ||x_m - x_n||^2 one
-    measurement at a time in Python floats, from 0.0, each column's squared
-    difference added in column order."""
+    """Checks ``stress_core._squared_lengths`` and
+    ``_squared_lengths_from``: ||x_m - x_n||^2 one measurement at a time
+    in Python floats, from 0.0, each column's squared difference added in
+    column order."""
     out = np.empty(len(m))
     for k, (i, j) in enumerate(zip(m.tolist(), n.tolist())):
         d2 = 0.0

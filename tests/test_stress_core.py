@@ -702,6 +702,25 @@ class TestOneEdgeLengthRule:
             assert np.array_equal(got_bx,
                                   per_edge_b_times_x(X, b.m, b.n, want_coef))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_one_to_all_matches_per_edge_loop(self, dim):
+        """``_squared_lengths_from``, one node's lengths to every node,
+        equals the per-edge loop and ``_squared_lengths`` bit for bit,
+        from a node with coincident twins."""
+        rng = np.random.default_rng([44, dim])
+        X = rng.standard_normal((30, dim)) * rng.uniform(0.1, 10.0, dim)
+        X[[4, 17]] = X[9]
+        cols = np.ascontiguousarray(X.T)
+        every = np.arange(len(X))
+        work = np.full(len(X), np.nan), np.full(len(X), np.nan)
+        for i, zeros in [(0, 1), (9, 3), (29, 1)]:
+            got = stress_core._squared_lengths_from(cols, i, *work)
+            at_i = np.full(len(X), i)
+            assert np.array_equal(got, per_edge_squares(X, at_i, every))
+            assert np.array_equal(
+                got, stress_core._squared_lengths(X, at_i, every))
+            assert np.count_nonzero(got == 0.0) == zeros
+
 
 class TestSpeStep:
     def test_substitution_example(self):
